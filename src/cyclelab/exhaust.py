@@ -13,7 +13,6 @@ and seed give byte-identical values.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cycles import (cycle_from_dual, cycle_in_domain, incidence_pair,
                      translate_cycle)
@@ -24,7 +23,7 @@ from .optimize import (OptimizerSettings, aligned_domain_values, fiber_infimum,
 from .schubert import intersect_base_cycle, intersect_slice, schubert_slice, \
     translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
-from .utils import expm_antihermitian
+from .utils import expm_antihermitian, logm_unitary
 
 TARGETS = ("r_s", "r_md", "r_d")
 
@@ -251,14 +250,14 @@ def seeded_cycles(sc, count, seed=42, cap=0.95):
     return out
 
 
-def k0_log_coordinates(k, rf):
-    """Coefficients of log(k) in the compact algebra basis (for reports)."""
-    x = scipy.linalg.logm(np.asarray(k, complex))
-    x = 0.5 * (x - np.conj(x.T))
+def k0_log_coordinates(ks, rf):
+    """Coefficients of log(k) in the compact algebra basis, one row per
+    matrix of an (m, n, n) stack (for reports)."""
+    x = logm_unitary(ks)
     basis = np.asarray(rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
-    rhs = np.einsum("aij,ij->a", np.conj(basis), x).real
-    return np.linalg.solve(gram, rhs)
+    rhs = np.einsum("aij,mij->am", np.conj(basis), x).real
+    return np.linalg.solve(gram, rhs).T
 
 
 def grid_axis(spec):
@@ -317,16 +316,15 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     rows, errors = _grid_rows_and_errors(sc, target, cs)
     ok = errors == ""
     values = np.full(cs.shape[0], np.nan)
-    if np.any(ok):
-        values[ok] = batch_values(rows[ok], sc, target, settings)
     argmaxes = [None] * cs.shape[0]
-    if target in ("r_md", "r_d") and np.any(ok):
-        if target == "r_md":
-            _, ks = maximize_branch(rows[ok], sc, settings)
-        else:
-            _, ks = aligned_domain_values(rows[ok], sc, settings)
-        for slot, k in zip(np.flatnonzero(ok), ks):
-            argmaxes[slot] = k0_log_coordinates(k, sc.rf)
+    if target == "r_s" and np.any(ok):
+        values[ok] = batch_values(rows[ok], sc, target, settings)
+    elif np.any(ok):
+        # one optimizer pass gives both the values and the argmaxes
+        solve = maximize_branch if target == "r_md" else aligned_domain_values
+        values[ok], ks = solve(rows[ok], sc, settings)
+        for slot, coords in zip(np.flatnonzero(ok), k0_log_coordinates(ks, sc.rf)):
+            argmaxes[slot] = coords
     do_levi = levi_mode == "on" or (levi_mode == "auto" and target == "r_s")
     npos = np.full(cs.shape[0], -1, dtype=int)
     if do_levi:

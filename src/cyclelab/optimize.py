@@ -180,7 +180,7 @@ def maximize_branch(subjects, sc, settings=None):
 def _align_newton(engine, points, ks, iters=60):
     """Drive ell_S . (k v) to its rounding floor per subject.
 
-    Quadratic steps run until the residual either clears ALIGN_TOL or
+    Gauss-Newton steps run until the residual either clears ALIGN_TOL or
     stops shrinking; near the boundary the branch denominator is tiny
     and a residual above the floor would contaminate it at first order.
     Returns ks and residuals.
@@ -193,9 +193,9 @@ def _align_newton(engine, points, ks, iters=60):
         g = np.einsum("a,mab,mb->m", ls, ks, points)
         ag = np.abs(g)
         # far from the solution always step; once below 1e-10 keep
-        # polishing only while each step still contracts the residual
-        live = np.flatnonzero((ag > ALIGN_TOL)
-                              & ((ag > 1e-10) | (ag <= 0.25 * prev)))
+        # polishing while the residual still shrinks: near the boundary
+        # the steps converge only linearly
+        live = np.flatnonzero((ag > ALIGN_TOL) & ((ag > 1e-10) | (ag < prev)))
         prev = ag
         if live.size == 0:
             break

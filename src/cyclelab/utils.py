@@ -1,13 +1,20 @@
 """Small numeric helpers shared across modules."""
 
 import numpy as np
-from scipy.stats import qmc
+import scipy.linalg
 
 from .errors import InvalidInput, NumericalDegeneracy
 
 # Relative threshold deciding which coordinate counts as "first nonzero"
 # when gauge-fixing a homogeneous vector.
 GAUGE_REL_TOL = 1e-9
+# logm_unitary: rotation angle of the Hermitian combination whose
+# eigenvectors it uses, the first-order error in a logarithm above which
+# a matrix goes to scipy.linalg.logm instead, and the angular distance
+# from -1 within which an eigenvalue takes the angle +pi.
+LOG_AXIS = 2.0
+LOG_GUARD = 1e-12
+LOG_BRANCH_SNAP = 1e-14
 
 
 def check_finite(a, name="array"):
@@ -68,6 +75,49 @@ def expm_antihermitian(x):
     return np.einsum("...ij,...j,...kj->...ik", vec, phase, np.conj(vec))
 
 
+def logm_unitary(u):
+    """Principal logarithm of an (m, n, n) stack of unitary matrices.
+
+    The inverse of expm_antihermitian: the result is anti-Hermitian and
+    agrees with scipy.linalg.logm to 1e-12.  A unitary U shares its
+    eigenvectors V with H = (e^{-ia} U + e^{ia} U*) / 2, a = LOG_AXIS,
+    whose eigenvalues cos(theta - a) separate the eigen-angles theta
+    unless two of them are symmetric about a.  D = V* U V is diagonal up
+    to the eigenvector error of eigh; its diagonal gives the angles, and
+    log U = V (i diag(theta) + first-order correction for the rest of D) V*.
+
+    Branch rule: angles lie in (-pi, pi], and an eigenvalue within
+    LOG_BRANCH_SNAP of -1 takes +pi, so an exact -1 pair logs to i pi on
+    its whole eigenspace.  (scipy.linalg.logm may split such a pair into
+    +-i pi, depending on rounding.)
+
+    Guard: a matrix whose first-order correction exceeds LOG_GUARD goes
+    to scipy.linalg.logm instead.  That happens for angle pairs
+    symmetric about a (H is degenerate, D is not diagonal) and for pairs
+    straddling -1 (log is ill-conditioned there).
+    """
+    u = np.asarray(u, dtype=complex)
+    _, vec = np.linalg.eigh(hermitize(np.exp(-1j * LOG_AXIS) * u))
+    d = np.einsum("mji,mjk,mkl->mil", np.conj(vec), u, vec)
+    theta = np.angle(np.diagonal(d, axis1=-2, axis2=-1))
+    theta = np.where(theta < -np.pi + LOG_BRANCH_SNAP, np.pi, theta)
+    # D's off-diagonal part E is first-order eigenvector error; the log
+    # of D to first order adds E_ij times the divided difference of log,
+    # i (theta_i - theta_j) / (e^{i theta_i} - e^{i theta_j}), i.e.
+    # e^{-i (theta_i + theta_j) / 2} / sinc((theta_i - theta_j) / 2 pi)
+    half = 0.5 * (theta[:, :, None] + theta[:, None, :])
+    sinc = np.sinc((theta[:, :, None] - theta[:, None, :]) / (2 * np.pi))
+    eye = np.eye(u.shape[-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(eye | (d == 0), 0.0, d * np.exp(-1j * half) / sinc)
+    log_d = corr + 1j * theta[:, :, None] * eye
+    x = np.einsum("mij,mjk,mlk->mil", vec, log_d, np.conj(vec))
+    # "not <=" also sends a NaN correction to logm
+    for i in np.flatnonzero(~(np.max(np.abs(corr), axis=(1, 2)) <= LOG_GUARD)):
+        x[i] = scipy.linalg.logm(u[i])
+    return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
+
+
 def sobol_points(dim, count, seed):
     """Deterministic scrambled-Sobol sample of [0,1)^dim.
 
@@ -77,6 +127,10 @@ def sobol_points(dim, count, seed):
     """
     if count <= 0:
         return np.zeros((0, dim))
+    # scipy.stats takes most of the package's import time; load it only
+    # when a sample is drawn
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     # drawing a power-of-two block and slicing keeps the balance warning
     # quiet without changing the points of the common prefix

@@ -113,6 +113,16 @@ def test_info_reports_invariants():
     assert "n_Z (ambient dimension): 1" in disk.stdout
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only Sobol sampling needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cyclelab; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli("eval", "--scenario", "nope").returncode == 2
     assert run_cli("eval", "--scenario", "su11", "--target", "r_md",

@@ -14,6 +14,7 @@ from cyclelab.exhaust import (batch_values, boundary_depths,
                               cycle_space_exhaustion, domain_exhaustion,
                               submeanvalue_discs)
 from cyclelab.cycles import cycle_points
+from cyclelab.optimize import aligned_domain_values, maximize_branch
 
 from oracles import LOG2, LOG10, rd_ball, rmd_disk, rmd_dual_ball
 
@@ -188,3 +189,68 @@ def test_seeded_samplers_are_deterministic(su21):
     assert all(np.array_equal(x.dual, y.dual) for x, y in zip(ca, cb))
     c2 = seeded_cycles(su21, 5, seed=97)
     assert not all(np.array_equal(x.dual, y.dual) for x, y in zip(ca, c2))
+
+
+@pytest.mark.parametrize("seed", [3, 17, 21, 23, 25, 33, 36])
+def test_ball_domain_divergence_tail_is_monotone(su21, seed):
+    # alignment must keep polishing while the residual shrinks: near the
+    # boundary its steps converge only linearly
+    for index in (0, 1):
+        _, vals = divergence_path(su21, "r_d", index=index, seed=seed)
+        assert np.all(np.diff(vals[-5:]) > 0)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_grid_runs_the_optimizer_once(name, su11, su21, monkeypatch):
+    import cyclelab.exhaust as exhaust
+
+    sc = {"su11": su11, "su21": su21}[name]
+    calls = {f: _count_calls(monkeypatch, exhaust, f)
+             for f in ("maximize_branch", "aligned_domain_values", "batch_values")}
+    evaluate_grid(sc, "r_md", (-0.9, 0.9, 5), levi_mode="off")
+    assert [len(c) for c in calls.values()] == [1, 0, 0]
+    evaluate_grid(sc, "r_d", (-0.9, 0.9, 5), levi_mode="off")
+    assert [len(c) for c in calls.values()] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("target", ["r_md", "r_d"])
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
+    import scipy.linalg
+
+    from cyclelab.exhaust import _grid_rows_and_errors
+
+    sc = {"su11": su11, "su21": su21}[name]
+    rows = [r for r in evaluate_grid(sc, target, (-0.9, 0.9, 9), levi_mode="off")
+            if not r.error]
+    cs = np.array([r.re + 1j * r.im for r in rows])
+    subjects, _ = _grid_rows_and_errors(sc, target, cs)
+    assert np.array_equal([r.value for r in rows],
+                          batch_values(subjects, sc, target))
+    solve = maximize_branch if target == "r_md" else aligned_domain_values
+    _, ks = solve(subjects, sc)
+    basis = np.asarray(sc.rf.k0_basis)
+    gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
+    # an argmax with an eigenvalue exactly -1 follows the branch rule of
+    # logm_unitary (+i pi) where logm picks +-i pi by rounding
+    cut = np.any(np.abs(np.linalg.eigvals(ks) + 1.0) < 1e-12, axis=1)
+    assert np.sum(cut) < len(rows) // 4
+    for r, k, at_cut in zip(rows, ks, cut):
+        if at_cut:
+            continue
+        x = scipy.linalg.logm(k)
+        x = 0.5 * (x - np.conj(x.T))
+        coords = np.linalg.solve(gram, np.einsum("aij,ij->a", np.conj(basis), x).real)
+        assert np.max(np.abs(r.argmax - coords)) < 1e-12
