@@ -79,7 +79,8 @@ def logm_unitary(u):
     """Principal logarithm of an (m, n, n) stack of unitary matrices.
 
     The inverse of expm_antihermitian: the result is anti-Hermitian and
-    agrees with scipy.linalg.logm to 1e-12.  A unitary U shares its
+    agrees with scipy.linalg.logm to 1e-12 (away from an eigenvalue -1,
+    see the branch rule).  A unitary U shares its
     eigenvectors V with H = (e^{-ia} U + e^{ia} U*) / 2, a = LOG_AXIS,
     whose eigenvalues cos(theta - a) separate the eigen-angles theta
     unless two of them are symmetric about a.  D = V* U V is diagonal up
@@ -107,13 +108,12 @@ def logm_unitary(u):
     # e^{-i (theta_i + theta_j) / 2} / sinc((theta_i - theta_j) / 2 pi)
     half = 0.5 * (theta[:, :, None] + theta[:, None, :])
     sinc = np.sinc((theta[:, :, None] - theta[:, None, :]) / (2 * np.pi))
+    # theta_i - theta_j lies in (-2 pi, 2 pi), so sinc never vanishes
     eye = np.eye(u.shape[-1], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(eye | (d == 0), 0.0, d * np.exp(-1j * half) / sinc)
+    corr = np.where(eye, 0.0, d * np.exp(-1j * half) / sinc)
     log_d = corr + 1j * theta[:, :, None] * eye
     x = np.einsum("mij,mjk,mlk->mil", vec, log_d, np.conj(vec))
-    # "not <=" also sends a NaN correction to logm
-    for i in np.flatnonzero(~(np.max(np.abs(corr), axis=(1, 2)) <= LOG_GUARD)):
+    for i in np.flatnonzero(np.max(np.abs(corr), axis=(1, 2)) > LOG_GUARD):
         x[i] = scipy.linalg.logm(u[i])
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
 
