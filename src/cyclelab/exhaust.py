@@ -26,6 +26,8 @@ from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
 from .utils import expm_antihermitian, logm_unitary
 
 TARGETS = ("r_s", "r_md", "r_d")
+# k0_log_coordinates: eigen-angles closer than this count as tied.
+LOG_TIE = 1e-12
 
 
 @dataclass(eq=False)
@@ -251,9 +253,30 @@ def seeded_cycles(sc, count, seed=42, cap=0.95):
 
 
 def k0_log_coordinates(ks, rf):
-    """Coefficients of log(k) in the compact algebra basis, one row per
-    matrix of an (m, n, n) stack (for reports)."""
+    """Coordinates in the compact algebra basis of a logarithm of each
+    matrix of an (m, n, n) stack of K0 elements (for reports).
+
+    The logarithm is the principal one (utils.logm_unitary) whenever
+    that lies in the algebra.  det k = 1 puts the principal log's trace
+    at 2 pi i t with t in {-1, 0, 1} (n <= 3); for t != 0 the eigen-angle
+    nearest t pi moves by -2 pi t, along an eigenvector inside one
+    diagonal block of the Cartan matrix, so that the log is traceless,
+    stays block diagonal and still exponentiates to k.  Angles within
+    LOG_TIE of each other count as tied, and a tie moves the angle of
+    the last block: an exact -1 pair split across the blocks logs to
+    +i pi on the first and -i pi on the last.
+    """
     x = logm_unitary(ks)
+    turns = np.rint(np.trace(x, axis1=1, axis2=2).imag / (2 * np.pi))
+    signs = np.diagonal(rf.cartan_matrix).real
+    blocks = [np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)]
+    for i in np.flatnonzero(turns):
+        # eigenvalues of -i t x are t times the eigen-angles
+        pairs = [np.linalg.eigh(-1j * turns[i] * x[i][np.ix_(b, b)]) for b in blocks]
+        tops = [w[-1] for w, _ in pairs]
+        j = max(j for j, top in enumerate(tops) if top >= max(tops) - LOG_TIE)
+        v = pairs[j][1][:, -1]
+        x[i, blocks[j][:, None], blocks[j]] -= 2j * np.pi * turns[i] * np.outer(v, np.conj(v))
     basis = np.asarray(rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
     rhs = np.einsum("aij,mij->am", np.conj(basis), x).real

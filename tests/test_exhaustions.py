@@ -200,24 +200,12 @@ def test_ball_domain_divergence_tail_is_monotone(su21, seed):
         assert np.all(np.diff(vals[-5:]) > 0)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["su11", "su21"])
-def test_grid_runs_the_optimizer_once(name, su11, su21, monkeypatch):
+def test_grid_runs_the_optimizer_once(name, su11, su21, count_calls):
     import cyclelab.exhaust as exhaust
 
     sc = {"su11": su11, "su21": su21}[name]
-    calls = {f: _count_calls(monkeypatch, exhaust, f)
+    calls = {f: count_calls(exhaust, f)
              for f in ("maximize_branch", "aligned_domain_values", "batch_values")}
     evaluate_grid(sc, "r_md", (-0.9, 0.9, 5), levi_mode="off")
     assert [len(c) for c in calls.values()] == [1, 0, 0]
@@ -231,6 +219,7 @@ def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
     import scipy.linalg
 
     from cyclelab.exhaust import _grid_rows_and_errors
+    from cyclelab.utils import expm_antihermitian
 
     sc = {"su11": su11, "su21": su21}[name]
     rows = [r for r in evaluate_grid(sc, target, (-0.9, 0.9, 9), levi_mode="off")
@@ -243,14 +232,18 @@ def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
     _, ks = solve(subjects, sc)
     basis = np.asarray(sc.rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
-    # an argmax with an eigenvalue exactly -1 follows the branch rule of
-    # logm_unitary (+i pi) where logm picks +-i pi by rounding
-    cut = np.any(np.abs(np.linalg.eigvals(ks) + 1.0) < 1e-12, axis=1)
-    assert np.sum(cut) < len(rows) // 4
-    for r, k, at_cut in zip(rows, ks, cut):
-        if at_cut:
-            continue
+    coords = np.array([r.argmax for r in rows])
+    # every row's coordinates exponentiate back to its argmax
+    back = expm_antihermitian(np.einsum("ma,aij->mij", coords, basis))
+    assert np.max(np.abs(back - ks)) < 1e-12
+    # and equal the coordinates of the per-point logm wherever those give
+    # back the argmax too; elsewhere that log has trace +-2 pi i
+    checked = 0
+    for c, k in zip(coords, ks):
         x = scipy.linalg.logm(k)
         x = 0.5 * (x - np.conj(x.T))
-        coords = np.linalg.solve(gram, np.einsum("aij,ij->a", np.conj(basis), x).real)
-        assert np.max(np.abs(r.argmax - coords)) < 1e-12
+        ref = np.linalg.solve(gram, np.einsum("aij,ij->a", np.conj(basis), x).real)
+        if np.max(np.abs(expm_antihermitian(np.einsum("a,aij->ij", ref, basis)) - k)) < 1e-12:
+            assert np.max(np.abs(c - ref)) < 1e-12
+            checked += 1
+    assert checked > len(rows) // 2
