@@ -276,7 +276,7 @@ def k0_log_coordinates(ks, rf):
         tops = [w[-1] for w, _ in pairs]
         j = max(j for j, top in enumerate(tops) if top >= max(tops) - LOG_TIE)
         v = pairs[j][1][:, -1]
-        x[i, blocks[j][:, None], blocks[j]] -= 2j * np.pi * turns[i] * np.outer(v, np.conj(v))
+        x[i][np.ix_(blocks[j], blocks[j])] -= 2j * np.pi * turns[i] * np.outer(v, np.conj(v))
     basis = np.asarray(rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
     rhs = np.einsum("aij,mij->am", np.conj(basis), x).real
