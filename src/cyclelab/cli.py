@@ -371,7 +371,8 @@ def main(argv=None):
     except InvalidInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except CycleLabError as exc:
+    except (CycleLabError, MemoryError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

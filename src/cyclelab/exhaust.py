@@ -180,11 +180,13 @@ def submeanvalue_discs(sc, target, count, seed=42, boundary_points=16,
     Discs are affine in the natural bounded chart of the target's home
     space (the disk for su11, the dual ball for su21 cycles, the domain
     chart for su21 points), with radii keeping them strictly inside.
+    All discs are drawn first and evaluated in one batch of
+    count x (1 + boundary_points) rows, center first in each disc.
     Returns (center_values, circle_means).
     """
     rng = np.random.default_rng((seed, 23))
     phases = np.exp(2j * np.pi * np.arange(boundary_points) / boundary_points)
-    centers, circles = [], []
+    discs = []
     for _ in range(count):
         if sc.n == 2:
             wc = 0.92 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -212,10 +214,10 @@ def submeanvalue_discs(sc, target, count, seed=42, boundary_points=16,
             pts = np.concatenate([[0.0], rad * phases])
             z = zc[None, :] + pts[:, None] * e[None, :]
             rows = np.concatenate([np.ones((len(pts), 1)), z], axis=1)
-        vals = batch_values(rows, sc, target, settings)
-        centers.append(vals[0])
-        circles.append(float(np.mean(vals[1:])))
-    return np.array(centers), np.array(circles)
+        discs.append(rows)
+    vals = batch_values(np.concatenate(discs), sc, target, settings)
+    vals = vals.reshape(count, 1 + boundary_points)
+    return vals[:, 0], np.array([float(np.mean(v[1:])) for v in vals])
 
 
 def seeded_domain_points(sc, count, seed=42, cap=0.9):

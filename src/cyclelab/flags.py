@@ -114,6 +114,18 @@ def in_domain(z, sc):
     return bool(sc.domain_sign * val > sc.tol.sign_margin)
 
 
+def in_domain_rows(rows, sc):
+    """in_domain for each homogeneous row of an (m, n) array, unnormalized.
+
+    The Hermitian form of the unit-norm row decides, as for the gauge-fixed
+    FlagPoint of that row: the form is invariant under the gauge phase.
+    """
+    rows = np.atleast_2d(np.asarray(rows, complex))
+    v = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    val = np.einsum("ma,ab,mb->m", np.conj(v), sc.rf.form_matrix, v).real
+    return sc.domain_sign * val > sc.tol.sign_margin
+
+
 def orbit_is_open(z, sc):
     """True iff the real-form orbit of z is open in Z.
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (MinorantFailure, NotInDomain, NumericalDegeneracy,
                      StencilFailure)
-from .flags import FlagPoint, in_domain
+from .flags import in_domain, in_domain_rows
 from .optimize import (aligned_domain_values, aligned_values_from, get_engine,
                        maximize_branch)
 from .utils import sobol_points
@@ -274,15 +274,12 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
         rows = v[None, :] + xi[:, 0:1] * frame[1][None, :]
         if dims == 2:
             rows = rows + xi[:, 1:2] * frame[2][None, :]
-        inside = np.array([in_domain_row(r, sc) for r in rows])
-        if not np.all(inside):
+        if not np.all(in_domain_rows(rows, sc)):
             continue
         fam = family_points(xi)
-        if fam is not None:
-            # each family element must stay a feasible branch of its point
-            feasible = np.array([in_domain_row(r, sc) for r in fam])
-            if not np.all(feasible):
-                continue
+        # each family element must stay a feasible branch of its point
+        if fam is not None and not np.all(in_domain_rows(fam, sc)):
+            continue
         gaps = exhaustion(xi) - minorant(xi)
         touch = float(abs(minorant(np.zeros((1, dims), complex))[0] - value))
         if touch > TOUCH_TOL:
@@ -310,7 +307,3 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
                 notes=dict(notes, probes=probes, shrinks=attempt,
                            soundness_gap_min=sound))
     raise MinorantFailure("no radius produced a verified minorant")
-
-
-def in_domain_row(row, sc):
-    return in_domain(FlagPoint(row), sc)

@@ -31,6 +31,9 @@ ASCENT_SIGMA0 = 0.5
 IMPROVE_EPS = 1e-15
 ALIGN_TOL = 1e-15
 MAX_SWEEPS = 4000
+# values_shared scores this many K0 samples at a time, so its temporaries
+# stay at chunk x K_BLOCK x n whatever the coarse resolution
+K_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,9 @@ class BranchEngine:
     """Vectorized branch evaluation for one scenario.
 
     Subjects are rows: the cycle point for su11, the cycle dual vector
-    for su21.  Group elements act on the subject directly.
+    for su21.  Group elements act on the subject directly.  The engine
+    also holds the coarse K0 stacks and compass step tables it has
+    built; both are read-only and fill on first use.
     """
 
     def __init__(self, sc):
@@ -72,7 +77,8 @@ class BranchEngine:
         self.variety_dual = self.schubert.variety_dual
         self.k0_basis = np.asarray(sc.rf.k0_basis)
         self.dim = self.k0_basis.shape[0]
-        self._step_cache = {}
+        self._stacks = {}
+        self._step_tables = {}
 
     def subject_row(self, c):
         if self.sc.cycle_dim == 0:
@@ -87,13 +93,21 @@ class BranchEngine:
         return np.where(den <= 1e-28 * num, np.inf, v)
 
     def values_shared(self, subjects, ks):
-        """branch values, subjects (m, n) against a common stack ks (K, n, n)."""
-        if self.sc.cycle_dim == 0:
-            p = np.einsum("kab,mb->mka", ks, subjects)
-        else:
-            moved = np.einsum("mi,kji->mkj", subjects, np.conj(ks))
-            p = np.cross(moved, self.variety_dual[None, None, :])
-        return self._value_from_p(p)
+        """branch values, subjects (m, n) against a common stack ks (K, n, n).
+
+        Scored K_BLOCK samples at a time; every value is computed as in a
+        single pass over the whole stack.
+        """
+        out = np.empty((subjects.shape[0], ks.shape[0]))
+        for j in range(0, ks.shape[0], K_BLOCK):
+            kb = ks[j:j + K_BLOCK]
+            if self.sc.cycle_dim == 0:
+                p = np.einsum("kab,mb->mka", kb, subjects)
+            else:
+                moved = np.einsum("mi,kji->mkj", subjects, np.conj(kb))
+                p = np.cross(moved, self.variety_dual[None, None, :])
+            out[:, j:j + K_BLOCK] = self._value_from_p(p)
+        return out
 
     def values_own(self, subjects, ks):
         """branch values, subjects (m, n) each against its own ks (m, s, n, n)."""
@@ -104,37 +118,50 @@ class BranchEngine:
             p = np.cross(moved, self.variety_dual[None, None, :])
         return self._value_from_p(p)
 
-    def step_matrices(self, level):
-        """Compass moves exp(+-sigma_l kappa_i) at halving scale sigma_l."""
-        if level not in self._step_cache:
-            sig = ASCENT_SIGMA0 * 0.5**level
-            gens = np.concatenate([sig * self.k0_basis, -sig * self.k0_basis])
-            self._step_cache[level] = expm_antihermitian(gens)
-        return self._step_cache[level]
+    def k0_stack(self, resolution, seed, extras):
+        """Coarse K0 sample (K, n, n), built once per (resolution, seed,
+        extras) and shared read-only by every caller."""
+        key = (resolution, seed, extras)
+        if key not in self._stacks:
+            mats = k0_sample_matrices(self.sc.rf, resolution, seed, extras)
+            mats.setflags(write=False)
+            self._stacks[key] = mats
+        return self._stacks[key]
+
+    def step_table(self, step_tol):
+        """Compass moves exp(+-sigma_l kappa_i), (levels, 2 dim, n, n), at the
+        halving scales sigma_l = ASCENT_SIGMA0 / 2^l down to step_tol."""
+        if step_tol not in self._step_tables:
+            levels = int(np.ceil(np.log2(ASCENT_SIGMA0 / step_tol))) + 1
+            sig = (ASCENT_SIGMA0 * 0.5 ** np.arange(levels))[:, None, None, None]
+            table = expm_antihermitian(np.concatenate(
+                [sig * self.k0_basis, -sig * self.k0_basis], axis=1))
+            table.setflags(write=False)
+            self._step_tables[step_tol] = table
+        return self._step_tables[step_tol]
 
 
 def get_engine(sc):
-    if sc.name not in _ENGINES:
-        _ENGINES[sc.name] = BranchEngine(sc)
-    return _ENGINES[sc.name]
+    """The engine of a scenario config; configs that differ in their
+    tolerances get engines (and caches) of their own."""
+    key = (sc.name, sc.tol)
+    if key not in _ENGINES:
+        _ENGINES[key] = BranchEngine(sc)
+    return _ENGINES[key]
 
 
-def coarse_group_stack(sc, resolution, seed, extras):
-    return k0_sample_matrices(sc.rf, resolution, seed, extras)
-
-
-def _compass_ascent(engine, subjects, ks, vals, step_tol):
-    m = subjects.shape[0]
-    max_level = int(np.ceil(np.log2(ASCENT_SIGMA0 / step_tol)))
-    level = np.zeros(m, dtype=int)
+def _compass_ascent(engine, subjects, ks, vals, steps):
+    """Compass ascent from ks with the step table steps (levels, 2 dim, n, n);
+    a row stops once it fails to improve at the last level."""
+    max_level = steps.shape[0] - 1
+    level = np.zeros(subjects.shape[0], dtype=int)
     ks = ks.copy()
     vals = vals.copy()
     for _ in range(MAX_SWEEPS):
         active = np.flatnonzero(level <= max_level)
         if active.size == 0:
             return vals, ks
-        steps = np.stack([engine.step_matrices(l) for l in level[active]])
-        cand = np.einsum("msij,mjk->msik", steps, ks[active])
+        cand = np.einsum("msij,mjk->msik", steps[level[active]], ks[active])
         cvals = engine.values_own(subjects[active], cand)
         best = np.argmax(cvals, axis=1)
         bvals = cvals[np.arange(active.size), best]
@@ -156,7 +183,9 @@ def maximize_branch(subjects, sc, settings=None):
     settings = settings or OptimizerSettings()
     resolution, extras, seed, step_tol = settings.resolved(sc)
     engine = get_engine(sc)
-    coarse = coarse_group_stack(sc, resolution, seed, extras)
+    # both caches fill here, outside the thread pool
+    coarse = engine.k0_stack(resolution, seed, extras)
+    steps = engine.step_table(step_tol)
     top = max(1, min(settings.refine_top, coarse.shape[0]))
 
     def block(rows):
@@ -167,7 +196,7 @@ def maximize_branch(subjects, sc, settings=None):
         for t in range(top):
             start_k = coarse[order[:, t]]
             start_v = np.take_along_axis(cvals, order[:, t:t + 1], axis=1)[:, 0]
-            v, k = _compass_ascent(engine, rows, start_k, start_v, step_tol)
+            v, k = _compass_ascent(engine, rows, start_k, start_v, steps)
             gain = v > best_v
             best_v[gain] = v[gain]
             best_k[gain] = k[gain]
@@ -266,7 +295,7 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
     if sc.cycle_dim == 0:
         return maximize_branch(points, sc, settings)
     resolution, extras, seed, _ = settings.resolved(sc)
-    coarse = coarse_group_stack(sc, resolution, seed, extras)
+    coarse = engine.k0_stack(resolution, seed, extras)
 
     def solve(rows, start_rule):
         g = np.abs(np.einsum("a,kab,mb->mk", engine.variety_dual, coarse, rows))

@@ -46,12 +46,26 @@ COUNTS = {
 
 @dataclass(eq=False)
 class CheckResult:
+    """Worst observed metric of a check against its bound.
+
+    above marks a bound the metric must stay above; otherwise the metric
+    must stay below it.
+    """
+
     name: str
     passed: bool
     count: int
     metric: float
     bound: float
     detail: str = ""
+    above: bool = False
+
+    @property
+    def headroom(self):
+        """Margin from metric to bound in % of |bound|, positive on the
+        passing side."""
+        gap = self.metric - self.bound if self.above else self.bound - self.metric
+        return 100.0 * gap / abs(self.bound)
 
     def payload(self):
         return {"name": self.name, "passed": bool(self.passed),
@@ -100,8 +114,8 @@ class VerificationReport:
             for c in s.checks:
                 tag = "PASS" if c.passed else "FAIL"
                 lines.append(f"[{s.name}] {tag} {c.name}: "
-                             f"metric {c.metric:.3e} vs bound {c.bound:.1e} "
-                             f"({c.count} cases)")
+                             f"metric {c.metric:.3e} vs bound {c.bound:.1e}, "
+                             f"headroom {c.headroom:+.1f}% ({c.count} cases)")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return lines
 
@@ -199,7 +213,8 @@ def check_submeanvalue(counts, seed, scenarios):
         margin = np.asarray(means) - np.asarray(centers)
         worst = min(worst, float(np.min(margin))) if total else float(np.min(margin))
         total += counts["discs"]
-    return CheckResult("submeanvalue_rmd", worst > -1e-6, total, worst, -1e-6)
+    return CheckResult("submeanvalue_rmd", worst > -1e-6, total, worst, -1e-6,
+                       above=True)
 
 
 def _cell_chart_points(sc, count, seed):
@@ -241,7 +256,8 @@ def check_strict_psh(counts, seed, scenarios):
             lev = levi_form_fd(fn, z0, h=sc.tol.fd_step)
             worst = min(worst, float(np.min(np.linalg.eigvalsh(lev))))
             total += 1
-    return CheckResult("strict_psh_levi", worst > 1e-6, total, worst, 1e-6)
+    return CheckResult("strict_psh_levi", worst > 1e-6, total, worst, 1e-6,
+                       above=True)
 
 
 def check_fd_convergence(counts, seed, scenarios):
@@ -255,7 +271,7 @@ def check_fd_convergence(counts, seed, scenarios):
         ratios.append(levi_refinement_ratio(fn, z0, h=0.05))
     worst = float(min(ratios))
     return CheckResult("fd_convergence_factor", worst >= 3.5, len(ratios),
-                       worst, 3.5)
+                       worst, 3.5, above=True)
 
 
 def check_closed_form(counts, seed, scenarios):
@@ -290,7 +306,7 @@ def check_divergence(counts, seed, scenarios):
     passed = bool(floor > 30.0 and mono_ok)
     detail = "tail monotone" if mono_ok else "tail not monotone"
     return CheckResult("boundary_divergence", passed, total, floor, 30.0,
-                       detail=detail)
+                       detail=detail, above=True)
 
 
 def check_degenerate_grid(counts, seed, scenarios):
@@ -349,7 +365,7 @@ def check_certificates(counts, seed, scenarios):
             ok = ok and bool(fine)
             total += 1
     return CheckResult("pseudoconvexity_certificates", bool(ok and gap_floor >= -1e-9),
-                       total, float(gap_floor), -1e-9)
+                       total, float(gap_floor), -1e-9, above=True)
 
 
 _SUITE_CHECKS = {

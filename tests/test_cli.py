@@ -82,6 +82,14 @@ def test_verify_repeatable_and_scenario_scoped(tmp_path):
     assert p1.returncode == p2.returncode == 0
     assert f1.read_bytes() == f2.read_bytes()
     assert "overall: PASS" in p1.stderr
+    # headroom goes to the console only; the payload keeps its fields
+    for suite in json.loads(f1.read_text())["suites"]:
+        for c in suite["checks"]:
+            assert set(c) == {"name", "passed", "count", "metric", "bound",
+                              "detail"}
+            gap = c["bound"] - c["metric"]
+            line = next(x for x in p1.stderr.splitlines() if c["name"] in x)
+            assert f"headroom {100 * gap / abs(c['bound']):+.1f}%" in line
     scoped = run_cli("verify", "--suite", "exhaustion", "--scenario", "su11")
     payload = json.loads(scoped.stdout)
     assert payload["scenarios"] == ["su11"]
@@ -166,6 +174,21 @@ def test_runtime_failure_exits_1(monkeypatch, capsys):
     assert err["error"] == "NumericalDegeneracy"
 
 
+@pytest.mark.parametrize("exc", [MemoryError("synthetic"),
+                                 np.linalg.LinAlgError("synthetic"),
+                                 FloatingPointError("synthetic")])
+def test_numeric_errors_exit_1_with_record(exc, monkeypatch, capsys):
+    def boom(*a, **k):
+        raise exc
+
+    monkeypatch.setattr(cli, "evaluate_grid", boom)
+    rc = cli.main(["eval", "--scenario", "su11", "--target", "r_md",
+                   "--grid", "-0.1:0.1:2"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": type(exc).__name__, "message": "synthetic"}
+
+
 def test_failed_verification_exits_1(monkeypatch, capsys):
     class FakeReport:
         passed = False
@@ -180,3 +203,13 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
                         lambda **kw: FakeReport())
     rc = cli.main(["verify"])
     assert rc == 1
+
+
+def test_headroom_follows_the_check_direction():
+    from cyclelab.verify import CheckResult
+
+    floor = CheckResult("x", True, 1, 31.7, 30.0, above=True)
+    assert floor.headroom == pytest.approx(100 * 1.7 / 30)
+    assert CheckResult("x", True, 1, 1e-10, 1e-9).headroom == pytest.approx(90.0)
+    failed = CheckResult("x", False, 1, -2e-6, -1e-6, above=True)
+    assert failed.headroom == pytest.approx(-100.0)

@@ -247,3 +247,76 @@ def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
             assert np.max(np.abs(c - ref)) < 1e-12
             checked += 1
     assert checked > len(rows) // 2
+
+
+def _seeded_subjects(sc, count, seed):
+    """Cycle subjects (su11 points, su21 duals) well inside the cycle space."""
+    rng = np.random.default_rng(seed)
+    if sc.n == 2:
+        w = 0.95 * np.sqrt(rng.uniform(size=count)) * np.exp(
+            2j * np.pi * rng.uniform(size=count))
+        return np.stack([w, np.ones_like(w)], axis=1)
+    beta = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    beta *= (0.95 * np.sqrt(rng.uniform(size=count))
+             / np.linalg.norm(beta, axis=1))[:, None]
+    return np.concatenate([beta, np.ones((count, 1))], axis=1)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_maximize_branch_batch_equals_disc_sized_calls(name, su11, su21):
+    # submeanvalue_discs evaluates 24 discs of 17 rows in one call; that
+    # is only sound if a row's result does not depend on its batch
+    sc = {"su11": su11, "su21": su21}[name]
+    rows = _seeded_subjects(sc, 24 * 17, seed=8)
+    vals, ks = maximize_branch(rows, sc)
+    parts = [maximize_branch(rows[i:i + 17], sc) for i in range(0, len(rows), 17)]
+    assert np.array_equal(vals, np.concatenate([v for v, _ in parts]))
+    assert np.array_equal(ks, np.concatenate([k for _, k in parts]))
+
+
+@pytest.mark.parametrize("resolution", [None, 10])
+def test_values_shared_blocks_match_one_block(su21, resolution, monkeypatch):
+    import cyclelab.optimize as optimize
+
+    settings = optimize.OptimizerSettings(resolution=resolution)
+    res, extras, seed, _ = settings.resolved(su21)
+    engine = optimize.get_engine(su21)
+    ks = engine.k0_stack(res, seed, extras)
+    assert ks.shape[0] == {None: 1332, 10: 10036}[resolution]
+    rows = _seeded_subjects(su21, 40, seed=9)
+    blocked = engine.values_shared(rows, ks)
+    monkeypatch.setattr(optimize, "K_BLOCK", ks.shape[0])
+    assert np.array_equal(blocked, engine.values_shared(rows, ks))
+
+
+def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
+                                             monkeypatch):
+    import cyclelab.optimize as optimize
+    from cyclelab.verify import COUNTS, run_suite
+
+    monkeypatch.setattr(optimize, "_ENGINES", {})
+    calls = count_calls(optimize, "k0_sample_matrices")
+    counts = dict(COUNTS["quick"], discs=4, levi_points=2)
+    run_suite("psh", counts, 3, ("su11", "su21"))
+    # one default coarse stack per scenario, however many discs
+    assert len(calls) == 2
+    run_suite("psh", counts, 4, ("su11", "su21"))
+    assert len(calls) == 2
+    for sc in (su11, su21):
+        res, extras, seed, _ = optimize.OptimizerSettings().resolved(sc)
+        stack = optimize.get_engine(sc).k0_stack(res, seed, extras)
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+    assert len(calls) == 2
+
+
+def test_engine_is_keyed_by_tolerances(su21):
+    import dataclasses
+
+    from cyclelab.optimize import get_engine
+
+    same = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol))
+    assert get_engine(same) is get_engine(su21)
+    loose = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol, step_tol=1e-6))
+    assert get_engine(loose) is not get_engine(su21)
+    assert get_engine(loose).sc.tol.step_tol == 1e-6

@@ -6,8 +6,9 @@ import pytest
 from cyclelab import (FlagPoint, get_scenario, levi_form_fd, levi_report,
                       q_pseudoconvex_certificate, seeded_domain_points)
 from cyclelab.errors import NotInDomain, StencilFailure
-from cyclelab.levi import (eig_signature, in_domain_row,
-                           levi_refinement_ratio, submeanvalue_margins)
+from cyclelab.flags import in_domain, in_domain_rows
+from cyclelab.levi import (eig_signature, levi_refinement_ratio,
+                           submeanvalue_margins)
 
 from oracles import fubini_study_levi
 
@@ -122,6 +123,18 @@ def test_certificate_rejects_boundary(su11, su21):
         q_pseudoconvex_certificate(FlagPoint(np.array([0.0, 0.0, 1.0])), su21)
 
 
-def test_in_domain_row_helper(su21):
-    assert in_domain_row(np.array([1.0, 0.0, 0.2]), su21)
-    assert not in_domain_row(np.array([0.0, 0.0, 1.0]), su21)
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_in_domain_rows_matches_flag_points(name, su11, su21):
+    sc = {"su11": su11, "su21": su21}[name]
+    rng = np.random.default_rng(12)
+    seeded = 3.0 * (rng.standard_normal((200, sc.n))
+                    + 1j * rng.standard_normal((200, sc.n)))
+    # on the boundary |v_1|^2 + ... = |v_n|^2 exactly, and just inside it
+    edge = {2: [[1.0, 1.0], [1j, -1.0], [-2.0, 2j], [0.999, 1.0]],
+            3: [[1.0, 0.0, 1.0], [0.0, 1j, -1.0], [0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.2], [0.5, 0.5j, -0.5], [1.0, 0.0, 0.999]]}[sc.n]
+    rows = np.concatenate([seeded, np.array(edge, complex)])
+    want = [in_domain(FlagPoint(r), sc) for r in rows]
+    got = in_domain_rows(rows, sc)
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want)
