@@ -14,9 +14,8 @@ from .liecore import (GroupElement, LieAlgebraElement, RealFormSpec,
                       cartan_involution, exp_map, is_member,
                       iwasawa_decompose, k0_sample)
 from .flags import FlagPoint, ScenarioConfig, Tolerances, act, chart, in_domain
-from .cycles import (Cycle, base_cycle, cycle_from_dual, cycle_from_group,
-                     cycle_from_point, cycle_in_domain, mu_fiber,
-                     translate_cycle)
+from .cycles import (Cycle, base_cycle, cycle_from_dual, cycle_from_point,
+                     cycle_in_domain, mu_fiber, translate_cycle)
 from .schubert import (IncidenceRecord, SchubertDatum, SliceDatum,
                        intersect_base_cycle, intersect_slice, make_schubert,
                        schubert_slice, translate_schubert, translate_slice)
@@ -42,9 +41,8 @@ __all__ = [
     "GroupElement", "LieAlgebraElement", "RealFormSpec", "cartan_involution",
     "exp_map", "is_member", "iwasawa_decompose", "k0_sample",
     "FlagPoint", "ScenarioConfig", "Tolerances", "act", "chart", "in_domain",
-    "Cycle", "base_cycle", "cycle_from_dual", "cycle_from_group",
-    "cycle_from_point", "cycle_in_domain", "fiber_infimum", "mu_fiber",
-    "translate_cycle",
+    "Cycle", "base_cycle", "cycle_from_dual", "cycle_from_point",
+    "cycle_in_domain", "fiber_infimum", "mu_fiber", "translate_cycle",
     "IncidenceRecord", "SchubertDatum", "SliceDatum", "intersect_base_cycle",
     "intersect_slice", "make_schubert", "schubert_slice", "translate_schubert",
     "translate_slice",

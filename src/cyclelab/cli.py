@@ -122,6 +122,10 @@ def build_config(args):
         raise InvalidInput(f"unknown counts preset {cfg.counts!r}")
     if cfg.levi not in LEVI_MODES:
         raise InvalidInput(f"unknown levi mode {cfg.levi!r}")
+    for key, low in (("seed", 0), ("count", 1)):
+        v = getattr(cfg, key)
+        if not isinstance(v, int) or isinstance(v, bool) or v < low:
+            raise InvalidInput(f"{key} must be an integer >= {low}, not {v!r}")
     return cfg
 
 
@@ -141,14 +145,14 @@ def _scenario(cfg, required=True):
 
 
 def _settings(cfg):
-    opts = dict(cfg.optimizer)
-    opts.setdefault("seed", cfg.seed)
-    if cfg.resolution_k0 is not None:
-        opts["resolution"] = cfg.resolution_k0
     try:
+        opts = dict(cfg.optimizer)
+        opts.setdefault("seed", cfg.seed)
+        if cfg.resolution_k0 is not None:
+            opts["resolution"] = cfg.resolution_k0
         return OptimizerSettings(**opts)
-    except TypeError as exc:
-        raise InvalidInput(f"unknown optimizer setting: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"bad optimizer settings: {exc}") from exc
 
 
 def _emit(text, out):

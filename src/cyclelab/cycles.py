@@ -92,14 +92,6 @@ class Cycle:
         return bool(np.max(np.abs(self.dual - other.dual)) < tol)
 
 
-def cycle_from_group(g, sc):
-    """Canonical cycle g . C0."""
-    if sc.cycle_dim == 0:
-        return Cycle(representative=g, point=FlagPoint(g.matrix @ sc.base_point.homogeneous))
-    dual = sc.base_cycle_dual @ np.linalg.inv(g.matrix)
-    return Cycle(representative=g, dual=dual)
-
-
 def cycle_from_dual(dual, sc):
     """su21 cycle with the given dual vector and a deterministic representative."""
     if sc.cycle_dim != 1:

@@ -53,24 +53,12 @@ class NotInDomain(CycleLabError):
     """Point is outside the open orbit the scenario works in."""
 
 
-class FiberEmpty(CycleLabError):
-    """No member of the fiber family passes the domain test."""
-
-
 class NotIncident(CycleLabError):
     """Point does not lie on the cycle."""
 
 
 class StencilFailure(CycleLabError):
     """Function evaluation failed inside a finite-difference stencil."""
-
-
-class InvalidMatrix(CycleLabError):
-    """Matrix input violates a structural requirement (e.g. not Hermitian)."""
-
-
-class DiscOutOfDomain(CycleLabError):
-    """A test disc leaves the domain of the function under test."""
 
 
 class MinorantFailure(CycleLabError):

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cycles import (cycle_from_dual, cycle_in_domain, incidence_pair,
-                     translate_cycle)
+from .cycles import cycle_in_domain, incidence_pair, translate_cycle
 from .errors import InvalidInput, NotInDomain
-from .flags import FlagPoint, in_domain
+from .flags import in_domain
 from .optimize import (OptimizerSettings, aligned_domain_values, fiber_infimum,
                        get_engine, maximize_branch)
 from .schubert import intersect_base_cycle, intersect_slice, schubert_slice, \
     translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
-from .utils import expm_antihermitian, logm_unitary
+from .utils import logm_unitary
 
 TARGETS = ("r_s", "r_md", "r_d")
 # k0_log_coordinates: eigen-angles closer than this count as tied.
@@ -47,8 +46,7 @@ def cycle_space_exhaustion(c, sc, settings=None, enforce_domain=True, margin=Non
     """Value of the cycle-space exhaustion at a cycle."""
     if enforce_domain and not cycle_in_domain(c, sc, margin=margin):
         raise NotInDomain("cycle is not contained in the domain")
-    engine = get_engine(sc)
-    vals, ks = maximize_branch(engine.subject_row(c)[None, :], sc, settings)
+    vals, ks = maximize_branch(sc.geometry.subject_row(c)[None, :], sc, settings)
     return ExhaustionSample(value=float(vals[0]), argmax=ks[0])
 
 
@@ -127,17 +125,6 @@ def boundary_depths(samples=15, decade=1.0):
     return 0.5 * 10.0 ** (-decade * np.arange(samples, dtype=float))
 
 
-def _depth_decade(sc, target):
-    # depths are kept above the scales the evaluation can resolve: the
-    # rotation argmax is found to step_tol, and the section ratio
-    # underflows once the approach distance nears the inverse of its
-    # dynamic range; the dual-ball and alignment paths resolve to
-    # machine precision and take the full schedule
-    if sc.n == 2 or target == "r_s":
-        return 0.5
-    return 1.0
-
-
 def divergence_path(sc, target, index, seed=42, samples=15):
     """Values of a target exhaustion along a seeded path to the boundary.
 
@@ -145,32 +132,9 @@ def divergence_path(sc, target, index, seed=42, samples=15):
     the late samples sit below the sign margin on purpose.
     """
     rng = np.random.default_rng((seed, index, 17))
-    d = boundary_depths(samples, decade=_depth_decade(sc, target))
-    if sc.n == 2:
-        w = (1.0 - d) * np.exp(2j * np.pi * rng.uniform())
-        rows = np.stack([w, np.ones_like(w)], axis=1)
-        if target == "r_s":
-            # approach the boundary point of the cell instead
-            rows = np.stack([1.0 - d + 0j, np.ones_like(d) + 0j], axis=1)
-        return d, batch_values(rows, sc, target)
-    if target == "r_s":
-        c = 1.0 / d
-        rows = (get_engine(sc).schubert.borel.matrix @
-                np.stack([c, np.ones_like(c), np.zeros_like(c)])).T
-        return d, batch_values(rows, sc, target)
-    if target == "r_md":
-        e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        e /= np.linalg.norm(e)
-        beta = (1.0 - d)[:, None] * e[None, :]
-        rows = np.concatenate([beta, np.ones((samples, 1))], axis=1)
-        return d, batch_values(rows, sc, target)
-    coeff = rng.uniform(-np.pi, np.pi, len(sc.rf.k0_basis))
-    u = expm_antihermitian(
-        np.einsum("d,dij->ij", coeff, np.asarray(sc.rf.k0_basis))[None])[0]
-    rows = np.stack([np.ones_like(d) + 0j, np.zeros_like(d) + 0j,
-                     (1.0 - d) + 0j], axis=1)
-    rows = rows @ u.T
-    return d, batch_values(rows, sc, target)
+    d = boundary_depths(samples, decade=sc.geometry.depth_decade(target))
+    return d, batch_values(sc.geometry.divergence_rows(target, d, rng, sc.rf),
+                           sc, target)
 
 
 def submeanvalue_discs(sc, target, count, seed=42, boundary_points=16,
@@ -186,35 +150,7 @@ def submeanvalue_discs(sc, target, count, seed=42, boundary_points=16,
     """
     rng = np.random.default_rng((seed, 23))
     phases = np.exp(2j * np.pi * np.arange(boundary_points) / boundary_points)
-    discs = []
-    for _ in range(count):
-        if sc.n == 2:
-            wc = 0.92 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            rad = (1.0 - abs(wc)) * (0.2 + 0.6 * rng.uniform())
-            pts = np.concatenate([[wc], wc + rad * phases])
-            rows = np.stack([pts, np.ones_like(pts)], axis=1)
-        elif target in ("r_md",):
-            bc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            bc *= 0.92 * np.sqrt(rng.uniform()) / np.linalg.norm(bc)
-            e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            e /= np.linalg.norm(e)
-            rad = (1.0 - np.linalg.norm(bc)) * (0.2 + 0.6 * rng.uniform())
-            pts = np.concatenate([[0.0], rad * phases])
-            beta = bc[None, :] + pts[:, None] * e[None, :]
-            rows = np.concatenate([beta, np.ones((len(pts), 1))], axis=1)
-        else:
-            # domain chart (1, z2, z3): inside iff |z3|^2 < 1 + |z2|^2
-            zc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            zc[1] *= 0.8 * np.sqrt(rng.uniform()) * np.sqrt(1 + abs(zc[0]) ** 2) \
-                / max(abs(zc[1]), 1e-12)
-            e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            e /= np.linalg.norm(e)
-            slack = np.sqrt(1 + abs(zc[0]) ** 2) - abs(zc[1])
-            rad = 0.3 * slack * (0.2 + 0.6 * rng.uniform())
-            pts = np.concatenate([[0.0], rad * phases])
-            z = zc[None, :] + pts[:, None] * e[None, :]
-            rows = np.concatenate([np.ones((len(pts), 1)), z], axis=1)
-        discs.append(rows)
+    discs = [sc.geometry.disc_rows(target, rng, phases) for _ in range(count)]
     vals = batch_values(np.concatenate(discs), sc, target, settings)
     vals = vals.reshape(count, 1 + boundary_points)
     return vals[:, 0], np.array([float(np.mean(v[1:])) for v in vals])
@@ -223,35 +159,13 @@ def submeanvalue_discs(sc, target, count, seed=42, boundary_points=16,
 def seeded_domain_points(sc, count, seed=42, cap=0.9):
     """Deterministic interior points, boundary distance controlled by cap."""
     rng = np.random.default_rng((seed, 31))
-    pts = []
-    for _ in range(count):
-        if sc.n == 2:
-            w = cap * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            pts.append(FlagPoint(np.array([w, 1.0])))
-        else:
-            v12 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v12 /= np.linalg.norm(v12)
-            rho = cap * np.sqrt(rng.uniform())
-            v3 = rho * np.exp(2j * np.pi * rng.uniform())
-            pts.append(FlagPoint(np.concatenate([v12, [v3]])))
-    return pts
+    return [sc.geometry.seeded_point(rng, cap) for _ in range(count)]
 
 
 def seeded_cycles(sc, count, seed=42, cap=0.95):
     """Deterministic cycles inside the domain."""
-    from .cycles import cycle_from_point
-
     rng = np.random.default_rng((seed, 37))
-    out = []
-    for _ in range(count):
-        if sc.n == 2:
-            w = cap * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            out.append(cycle_from_point(FlagPoint(np.array([w, 1.0])), sc))
-        else:
-            beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            beta *= cap * np.sqrt(rng.uniform()) / np.linalg.norm(beta)
-            out.append(cycle_from_dual(np.concatenate([beta, [1.0]]), sc))
-    return out
+    return [sc.geometry.seeded_cycle(rng, cap, sc) for _ in range(count)]
 
 
 def k0_log_coordinates(ks, rf):
@@ -302,26 +216,6 @@ class GridRow:
     error: str = ""
 
 
-def _grid_rows_and_errors(sc, target, cs):
-    """Subject rows for grid coordinates c, with per-point error strings."""
-    n = cs.shape[0]
-    errors = np.array([""] * n, dtype=object)
-    if sc.n == 2:
-        rows = np.stack([cs, np.ones(n, complex)], axis=1)
-        errors[np.abs(cs) >= 1.0] = "outside the domain"
-        return rows, errors
-    if target == "r_s":
-        stack = np.stack([cs, np.ones(n, complex), np.zeros(n, complex)])
-        return (get_engine(sc).schubert.borel.matrix @ stack).T, errors
-    if target == "r_md":
-        rows = np.stack([cs, np.zeros(n, complex), np.ones(n, complex)], axis=1)
-        errors[np.abs(cs) >= 1.0] = "outside the cycle space"
-        return rows, errors
-    rows = np.stack([np.ones(n, complex), np.zeros(n, complex), cs], axis=1)
-    errors[np.abs(cs) >= 1.0] = "outside the domain"
-    return rows, errors
-
-
 def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     """Evaluate a target over a square grid in its natural chart.
 
@@ -338,8 +232,9 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     axis = grid_axis(grid_spec)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     cs = (re + 1j * im).ravel()
-    rows, errors = _grid_rows_and_errors(sc, target, cs)
-    ok = errors == ""
+    geo = sc.geometry
+    rows = geo.chart_rows(target, cs, sc.rf)
+    ok = geo.admissible(target, rows)
     values = np.full(cs.shape[0], np.nan)
     argmaxes = [None] * cs.shape[0]
     if target == "r_s" and np.any(ok):
@@ -356,7 +251,7 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
         from .levi import eig_signature, levi_form_fd
 
         def fn(zs):
-            r, _ = _grid_rows_and_errors(sc, target, np.atleast_1d(zs))
+            r = geo.chart_rows(target, np.atleast_1d(zs), sc.rf)
             return batch_values(r, sc, target, settings)
 
         for i in np.flatnonzero(ok):
@@ -369,5 +264,5 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
         out.append(GridRow(re=float(cs[i].real), im=float(cs[i].imag),
                            value=None if not ok[i] else float(values[i]),
                            argmax=argmaxes[i], n_pos=int(npos[i]),
-                           error=str(errors[i])))
+                           error="" if ok[i] else geo.outside[target]))
     return out

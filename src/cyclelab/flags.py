@@ -6,16 +6,15 @@ representative.  The open orbit D of the real form is cut out by the sign
 of the Hermitian form on that line.
 """
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalDegeneracy
 from .liecore import RealFormSpec
 from .utils import check_finite, gauge_vector
-
-SIGN_MARGIN = 1e-12
-RANK_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,22 @@ class FlagPoint:
 
 @dataclass(frozen=True)
 class Tolerances:
-    det: float = 1e-10
-    membership: float = 1e-10
+    """Every tolerance is a finite positive number; sign_margin may be 0."""
+
     intersection: float = 1e-10
-    sign_margin: float = SIGN_MARGIN
-    rank: float = RANK_TOLERANCE
-    residual: float = 1e-9
+    sign_margin: float = 1e-12
+    rank: float = 1e-8
     zero_band: float = 1e-6
     fd_step: float = 1e-3
     step_tol: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
+                    or not 0 <= v < math.inf or (v == 0 and f.name != "sign_margin")):
+                raise InvalidInput(f"tolerance {f.name} must be a finite "
+                                   f"positive number, not {v!r}")
 
 
 @dataclass(eq=False)
@@ -75,7 +81,11 @@ class ScenarioConfig:
     cycle_dim is the complex dimension q of the base cycle, ambient_dim
     the complex dimension of Z.  base_cycle_dual is the dual vector of
     the base cycle when cycles are hypersurfaces (ambient_dim 2), None
-    when cycles are points.
+    when cycles are points.  geometry (scenarios.PointCycles or
+    LineCycles) makes every choice that differs between point and
+    hypersurface cycles: subject rows, the branch kernel, grid charts and
+    their admissible sets, seeded samples, discs, divergence paths and
+    the cell chart; its point_cycles attribute marks the q = 0 case.
     """
 
     name: str
@@ -85,6 +95,7 @@ class ScenarioConfig:
     domain_sign: int
     cycle_dim: int
     ambient_dim: int
+    geometry: object
     weight_tag: str = "fundamental-1"
     tol: Tolerances = field(default_factory=Tolerances)
     base_cycle_dual: np.ndarray = None
@@ -186,6 +197,6 @@ class Chart:
         return np.array([w[i] - self.base[i] for i in self.free])
 
 
-def chart(z, sc=None):
+def chart(z):
     """Deterministic affine chart centered at z."""
     return Chart(z)

@@ -177,12 +177,7 @@ def _aligned_chart(y, sc, settings):
     c0 = complex(ad[0] / ad[1])
     lam = complex(ad[1])
     b_s = np.linalg.inv(khat) @ borel[:, 0]
-    w12sq = abs(v[0]) ** 2 + abs(v[1]) ** 2
-    if abs(v[2]) > 1e-14:
-        lmin = np.array([np.conj(v[0]), np.conj(v[1]), -w12sq / v[2]])
-    else:
-        lmin = np.array([0.0, 0.0, 1.0], complex)
-    rows = plane_basis(lmin / np.linalg.norm(lmin))
+    rows = plane_basis(sc.geometry.radial_dual(v))
     t = rows[0] - (np.conj(v) @ rows[0]) * v
     if np.linalg.norm(t) < 1e-8:
         t = rows[1] - (np.conj(v) @ rows[1]) * v
@@ -207,37 +202,36 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
         raise NotInDomain("certificates exist at interior points only")
     value, khat, slice_data, frame = _aligned_chart(y, sc, settings)
     v = frame[0]
-    n_z, q = sc.ambient_dim, sc.cycle_dim
-    required = n_z - q
+    # the chart has one coordinate per dimension of Z
+    dims = sc.ambient_dim
+    required = dims - sc.cycle_dim
     sigma = get_engine(sc).sigma
+    padding, notes = 0.0, {}
+
+    def chart_rows(xi):
+        rows = v[None, :]
+        for j in range(dims):
+            rows = rows + xi[:, j:j + 1] * frame[j + 1][None, :]
+        return rows
 
     if sc.cycle_dim == 0:
         def minorant(xi):
-            rows = v[None, :] + xi[:, 0:1] * frame[1][None, :]
-            moved = np.einsum("ab,mb->ma", khat, rows)
+            moved = np.einsum("ab,mb->ma", khat, chart_rows(xi))
             num = np.sum(np.abs(moved) ** 2, axis=1)
             den = np.abs(moved @ sigma) ** 2
             return np.log(num) - np.log(den)
 
         def exhaustion(xi):
-            rows = v[None, :] + xi[:, 0:1] * frame[1][None, :]
-            vals, _ = maximize_branch(rows, sc, settings)
+            vals, _ = maximize_branch(chart_rows(xi), sc, settings)
             return vals
 
         def family_points(xi):
             return None
-
-        dims, padding = 1, 0.0
-        notes = {}
     else:
         c0, lam = slice_data
 
         def slice_branch(xi_s):
             return np.log1p(np.abs(c0 + xi_s / lam) ** 2)
-
-        def chart_rows(xi):
-            return (v[None, :] + xi[:, 0:1] * frame[1][None, :]
-                    + xi[:, 1:2] * frame[2][None, :])
 
         def exhaustion(xi):
             vals, _ = aligned_domain_values(chart_rows(xi), sc, settings)
@@ -246,9 +240,6 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
         def family_points(xi):
             _, _, aligned = aligned_values_from(chart_rows(xi), sc, khat)
             return aligned
-
-        dims = 2
-        notes = {}
 
     for attempt in range(MAX_SHRINKS + 1):
         rad = radius * 0.5**attempt
@@ -271,10 +262,7 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
         u = sobol_points(2 * dims, probes, seed)
         xi = (2.0 * u - 1.0) * rad
         xi = xi[:, 0::2] + 1j * xi[:, 1::2]
-        rows = v[None, :] + xi[:, 0:1] * frame[1][None, :]
-        if dims == 2:
-            rows = rows + xi[:, 1:2] * frame[2][None, :]
-        if not np.all(in_domain_rows(rows, sc)):
+        if not np.all(in_domain_rows(chart_rows(xi), sc)):
             continue
         fam = family_points(xi)
         # each family element must stay a feasible branch of its point

@@ -39,10 +39,6 @@ class GroupElement:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def group_dim(self):
-        return self.matrix.shape[0]
-
     def __matmul__(self, other):
         return GroupElement(self.matrix @ other.matrix)
 

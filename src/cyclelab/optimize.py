@@ -17,11 +17,12 @@ settings give identical results bit for bit; CYCLELAB_THREADS only
 parallelizes over fixed subject blocks and never changes the output.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericalDegeneracy, OptimizerStall
+from .errors import InvalidInput, NumericalDegeneracy, OptimizerStall
 from .liecore import k0_sample_matrices
 from .schubert import make_schubert
 from .sections import highest_weight_section
@@ -39,21 +40,30 @@ K_BLOCK = 128
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for the compact-group search; None fields fall back to the
-    scenario defaults."""
+    scenario defaults.  The compass step tolerance is the scenario's
+    Tolerances.step_tol."""
 
     resolution: int = None
     extras: int = None
     seed: int = 42
-    step_tol: float = None
     refine_top: int = 3
     chunk: int = 256
+
+    def __post_init__(self):
+        for f in fields(self):
+            v, low = getattr(self, f.name), 0 if f.name in ("extras", "seed") else 1
+            if v is None and f.default is None:
+                continue
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
+                raise InvalidInput(f"optimizer setting {f.name} must be an "
+                                   f"integer >= {low}, not {v!r}")
 
     def resolved(self, sc):
         return (
             self.resolution if self.resolution is not None else sc.k0_resolution,
             self.extras if self.extras is not None else sc.k0_extras,
             self.seed,
-            self.step_tol if self.step_tol is not None else sc.tol.step_tol,
+            sc.tol.step_tol,
         )
 
 
@@ -63,8 +73,8 @@ _ENGINES = {}
 class BranchEngine:
     """Vectorized branch evaluation for one scenario.
 
-    Subjects are rows: the cycle point for su11, the cycle dual vector
-    for su21.  Group elements act on the subject directly.  The engine
+    Subjects are rows (the scenario geometry's subject_row of a cycle),
+    moved and cut with the slice by the geometry's branch kernel.  The engine
     also holds the coarse K0 stacks and compass step tables it has
     built; both are read-only and fill on first use.
     """
@@ -76,14 +86,8 @@ class BranchEngine:
         self.sigma = self.section.row
         self.variety_dual = self.schubert.variety_dual
         self.k0_basis = np.asarray(sc.rf.k0_basis)
-        self.dim = self.k0_basis.shape[0]
         self._stacks = {}
         self._step_tables = {}
-
-    def subject_row(self, c):
-        if self.sc.cycle_dim == 0:
-            return c.point.homogeneous
-        return c.dual
 
     def _value_from_p(self, p):
         den = np.abs(np.einsum("...a,a->...", p, self.sigma)) ** 2
@@ -98,25 +102,20 @@ class BranchEngine:
         Scored K_BLOCK samples at a time; every value is computed as in a
         single pass over the whole stack.
         """
+        geo = self.sc.geometry
         out = np.empty((subjects.shape[0], ks.shape[0]))
         for j in range(0, ks.shape[0], K_BLOCK):
-            kb = ks[j:j + K_BLOCK]
-            if self.sc.cycle_dim == 0:
-                p = np.einsum("kab,mb->mka", kb, subjects)
-            else:
-                moved = np.einsum("mi,kji->mkj", subjects, np.conj(kb))
-                p = np.cross(moved, self.variety_dual[None, None, :])
+            moved = np.einsum("kab,mb->mka", geo.move_matrices(ks[j:j + K_BLOCK]),
+                              subjects)
+            p = geo.slice_vectors(moved, self.variety_dual)
             out[:, j:j + K_BLOCK] = self._value_from_p(p)
         return out
 
     def values_own(self, subjects, ks):
         """branch values, subjects (m, n) each against its own ks (m, s, n, n)."""
-        if self.sc.cycle_dim == 0:
-            p = np.einsum("msab,mb->msa", ks, subjects)
-        else:
-            moved = np.einsum("mi,msji->msj", subjects, np.conj(ks))
-            p = np.cross(moved, self.variety_dual[None, None, :])
-        return self._value_from_p(p)
+        geo = self.sc.geometry
+        moved = np.einsum("msab,mb->msa", geo.move_matrices(ks), subjects)
+        return self._value_from_p(geo.slice_vectors(moved, self.variety_dual))
 
     def k0_stack(self, resolution, seed, extras):
         """Coarse K0 sample (K, n, n), built once per (resolution, seed,
@@ -292,7 +291,7 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
     points = np.atleast_2d(np.asarray(points, complex))
     points = points / np.linalg.norm(points, axis=1, keepdims=True)
     engine = get_engine(sc)
-    if sc.cycle_dim == 0:
+    if sc.geometry.point_cycles:
         return maximize_branch(points, sc, settings)
     resolution, extras, seed, _ = settings.resolved(sc)
     coarse = engine.k0_stack(resolution, seed, extras)
@@ -328,9 +327,8 @@ def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
     from .cycles import cycle_from_dual, cycle_in_domain, mu_fiber
 
     settings = settings or OptimizerSettings(refine_top=1)
-    if sc.cycle_dim == 0:
-        row = y.homogeneous[None, :]
-        vals, ks = maximize_branch(row, sc, settings)
+    if sc.geometry.point_cycles:
+        vals, _ = maximize_branch(y.homogeneous[None, :], sc, settings)
         return float(vals[0]), None
     fib = mu_fiber(y, sc)
 
@@ -346,16 +344,8 @@ def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
             out[keep] = vals
         return out
 
-    # warm start: the radial dual through y, whose dual-ball radius matches
-    # the point's own boundary distance
-    v = y.homogeneous
-    w12sq = abs(v[0]) ** 2 + abs(v[1]) ** 2
-    if abs(v[2]) > 1e-14:
-        wd = np.array([np.conj(v[0]), np.conj(v[1]), -w12sq / v[2]])
-    else:
-        wd = np.array([0.0, 0.0, 1.0], complex)
-    wd = wd / np.linalg.norm(wd)
-    warm = wd @ np.conj(fib.basis).T
+    # warm start: the radial dual through y
+    warm = sc.geometry.radial_dual(y.homogeneous) @ np.conj(fib.basis).T
     cands = np.vstack([fib.sphere_grid(grid_count), warm[None, :]])
     vals = rmd(cands)
     best = int(np.argmin(vals))

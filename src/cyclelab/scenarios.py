@@ -1,4 +1,4 @@
-"""Built-in scenario definitions.
+"""Built-in scenario definitions and their geometries.
 
 su11: G0 = SU(1,1) on Z = P^1, D the unit disk of negative lines, cycles
 are points (q = 0).
@@ -6,6 +6,14 @@ are points (q = 0).
 su21: G0 = SU(2,1) on Z = P^2, D the set of positive lines, base cycle
 the projective line P(C^2 + 0) (q = 1); translated cycles are lines and
 are stored by dual vectors.
+
+Each scenario carries one geometry object (PointCycles, LineCycles), the
+point-cycle and hypersurface-cycle cases of Fels, Huckleberry and Wolf,
+Cycle Spaces of Flag Domains (2006).  It owns every choice the two cases
+make differently in the evaluation layers: the subject row of a cycle,
+the branch kernel, the grid charts, the seeded samplers and discs, the
+divergence paths and the cell chart of the Levi check.  A new scenario
+is registered here with a geometry of its own.
 
 The adapted frames diagonalize the split torus generator: its null
 eigenvectors stay fixed and the +/-1 eigenvectors v+ and v- become the
@@ -20,6 +28,9 @@ import numpy as np
 from .errors import InvalidInput
 from .flags import FlagPoint, ParabolicSpec, ScenarioConfig, Tolerances
 from .liecore import RealFormSpec
+# after .flags on purpose: importing .cycles first slowed start-up by 50 ms
+from .cycles import cycle_from_dual, cycle_from_point
+from .utils import expm_antihermitian
 
 SCENARIO_NAMES = ("su11", "su21")
 
@@ -37,6 +48,176 @@ def _e(n, i, j):
     m = np.zeros((n, n), dtype=complex)
     m[i, j] = 1.0
     return m
+
+
+class PointCycles:
+    """q = 0: a cycle is a point [w : 1] of the disk, the slice is the whole
+    domain, and every target lives on the disk chart w (|w| < 1)."""
+
+    point_cycles = True
+
+    def subject_row(self, c):
+        return c.point.homogeneous
+
+    def move_matrices(self, ks):
+        # a point moves by k and is its own slice vector
+        return ks
+
+    def slice_vectors(self, moved, variety_dual):
+        return moved
+
+    def chart_rows(self, target, cs, rf):
+        return np.stack([cs, np.ones(cs.shape[0], complex)], axis=1)
+
+    def admissible(self, target, rows):
+        return np.abs(rows[:, 0]) < np.abs(rows[:, 1])
+
+    outside = dict.fromkeys(("r_s", "r_md", "r_d"), "outside the domain")
+
+    def seeded_point(self, rng, cap):
+        w = cap * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        return FlagPoint(np.array([w, 1.0]))
+
+    def seeded_cycle(self, rng, cap, sc):
+        return cycle_from_point(self.seeded_point(rng, cap), sc)
+
+    def disc_rows(self, target, rng, phases):
+        wc = 0.92 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        rad = (1.0 - abs(wc)) * (0.2 + 0.6 * rng.uniform())
+        pts = np.concatenate([[wc], wc + rad * phases])
+        return np.stack([pts, np.ones_like(pts)], axis=1)
+
+    def depth_decade(self, target):
+        # depths stay above what the evaluation resolves: r_md/r_d argmaxes
+        # are found to step_tol only, the r_s section ratio underflows
+        return 0.5
+
+    def divergence_rows(self, target, d, rng, rf):
+        w = (1.0 - d) * np.exp(2j * np.pi * rng.uniform())
+        if target == "r_s":
+            # approach the boundary point of the cell instead
+            w = 1.0 - d + 0j
+        return np.stack([w, np.ones_like(w)], axis=1)
+
+    def cell_chart_points(self, rng, count):
+        pts = []
+        while len(pts) < count:
+            z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            if abs(z - 1.0) >= 0.1:
+                pts.append(np.array([z]))
+        return pts
+
+    def cell_rows(self, zeta):
+        return np.concatenate([zeta, np.ones_like(zeta[:, :1])], axis=1)
+
+
+class LineCycles:
+    """q = 1: a cycle is a line stored by its dual (beta : 1), in the cycle
+    space iff |beta| < 1; the grid charts are those of evaluate_grid."""
+
+    point_cycles = False
+
+    def subject_row(self, c):
+        return c.dual
+
+    def move_matrices(self, ks):
+        # a dual moves by conj(k) and meets the slice in its cross
+        # product with the variety dual
+        return np.conj(ks)
+
+    def slice_vectors(self, moved, variety_dual):
+        return np.cross(moved, variety_dual)
+
+    def chart_rows(self, target, cs, rf):
+        one, zero = np.ones(cs.shape[0], complex), np.zeros(cs.shape[0], complex)
+        if target == "r_s":
+            return (rf.adapted_frame @ np.stack([cs, one, zero])).T
+        if target == "r_md":
+            return np.stack([cs, zero, one], axis=1)
+        return np.stack([one, zero, cs], axis=1)
+
+    def admissible(self, target, rows):
+        a = np.abs(rows)
+        if target == "r_s":
+            return np.ones(rows.shape[0], bool)
+        inner = np.hypot(a[:, 0], a[:, 1])
+        # duals of lines inside D (r_md), points of D (r_d)
+        return inner < a[:, 2] if target == "r_md" else a[:, 2] < inner
+
+    outside = {"r_md": "outside the cycle space", "r_d": "outside the domain"}
+
+    def seeded_point(self, rng, cap):
+        v12 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v12 /= np.linalg.norm(v12)
+        rho = cap * np.sqrt(rng.uniform())
+        v3 = rho * np.exp(2j * np.pi * rng.uniform())
+        return FlagPoint(np.concatenate([v12, [v3]]))
+
+    def seeded_cycle(self, rng, cap, sc):
+        beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        beta *= cap * np.sqrt(rng.uniform()) / np.linalg.norm(beta)
+        return cycle_from_dual(np.concatenate([beta, [1.0]]), sc)
+
+    def disc_rows(self, target, rng, phases):
+        if target == "r_md":
+            bc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            bc *= 0.92 * np.sqrt(rng.uniform()) / np.linalg.norm(bc)
+            e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            e /= np.linalg.norm(e)
+            rad = (1.0 - np.linalg.norm(bc)) * (0.2 + 0.6 * rng.uniform())
+            pts = np.concatenate([[0.0], rad * phases])
+            beta = bc[None, :] + pts[:, None] * e[None, :]
+            return np.concatenate([beta, np.ones((len(pts), 1))], axis=1)
+        # domain chart (1, z2, z3): inside iff |z3|^2 < 1 + |z2|^2
+        zc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        zc[1] *= 0.8 * np.sqrt(rng.uniform()) * np.sqrt(1 + abs(zc[0]) ** 2) \
+            / max(abs(zc[1]), 1e-12)
+        e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        e /= np.linalg.norm(e)
+        slack = np.sqrt(1 + abs(zc[0]) ** 2) - abs(zc[1])
+        rad = 0.3 * slack * (0.2 + 0.6 * rng.uniform())
+        pts = np.concatenate([[0.0], rad * phases])
+        z = zc[None, :] + pts[:, None] * e[None, :]
+        return np.concatenate([np.ones((len(pts), 1)), z], axis=1)
+
+    def depth_decade(self, target):
+        # the r_s section ratio underflows once the approach distance nears
+        # the inverse of its dynamic range; the dual-ball and alignment
+        # paths resolve to machine precision and take the full schedule
+        return 0.5 if target == "r_s" else 1.0
+
+    def divergence_rows(self, target, d, rng, rf):
+        if target == "r_s":
+            c = 1.0 / d
+            return (rf.adapted_frame @ np.stack([c, np.ones_like(c), np.zeros_like(c)])).T
+        if target == "r_md":
+            e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            e /= np.linalg.norm(e)
+            beta = (1.0 - d)[:, None] * e[None, :]
+            return np.concatenate([beta, np.ones((len(d), 1))], axis=1)
+        coeff = rng.uniform(-np.pi, np.pi, len(rf.k0_basis))
+        u = expm_antihermitian(
+            np.einsum("d,dij->ij", coeff, np.asarray(rf.k0_basis))[None])[0]
+        rows = np.stack([np.ones_like(d) + 0j, np.zeros_like(d) + 0j,
+                         (1.0 - d) + 0j], axis=1)
+        return rows @ u.T
+
+    def cell_chart_points(self, rng, count):
+        return [0.7 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+                for _ in range(count)]
+
+    def cell_rows(self, zeta):
+        return np.concatenate([np.ones_like(zeta[:, :1]), zeta], axis=1)
+
+    def radial_dual(self, v):
+        """Unit dual of the line through [v] whose dual-ball radius matches
+        the point's own boundary distance."""
+        w12sq = abs(v[0]) ** 2 + abs(v[1]) ** 2
+        if abs(v[2]) > 1e-14:
+            d = np.array([np.conj(v[0]), np.conj(v[1]), -w12sq / v[2]])
+        else:
+            d = np.array([0.0, 0.0, 1.0], complex)
+        return d / np.linalg.norm(d)
 
 
 def _build_su11():
@@ -61,6 +242,7 @@ def _build_su11():
         domain_sign=-1,
         cycle_dim=0,
         ambient_dim=1,
+        geometry=PointCycles(),
         tol=Tolerances(),
         base_cycle_dual=None,
         k0_resolution=32,
@@ -109,6 +291,7 @@ def _build_su21():
         domain_sign=1,
         cycle_dim=1,
         ambient_dim=2,
+        geometry=LineCycles(),
         tol=Tolerances(),
         base_cycle_dual=dual,
         # 32 coarse points per compact dimension is affordable only for a

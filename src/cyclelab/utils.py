@@ -43,19 +43,6 @@ def gauge_vector(v):
     return v * np.conj(phase)
 
 
-def gauge_rows(m):
-    """Row-wise gauge_vector for a 2-d array of homogeneous vectors."""
-    m = np.asarray(m, dtype=complex)
-    nrm = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(nrm < 1e-14):
-        raise NumericalDegeneracy("zero row in batch gauge")
-    m = m / nrm
-    mags = np.abs(m)
-    lead = np.argmax(mags > GAUGE_REL_TOL * mags.max(axis=1, keepdims=True), axis=1)
-    piv = m[np.arange(m.shape[0]), lead]
-    return m * np.conj(piv / np.abs(piv))[:, None]
-
-
 def hermitize(m):
     m = np.asarray(m)
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
@@ -136,15 +123,6 @@ def sobol_points(dim, count, seed):
     # quiet without changing the points of the common prefix
     block = 1 << max(0, int(np.ceil(np.log2(count))))
     return eng.random(block)[:count]
-
-
-def cluster_points(points, tol):
-    """Group near-duplicate vectors; returns one representative per cluster."""
-    reps = []
-    for p in points:
-        if not any(np.linalg.norm(p - r) < tol for r in reps):
-            reps.append(p)
-    return reps
 
 
 def thread_count():

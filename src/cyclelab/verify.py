@@ -144,11 +144,10 @@ def check_compact_invariance(counts, seed, scenarios):
     worst, total = 0.0, 0
     for name in scenarios:
         sc = get_scenario(name)
-        engine = get_engine(sc)
         cycles = seeded_cycles(sc, counts["pairs"], seed=seed + 2)
         ks = _group_elements(sc, counts["pairs"], seed + 3)
-        rows = np.stack([engine.subject_row(c) for c in cycles])
-        moved = np.stack([engine.subject_row(translate_cycle(k, c, sc))
+        rows = np.stack([sc.geometry.subject_row(c) for c in cycles])
+        moved = np.stack([sc.geometry.subject_row(translate_cycle(k, c, sc))
                           for k, c in zip(ks, cycles)])
         base_vals = batch_values(rows, sc, "r_md")
         moved_vals = batch_values(moved, sc, "r_md")
@@ -217,42 +216,18 @@ def check_submeanvalue(counts, seed, scenarios):
                        above=True)
 
 
-def _cell_chart_points(sc, count, seed):
-    rng = np.random.default_rng((seed, 17))
-    pts = []
-    while len(pts) < count:
-        if sc.n == 2:
-            z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            if abs(z - 1.0) < 0.1:
-                continue
-            pts.append(np.array([z]))
-        else:
-            z = 0.7 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
-            pts.append(z)
-    return pts
-
-
-def _cell_chart_fn(sc):
-    engine = get_engine(sc)
-
-    def fn(zeta):
-        zeta = np.atleast_2d(zeta)
-        if sc.n == 2:
-            rows = np.concatenate([zeta, np.ones_like(zeta[:, :1])], axis=1)
-        else:
-            rows = np.concatenate([np.ones_like(zeta[:, :1]), zeta], axis=1)
-        return exhaustion_values(engine.section, rows)
-
-    return fn
-
-
 def check_strict_psh(counts, seed, scenarios):
     """The cell exhaustion's Levi form is strictly positive on the cell."""
     worst, total = np.inf, 0
     for name in scenarios:
         sc = get_scenario(name)
-        fn = _cell_chart_fn(sc)
-        for z0 in _cell_chart_points(sc, counts["levi_points"], seed):
+        geo, section = sc.geometry, get_engine(sc).section
+
+        def fn(zeta):
+            return exhaustion_values(section, geo.cell_rows(np.atleast_2d(zeta)))
+
+        rng = np.random.default_rng((seed, 17))
+        for z0 in geo.cell_chart_points(rng, counts["levi_points"]):
             lev = levi_form_fd(fn, z0, h=sc.tol.fd_step)
             worst = min(worst, float(np.min(np.linalg.eigvalsh(lev))))
             total += 1
@@ -350,7 +325,7 @@ def check_certificates(counts, seed, scenarios):
     gap_floor, total, ok = np.inf, 0, True
     for name in scenarios:
         sc = get_scenario(name)
-        need_exact = sc.cycle_dim == 0
+        need_exact = sc.geometry.point_cycles
         for y in seeded_domain_points(sc, counts["certificates"], seed=seed):
             try:
                 rep = q_pseudoconvex_certificate(y, sc, seed=seed)

@@ -141,6 +141,39 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("eval", "--config", str(cfg)).returncode == 2
     assert run_cli().returncode == 2  # no command
 
+    # the rest run in process; each is refused before any computation
+    def code(*argv, config=None):
+        args = list(argv)
+        if config is not None:
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        return cli.main(args)
+
+    grid = ("eval", "--scenario", "su11", "--target", "r_md", "--grid", "-0.1:0.1:2")
+    for command in (grid, ("verify",), ("certify", "--scenario", "su11")):
+        assert code(*command, "--seed", "-1") == 2
+    for count in ("-2", "0"):
+        assert code("certify", "--scenario", "su11", "--count", count) == 2
+    bad_configs = [
+        # removed or never-read keys
+        '{"tolerances": {"det": 1e-9}}', '{"tolerances": {"membership": 1e-9}}',
+        '{"tolerances": {"residual": 1e-9}}', '{"optimizer": {"step_tol": 1e-6}}',
+        # values outside their ranges
+        '{"optimizer": {"chunk": 0}}', '{"optimizer": {"chunk": -5}}',
+        '{"optimizer": {"refine_top": 0}}', '{"optimizer": {"chunk": 2.5}}',
+        '{"optimizer": {"seed": -3}}', '{"resolution_k0": 0}',
+        '{"tolerances": {"step_tol": 0}}', '{"tolerances": {"fd_step": "abc"}}',
+        '{"tolerances": {"zero_band": -1e-6}}', '{"tolerances": {"rank": NaN}}',
+        '{"tolerances": {"intersection": Infinity}}',
+        '{"tolerances": {"sign_margin": -1e-12}}', '{"seed": "7"}', '{"count": 1.5}',
+        # not an object
+        '{"optimizer": "abc"}', '{"optimizer": 5}', '{"tolerances": [1]}',
+    ]
+    for text in bad_configs:
+        assert code(*grid, config=text) == 2, text
+    assert code("info", "--scenario", "su21",
+                config='{"tolerances": {"sign_margin": 0}}') == 0
+
 
 def test_config_file_merge_and_override(tmp_path):
     cfg = tmp_path / "c.json"

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from cyclelab import (FlagPoint, InvalidInput, cycle_from_dual,
-                      cycle_from_point, divergence_path, evaluate_grid,
-                      k0_sample, lifted_exhaustion, seeded_cycles,
-                      seeded_domain_points, translation_branch_pair)
+from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
+                      cycle_from_point, cycle_in_domain, divergence_path,
+                      evaluate_grid, in_domain, k0_sample, lifted_exhaustion,
+                      seeded_cycles, seeded_domain_points,
+                      translation_branch_pair)
 from cyclelab.errors import NotInDomain
+from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import (batch_values, boundary_depths,
                               cycle_space_exhaustion, domain_exhaustion,
                               submeanvalue_discs)
@@ -191,6 +193,50 @@ def test_seeded_samplers_are_deterministic(su21):
     assert not all(np.array_equal(x.dual, y.dual) for x, y in zip(ca, c2))
 
 
+def _in_chart_set(sc, target, rows):
+    """The set a target's chart rows must lie in, decided without the
+    geometry: cycles inside D for su21 duals, the whole cell for su21 r_s,
+    points of D otherwise (su11 cycles are points)."""
+    if sc.name == "su21" and target == "r_md":
+        return np.array([cycle_in_domain(cycle_from_dual(r, sc), sc) for r in rows])
+    if sc.name == "su21" and target == "r_s":
+        return np.ones(len(rows), bool)
+    return in_domain_rows(rows, sc)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_geometry_contract(name, su11, su21, monkeypatch):
+    import cyclelab.exhaust as exhaust
+
+    sc = {"su11": su11, "su21": su21}[name]
+    geo = sc.geometry
+    assert all(in_domain(p, sc) for p in seeded_domain_points(sc, 200, seed=5))
+    assert all(cycle_in_domain(c, sc) for c in seeded_cycles(sc, 200, seed=6))
+    window = (-1.3, 1.3, 14)  # no point within 1e-2 of the unit circle
+    axis = np.linspace(*window)
+    cs = (axis[:, None] + 1j * axis[None, :]).ravel()
+    for target in TARGETS:
+        discs = []
+
+        def capture(rows, *args, **kwargs):
+            discs.append(rows)
+            return np.zeros(len(rows))
+
+        monkeypatch.setattr(exhaust, "batch_values", capture)
+        submeanvalue_discs(sc, target, 50, seed=7)
+        monkeypatch.undo()
+        assert np.all(_in_chart_set(sc, target, discs[0]))
+        assert np.all(geo.admissible(target, discs[0]))
+        rows = geo.chart_rows(target, cs, sc.rf)
+        inside = _in_chart_set(sc, target, rows)
+        assert np.array_equal(geo.admissible(target, rows), inside)
+        grid = evaluate_grid(sc, target, window, levi_mode="off")
+        assert np.array_equal([r.error == "" for r in grid], inside)
+        # the window straddles the boundary of every set but the su21 cell
+        assert inside.any()
+        assert inside.all() == (name == "su21" and target == "r_s")
+
+
 @pytest.mark.parametrize("seed", [3, 17, 21, 23, 25, 33, 36])
 def test_ball_domain_divergence_tail_is_monotone(su21, seed):
     # alignment must keep polishing while the residual shrinks: near the
@@ -218,14 +264,13 @@ def test_grid_runs_the_optimizer_once(name, su11, su21, count_calls):
 def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
     import scipy.linalg
 
-    from cyclelab.exhaust import _grid_rows_and_errors
     from cyclelab.utils import expm_antihermitian
 
     sc = {"su11": su11, "su21": su21}[name]
     rows = [r for r in evaluate_grid(sc, target, (-0.9, 0.9, 9), levi_mode="off")
             if not r.error]
     cs = np.array([r.re + 1j * r.im for r in rows])
-    subjects, _ = _grid_rows_and_errors(sc, target, cs)
+    subjects = sc.geometry.chart_rows(target, cs, sc.rf)
     assert np.array_equal([r.value for r in rows],
                           batch_values(subjects, sc, target))
     solve = maximize_branch if target == "r_md" else aligned_domain_values

@@ -72,7 +72,7 @@ def test_open_orbit_detection(su11, su21):
 
 def test_chart_round_trip(su21):
     z = FlagPoint(np.array([1.0, 0.2 - 0.1j, 0.3j]))
-    ch = chart(z, su21)
+    ch = chart(z)
     assert ch.dim == 2
     c = np.array([0.05 + 0.02j, -0.01j])
     back = ch.coords(ch.point(c))
@@ -81,7 +81,7 @@ def test_chart_round_trip(su21):
 
 
 def test_chart_lift_batch(su11):
-    ch = chart(su11.base_point, su11)
+    ch = chart(su11.base_point)
     cs = np.array([[0.1], [0.2j], [-0.3]])
     lifted = ch.lift(cs)
     assert lifted.shape == (3, 2)
@@ -90,6 +90,6 @@ def test_chart_lift_batch(su11):
 
 
 def test_chart_coords_reject_off_chart(su11):
-    ch = chart(su11.base_point, su11)
+    ch = chart(su11.base_point)
     with pytest.raises(NumericalDegeneracy):
         ch.coords(FlagPoint(np.array([1.0, 0.0])))
