@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import numbers
 import sys
 import time
 
@@ -81,6 +82,20 @@ def _grid_arg(text):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _config_grid(value):
+    """A config file's grid: the "min:max:n" string, or a list of three
+    numbers under the same rules, kept as given so that integer bounds
+    stay integers in the JSON payload."""
+    if isinstance(value, str):
+        return parse_grid(value)
+    if (not isinstance(value, list)
+            or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)):
+        raise InvalidInput(f"config grid must be \"min:max:n\" or [min, max, n], "
+                           f"not {value!r}")
+    parse_grid(":".join(map(repr, value)))
+    return tuple(value)
+
+
 def _load_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,7 +116,9 @@ def build_config(args):
     file_values = _load_config_file(args.config) if args.config else {}
     for key, value in file_values.items():
         if key == "grid":
-            value = parse_grid(value) if isinstance(value, str) else tuple(value)
+            value = _config_grid(value)
+        elif key == "out" and not isinstance(value, str):
+            raise InvalidInput(f"config out must be a file name, not {value!r}")
         setattr(cfg, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -110,8 +127,6 @@ def build_config(args):
     if (cfg.command == "certify" and getattr(args, "format", None) is None
             and "format" not in file_values):
         cfg.format = "json"
-    if cfg.grid is not None and not isinstance(cfg.grid, tuple):
-        cfg.grid = tuple(cfg.grid)
     if cfg.format not in FORMATS:
         raise InvalidInput(f"unknown format {cfg.format!r}")
     if cfg.target not in TARGETS:
@@ -174,7 +189,7 @@ def _grid_csv(rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["re", "im", "value", "argmax_slice", "n_pos"])
     for r in rows:
-        value = "" if r.error else repr(float(r.value))
+        value = "" if r.value is None else repr(float(r.value))
         argmax = "" if r.argmax is None else ";".join(repr(float(x))
                                                       for x in r.argmax)
         writer.writerow([repr(r.re), repr(r.im), value, argmax, str(r.n_pos)])
@@ -190,7 +205,7 @@ def _grid_json(cfg, rows):
         "seed": cfg.seed,
         "rows": [{
             "re": r.re, "im": r.im,
-            "value": None if r.error else _json_value(r.value),
+            "value": _json_value(r.value),
             "argmax_slice": None if r.argmax is None else
                             [float(x) for x in r.argmax],
             "n_pos": int(r.n_pos),
@@ -206,7 +221,7 @@ def cmd_eval(cfg):
                          levi_mode=cfg.levi)
     text = _grid_csv(rows) if cfg.format == "csv" else _grid_json(cfg, rows)
     _emit(text, cfg.out)
-    bad = sum(1 for r in rows if r.error)
+    bad = sum(1 for r in rows if r.value is None)
     print(f"evaluated {len(rows)} grid points "
           f"({bad} outside the chart's admissible set)", file=sys.stderr)
     return 0

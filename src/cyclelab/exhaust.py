@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cycles import cycle_in_domain, incidence_pair, translate_cycle
-from .errors import InvalidInput, NotInDomain
+from .errors import InvalidInput, NotInDomain, OptimizerStall
 from .flags import in_domain
-from .optimize import (OptimizerSettings, aligned_domain_values, fiber_infimum,
-                       get_engine, maximize_branch)
+from .optimize import (aligned_domain_values, fiber_infimum, get_engine,
+                       maximize_branch)
 from .schubert import intersect_base_cycle, intersect_slice, schubert_slice, \
     translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
@@ -77,7 +77,7 @@ def domain_exhaustion(y, sc, settings=None, enforce_domain=True,
                                      audit=cross_check)
     sample = ExhaustionSample(value=float(vals[0]), argmax=ks[0])
     if cross_check:
-        inf_v, _ = fiber_infimum(y, sc, settings or OptimizerSettings(refine_top=1))
+        inf_v, _ = fiber_infimum(y, sc, settings)
         sample.notes["fiber_infimum"] = float(inf_v)
         sample.notes["alignment_gap"] = float(inf_v - sample.value)
     return sample
@@ -132,7 +132,10 @@ def divergence_path(sc, target, index, seed=42, samples=15):
     the late samples sit below the sign margin on purpose.
     """
     rng = np.random.default_rng((seed, index, 17))
-    d = boundary_depths(samples, decade=sc.geometry.depth_decade(target))
+    # the r_s section ratio underflows once the approach distance nears the
+    # inverse of its dynamic range; r_md and r_d resolve to machine
+    # precision (their optimizers polish to the rounding floor)
+    d = boundary_depths(samples, decade=0.5 if target == "r_s" else 1.0)
     return d, batch_values(sc.geometry.divergence_rows(target, d, rng, sc.rf),
                            sc, target)
 
@@ -225,7 +228,8 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     admissible set get an error string instead of a value.  levi_mode
     "on" attaches the count of positive Levi eigenvalues at each point;
     "auto" does so only for r_s, where the computation is closed form
-    cheap; "off" leaves the sentinel -1.
+    cheap; "off" leaves the sentinel -1.  A point whose Levi stencil
+    stalls keeps its value, with n_pos -1 and the stall in its error.
     """
     if target not in TARGETS:
         raise InvalidInput(f"unknown target {target!r}")
@@ -247,6 +251,7 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
             argmaxes[slot] = coords
     do_levi = levi_mode == "on" or (levi_mode == "auto" and target == "r_s")
     npos = np.full(cs.shape[0], -1, dtype=int)
+    errors = ["" if inside else geo.outside[target] for inside in ok]
     if do_levi:
         from .levi import eig_signature, levi_form_fd
 
@@ -256,13 +261,17 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
 
         for i in np.flatnonzero(ok):
             # the stencil passes (m, 1) stacks; the chart wants scalars
-            lev = levi_form_fd(lambda dz: fn(cs[i] + dz[:, 0]),
-                               np.zeros(1, complex), h=sc.tol.fd_step)
+            try:
+                lev = levi_form_fd(lambda dz: fn(cs[i] + dz[:, 0]),
+                                   np.zeros(1, complex), h=sc.tol.fd_step)
+            except OptimizerStall as exc:
+                errors[i] = f"Levi stencil: {exc}"
+                continue
             npos[i] = eig_signature(lev, sc.tol.zero_band)[0]
     out = []
     for i in range(cs.shape[0]):
         out.append(GridRow(re=float(cs[i].real), im=float(cs[i].imag),
                            value=None if not ok[i] else float(values[i]),
                            argmax=argmaxes[i], n_pos=int(npos[i]),
-                           error="" if ok[i] else geo.outside[target]))
+                           error=errors[i]))
     return out

@@ -62,7 +62,6 @@ class Tolerances:
     rank: float = 1e-8
     zero_band: float = 1e-6
     fd_step: float = 1e-3
-    step_tol: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):

@@ -11,10 +11,15 @@ vectors for su21).  Moving the subject by k and evaluating the base
 machinery gives the same supremum as moving the Schubert machinery by
 k^{-1}, since the compact group is a group.
 
-All searches are derivative free and seeded: a coarse grid over group
-coordinates followed by compass ascent with halving steps.  Identical
-settings give identical results bit for bit; CYCLELAB_THREADS only
-parallelizes over fixed subject blocks and never changes the output.
+The supremum is a seeded coarse search over a K0 stack followed by a
+monotone Newton ascent from the best sample.  p is linear in the moved
+subject, so its derivatives in left exponential coordinates on K0 are
+closed form, and so are the gradient and Hessian of the branch value
+(Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008, ch. 6-7).  Each row's search depends on that row
+alone: identical settings give identical results bit for bit, whatever
+rows share a batch; CYCLELAB_THREADS only parallelizes over fixed
+subject blocks and never changes the output.
 """
 
 import numbers
@@ -28,10 +33,14 @@ from .schubert import make_schubert
 from .sections import highest_weight_section
 from .utils import expm_antihermitian, run_chunked
 
-ASCENT_SIGMA0 = 0.5
-IMPROVE_EPS = 1e-15
 ALIGN_TOL = 1e-15
-MAX_SWEEPS = 4000
+# Newton ascent: iteration cap; a gain below GAIN_FLOOR * max(1, |value|)
+# is rounding; curvatures are floored at CURVATURE_FLOOR of the row's
+# largest, and steps are at most MAX_STEP long in K0 coordinates
+NEWTON_ITERS = 200
+GAIN_FLOOR = 4e-16
+CURVATURE_FLOOR = 1e-13
+MAX_STEP = 1.0
 # values_shared scores this many K0 samples at a time, so its temporaries
 # stay at chunk x K_BLOCK x n whatever the coarse resolution
 K_BLOCK = 128
@@ -40,13 +49,11 @@ K_BLOCK = 128
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for the compact-group search; None fields fall back to the
-    scenario defaults.  The compass step tolerance is the scenario's
-    Tolerances.step_tol."""
+    scenario defaults."""
 
     resolution: int = None
     extras: int = None
     seed: int = 42
-    refine_top: int = 3
     chunk: int = 256
 
     def __post_init__(self):
@@ -63,7 +70,6 @@ class OptimizerSettings:
             self.resolution if self.resolution is not None else sc.k0_resolution,
             self.extras if self.extras is not None else sc.k0_extras,
             self.seed,
-            sc.tol.step_tol,
         )
 
 
@@ -75,8 +81,9 @@ class BranchEngine:
 
     Subjects are rows (the scenario geometry's subject_row of a cycle),
     moved and cut with the slice by the geometry's branch kernel.  The engine
-    also holds the coarse K0 stacks and compass step tables it has
-    built; both are read-only and fill on first use.
+    also holds the coarse K0 stacks it has built, read-only and filled on
+    first use, and the move matrices of the K0 basis and their
+    symmetrized products, which give the branch value's derivatives.
     """
 
     def __init__(self, sc):
@@ -86,15 +93,20 @@ class BranchEngine:
         self.sigma = self.section.row
         self.variety_dual = self.schubert.variety_dual
         self.k0_basis = np.asarray(sc.rf.k0_basis)
+        # exp(X) k moves a subject by exp(sum x_i G_i) after k, so the moved
+        # subject has first derivatives G_i and second (G_i G_j + G_j G_i) / 2
+        self.move_basis = sc.geometry.move_matrices(self.k0_basis)
+        prod = np.einsum("iab,jbc->ijac", self.move_basis, self.move_basis)
+        self.move_sym = 0.5 * (prod + np.swapaxes(prod, 0, 1))
         self._stacks = {}
-        self._step_tables = {}
 
     def _value_from_p(self, p):
         den = np.abs(np.einsum("...a,a->...", p, self.sigma)) ** 2
         num = np.sum(np.abs(p) ** 2, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.log(num) - np.log(den)
-        return np.where(den <= 1e-28 * num, np.inf, v)
+        # |sigma . p| below 1e-15 |p| is rounding: the point is at the pole
+        return np.where(den <= 1e-30 * num, np.inf, v)
 
     def values_shared(self, subjects, ks):
         """branch values, subjects (m, n) against a common stack ks (K, n, n).
@@ -127,17 +139,27 @@ class BranchEngine:
             self._stacks[key] = mats
         return self._stacks[key]
 
-    def step_table(self, step_tol):
-        """Compass moves exp(+-sigma_l kappa_i), (levels, 2 dim, n, n), at the
-        halving scales sigma_l = ASCENT_SIGMA0 / 2^l down to step_tol."""
-        if step_tol not in self._step_tables:
-            levels = int(np.ceil(np.log2(ASCENT_SIGMA0 / step_tol))) + 1
-            sig = (ASCENT_SIGMA0 * 0.5 ** np.arange(levels))[:, None, None, None]
-            table = expm_antihermitian(np.concatenate(
-                [sig * self.k0_basis, -sig * self.k0_basis], axis=1))
-            table.setflags(write=False)
-            self._step_tables[step_tol] = table
-        return self._step_tables[step_tol]
+    def derivatives(self, moved):
+        """Gradient (m, d) and Hessian (m, d, d) of the branch value in left
+        exponential coordinates on K0, at moved subjects (m, n)."""
+        geo, ld = self.sc.geometry, self.variety_dual
+        p = geo.slice_vectors(moved, ld)
+        p1 = geo.slice_vectors(np.einsum("iab,mb->mia", self.move_basis, moved), ld)
+        p2 = geo.slice_vectors(np.einsum("ijab,mb->mija", self.move_sym, moved), ld)
+        # log ||p||^2
+        cp = np.conj(p)
+        num = np.einsum("ma,ma->m", cp, p).real[:, None]
+        n1 = 2.0 * np.einsum("ma,mia->mi", cp, p1).real / num
+        n2 = 2.0 * (np.einsum("mia,mja->mij", np.conj(p1), p1)
+                    + np.einsum("ma,mija->mij", cp, p2)).real / num[:, :, None]
+        # log |sigma . p|^2
+        s = np.einsum("ma,a->m", p, self.sigma)[:, None]
+        r1 = np.einsum("mia,a->mi", p1, self.sigma) / s
+        r2 = np.einsum("mija,a->mij", p2, self.sigma) / s[:, :, None]
+        grad = n1 - 2.0 * r1.real
+        hess = (n2 - n1[:, :, None] * n1[:, None, :]
+                - 2.0 * (r2 - r1[:, :, None] * r1[:, None, :]).real)
+        return grad, hess
 
 
 def get_engine(sc):
@@ -149,57 +171,80 @@ def get_engine(sc):
     return _ENGINES[key]
 
 
-def _compass_ascent(engine, subjects, ks, vals, steps):
-    """Compass ascent from ks with the step table steps (levels, 2 dim, n, n);
-    a row stops once it fails to improve at the last level."""
-    max_level = steps.shape[0] - 1
-    level = np.zeros(subjects.shape[0], dtype=int)
-    ks = ks.copy()
-    vals = vals.copy()
-    for _ in range(MAX_SWEEPS):
-        active = np.flatnonzero(level <= max_level)
-        if active.size == 0:
+def _newton_ascent(engine, subjects, ks, vals):
+    """Monotone saddle-free Newton ascent on K0 from ks, per subject row.
+
+    A step x moves k to exp(sum x_i kappa_i) k.  Its curvature matrix is
+    B = H - g g^T, the Hessian of exp(-value) = |sigma . p|^2 / ||p||^2
+    over exp(-value): that ratio is smooth where the value has its
+    logarithmic peak, so far starts near the boundary reach the peak in
+    a few steps, and at the maximum g = 0 gives B = H.  Along each
+    eigenvector of B the step divides the gradient by the curvature's
+    absolute value, so it ascends at saddles and minima too; a step
+    whose value falls is halved until it does not.  A row stops once the
+    model's gain, or the gain a step achieved, is below the rounding
+    floor of its value.
+    """
+    geo = engine.sc.geometry
+    ks, vals = ks.copy(), vals.copy()
+    live = np.flatnonzero(np.isfinite(vals))
+    for _ in range(NEWTON_ITERS):
+        if live.size == 0:
             return vals, ks
-        cand = np.einsum("msij,mjk->msik", steps[level[active]], ks[active])
-        cvals = engine.values_own(subjects[active], cand)
-        best = np.argmax(cvals, axis=1)
-        bvals = cvals[np.arange(active.size), best]
-        took = bvals > vals[active] + IMPROVE_EPS
-        upd = active[took]
-        vals[upd] = bvals[took]
-        ks[upd] = cand[np.flatnonzero(took), best[took]]
-        level[active[~took]] += 1
-    raise OptimizerStall("compass ascent exceeded the sweep budget")
+        moved = np.einsum("mab,mb->ma", geo.move_matrices(ks[live]), subjects[live])
+        grad, hess = engine.derivatives(moved)
+        curv = hess - grad[:, :, None] * grad[:, None, :]
+        lam, vec = np.linalg.eigh(curv)
+        scale = np.maximum(np.abs(lam), CURVATURE_FLOOR
+                           * np.max(np.abs(lam), axis=1, keepdims=True))
+        coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, np.finfo(float).tiny)
+        step = np.einsum("mij,mj->mi", vec, coef)
+        length = np.sqrt(np.einsum("mi,mi->m", step, step))
+        step *= (MAX_STEP / np.maximum(length, MAX_STEP))[:, None]
+        # model gain t g.x + t^2 x.B.x / 2 of the step t x
+        slope = np.einsum("mi,mi->m", grad, step)
+        bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
+        floor = GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
+        t = np.ones(live.size)
+        todo = np.arange(live.size)
+        going = np.zeros(live.size, bool)
+        while True:
+            todo = todo[t[todo] * slope[todo] + t[todo] ** 2 * bend[todo] > floor[todo]]
+            if todo.size == 0:
+                break
+            rows = live[todo]
+            trial = np.einsum("mab,mbc->mac", expm_antihermitian(np.einsum(
+                "m,mi,iab->mab", t[todo], step[todo], engine.k0_basis)), ks[rows])
+            tv = engine.values_own(subjects[rows], trial[:, None])[:, 0]
+            up = tv >= vals[rows]
+            going[todo[up]] = tv[up] - vals[rows[up]] > floor[todo[up]]
+            ks[rows[up]], vals[rows[up]] = trial[up], tv[up]
+            todo = todo[~up]
+            t[todo] *= 0.5
+        live = live[going]
+    if live.size:
+        raise OptimizerStall(f"Newton ascent still gaining after {NEWTON_ITERS} steps")
+    return vals, ks
 
 
 def maximize_branch(subjects, sc, settings=None):
     """sup over the compact group of the branch value per subject row.
 
-    Returns (values, argmax group matrices).  Coarse grid then compass
-    ascent from the refine_top best coarse starts; the result never
-    falls below the coarse maximum.
+    Returns (values, argmax group matrices).  Newton ascent from the best
+    sample of the coarse K0 stack (the first of equal ones); the result
+    never falls below the coarse maximum.
     """
     settings = settings or OptimizerSettings()
-    resolution, extras, seed, step_tol = settings.resolved(sc)
+    resolution, extras, seed = settings.resolved(sc)
     engine = get_engine(sc)
-    # both caches fill here, outside the thread pool
+    # the stack cache fills here, outside the thread pool
     coarse = engine.k0_stack(resolution, seed, extras)
-    steps = engine.step_table(step_tol)
-    top = max(1, min(settings.refine_top, coarse.shape[0]))
 
     def block(rows):
         cvals = engine.values_shared(rows, coarse)
-        order = np.argsort(-cvals, axis=1)[:, :top]
-        best_v = np.full(rows.shape[0], -np.inf)
-        best_k = np.empty((rows.shape[0],) + coarse.shape[1:], dtype=complex)
-        for t in range(top):
-            start_k = coarse[order[:, t]]
-            start_v = np.take_along_axis(cvals, order[:, t:t + 1], axis=1)[:, 0]
-            v, k = _compass_ascent(engine, rows, start_k, start_v, steps)
-            gain = v > best_v
-            best_v[gain] = v[gain]
-            best_k[gain] = k[gain]
-        return best_v, best_k
+        best = np.argmax(cvals, axis=1)
+        return _newton_ascent(engine, rows, coarse[best],
+                              cvals[np.arange(rows.shape[0]), best])
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
     return run_chunked(block, subjects, chunk=settings.chunk)
@@ -293,7 +338,7 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
     engine = get_engine(sc)
     if sc.geometry.point_cycles:
         return maximize_branch(points, sc, settings)
-    resolution, extras, seed, _ = settings.resolved(sc)
+    resolution, extras, seed = settings.resolved(sc)
     coarse = engine.k0_stack(resolution, seed, extras)
 
     def solve(rows, start_rule):
@@ -326,7 +371,7 @@ def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
     """
     from .cycles import cycle_from_dual, cycle_in_domain, mu_fiber
 
-    settings = settings or OptimizerSettings(refine_top=1)
+    settings = settings or OptimizerSettings()
     if sc.geometry.point_cycles:
         vals, _ = maximize_branch(y.homogeneous[None, :], sc, settings)
         return float(vals[0]), None

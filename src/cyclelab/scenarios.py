@@ -87,11 +87,6 @@ class PointCycles:
         pts = np.concatenate([[wc], wc + rad * phases])
         return np.stack([pts, np.ones_like(pts)], axis=1)
 
-    def depth_decade(self, target):
-        # depths stay above what the evaluation resolves: r_md/r_d argmaxes
-        # are found to step_tol only, the r_s section ratio underflows
-        return 0.5
-
     def divergence_rows(self, target, d, rng, rf):
         w = (1.0 - d) * np.exp(2j * np.pi * rng.uniform())
         if target == "r_s":
@@ -179,12 +174,6 @@ class LineCycles:
         pts = np.concatenate([[0.0], rad * phases])
         z = zc[None, :] + pts[:, None] * e[None, :]
         return np.concatenate([np.ones((len(pts), 1)), z], axis=1)
-
-    def depth_decade(self, target):
-        # the r_s section ratio underflows once the approach distance nears
-        # the inverse of its dynamic range; the dual-ball and alignment
-        # paths resolve to machine precision and take the full schedule
-        return 0.5 if target == "r_s" else 1.0
 
     def divergence_rows(self, target, d, rng, rf):
         if target == "r_s":

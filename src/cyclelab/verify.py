@@ -3,9 +3,10 @@
 Five suites group the deterministic seeded checks: invariance (slice
 translation identity, compact-group invariance, metric invariance,
 Iwasawa round trips), psh (sub-mean-value tests and strict positivity
-of the cell exhaustion's Levi form), exhaustion (closed-form agreement,
-boundary divergence, the point-cycle degeneration), incidence (unique
-slice intersections), and levi (pseudoconvexity certificates).
+of the cell exhaustion's Levi form), exhaustion (closed-form agreement
+for both scenarios, boundary divergence, the point-cycle degeneration),
+incidence (unique slice intersections), and levi (pseudoconvexity
+certificates).
 
 Every check consumes only (counts, seed, scenario names) and reports a
 worst observed metric against its bound, so the report payload is a
@@ -267,6 +268,26 @@ def check_closed_form(counts, seed, scenarios):
     return CheckResult("closed_form_su11", worst < 1e-6, len(w), worst, 1e-6)
 
 
+def check_closed_form_su21(counts, seed, scenarios):
+    """The ball scenario's cycle-space and domain exhaustions match their
+    closed form log((1 + rho^2) / (1 - rho^2)), where rho^2 is
+    (|d1|^2 + |d2|^2) / |d3|^2 for the dual d of a line and its inverse
+    for a point."""
+    if "su21" not in scenarios:
+        return None
+    sc = get_scenario("su21")
+    count, worst = counts["closed_form"], 0.0
+    duals = np.stack([c.dual for c in seeded_cycles(sc, count, seed, cap=0.99)])
+    points = np.stack([y.homogeneous
+                       for y in seeded_domain_points(sc, count, seed, cap=0.99)])
+    for target, rows in (("r_md", duals), ("r_d", points)):
+        ratio = np.sum(np.abs(rows[:, :2]) ** 2, axis=1) / np.abs(rows[:, 2]) ** 2
+        rho_sq = ratio if target == "r_md" else 1.0 / ratio
+        want = np.log((1.0 + rho_sq) / (1.0 - rho_sq))
+        worst = max(worst, float(np.max(np.abs(batch_values(rows, sc, target) - want))))
+    return CheckResult("closed_form_su21", worst < 1e-9, 2 * count, worst, 1e-9)
+
+
 def check_divergence(counts, seed, scenarios):
     """Exhaustions blow up monotonically along boundary-approaching paths."""
     floor, total, mono_ok = np.inf, 0, True
@@ -347,7 +368,8 @@ _SUITE_CHECKS = {
     "invariance": (check_translation_identity, check_compact_invariance,
                    check_metric_invariance, check_iwasawa_roundtrip),
     "psh": (check_submeanvalue, check_strict_psh, check_fd_convergence),
-    "exhaustion": (check_closed_form, check_divergence, check_degenerate_grid),
+    "exhaustion": (check_closed_form, check_closed_form_su21, check_divergence,
+                   check_degenerate_grid),
     "incidence": (check_slice_intersections,),
     "levi": (check_certificates,),
 }

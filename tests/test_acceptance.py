@@ -1,21 +1,29 @@
-"""Acceptance gate: the eleven headline checks at full sample counts.
+"""Acceptance gate: the sixteen headline checks at full sample counts.
 
-Each test drives one numbered criterion through the same check
-functions the `cyclelab verify` command uses, but at the "full" counts
-preset, and asserts the check's own pass verdict; the pytest -v line of
-each test is the pass/fail line of its criterion.
+Criteria 1-12 drive the same check functions the `cyclelab verify`
+command uses, but at the "full" counts preset, and assert the check's
+own pass verdict; criteria 13-16 sweep each scenario x target toward
+the boundary against the closed forms of tests/oracles.py.  The pytest
+-v line of each test is the pass/fail line of its criterion.
 """
 
 import subprocess
 import sys
 
-from cyclelab.verify import (COUNTS, check_certificates,
-                             check_closed_form, check_compact_invariance,
+import numpy as np
+import pytest
+
+from cyclelab import get_scenario
+from cyclelab.exhaust import batch_values
+from cyclelab.verify import (COUNTS, check_certificates, check_closed_form,
+                             check_closed_form_su21, check_compact_invariance,
                              check_degenerate_grid, check_divergence,
                              check_fd_convergence, check_iwasawa_roundtrip,
                              check_metric_invariance, check_slice_intersections,
                              check_strict_psh, check_submeanvalue,
                              check_translation_identity)
+
+from oracles import rd_ball, rmd_disk, rmd_dual_ball
 
 FULL = COUNTS["full"]
 BOTH = ("su11", "su21")
@@ -89,3 +97,43 @@ def test_criterion_11_verification_repeatability(tmp_path):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1], "verification reports differ between runs"
     print("verification_repeatability: PASS (byte-identical reports)")
+
+
+def test_criterion_12_ball_closed_forms():
+    # 100 seeded duals and 100 seeded points with rho up to 0.99
+    _require(check_closed_form_su21(FULL, SEED, BOTH), expect_count=200)
+
+
+def _boundary_rows(name, target, depth, rng, count):
+    """Rows at boundary distance depth (1 - |w| or 1 - rho) and their
+    closed-form values."""
+    head = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    head /= np.linalg.norm(head, axis=1, keepdims=True)
+    phase = np.exp(2j * np.pi * rng.uniform(size=count))
+    if name == "su11":
+        w = (1.0 - depth) * phase
+        return np.stack([w, np.ones_like(w)], axis=1), rmd_disk(w)
+    if target == "r_md":
+        beta = (1.0 - depth) * head
+        return np.concatenate([beta, np.ones((count, 1))], axis=1), rmd_dual_ball(beta)
+    rows = np.concatenate([head, ((1.0 - depth) * phase)[:, None]], axis=1)
+    return rows, rd_ball(rows)
+
+
+@pytest.mark.parametrize("name,target", [("su11", "r_md"), ("su11", "r_d"),
+                                         ("su21", "r_md"), ("su21", "r_d")])
+def test_criterion_13_to_16_boundary_sweep(name, target):
+    # the input conditioning allows about 1e-16 / depth; the bound is 100x that
+    sc = get_scenario(name)
+    rng = np.random.default_rng((SEED, 43))
+    depths = 10.0 ** -np.arange(1, 10)
+    worst = 0.0
+    for depth in depths:
+        rows, want = _boundary_rows(name, target, depth, rng, 8)
+        err = np.max(np.abs(batch_values(rows, sc, target) - want))
+        worst = max(worst, float(err * depth / 1e-16))
+    line = (f"boundary_sweep_{name}_{target}: {'PASS' if worst <= 100 else 'FAIL'} "
+            f"(worst error {worst:.1f} x 1e-16 / depth, bound 100, "
+            f"{8 * len(depths)} cases)")
+    print(line)
+    assert worst <= 100.0, line

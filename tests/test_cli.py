@@ -158,6 +158,7 @@ def test_usage_errors_exit_2(tmp_path):
         # removed or never-read keys
         '{"tolerances": {"det": 1e-9}}', '{"tolerances": {"membership": 1e-9}}',
         '{"tolerances": {"residual": 1e-9}}', '{"optimizer": {"step_tol": 1e-6}}',
+        '{"tolerances": {"step_tol": 1e-8}}', '{"optimizer": {"refine_top": 3}}',
         # values outside their ranges
         '{"optimizer": {"chunk": 0}}', '{"optimizer": {"chunk": -5}}',
         '{"optimizer": {"refine_top": 0}}', '{"optimizer": {"chunk": 2.5}}',
@@ -168,6 +169,12 @@ def test_usage_errors_exit_2(tmp_path):
         '{"tolerances": {"sign_margin": -1e-12}}', '{"seed": "7"}', '{"count": 1.5}',
         # not an object
         '{"optimizer": "abc"}', '{"optimizer": 5}', '{"tolerances": [1]}',
+        # a grid that is neither "min:max:n" nor three numbers, an out that
+        # is not a file name
+        '{"grid": 5}', '{"grid": ["a", 1, 3]}', '{"grid": [1, 2]}',
+        '{"grid": [0, 1, 2.5]}', '{"grid": [1, 0, 3]}', '{"grid": [0, 1, 0]}',
+        '{"grid": [true, 1, 3]}', '{"grid": {"lo": 0}}', '{"grid": ":1:3"}',
+        '{"out": 7}', '{"out": ["a.csv"]}',
     ]
     for text in bad_configs:
         assert code(*grid, config=text) == 2, text
@@ -184,6 +191,34 @@ def test_config_file_merge_and_override(tmp_path):
     assert len(base.stdout.splitlines()) == 1 + 9
     over = run_cli("eval", "--config", str(cfg), "--grid", "-0.3:0.3:2")
     assert len(over.stdout.splitlines()) == 1 + 4
+
+
+def test_config_grid_list_keeps_its_numbers(tmp_path):
+    cfg, out = tmp_path / "c.json", tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"scenario": "su11", "target": "r_md",
+                               "grid": [-1, 1, 5], "format": "json",
+                               "levi": "off", "out": str(out)}))
+    assert cli.main(["eval", "--config", str(cfg)]) == 0
+    # integer bounds stay integers, as the list gave them
+    assert '  "grid": [\n    -1,\n    1,\n    5\n  ],\n' in out.read_text()
+
+
+def test_levi_stall_stays_with_its_point(tmp_path):
+    # two points of this window lie within fd_step of the boundary; their
+    # Levi stencils stall in slice alignment, the rest of the grid stands
+    out = tmp_path / "grid.json"
+    argv = ["eval", "--scenario", "su21", "--target", "r_d", "--seed", "1",
+            "--grid", "-0.8209882828633233:0.5699208080457676:2",
+            "--format", "json", "--out", str(out)]
+    assert cli.main(argv + ["--levi", "on"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert cli.main(argv + ["--levi", "off"]) == 0
+    plain = json.loads(out.read_text())["rows"]
+    assert [r["value"] for r in rows] == [r["value"] for r in plain]
+    stalled = [r for r in rows if r["error"].startswith("Levi stencil: ")]
+    assert len(stalled) == 2
+    assert all(r["n_pos"] == -1 and r["value"] is not None for r in stalled)
+    assert [r["n_pos"] for r in rows if not r["error"]] == [1]
 
 
 def test_parse_grid_accepts_and_rejects():

@@ -319,12 +319,32 @@ def test_maximize_branch_batch_equals_disc_sized_calls(name, su11, su21):
     assert np.array_equal(ks, np.concatenate([k for _, k in parts]))
 
 
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
+    import cyclelab.optimize as optimize
+
+    sc = {"su11": su11, "su21": su21}[name]
+    # interior subjects and a path to the boundary, where the ascent is longest
+    depths = boundary_depths(15, decade=1.0)
+    rows = np.concatenate([
+        _seeded_subjects(sc, 300, seed=10),
+        sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
+    res, extras, seed = optimize.OptimizerSettings().resolved(sc)
+    engine = optimize.get_engine(sc)
+    coarse_max = np.max(engine.values_shared(rows, engine.k0_stack(res, seed, extras)),
+                        axis=1)
+    vals, ks = maximize_branch(rows, sc)
+    assert np.all(vals >= coarse_max)
+    # the argmax gives back the value
+    assert np.array_equal(vals, engine.values_own(rows, ks[:, None])[:, 0])
+
+
 @pytest.mark.parametrize("resolution", [None, 10])
 def test_values_shared_blocks_match_one_block(su21, resolution, monkeypatch):
     import cyclelab.optimize as optimize
 
     settings = optimize.OptimizerSettings(resolution=resolution)
-    res, extras, seed, _ = settings.resolved(su21)
+    res, extras, seed = settings.resolved(su21)
     engine = optimize.get_engine(su21)
     ks = engine.k0_stack(res, seed, extras)
     assert ks.shape[0] == {None: 1332, 10: 10036}[resolution]
@@ -348,7 +368,7 @@ def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
     run_suite("psh", counts, 4, ("su11", "su21"))
     assert len(calls) == 2
     for sc in (su11, su21):
-        res, extras, seed, _ = optimize.OptimizerSettings().resolved(sc)
+        res, extras, seed = optimize.OptimizerSettings().resolved(sc)
         stack = optimize.get_engine(sc).k0_stack(res, seed, extras)
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0
@@ -362,6 +382,6 @@ def test_engine_is_keyed_by_tolerances(su21):
 
     same = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol))
     assert get_engine(same) is get_engine(su21)
-    loose = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol, step_tol=1e-6))
-    assert get_engine(loose) is not get_engine(su21)
-    assert get_engine(loose).sc.tol.step_tol == 1e-6
+    coarse = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol, fd_step=1e-2))
+    assert get_engine(coarse) is not get_engine(su21)
+    assert get_engine(coarse).sc.tol.fd_step == 1e-2
