@@ -25,11 +25,9 @@ from .sections import (HermitianMetric, SectionVector, cell_exhaustion,
 from .optimize import (OptimizerSettings, aligned_domain_values,
                        fiber_infimum, maximize_branch)
 from .exhaust import (TARGETS, cycle_space_exhaustion, divergence_path,
-                      domain_exhaustion, evaluate_grid, lifted_exhaustion,
-                      seeded_cycles, seeded_domain_points,
-                      translation_branch_pair)
-from .levi import (CertificateReport, LeviReport, levi_form_fd, levi_report,
-                   q_pseudoconvex_certificate)
+                      domain_exhaustion, evaluate_grid, seeded_cycles,
+                      seeded_domain_points, translation_branch_pair)
+from .levi import CertificateReport, levi_form_fd, q_pseudoconvex_certificate
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"
@@ -50,10 +48,9 @@ __all__ = [
     "gu_invariant_metric", "highest_weight_section", "section_norm_sq",
     "OptimizerSettings", "aligned_domain_values", "maximize_branch",
     "TARGETS", "cycle_space_exhaustion", "divergence_path",
-    "domain_exhaustion", "evaluate_grid", "lifted_exhaustion", "seeded_cycles",
+    "domain_exhaustion", "evaluate_grid", "seeded_cycles",
     "seeded_domain_points", "translation_branch_pair",
-    "CertificateReport", "LeviReport", "levi_form_fd", "levi_report",
-    "q_pseudoconvex_certificate",
+    "CertificateReport", "levi_form_fd", "q_pseudoconvex_certificate",
     "VerificationReport", "run_verification",
     "__version__",
 ]

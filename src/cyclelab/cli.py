@@ -129,6 +129,8 @@ def build_config(args):
         cfg.format = "json"
     if cfg.format not in FORMATS:
         raise InvalidInput(f"unknown format {cfg.format!r}")
+    if cfg.scenario is not None and cfg.scenario not in SCENARIO_NAMES:
+        raise InvalidInput(f"unknown scenario {cfg.scenario!r}")
     if cfg.target not in TARGETS:
         raise InvalidInput(f"unknown target {cfg.target!r}")
     if cfg.suite not in ("all",) + SUITE_NAMES:
@@ -294,19 +296,13 @@ def cmd_info(cfg):
     sc = _scenario(cfg)
     engine = get_engine(sc)
     m = len(intersect_base_cycle(engine.schubert, sc))
-    c0 = base_cycle(sc)
-    if c0.dual is not None:
-        cycle_line = f"base cycle dual: {np.round(c0.dual, 6).tolist()}"
-    else:
-        cycle_line = (f"base cycle point: "
-                      f"{np.round(c0.point.homogeneous, 6).tolist()}")
     lines = [
         f"scenario: {sc.name}",
         f"q (cycle dimension): {sc.cycle_dim}",
         f"n_Z (ambient dimension): {sc.ambient_dim}",
         f"m (base cycle intersections with the cell closure): {m}",
         f"base point: {np.round(sc.base_point.homogeneous, 6).tolist()}",
-        cycle_line,
+        f"base cycle dual: {np.round(base_cycle(sc).dual, 6).tolist()}",
         f"compact group dimension: {len(sc.rf.k0_basis)}",
         f"coarse search: resolution {sc.k0_resolution}, "
         f"extras {sc.k0_extras}",

@@ -53,10 +53,6 @@ class NotInDomain(CycleLabError):
     """Point is outside the open orbit the scenario works in."""
 
 
-class NotIncident(CycleLabError):
-    """Point does not lie on the cycle."""
-
-
 class StencilFailure(CycleLabError):
     """Function evaluation failed inside a finite-difference stencil."""
 

@@ -1,10 +1,9 @@
-"""Exhaustion values on the cycle space, incidence space, and domain.
+"""Exhaustion values on the cycle space and the domain.
 
 cycle_space_exhaustion is the supremum over translated Schubert slices
-of the cell exhaustion at the slice intersection; lifted_exhaustion is
-its pullback to incident pairs; domain_exhaustion is the infimum over
-the cycles through a point, evaluated by slice alignment and optionally
-cross-checked by explicit fiber descent.
+of the cell exhaustion at the slice intersection; domain_exhaustion is
+the infimum over the cycles through a point, evaluated by slice
+alignment and optionally cross-checked by explicit fiber descent.
 
 Everything here is seeded and deterministic: the same inputs, settings,
 and seed give byte-identical values.
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cycles import cycle_in_domain, incidence_pair, translate_cycle
+from .cycles import cycle_in_domain, translate_cycle
 from .errors import InvalidInput, NotInDomain, OptimizerStall
 from .flags import in_domain
 from .optimize import (aligned_domain_values, fiber_infimum, get_engine,
@@ -48,19 +47,6 @@ def cycle_space_exhaustion(c, sc, settings=None, enforce_domain=True, margin=Non
         raise NotInDomain("cycle is not contained in the domain")
     vals, ks = maximize_branch(sc.geometry.subject_row(c)[None, :], sc, settings)
     return ExhaustionSample(value=float(vals[0]), argmax=ks[0])
-
-
-def lifted_exhaustion(c, z, sc, settings=None):
-    """Exhaustion of the incidence space at a pair (C, z) with z on C.
-
-    The value is the pullback of the cycle-space exhaustion along the
-    projection that forgets the point, so it only depends on C; the pair
-    is still validated as genuinely incident.
-    """
-    pair = incidence_pair(z, c)
-    sample = cycle_space_exhaustion(pair.nu, sc, settings)
-    sample.notes["incident_point"] = pair.mu.homogeneous
-    return sample
 
 
 def domain_exhaustion(y, sc, settings=None, enforce_domain=True,

@@ -77,14 +77,14 @@ class ScenarioConfig:
     """Everything a built-in scenario pins down.
 
     domain_sign: the open orbit D is {v : sign(v* J v) == domain_sign}.
-    cycle_dim is the complex dimension q of the base cycle, ambient_dim
-    the complex dimension of Z.  base_cycle_dual is the dual vector of
-    the base cycle when cycles are hypersurfaces (ambient_dim 2), None
-    when cycles are points.  geometry (scenarios.PointCycles or
-    LineCycles) makes every choice that differs between point and
-    hypersurface cycles: subject rows, the branch kernel, grid charts and
-    their admissible sets, seeded samples, discs, divergence paths and
-    the cell chart; its point_cycles attribute marks the q = 0 case.
+    Z = P(C^n) and every cycle is a hyperplane, so the cycle dimension q
+    (cycle_dim) is n - 2 and the dimension of Z (ambient_dim) is n - 1;
+    code that treats q = 0 apart reads cycle_dim.  base_cycle_dual is
+    the dual vector of the base cycle.  geometry (scenarios.PointCycles or
+    LineCycles) makes every choice that differs between point and line
+    cycles: subject rows, the branch kernel, grid charts and their
+    admissible sets, seeded samples, discs, divergence paths and the
+    cell chart.
     """
 
     name: str
@@ -92,18 +92,24 @@ class ScenarioConfig:
     parabolic: ParabolicSpec
     base_point: FlagPoint
     domain_sign: int
-    cycle_dim: int
-    ambient_dim: int
     geometry: object
+    base_cycle_dual: np.ndarray
     weight_tag: str = "fundamental-1"
     tol: Tolerances = field(default_factory=Tolerances)
-    base_cycle_dual: np.ndarray = None
     k0_resolution: int = 32
     k0_extras: int = 0
 
     @property
     def n(self):
         return self.rf.n
+
+    @property
+    def cycle_dim(self):
+        return self.n - 2
+
+    @property
+    def ambient_dim(self):
+        return self.n - 1
 
     def form_value(self, v):
         v = np.asarray(v, complex)

@@ -111,31 +111,6 @@ def eig_signature(lev, zero_band):
     return pos, lev.shape[0] - pos - neg, neg
 
 
-def submeanvalue_margins(center_values, circle_means):
-    """Circle mean minus center value; nonnegative for plurisubharmonic."""
-    return np.asarray(circle_means, float) - np.asarray(center_values, float)
-
-
-@dataclass(eq=False)
-class LeviReport:
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    n_pos: int
-    n_zero: int
-    n_neg: int
-    refinement_ratio: float = None
-
-
-def levi_report(fn, z0, sc, h=None, with_ratio=False):
-    h = h if h is not None else sc.tol.fd_step
-    lev = levi_form_fd(fn, z0, h)
-    pos, zero, neg = eig_signature(lev, sc.tol.zero_band)
-    ratio = levi_refinement_ratio(fn, z0, max(h, 0.02)) if with_ratio else None
-    return LeviReport(matrix=lev, eigenvalues=np.linalg.eigvalsh(lev),
-                      n_pos=pos, n_zero=zero, n_neg=neg,
-                      refinement_ratio=ratio)
-
-
 @dataclass(eq=False)
 class CertificateReport:
     """Local minorant datum certifying q-pseudoconvexity at a point."""

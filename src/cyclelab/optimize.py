@@ -336,7 +336,7 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
     points = np.atleast_2d(np.asarray(points, complex))
     points = points / np.linalg.norm(points, axis=1, keepdims=True)
     engine = get_engine(sc)
-    if sc.geometry.point_cycles:
+    if sc.cycle_dim == 0:
         return maximize_branch(points, sc, settings)
     resolution, extras, seed = settings.resolved(sc)
     coarse = engine.k0_stack(resolution, seed, extras)
@@ -372,7 +372,7 @@ def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
     from .cycles import cycle_from_dual, cycle_in_domain, mu_fiber
 
     settings = settings or OptimizerSettings()
-    if sc.geometry.point_cycles:
+    if sc.cycle_dim == 0:
         vals, _ = maximize_branch(y.homogeneous[None, :], sc, settings)
         return float(vals[0]), None
     fib = mu_fiber(y, sc)

@@ -1,19 +1,20 @@
 """Built-in scenario definitions and their geometries.
 
 su11: G0 = SU(1,1) on Z = P^1, D the unit disk of negative lines, cycles
-are points (q = 0).
+are points (q = 0), base cycle the point [0 : 1] with dual (1, 0).
 
 su21: G0 = SU(2,1) on Z = P^2, D the set of positive lines, base cycle
-the projective line P(C^2 + 0) (q = 1); translated cycles are lines and
-are stored by dual vectors.
+the projective line P(C^2 + 0) with dual (0, 0, 1) (q = 1).
 
-Each scenario carries one geometry object (PointCycles, LineCycles), the
-point-cycle and hypersurface-cycle cases of Fels, Huckleberry and Wolf,
-Cycle Spaces of Flag Domains (2006).  It owns every choice the two cases
-make differently in the evaluation layers: the subject row of a cycle,
-the branch kernel, the grid charts, the seeded samplers and discs, the
-divergence paths and the cell chart of the Levi check.  A new scenario
-is registered here with a geometry of its own.
+In both, a cycle is a hyperplane stored by its dual vector (cycles.py),
+the hypersurface-cycle case of Fels, Huckleberry and Wolf, Cycle Spaces
+of Flag Domains (2006).  Each scenario carries one geometry object
+(PointCycles for q = 0, LineCycles for q = 1).  It owns every choice the
+two cases make differently in the evaluation layers: the subject row of
+a cycle (the kernel point of l, or l itself), the branch kernel, the
+grid charts, the seeded samplers and discs, the divergence paths and the
+cell chart of the Levi check.  A new scenario is registered here with a
+geometry of its own.
 
 The adapted frames diagonalize the split torus generator: its null
 eigenvectors stay fixed and the +/-1 eigenvectors v+ and v- become the
@@ -54,10 +55,9 @@ class PointCycles:
     """q = 0: a cycle is a point [w : 1] of the disk, the slice is the whole
     domain, and every target lives on the disk chart w (|w| < 1)."""
 
-    point_cycles = True
-
     def subject_row(self, c):
-        return c.point.homogeneous
+        # the kernel point of the dual l
+        return np.array([-c.dual[1], c.dual[0]])
 
     def move_matrices(self, ks):
         # a point moves by k and is its own slice vector
@@ -109,8 +109,6 @@ class PointCycles:
 class LineCycles:
     """q = 1: a cycle is a line stored by its dual (beta : 1), in the cycle
     space iff |beta| < 1; the grid charts are those of evaluate_grid."""
-
-    point_cycles = False
 
     def subject_row(self, c):
         return c.dual
@@ -218,7 +216,7 @@ def _build_su11():
     a = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
     n0 = np.array([p @ (1j * _e(2, 0, 1)) @ np.conj(p.T)])
     s0 = np.array([[[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]], dtype=complex)
-    j, p, k0, a, n0, s0 = _frozen(j, p, k0, a, n0, s0)
+    j, p, k0, a, n0, s0, dual = _frozen(j, p, k0, a, n0, s0, [1.0, 0.0])
     rf = RealFormSpec(
         name="su11", form_matrix=j, signature=(1, 1), cartan_matrix=j,
         adapted_frame=p, k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
@@ -229,11 +227,9 @@ def _build_su11():
         parabolic=ParabolicSpec((1,)),
         base_point=FlagPoint(np.array([0.0, 1.0])),
         domain_sign=-1,
-        cycle_dim=0,
-        ambient_dim=1,
         geometry=PointCycles(),
+        base_cycle_dual=dual,
         tol=Tolerances(),
-        base_cycle_dual=None,
         k0_resolution=32,
         k0_extras=0,
     )
@@ -265,24 +261,20 @@ def _build_su21():
         _e(3, 1, 2) + _e(3, 2, 1),
         1j * (_e(3, 1, 2) - _e(3, 2, 1)),
     ])
-    j, p, k0, a, n0, s0 = _frozen(j, p, k0, a, n0, s0)
+    j, p, k0, a, n0, s0, dual = _frozen(j, p, k0, a, n0, s0, [0.0, 0.0, 1.0])
     rf = RealFormSpec(
         name="su21", form_matrix=j, signature=(2, 1), cartan_matrix=j,
         adapted_frame=p, k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
     )
-    dual = np.array([0.0, 0.0, 1.0], dtype=complex)
-    dual.setflags(write=False)
     return ScenarioConfig(
         name="su21",
         rf=rf,
         parabolic=ParabolicSpec((1,)),
         base_point=FlagPoint(np.array([1.0, 0.0, 0.0])),
         domain_sign=1,
-        cycle_dim=1,
-        ambient_dim=2,
         geometry=LineCycles(),
-        tol=Tolerances(),
         base_cycle_dual=dual,
+        tol=Tolerances(),
         # 32 coarse points per compact dimension is affordable only for a
         # one-dimensional K0; the 4-dimensional K0 of su21 uses a 6^4 grid
         # plus 36 scrambled-Sobol extras, refined by local ascent.

@@ -221,7 +221,7 @@ def intersect_slice(sl, c, probe_starts=PROBE_STARTS, check_domain=True):
     if check_domain and not cycle_in_domain(c, sc):
         raise IncidenceMiss("cycle is not inside the domain")
     if sc.cycle_dim == 0:
-        z = c.point
+        z = FlagPoint(sc.geometry.subject_row(c))
         if not (in_domain(z, sc) if check_domain else True):
             raise IncidenceMiss("point cycle outside the slice component")
         return IncidenceRecord(cycle=c, slice=sl, point=z, residual=0.0,
@@ -262,8 +262,4 @@ def intersect_slice(sl, c, probe_starts=PROBE_STARTS, check_domain=True):
 
 def meets_cell_boundary(c, s, tol=BOUNDARY_TOL):
     """Does the cycle meet B_S?  (Membership in the incidence hypersurface.)"""
-    b = s.boundary_point.homogeneous
-    if c.point is not None:
-        v = c.point.homogeneous
-        return bool(abs(v[0] * b[1] - v[1] * b[0]) < tol)
-    return bool(abs(c.dual @ b) < tol)
+    return bool(abs(c.dual @ s.boundary_point.homogeneous) < tol)

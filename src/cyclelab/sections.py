@@ -57,9 +57,8 @@ class SectionVector:
 
 
 def _restriction_frame(s, sc):
-    # columns of the Borel conjugator spanning S: 2 for a line, all for P^1
-    cols = 2 if sc.n > 2 else sc.n
-    return s.borel.matrix[:, :cols]
+    # the first dim_S + 1 columns of the Borel conjugator span S
+    return s.borel.matrix[:, :s.dim_S + 1]
 
 
 def highest_weight_section(s, sc, validate=True):

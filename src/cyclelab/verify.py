@@ -346,7 +346,7 @@ def check_certificates(counts, seed, scenarios):
     gap_floor, total, ok = np.inf, 0, True
     for name in scenarios:
         sc = get_scenario(name)
-        need_exact = sc.geometry.point_cycles
+        need_exact = sc.cycle_dim == 0
         for y in seeded_domain_points(sc, counts["certificates"], seed=seed):
             try:
                 rep = q_pseudoconvex_certificate(y, sc, seed=seed)

@@ -119,6 +119,7 @@ def test_info_reports_invariants():
     disk = run_cli("info", "--scenario", "su11")
     assert "q (cycle dimension): 0" in disk.stdout
     assert "n_Z (ambient dimension): 1" in disk.stdout
+    assert "base cycle dual: [(1+0j), 0j]" in disk.stdout
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -178,6 +179,10 @@ def test_usage_errors_exit_2(tmp_path):
     ]
     for text in bad_configs:
         assert code(*grid, config=text) == 2, text
+    # a scenario from the file that is not a scenario name
+    for scenario in ("[1]", "5"):
+        text = f'{{"scenario": {scenario}, "target": "r_md", "grid": "-0.1:0.1:2"}}'
+        assert code("eval", config=text) == 2, text
     assert code("info", "--scenario", "su21",
                 config='{"tolerances": {"sign_margin": 0}}') == 0
 

@@ -7,15 +7,14 @@ import pytest
 
 from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       cycle_from_point, cycle_in_domain, divergence_path,
-                      evaluate_grid, in_domain, k0_sample, lifted_exhaustion,
-                      seeded_cycles, seeded_domain_points,
+                      evaluate_grid, in_domain, k0_sample, seeded_cycles,
+                      seeded_domain_points,
                       translation_branch_pair)
 from cyclelab.errors import NotInDomain
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import (batch_values, boundary_depths,
                               cycle_space_exhaustion, domain_exhaustion,
                               submeanvalue_discs)
-from cyclelab.cycles import cycle_points
 from cyclelab.optimize import aligned_domain_values, maximize_branch
 
 from oracles import LOG2, LOG10, rd_ball, rmd_disk, rmd_dual_ball
@@ -78,15 +77,6 @@ def test_exhaustion_requires_domain(su11, su21):
         domain_exhaustion(FlagPoint(np.array([0.0, 0.0, 1.0])), su21)
     with pytest.raises(NotInDomain):
         cycle_space_exhaustion(cycle_from_dual([1.3, 0.0, 1.0], su21), su21)
-
-
-def test_lifted_exhaustion_is_a_pullback(su21):
-    c = seeded_cycles(su21, 1, seed=7)[0]
-    z = cycle_points(c, 2, seed=1)[0]
-    lift = lifted_exhaustion(c, z, su21)
-    assert lift.value == pytest.approx(
-        cycle_space_exhaustion(c, su21).value, abs=1e-12)
-    assert "incident_point" in lift.notes
 
 
 def test_translation_identity(su11, su21):

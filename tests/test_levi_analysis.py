@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from cyclelab import (FlagPoint, get_scenario, levi_form_fd, levi_report,
+from cyclelab import (FlagPoint, get_scenario, levi_form_fd,
                       q_pseudoconvex_certificate, seeded_domain_points)
 from cyclelab.errors import NotInDomain, StencilFailure
 from cyclelab.flags import in_domain, in_domain_rows
-from cyclelab.levi import (eig_signature, levi_refinement_ratio,
-                           submeanvalue_margins)
+from cyclelab.levi import eig_signature, levi_refinement_ratio
 
 from oracles import fubini_study_levi
 
@@ -61,20 +60,6 @@ def test_eig_signature_banding():
     lev = np.diag([2.0, -1.0, 1e-9])
     assert eig_signature(lev, zero_band=1e-6) == (1, 1, 1)
     assert eig_signature(lev, zero_band=1e-12) == (2, 0, 1)
-
-
-def test_submeanvalue_margins_arithmetic():
-    margins = submeanvalue_margins([1.0, 2.0], [1.5, 1.5])
-    assert np.allclose(margins, [0.5, -0.5])
-
-
-def test_levi_report_fields(su11):
-    rep = levi_report(_fs, np.array([0.2 + 0.0j]), su11, with_ratio=True)
-    assert rep.n_pos == 1 and rep.n_zero == 0 and rep.n_neg == 0
-    assert rep.eigenvalues.shape == (1,)
-    assert 3.5 <= rep.refinement_ratio <= 4.5
-    rep2 = levi_report(_fs, np.array([0.2 + 0.0j]), su11)
-    assert rep2.refinement_ratio is None
 
 
 def test_certificate_disk(su11):

@@ -104,11 +104,14 @@ def test_disk_slice_fills_the_disk(su11):
 def test_point_cycle_intersection(su11):
     s = make_schubert(su11)
     sl = schubert_slice(s, su11.base_point, su11)
-    c = cycle_from_point(FlagPoint(np.array([0.2 + 0.1j, 1.0])), su11)
+    z = FlagPoint(np.array([0.2 + 0.1j, 1.0]))
+    c = cycle_from_point(z, su11)
     rec = intersect_slice(sl, c)
     assert rec.solution_count == 1
     assert rec.residual == 0.0
-    assert rec.point.is_close(c.point)
+    # the point cycle meets the slice in its own point, the kernel of its dual
+    assert rec.point.is_close(z)
+    assert c.contains(rec.point)
 
 
 def test_line_cycle_intersection_unique(su21):
