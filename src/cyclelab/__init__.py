@@ -10,7 +10,7 @@ from .errors import (CycleLabError, EigenvectorAmbiguity, InvalidInput,
                      MinorantFailure, NotInDomain, NumericalDegeneracy,
                      OptimizerStall)
 from .scenarios import SCENARIO_NAMES, get_scenario
-from .liecore import (GroupElement, LieAlgebraElement, RealFormSpec,
+from .liecore import (GroupElement, RealFormSpec,
                       cartan_involution, exp_map, is_member,
                       iwasawa_decompose, k0_sample)
 from .flags import FlagPoint, ScenarioConfig, Tolerances, act, chart, in_domain
@@ -36,7 +36,7 @@ __all__ = [
     "CycleLabError", "EigenvectorAmbiguity", "InvalidInput",
     "MinorantFailure", "NotInDomain", "NumericalDegeneracy", "OptimizerStall",
     "SCENARIO_NAMES", "get_scenario",
-    "GroupElement", "LieAlgebraElement", "RealFormSpec", "cartan_involution",
+    "GroupElement", "RealFormSpec", "cartan_involution",
     "exp_map", "is_member", "iwasawa_decompose", "k0_sample",
     "FlagPoint", "ScenarioConfig", "Tolerances", "act", "chart", "in_domain",
     "Cycle", "base_cycle", "cycle_from_dual", "cycle_from_point",

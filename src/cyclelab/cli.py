@@ -5,8 +5,10 @@ JSON), verify (the verification suites, JSON report plus a console
 summary), certify (pseudoconvexity certificates at seeded points, one
 JSON record per line), and info (scenario summary).
 
-Configuration can come from a JSON file (--config); explicit flags
-override file values, which override the built-in defaults.  Identical
+COMMAND_KEYS lists the settings each command reads; its flags and the
+keys its JSON config file (--config) may hold both come from that
+table, so a setting a command would ignore is a usage error.  Explicit
+flags override file values, which override the built-in defaults.  Identical
 configuration and seed give byte-identical payloads; progress and
 timing lines go to stderr only.  Exit codes: 0 success, 1 runtime or
 verification failure, 2 usage error.
@@ -35,9 +37,13 @@ from .verify import COUNTS, SUITE_NAMES, run_verification
 FORMATS = ("csv", "json")
 LEVI_MODES = ("on", "off", "auto")
 
-_CONFIG_KEYS = ("scenario", "target", "grid", "resolution_k0", "seed", "out",
-                "format", "suite", "counts", "count", "levi", "tolerances",
-                "optimizer")
+COMMAND_KEYS = {
+    "eval": ("scenario", "seed", "out", "format", "target", "grid",
+             "resolution_k0", "levi", "tolerances", "optimizer"),
+    "verify": ("scenario", "seed", "out", "suite", "counts"),
+    "certify": ("scenario", "seed", "out", "format", "count", "tolerances"),
+    "info": ("scenario", "tolerances"),
+}
 
 
 @dataclasses.dataclass
@@ -96,7 +102,7 @@ def _config_grid(value):
     return tuple(value)
 
 
-def _load_config_file(path):
+def _load_config_file(path, command):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -105,22 +111,22 @@ def _load_config_file(path):
     if not isinstance(data, dict):
         raise InvalidInput("config file must hold a JSON object")
     for key in data:
-        if key not in _CONFIG_KEYS:
-            raise InvalidInput(f"unknown config key {key!r}")
+        if key not in COMMAND_KEYS[command]:
+            raise InvalidInput(f"{command} reads no config key {key!r}")
     return data
 
 
 def build_config(args):
     """Merge defaults, config file, and explicit flags into a RunConfig."""
     cfg = RunConfig(command=args.command)
-    file_values = _load_config_file(args.config) if args.config else {}
+    file_values = _load_config_file(args.config, args.command) if args.config else {}
     for key, value in file_values.items():
         if key == "grid":
             value = _config_grid(value)
         elif key == "out" and not isinstance(value, str):
             raise InvalidInput(f"config out must be a file name, not {value!r}")
         setattr(cfg, key, value)
-    for key in _CONFIG_KEYS:
+    for key in COMMAND_KEYS[args.command]:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -146,11 +152,9 @@ def build_config(args):
     return cfg
 
 
-def _scenario(cfg, required=True):
+def _scenario(cfg):
     if cfg.scenario is None:
-        if required:
-            raise InvalidInput("this command needs --scenario")
-        return None
+        raise InvalidInput("this command needs --scenario")
     sc = get_scenario(cfg.scenario)
     if cfg.tolerances:
         try:
@@ -312,8 +316,28 @@ def cmd_info(cfg):
     return 0
 
 
-_COMMANDS = {"eval": cmd_eval, "verify": cmd_verify,
-             "certify": cmd_certify, "info": cmd_info}
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate a target over a chart grid"),
+    "verify": (cmd_verify, "run verification suites"),
+    "certify": (cmd_certify, "pseudoconvexity certificates at seeded points"),
+    "info": (cmd_info, "scenario summary"),
+}
+
+# the flag of each key in COMMAND_KEYS; tolerances and optimizer are
+# config-file objects and have none
+_FLAGS = {
+    "scenario": {"choices": SCENARIO_NAMES},
+    "seed": {"type": int},
+    "out": {},
+    "format": {"choices": FORMATS},
+    "target": {"choices": TARGETS},
+    "grid": {"type": _grid_arg, "help": "chart window min:max:n (square grid)"},
+    "resolution_k0": {"type": int},
+    "levi": {"choices": LEVI_MODES, "help": "attach positive Levi eigenvalue counts"},
+    "suite": {"choices": ("all",) + SUITE_NAMES},
+    "counts": {"choices": tuple(COUNTS)},
+    "count": {"type": int, "help": "number of seeded interior points"},
+}
 
 
 def build_parser():
@@ -321,37 +345,12 @@ def build_parser():
         prog="cyclelab",
         description="numerical laboratory for exhaustions on flag domains")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_target=False):
-        p.add_argument("--scenario", choices=SCENARIO_NAMES)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config")
-        p.add_argument("--format", choices=FORMATS)
-        if with_target:
-            p.add_argument("--target", choices=TARGETS)
-            p.add_argument("--grid", type=_grid_arg,
-                           help="chart window min:max:n (square grid)")
-            p.add_argument("--resolution-k0", dest="resolution_k0", type=int)
-
-    p_eval = sub.add_parser("eval", help="evaluate a target over a chart grid")
-    common(p_eval, with_target=True)
-    p_eval.add_argument("--levi", choices=LEVI_MODES,
-                        help="attach positive Levi eigenvalue counts")
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify)
-    p_verify.add_argument("--suite", choices=("all",) + SUITE_NAMES)
-    p_verify.add_argument("--counts", choices=tuple(COUNTS))
-
-    p_cert = sub.add_parser("certify",
-                            help="pseudoconvexity certificates at seeded points")
-    common(p_cert)
-    p_cert.add_argument("--count", type=int,
-                        help="number of seeded interior points")
-
-    p_info = sub.add_parser("info", help="scenario summary")
-    common(p_info)
+        for key in COMMAND_KEYS[command]:
+            if key in _FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
@@ -382,7 +381,7 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except InvalidInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

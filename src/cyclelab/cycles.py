@@ -22,6 +22,9 @@ from .utils import check_finite, gauge_vector
 def annihilator_basis(v):
     """Orthonormal, gauge-fixed basis of the dual vectors vanishing on v.
 
+    The pairing carries no conjugation, so the same rows, read as
+    vectors, span the plane ker(v) of a dual vector v.
+
     Pivot construction: with p the largest-modulus coordinate of v, the
     rows e_j - (v_j / v_p) e_p for j != p span the annihilator; they are
     orthonormalized in ascending j so the output is deterministic.  For
@@ -41,15 +44,6 @@ def annihilator_basis(v):
             row = row - (np.conj(prev) @ row) * prev
         rows.append(row / np.linalg.norm(row))
     return np.stack([gauge_vector(r) for r in rows])
-
-
-def plane_basis(dual):
-    """Orthonormal deterministic basis of the plane ker(dual).
-
-    The pairing dual @ v carries no conjugation, so the construction is
-    the same pivot scheme with the roles of vectors and functionals swapped.
-    """
-    return annihilator_basis(dual)
 
 
 @dataclass(eq=False)
@@ -104,7 +98,7 @@ def cycle_points(c, count, seed):
     """Deterministic quasi-uniform sample of the cycle."""
     if count < 1:
         raise InvalidInput("count must be >= 1")
-    basis = plane_basis(c.dual)
+    basis = annihilator_basis(c.dual)
     rng = np.random.default_rng(seed)
     shape = (count, basis.shape[0])
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -113,22 +107,19 @@ def cycle_points(c, count, seed):
 
 def restricted_form_eigenvalues(c, sc):
     """Eigenvalues of the Hermitian form on ker l (1 x 1 for su11)."""
-    basis = plane_basis(c.dual)
+    basis = annihilator_basis(c.dual)
     f = np.conj(basis) @ sc.rf.form_matrix @ basis.T
     return np.linalg.eigvalsh(0.5 * (f + np.conj(f.T)))
 
 
-def cycle_in_domain(c, sc, margin=None):
+def cycle_in_domain(c, sc):
     """True iff the cycle lies entirely inside D.
 
     Exact criterion: the form restricted to ker l is definite of the
-    domain sign.  margin overrides the default sign_margin; pass 0.0 to
-    test strict inequality only (used by boundary-approach drivers that
-    must evaluate closer to the edge than the conservative margin allows).
+    domain sign, by more than sign_margin.
     """
-    m = sc.tol.sign_margin if margin is None else margin
     eigs = restricted_form_eigenvalues(c, sc)
-    return bool(np.min(sc.domain_sign * eigs) > m)
+    return bool(np.min(sc.domain_sign * eigs) > sc.tol.sign_margin)
 
 
 class FiberParametrization:

@@ -21,10 +21,6 @@ class NumericalDegeneracy(CycleLabError):
     """An intermediate quantity collapsed below representable tolerance."""
 
 
-class UnknownFamilyMember(CycleLabError):
-    """Index outside the scenario's finite defining family."""
-
-
 class IntersectionFailure(CycleLabError):
     """Intersection solver residual above tolerance."""
 

@@ -26,6 +26,8 @@ from .utils import logm_unitary
 TARGETS = ("r_s", "r_md", "r_d")
 # k0_log_coordinates: eigen-angles closer than this count as tied.
 LOG_TIE = 1e-12
+# submeanvalue_discs: equally spaced points on each disc's boundary circle
+DISC_POINTS = 16
 
 
 @dataclass(eq=False)
@@ -41,23 +43,22 @@ def _base_slice(sc):
     return engine, schubert_slice(engine.schubert, z_j, sc)
 
 
-def cycle_space_exhaustion(c, sc, settings=None, enforce_domain=True, margin=None):
+def cycle_space_exhaustion(c, sc, settings=None):
     """Value of the cycle-space exhaustion at a cycle."""
-    if enforce_domain and not cycle_in_domain(c, sc, margin=margin):
+    if not cycle_in_domain(c, sc):
         raise NotInDomain("cycle is not contained in the domain")
     vals, ks = maximize_branch(sc.geometry.subject_row(c)[None, :], sc, settings)
     return ExhaustionSample(value=float(vals[0]), argmax=ks[0])
 
 
-def domain_exhaustion(y, sc, settings=None, enforce_domain=True,
-                      cross_check=False):
+def domain_exhaustion(y, sc, settings=None, cross_check=False):
     """Value of the domain exhaustion at a point.
 
     Computed by slice alignment; cross_check additionally runs the
     explicit infimum over the fiber of cycles through y and records the
     discrepancy in the notes.
     """
-    if enforce_domain and not in_domain(y, sc):
+    if not in_domain(y, sc):
         raise NotInDomain("point is outside the domain")
     vals, ks = aligned_domain_values(y.homogeneous[None, :], sc, settings,
                                      audit=cross_check)
@@ -111,7 +112,7 @@ def boundary_depths(samples=15, decade=1.0):
     return 0.5 * 10.0 ** (-decade * np.arange(samples, dtype=float))
 
 
-def divergence_path(sc, target, index, seed=42, samples=15):
+def divergence_path(sc, target, index, seed=42):
     """Values of a target exhaustion along a seeded path to the boundary.
 
     Returns (depths, values); evaluation skips domain enforcement since
@@ -121,27 +122,26 @@ def divergence_path(sc, target, index, seed=42, samples=15):
     # the r_s section ratio underflows once the approach distance nears the
     # inverse of its dynamic range; r_md and r_d resolve to machine
     # precision (their optimizers polish to the rounding floor)
-    d = boundary_depths(samples, decade=0.5 if target == "r_s" else 1.0)
+    d = boundary_depths(decade=0.5 if target == "r_s" else 1.0)
     return d, batch_values(sc.geometry.divergence_rows(target, d, rng, sc.rf),
                            sc, target)
 
 
-def submeanvalue_discs(sc, target, count, seed=42, boundary_points=16,
-                       settings=None):
+def submeanvalue_discs(sc, target, count, seed=42):
     """Center values and circle means over seeded holomorphic discs.
 
     Discs are affine in the natural bounded chart of the target's home
     space (the disk for su11, the dual ball for su21 cycles, the domain
     chart for su21 points), with radii keeping them strictly inside.
     All discs are drawn first and evaluated in one batch of
-    count x (1 + boundary_points) rows, center first in each disc.
+    count x (1 + DISC_POINTS) rows, center first in each disc.
     Returns (center_values, circle_means).
     """
     rng = np.random.default_rng((seed, 23))
-    phases = np.exp(2j * np.pi * np.arange(boundary_points) / boundary_points)
+    phases = np.exp(2j * np.pi * np.arange(DISC_POINTS) / DISC_POINTS)
     discs = [sc.geometry.disc_rows(target, rng, phases) for _ in range(count)]
-    vals = batch_values(np.concatenate(discs), sc, target, settings)
-    vals = vals.reshape(count, 1 + boundary_points)
+    vals = batch_values(np.concatenate(discs), sc, target)
+    vals = vals.reshape(count, 1 + DISC_POINTS)
     return vals[:, 0], np.array([float(np.mean(v[1:])) for v in vals])
 
 

@@ -16,18 +16,8 @@ from .errors import InvalidInput, NumericalDegeneracy
 from .liecore import RealFormSpec
 from .utils import check_finite, gauge_vector
 
-
-@dataclass(frozen=True)
-class ParabolicSpec:
-    """Flag type as the increasing list of subspace dimensions."""
-
-    dimension_steps: tuple
-
-    def __post_init__(self):
-        steps = tuple(int(s) for s in self.dimension_steps)
-        if not steps or any(b <= a for a, b in zip(steps, steps[1:])):
-            raise InvalidInput("dimension_steps must be strictly increasing")
-        object.__setattr__(self, "dimension_steps", steps)
+# orbit_is_open: singular values above this count toward the orbit's rank
+ORBIT_RANK_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -59,7 +49,6 @@ class Tolerances:
 
     intersection: float = 1e-10
     sign_margin: float = 1e-12
-    rank: float = 1e-8
     zero_band: float = 1e-6
     fd_step: float = 1e-3
 
@@ -89,12 +78,10 @@ class ScenarioConfig:
 
     name: str
     rf: RealFormSpec
-    parabolic: ParabolicSpec
     base_point: FlagPoint
     domain_sign: int
     geometry: object
     base_cycle_dual: np.ndarray
-    weight_tag: str = "fundamental-1"
     tol: Tolerances = field(default_factory=Tolerances)
     k0_resolution: int = 32
     k0_extras: int = 0
@@ -156,7 +143,7 @@ def orbit_is_open(z, sc):
         t = t - (np.conj(v) @ t) * v
         tangents.append(np.concatenate([t.real, t.imag]))
     sv = np.linalg.svd(np.stack(tangents), compute_uv=False)
-    rank = int(np.sum(sv > sc.tol.rank))
+    rank = int(np.sum(sv > ORBIT_RANK_TOL))
     return rank == 2 * sc.ambient_dim
 
 

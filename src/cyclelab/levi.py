@@ -33,6 +33,9 @@ from .optimize import (aligned_domain_values, aligned_values_from, get_engine,
                        maximize_branch)
 from .utils import sobol_points
 
+# certificate probes: Sobol points of the chart polydisk, first radius
+PROBES = 200
+RADIUS = 1e-2
 PROBE_GAP_TOL = 1e-9
 TOUCH_TOL = 1e-10
 MAX_SHRINKS = 4
@@ -131,13 +134,13 @@ class CertificateReport:
     notes: dict = field(default_factory=dict)
 
 
-def _aligned_chart(y, sc, settings):
+def _aligned_chart(y, sc):
     """Aligned branch data at y: value, k-hat, and chart directions."""
-    from .cycles import plane_basis
+    from .cycles import annihilator_basis
 
     engine = get_engine(sc)
     v = y.homogeneous
-    vals, ks = aligned_domain_values(v[None, :], sc, settings)
+    vals, ks = aligned_domain_values(v[None, :], sc)
     value, khat = float(vals[0]), ks[0]
     borel = engine.schubert.borel.matrix
     if sc.cycle_dim == 0:
@@ -152,7 +155,7 @@ def _aligned_chart(y, sc, settings):
     c0 = complex(ad[0] / ad[1])
     lam = complex(ad[1])
     b_s = np.linalg.inv(khat) @ borel[:, 0]
-    rows = plane_basis(sc.geometry.radial_dual(v))
+    rows = annihilator_basis(sc.geometry.radial_dual(v))
     t = rows[0] - (np.conj(v) @ rows[0]) * v
     if np.linalg.norm(t) < 1e-8:
         t = rows[1] - (np.conj(v) @ rows[1]) * v
@@ -163,19 +166,18 @@ def _aligned_chart(y, sc, settings):
     return value, khat, (c0, lam), frame
 
 
-def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
-                               seed=42):
+def q_pseudoconvex_certificate(y, sc, seed=42):
     """Build and check the local minorant certificate at an interior point.
 
-    Probes are Sobol points of the chart polydisk; the certificate holds
-    when the exhaustion dominates the minorant at every probe within
+    Probes are PROBES Sobol points of the chart polydisk; the certificate
+    holds when the exhaustion dominates the minorant at every probe within
     PROBE_GAP_TOL and the minorant's Levi form has at least n - q
-    positive eigenvalues.  The radius shrinks a bounded number of times
-    before the attempt is abandoned.
+    positive eigenvalues.  The radius starts at RADIUS and halves a
+    bounded number of times before the attempt is abandoned.
     """
     if not in_domain(y, sc):
         raise NotInDomain("certificates exist at interior points only")
-    value, khat, slice_data, frame = _aligned_chart(y, sc, settings)
+    value, khat, slice_data, frame = _aligned_chart(y, sc)
     v = frame[0]
     # the chart has one coordinate per dimension of Z
     dims = sc.ambient_dim
@@ -189,19 +191,19 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
             rows = rows + xi[:, j:j + 1] * frame[j + 1][None, :]
         return rows
 
+    # family(xi) gives the minorant at probes xi and the aligned vectors of
+    # its family members (None for point cycles, whose minorant is one
+    # frozen branch), so one alignment serves both
     if sc.cycle_dim == 0:
-        def minorant(xi):
+        def family(xi):
             moved = np.einsum("ab,mb->ma", khat, chart_rows(xi))
             num = np.sum(np.abs(moved) ** 2, axis=1)
             den = np.abs(moved @ sigma) ** 2
-            return np.log(num) - np.log(den)
+            return np.log(num) - np.log(den), None
 
         def exhaustion(xi):
-            vals, _ = maximize_branch(chart_rows(xi), sc, settings)
+            vals, _ = maximize_branch(chart_rows(xi), sc)
             return vals
-
-        def family_points(xi):
-            return None
     else:
         c0, lam = slice_data
 
@@ -209,15 +211,18 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
             return np.log1p(np.abs(c0 + xi_s / lam) ** 2)
 
         def exhaustion(xi):
-            vals, _ = aligned_domain_values(chart_rows(xi), sc, settings)
+            vals, _ = aligned_domain_values(chart_rows(xi), sc)
             return vals
 
-        def family_points(xi):
-            _, _, aligned = aligned_values_from(chart_rows(xi), sc, khat)
-            return aligned
+        def family(xi):
+            vals, _, aligned = aligned_values_from(chart_rows(xi), sc, khat)
+            return vals - padding * np.abs(xi[:, 1]) ** 2, aligned
+
+    def minorant(xi):
+        return family(xi)[0]
 
     for attempt in range(MAX_SHRINKS + 1):
-        rad = radius * 0.5**attempt
+        rad = RADIUS * 0.5**attempt
         if sc.cycle_dim != 0:
             # transverse decrease of the frozen branch at y; it scales the
             # padding and is recorded, but the minorant itself follows the
@@ -230,20 +235,16 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
             padding = 0.5 * max(a_meas, 2e-3)
             notes = {"transverse_decay": a_meas}
 
-            def minorant(xi):
-                vals, _, _ = aligned_values_from(chart_rows(xi), sc, khat)
-                return vals - padding * np.abs(xi[:, 1]) ** 2
-
-        u = sobol_points(2 * dims, probes, seed)
+        u = sobol_points(2 * dims, PROBES, seed)
         xi = (2.0 * u - 1.0) * rad
         xi = xi[:, 0::2] + 1j * xi[:, 1::2]
         if not np.all(in_domain_rows(chart_rows(xi), sc)):
             continue
-        fam = family_points(xi)
+        low, fam = family(xi)
         # each family element must stay a feasible branch of its point
         if fam is not None and not np.all(in_domain_rows(fam, sc)):
             continue
-        gaps = exhaustion(xi) - minorant(xi)
+        gaps = exhaustion(xi) - low
         touch = float(abs(minorant(np.zeros((1, dims), complex))[0] - value))
         if touch > TOUCH_TOL:
             raise MinorantFailure(f"minorant misses the value by {touch:.2e}")
@@ -267,6 +268,6 @@ def q_pseudoconvex_certificate(y, sc, settings=None, probes=200, radius=1e-2,
                 probe_gap_min=gap_min, levi_matrix=lev,
                 levi_eigenvalues=np.linalg.eigvalsh(lev), n_pos=pos,
                 required_pos=required, q_convex_ok=bool(pos >= required),
-                notes=dict(notes, probes=probes, shrinks=attempt,
+                notes=dict(notes, probes=PROBES, shrinks=attempt,
                            soundness_gap_min=sound))
     raise MinorantFailure("no radius produced a verified minorant")

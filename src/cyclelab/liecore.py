@@ -50,23 +50,6 @@ class GroupElement:
 
 
 @dataclass(eq=False)
-class LieAlgebraElement:
-    """Trace-free matrix in sl(n, C)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        check_finite(m, "algebra element")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInput("algebra element must be a square matrix")
-        if abs(np.trace(m)) > DET_TOLERANCE:
-            raise InvalidInput("trace differs from 0 beyond tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(eq=False)
 class RealFormSpec:
     """Data defining G0 = {g : g* J g = J} inside SL(n, C).
 
@@ -80,7 +63,6 @@ class RealFormSpec:
 
     name: str
     form_matrix: np.ndarray
-    signature: tuple
     cartan_matrix: np.ndarray
     adapted_frame: np.ndarray
     k0_basis: np.ndarray = field(repr=False)
@@ -100,8 +82,7 @@ class RealFormSpec:
 
 def exp_map(x):
     """Matrix exponential into the group."""
-    mat = x.matrix if isinstance(x, LieAlgebraElement) else np.asarray(x, complex)
-    check_finite(mat, "exponent")
+    mat = check_finite(np.asarray(x, complex), "exponent")
     return GroupElement(scipy.linalg.expm(mat))
 
 

@@ -33,7 +33,11 @@ from .schubert import make_schubert
 from .sections import highest_weight_section
 from .utils import expm_antihermitian, run_chunked
 
+# slice alignment: Gauss-Newton iteration cap, the residual it polishes
+# toward, and the residual above which it has stalled
+ALIGN_ITERS = 60
 ALIGN_TOL = 1e-15
+ALIGN_STALL = 1e-10
 # Newton ascent: iteration cap; a gain below GAIN_FLOOR * max(1, |value|)
 # is rounding; curvatures are floored at CURVATURE_FLOOR of the row's
 # largest, and steps are at most MAX_STEP long in K0 coordinates
@@ -42,8 +46,10 @@ GAIN_FLOOR = 4e-16
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
 # values_shared scores this many K0 samples at a time, so its temporaries
-# stay at chunk x K_BLOCK x n whatever the coarse resolution
+# stay at CHUNK x K_BLOCK x n whatever the coarse resolution
 K_BLOCK = 128
+# fiber_infimum: sphere-grid candidates on the pencil of cycles through y
+FIBER_GRID = 32
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,6 @@ class OptimizerSettings:
     resolution: int = None
     extras: int = None
     seed: int = 42
-    chunk: int = 256
 
     def __post_init__(self):
         for f in fields(self):
@@ -247,10 +252,10 @@ def maximize_branch(subjects, sc, settings=None):
                               cvals[np.arange(rows.shape[0]), best])
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
-    return run_chunked(block, subjects, chunk=settings.chunk)
+    return run_chunked(block, subjects)
 
 
-def _align_newton(engine, points, ks, iters=60):
+def _align_newton(engine, points, ks):
     """Drive ell_S . (k v) to its rounding floor per subject.
 
     Gauss-Newton steps run until the residual either clears ALIGN_TOL or
@@ -262,7 +267,7 @@ def _align_newton(engine, points, ks, iters=60):
     kb = engine.k0_basis
     ks = ks.copy()
     prev = np.full(points.shape[0], np.inf)
-    for _ in range(iters):
+    for _ in range(ALIGN_ITERS):
         g = np.einsum("a,mab,mb->m", ls, ks, points)
         ag = np.abs(g)
         # far from the solution always step; once below 1e-10 keep
@@ -291,36 +296,38 @@ def _align_newton(engine, points, ks, iters=60):
     return ks, np.abs(g)
 
 
-def _project_to_variety(engine, ks, points):
-    """Moved vectors k.v with the residual dual component removed.
+def _aligned(engine, points, ks, what):
+    """Branch values of unit points at the aligning elements reached from ks.
 
-    The Newton loop leaves |ell_S . (k v)| below ALIGN_TOL but not at
-    zero; near the boundary that residual would contaminate the branch
-    denominator at first order, so it is projected out exactly.
+    Runs _align_newton, raises "<what> stalled" when a residual stays
+    above ALIGN_STALL, and evaluates the moved vectors k.v with their
+    residual dual component removed: the Newton loop leaves
+    |ell_S . (k v)| below ALIGN_TOL but not at zero, and near the boundary
+    that residual would contaminate the branch denominator at first
+    order.  Returns (values, aligned group elements, aligned vectors).
     """
+    ks, res = _align_newton(engine, points, ks)
+    if np.max(res) > ALIGN_STALL:
+        raise OptimizerStall(f"{what} stalled at {np.max(res):.2e}")
     ls = engine.variety_dual
     kv = np.einsum("mab,mb->ma", ks, points)
-    return kv - np.einsum("ma,a->m", kv, ls)[:, None] * np.conj(ls)[None, :]
+    aligned = kv - np.einsum("ma,a->m", kv, ls)[:, None] * np.conj(ls)[None, :]
+    return engine._value_from_p(aligned), ks, aligned
 
 
-def aligned_values_from(points, sc, k_init, settings=None):
+def aligned_values_from(points, sc, k_init):
     """Branch values from alignment Newton seeded at explicit group elements.
 
     points (m, n) rows, k_init a single matrix or a stack (m, n, n).
     Returns (values, aligned group elements, aligned vectors).  Feasibility
     of the aligned vectors (domain membership) is the caller's check.
     """
-    engine = get_engine(sc)
     points = np.atleast_2d(np.asarray(points, complex))
     points = points / np.linalg.norm(points, axis=1, keepdims=True)
     k_init = np.asarray(k_init, complex)
     if k_init.ndim == 2:
         k_init = np.broadcast_to(k_init, (points.shape[0],) + k_init.shape)
-    ks, res = _align_newton(engine, points, k_init.copy())
-    if np.max(res) > 1e-10:
-        raise OptimizerStall(f"warm slice alignment stalled at {np.max(res):.2e}")
-    aligned = _project_to_variety(engine, ks, points)
-    return engine._value_from_p(aligned), ks, aligned
+    return _aligned(get_engine(sc), points, k_init, "warm slice alignment")
 
 
 def aligned_domain_values(points, sc, settings=None, audit=False):
@@ -343,11 +350,7 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
 
     def solve(rows, start_rule):
         g = np.abs(np.einsum("a,kab,mb->mk", engine.variety_dual, coarse, rows))
-        idx = start_rule(g)
-        ks, res = _align_newton(engine, rows, coarse[idx])
-        if np.max(res) > 1e-10:
-            raise OptimizerStall(f"slice alignment stalled at {np.max(res):.2e}")
-        vals = engine._value_from_p(_project_to_variety(engine, ks, rows))
+        vals, ks, _ = _aligned(engine, rows, coarse[start_rule(g)], "slice alignment")
         return vals, ks
 
     def block(rows):
@@ -358,10 +361,10 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
                 raise NumericalDegeneracy("aligned value not constant across starts")
         return vals, ks
 
-    return run_chunked(block, points, chunk=settings.chunk)
+    return run_chunked(block, points)
 
 
-def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
+def fiber_infimum(y, sc, settings=None):
     """inf of the cycle-space exhaustion over cycles through y.
 
     Candidate duals come from a deterministic sphere grid on the fiber
@@ -377,12 +380,9 @@ def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
         return float(vals[0]), None
     fib = mu_fiber(y, sc)
 
-    def feasible(dual):
-        return cycle_in_domain(cycle_from_dual(dual, sc), sc, margin=margin)
-
     def rmd(coefs):
         duals = fib.member_duals(np.atleast_2d(coefs))
-        keep = np.array([feasible(d) for d in duals])
+        keep = np.array([cycle_in_domain(cycle_from_dual(d, sc), sc) for d in duals])
         out = np.full(duals.shape[0], np.inf)
         if np.any(keep):
             vals, _ = maximize_branch(duals[keep], sc, settings)
@@ -391,7 +391,7 @@ def fiber_infimum(y, sc, settings=None, grid_count=32, margin=None):
 
     # warm start: the radial dual through y
     warm = sc.geometry.radial_dual(y.homogeneous) @ np.conj(fib.basis).T
-    cands = np.vstack([fib.sphere_grid(grid_count), warm[None, :]])
+    cands = np.vstack([fib.sphere_grid(FIBER_GRID), warm[None, :]])
     vals = rmd(cands)
     best = int(np.argmin(vals))
     cur, cur_v = cands[best], float(vals[best])

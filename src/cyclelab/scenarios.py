@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput
-from .flags import FlagPoint, ParabolicSpec, ScenarioConfig, Tolerances
+from .flags import FlagPoint, ScenarioConfig, Tolerances
 from .liecore import RealFormSpec
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import cycle_from_dual, cycle_from_point
@@ -218,13 +218,12 @@ def _build_su11():
     s0 = np.array([[[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]], dtype=complex)
     j, p, k0, a, n0, s0, dual = _frozen(j, p, k0, a, n0, s0, [1.0, 0.0])
     rf = RealFormSpec(
-        name="su11", form_matrix=j, signature=(1, 1), cartan_matrix=j,
+        name="su11", form_matrix=j, cartan_matrix=j,
         adapted_frame=p, k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
     )
     return ScenarioConfig(
         name="su11",
         rf=rf,
-        parabolic=ParabolicSpec((1,)),
         base_point=FlagPoint(np.array([0.0, 1.0])),
         domain_sign=-1,
         geometry=PointCycles(),
@@ -263,13 +262,12 @@ def _build_su21():
     ])
     j, p, k0, a, n0, s0, dual = _frozen(j, p, k0, a, n0, s0, [0.0, 0.0, 1.0])
     rf = RealFormSpec(
-        name="su21", form_matrix=j, signature=(2, 1), cartan_matrix=j,
+        name="su21", form_matrix=j, cartan_matrix=j,
         adapted_frame=p, k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
     )
     return ScenarioConfig(
         name="su21",
         rf=rf,
-        parabolic=ParabolicSpec((1,)),
         base_point=FlagPoint(np.array([1.0, 0.0, 0.0])),
         domain_sign=1,
         geometry=LineCycles(),

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cycles import Cycle, cycle_in_domain, plane_basis
+from .cycles import Cycle, annihilator_basis, cycle_in_domain
 from .errors import (IncidenceMiss, IntersectionFailure, InvalidInput,
-                     InvalidSlicePoint, UnknownFamilyMember, UniquenessViolation)
+                     InvalidSlicePoint, UniquenessViolation)
 from .flags import FlagPoint, act, in_domain
 from .liecore import GroupElement
 from .utils import gauge_vector
@@ -77,14 +77,11 @@ def _schubert_from_conjugator(conj, sc, check_an):
                          cell_base=cell_base, boundary_point=boundary)
 
 
-def make_schubert(sc, which=0):
-    """Member `which` of the scenario's defining family of Schubert varieties.
-
-    Both scenarios have a single member: the B-orbit closure of the cell
-    base point for the Iwasawa-Borel subgroup built on the adapted frame.
+def make_schubert(sc):
+    """The scenario's Schubert variety, the single member of its defining
+    family: the B-orbit closure of the cell base point for the
+    Iwasawa-Borel subgroup built on the adapted frame.
     """
-    if which != 0:
-        raise UnknownFamilyMember(f"scenario {sc.name} has a single Schubert datum")
     s = _schubert_from_conjugator(GroupElement(sc.rf.adapted_frame), sc, check_an=True)
     if not intersect_base_cycle(s, sc):
         raise IntersectionFailure("Schubert variety misses the base cycle")
@@ -171,7 +168,7 @@ class SliceDatum:
             scipy.linalg.expm(np.einsum("d,dij->ij", u, rf.n0_basis))
         return FlagPoint(g @ self.base_point.homogeneous)
 
-    def path_contains(self, z, samples=PATH_SAMPLES):
+    def path_contains(self, z):
         """Component test: straight cell-coordinate path from z_j to z stays
         in S cap D (the slice is the component of S cap D through z_j)."""
         if not self.parent.on_variety(z):
@@ -180,7 +177,7 @@ class SliceDatum:
         if c1 is None:
             return False
         c0 = self.cell_coord(self.base_point)
-        for t in np.linspace(0.0, 1.0, samples):
+        for t in np.linspace(0.0, 1.0, PATH_SAMPLES):
             p = self.cell_point(c0 + t * (c1 - c0))
             if not in_domain(p, self.sc):
                 return False
@@ -210,25 +207,25 @@ class IncidenceRecord:
     solution_count: int
 
 
-def intersect_slice(sl, c, probe_starts=PROBE_STARTS, check_domain=True):
+def intersect_slice(sl, c):
     """The unique point of C cap Sigma (the incidence map applied to C).
 
     Uniqueness is a theorem being verified, so the intersection is probed
-    from multiple seeded starts on the cycle and distinct solutions are
-    counted instead of assumed.
+    from PROBE_STARTS seeded starts on the cycle and distinct solutions
+    are counted instead of assumed.
     """
     sc = sl.sc
-    if check_domain and not cycle_in_domain(c, sc):
+    if not cycle_in_domain(c, sc):
         raise IncidenceMiss("cycle is not inside the domain")
     if sc.cycle_dim == 0:
         z = FlagPoint(sc.geometry.subject_row(c))
-        if not (in_domain(z, sc) if check_domain else True):
+        if not in_domain(z, sc):
             raise IncidenceMiss("point cycle outside the slice component")
         return IncidenceRecord(cycle=c, slice=sl, point=z, residual=0.0,
                                solution_count=1)
 
     dual_s = sl.parent.variety_dual
-    basis = plane_basis(c.dual)
+    basis = annihilator_basis(c.dual)
     a0 = complex(dual_s @ basis[0])
     a1 = complex(dual_s @ basis[1])
     rng = np.random.default_rng(1729)
@@ -236,7 +233,7 @@ def intersect_slice(sl, c, probe_starts=PROBE_STARTS, check_domain=True):
     # affine chart p0 + u p1 from seeded starts; the defining equation is
     # linear in u so Newton lands in one step, different starts can only
     # produce the same root or the second-chart root at infinity
-    for _ in range(probe_starts):
+    for _ in range(PROBE_STARTS):
         u = complex(*rng.standard_normal(2))
         if abs(a1) > 1e-13:
             u = u - (a0 + u * a1) / a1

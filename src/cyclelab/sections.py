@@ -50,7 +50,6 @@ class SectionVector:
     """Dual vector inducing a section of the ample generator on S."""
 
     row: np.ndarray
-    weight_tag: str
 
     def value(self, z):
         return complex(self.row @ z.homogeneous)
@@ -89,7 +88,7 @@ def highest_weight_section(s, sc, validate=True):
         raise EigenvectorAmbiguity(f"highest weight space has dimension {len(null)}")
     sigma_w = null[0]
     sigma = gauge_vector(sigma_w @ w.conj().T)
-    sec = SectionVector(row=sigma, weight_tag=sc.weight_tag)
+    sec = SectionVector(row=sigma)
     if validate:
         if abs(sec.value(s.boundary_point)) > VANISHING_TOL:
             raise NumericalDegeneracy("section does not vanish on the cell boundary")
@@ -115,13 +114,11 @@ def _check_eigenvector(sec, s, w):
             raise NumericalDegeneracy("restricted section is not a B-eigenvector")
 
 
-def section_norm_sq(sec, z, metric=None):
-    """Squared pointwise norm |sigma . v|^2 / (v* G v) at z = [v]."""
+def section_norm_sq(sec, z):
+    """Squared pointwise norm |sigma . v|^2 / (v* v) at z = [v], in the
+    compactly invariant metric."""
     v = z.homogeneous
-    num = abs(sec.value(z)) ** 2
-    den = float(np.real(np.conj(v) @ v)) if metric is None else \
-        float(np.real(metric.pairing(v, v)))
-    return num / den
+    return abs(sec.value(z)) ** 2 / float(np.real(np.conj(v) @ v))
 
 
 def exhaustion_values(sec, rows):
@@ -137,13 +134,13 @@ def exhaustion_values(sec, rows):
     return np.where(num <= 1e-24 * den, np.inf, vals)
 
 
-def cell_exhaustion(z, s, sc, section=None, metric=None):
+def cell_exhaustion(z, s, sc, section=None):
     """Value of the cell exhaustion at a variety point off the boundary."""
     if not s.on_variety(z):
         raise InvalidInput("point does not lie on the Schubert variety")
     if section is None:
         section = highest_weight_section(s, sc, validate=False)
-    nsq = section_norm_sq(section, z, metric)
+    nsq = section_norm_sq(section, z)
     if nsq <= BOUNDARY_NORM_TOL**2:
         raise OnCellBoundary("section vanishes here; the exhaustion diverges")
     return float(-math.log(nsq))

@@ -15,6 +15,8 @@ GAUGE_REL_TOL = 1e-9
 LOG_AXIS = 2.0
 LOG_GUARD = 1e-12
 LOG_BRANCH_SNAP = 1e-14
+# run_chunked: rows per block
+CHUNK = 256
 
 
 def check_finite(a, name="array"):
@@ -136,17 +138,18 @@ def thread_count():
         return 1
 
 
-def run_chunked(fn, rows, chunk=256):
-    """Apply fn to fixed-size row blocks and concatenate the results.
+def run_chunked(fn, rows):
+    """Apply fn to blocks of CHUNK rows and concatenate the results.
 
     The block boundaries never depend on the worker count, so the
     concatenated output is byte-identical whether the blocks run serially
-    or on a thread pool.  fn may return an array or a tuple of arrays.
+    or on a thread pool; the fixed size also bounds each block's
+    temporaries.  fn may return an array or a tuple of arrays.
     """
     rows = np.asarray(rows)
     if rows.shape[0] == 0:
         raise InvalidInput("run_chunked needs at least one row")
-    blocks = [rows[i:i + chunk] for i in range(0, rows.shape[0], chunk)]
+    blocks = [rows[i:i + CHUNK] for i in range(0, rows.shape[0], CHUNK)]
     workers = thread_count()
     if workers == 1 or len(blocks) == 1:
         results = [fn(b) for b in blocks]

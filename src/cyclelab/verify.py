@@ -331,7 +331,7 @@ def check_slice_intersections(counts, seed, scenarios):
         z_j = intersect_base_cycle(engine.schubert, sc)[0]
         sl = schubert_slice(engine.schubert, z_j, sc)
         for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7):
-            rec = intersect_slice(sl, c, probe_starts=16)
+            rec = intersect_slice(sl, c)
             worst = max(worst, float(rec.residual))
             unique = unique and rec.solution_count == 1
             total += 1

@@ -38,7 +38,6 @@ def test_disk_section_vector(su11):
     sec = highest_weight_section(s, su11)
     r = np.sqrt(0.5)
     assert np.allclose(sec.row, [r, -r])
-    assert sec.weight_tag == su11.weight_tag
     # vanishes exactly on the cell boundary point
     assert abs(sec.value(s.boundary_point)) < 1e-12
     assert section_norm_sq(sec, su11.base_point) == pytest.approx(0.5)
@@ -87,15 +86,3 @@ def test_exhaustion_values_batch(su11):
     b = s.boundary_point.homogeneous
     assert exhaustion_values(sec, b[None, :])[0] == np.inf
 
-
-def test_metric_changes_norm_not_vanishing(su11):
-    s = make_schubert(su11)
-    sec = highest_weight_section(s, su11)
-    heavier = HermitianMetric(gram=np.diag([4.0, 1.0]))
-    n_std = section_norm_sq(sec, su11.base_point)
-    n_alt = section_norm_sq(sec, su11.base_point, metric=heavier)
-    assert n_std == pytest.approx(0.5)
-    assert n_alt == pytest.approx(0.5)
-    z = FlagPoint(np.array([0.5, 1.0]))
-    assert section_norm_sq(sec, z, metric=heavier) != pytest.approx(
-        section_norm_sq(sec, z))

@@ -148,7 +148,10 @@ def test_usage_errors_exit_2(tmp_path):
         if config is not None:
             cfg.write_text(config)
             args += ["--config", str(cfg)]
-        return cli.main(args)
+        try:
+            return cli.main(args)
+        except SystemExit as exc:  # argparse refuses unknown flags
+            return exc.code
 
     grid = ("eval", "--scenario", "su11", "--target", "r_md", "--grid", "-0.1:0.1:2")
     for command in (grid, ("verify",), ("certify", "--scenario", "su11")):
@@ -160,12 +163,14 @@ def test_usage_errors_exit_2(tmp_path):
         '{"tolerances": {"det": 1e-9}}', '{"tolerances": {"membership": 1e-9}}',
         '{"tolerances": {"residual": 1e-9}}', '{"optimizer": {"step_tol": 1e-6}}',
         '{"tolerances": {"step_tol": 1e-8}}', '{"optimizer": {"refine_top": 3}}',
-        # values outside their ranges
+        '{"optimizer": {"chunk": 256}}', '{"tolerances": {"rank": 1e-8}}',
         '{"optimizer": {"chunk": 0}}', '{"optimizer": {"chunk": -5}}',
         '{"optimizer": {"refine_top": 0}}', '{"optimizer": {"chunk": 2.5}}',
+        '{"tolerances": {"step_tol": 0}}', '{"tolerances": {"rank": NaN}}',
+        # values outside their ranges
         '{"optimizer": {"seed": -3}}', '{"resolution_k0": 0}',
-        '{"tolerances": {"step_tol": 0}}', '{"tolerances": {"fd_step": "abc"}}',
-        '{"tolerances": {"zero_band": -1e-6}}', '{"tolerances": {"rank": NaN}}',
+        '{"optimizer": {"resolution": 0}}', '{"optimizer": {"extras": -1}}',
+        '{"tolerances": {"fd_step": "abc"}}', '{"tolerances": {"zero_band": -1e-6}}',
         '{"tolerances": {"intersection": Infinity}}',
         '{"tolerances": {"sign_margin": -1e-12}}', '{"seed": "7"}', '{"count": 1.5}',
         # not an object
@@ -185,6 +190,31 @@ def test_usage_errors_exit_2(tmp_path):
         assert code("eval", config=text) == 2, text
     assert code("info", "--scenario", "su21",
                 config='{"tolerances": {"sign_margin": 0}}') == 0
+    # a setting the command does not read is refused, as a config key and
+    # as a flag, instead of being ignored
+    assert code("verify", "--suite", "psh", "--seed", "3",
+                config='{"tolerances": {"fd_step": 0.2, "zero_band": 5.0}, '
+                       '"optimizer": {"resolution": 2}}') == 2
+    for text in ('{"tolerances": {"fd_step": 0.2}}', '{"optimizer": {"resolution": 2}}',
+                 '{"grid": "-0.1:0.1:2"}'):
+        assert code("verify", "--suite", "psh", config=text) == 2, text
+    assert code("verify", "--format", "json") == 2
+    assert code("certify", "--scenario", "su21",
+                config='{"optimizer": {"resolution": 2}}') == 2
+    assert code("info", "--scenario", "su21", "--seed", "1") == 2
+    valid = {"scenario": '"su11"', "seed": "1", "out": '"x.txt"', "format": '"json"',
+             "target": '"r_md"', "grid": '"-0.1:0.1:2"', "resolution_k0": "4",
+             "levi": '"off"', "tolerances": '{"fd_step": 0.2}',
+             "optimizer": '{"resolution": 2}', "suite": '"psh"', "counts": '"quick"',
+             "count": "1"}
+    assert set(valid) == {k for keys in cli.COMMAND_KEYS.values() for k in keys}
+    for command, keys in cli.COMMAND_KEYS.items():
+        for key in sorted(set(valid) - set(keys)):
+            assert code(command, config=f'{{"{key}": {valid[key]}}}') == 2, (command, key)
+            if not valid[key].startswith("{"):
+                flag = "--" + key.replace("_", "-")
+                value = str(json.loads(valid[key]))
+                assert code(command, flag, value) == 2, (command, flag)
 
 
 def test_config_file_merge_and_override(tmp_path):

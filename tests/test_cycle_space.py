@@ -6,7 +6,7 @@ import pytest
 from cyclelab import (FlagPoint, InvalidInput, act, cycle_from_dual,
                       cycle_from_point, cycle_in_domain, base_cycle, exp_map,
                       fiber_infimum, mu_fiber, translate_cycle)
-from cyclelab.cycles import (annihilator_basis, cycle_points, plane_basis,
+from cyclelab.cycles import (annihilator_basis, cycle_points,
                              restricted_form_eigenvalues)
 from cyclelab.errors import NotInDomain, NumericalDegeneracy
 from cyclelab.exhaust import cycle_space_exhaustion, seeded_domain_points
@@ -32,7 +32,7 @@ def test_annihilator_and_plane_basis():
     gram = np.conj(basis) @ basis.T
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
     dual = np.array([0.3, -1.0j, 2.0])
-    rows = plane_basis(dual)
+    rows = annihilator_basis(dual)
     assert np.max(np.abs(rows @ dual)) < 1e-12
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cyclelab import FlagPoint, InvalidInput, act, chart, exp_map, in_domain
+from cyclelab import FlagPoint, act, chart, exp_map, in_domain
 from cyclelab.errors import NumericalDegeneracy
-from cyclelab.flags import ParabolicSpec, orbit_is_open
+from cyclelab.flags import orbit_is_open
 
 
 def test_gauge_fixed_representative():
@@ -26,12 +26,6 @@ def test_points_compare_by_representative():
     b = FlagPoint(np.array([-2.0j, 2.0]))
     assert a.is_close(b)
     assert not a.is_close(FlagPoint(np.array([1.0, 0.0])))
-
-
-def test_parabolic_spec_validation():
-    assert ParabolicSpec((1, 2)).dimension_steps == (1, 2)
-    with pytest.raises(InvalidInput):
-        ParabolicSpec((2, 2))
 
 
 def test_form_values(su11, su21):

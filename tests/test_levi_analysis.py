@@ -92,6 +92,29 @@ def test_certificate_ball(su21):
     assert rep.slice_coord is not None
 
 
+def test_certificate_aligns_each_probe_set_once(su21, count_calls):
+    # one alignment per probe set feeds both the family feasibility check
+    # and the gaps: the probes, the touch point, the soundness probes and
+    # the two Levi stencils, five calls for an attempt that does not shrink
+    # (six when the gaps aligned the probes a second time)
+    from cyclelab import levi
+
+    calls = count_calls(levi, "aligned_values_from")
+    y = seeded_domain_points(su21, 2, seed=15)[0]
+    rep = q_pseudoconvex_certificate(y, su21, seed=15)
+    assert rep.notes["shrinks"] == 0
+    assert len(calls) == 5
+    # the record of the two-call path
+    assert rep.value == pytest.approx(1.8293926655506612, rel=1e-12)
+    assert rep.padding == pytest.approx(2.6141059239082054, rel=1e-12)
+    assert rep.touch_gap <= 1e-13
+    assert rep.probe_gap_min == pytest.approx(2.8119023445238867e-06, abs=1e-13)
+    assert rep.notes["soundness_gap_min"] == pytest.approx(6.85785398646388e-06,
+                                                           abs=1e-13)
+    assert rep.levi_eigenvalues == pytest.approx(
+        [-8.291817394189, 0.6081207376981757], rel=1e-9)
+
+
 def test_certificate_value_matches_exhaustion(su21):
     from cyclelab.exhaust import domain_exhaustion
 
