@@ -24,8 +24,7 @@ from .sections import (HermitianMetric, SectionVector, cell_exhaustion,
                        section_norm_sq)
 from .optimize import (OptimizerSettings, aligned_domain_values,
                        fiber_infimum, maximize_branch)
-from .exhaust import (TARGETS, cycle_space_exhaustion, divergence_path,
-                      domain_exhaustion, evaluate_grid, seeded_cycles,
+from .exhaust import (TARGETS, divergence_path, evaluate_grid, seeded_cycles,
                       seeded_domain_points, translation_branch_pair)
 from .levi import CertificateReport, levi_form_fd, q_pseudoconvex_certificate
 from .verify import VerificationReport, run_verification
@@ -47,8 +46,7 @@ __all__ = [
     "HermitianMetric", "SectionVector", "cell_exhaustion",
     "gu_invariant_metric", "highest_weight_section", "section_norm_sq",
     "OptimizerSettings", "aligned_domain_values", "maximize_branch",
-    "TARGETS", "cycle_space_exhaustion", "divergence_path",
-    "domain_exhaustion", "evaluate_grid", "seeded_cycles",
+    "TARGETS", "divergence_path", "evaluate_grid", "seeded_cycles",
     "seeded_domain_points", "translation_branch_pair",
     "CertificateReport", "levi_form_fd", "q_pseudoconvex_certificate",
     "VerificationReport", "run_verification",

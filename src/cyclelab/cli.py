@@ -223,7 +223,11 @@ def _grid_json(cfg, rows):
 
 def cmd_eval(cfg):
     sc = _scenario(cfg)
-    rows = evaluate_grid(sc, cfg.target, cfg.grid, settings=_settings(cfg),
+    settings = _settings(cfg)
+    # refuses an oversized K0 stack for every target, before any work;
+    # evaluate_grid refuses an oversized grid first thing
+    settings.resolved(sc)
+    rows = evaluate_grid(sc, cfg.target, cfg.grid, settings=settings,
                          levi_mode=cfg.levi)
     text = _grid_csv(rows) if cfg.format == "csv" else _grid_json(cfg, rows)
     _emit(text, cfg.out)

@@ -34,7 +34,7 @@ class IncidenceMiss(CycleLabError):
 
 
 class UniquenessViolation(CycleLabError):
-    """More than one slice intersection survived probing."""
+    """A cycle meets the Schubert variety in more than a point."""
 
 
 class OnCellBoundary(CycleLabError):

@@ -1,23 +1,22 @@
 """Exhaustion values on the cycle space and the domain.
 
-cycle_space_exhaustion is the supremum over translated Schubert slices
-of the cell exhaustion at the slice intersection; domain_exhaustion is
-the infimum over the cycles through a point, evaluated by slice
-alignment and optionally cross-checked by explicit fiber descent.
+batch_values evaluates a target over chart rows: the cell exhaustion
+(r_s), the supremum over the compact group of the branch value (r_md,
+optimize.maximize_branch) and the domain exhaustion by slice alignment
+(r_d, optimize.aligned_domain_values).  Grids, boundary paths and
+sub-mean-value discs are evaluated through it.
 
 Everything here is seeded and deterministic: the same inputs, settings,
 and seed give byte-identical values.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import cycle_in_domain, translate_cycle
-from .errors import InvalidInput, NotInDomain, OptimizerStall
-from .flags import in_domain
-from .optimize import (aligned_domain_values, fiber_infimum, get_engine,
-                       maximize_branch)
+from .cycles import translate_cycle
+from .errors import InvalidInput, OptimizerStall
+from .optimize import aligned_domain_values, get_engine, maximize_branch
 from .schubert import intersect_base_cycle, intersect_slice, schubert_slice, \
     translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
@@ -28,46 +27,16 @@ TARGETS = ("r_s", "r_md", "r_d")
 LOG_TIE = 1e-12
 # submeanvalue_discs: equally spaced points on each disc's boundary circle
 DISC_POINTS = 16
-
-
-@dataclass(eq=False)
-class ExhaustionSample:
-    value: float
-    argmax: np.ndarray = None
-    notes: dict = field(default_factory=dict)
+# grid_axis: points per axis at most.  An eval grid point takes about
+# 3 KB at peak (su21 r_md as JSON, argmax included), so 401 x 401 points
+# stay near 0.5 GB
+MAX_GRID_N = 401
 
 
 def _base_slice(sc):
     engine = get_engine(sc)
     z_j = intersect_base_cycle(engine.schubert, sc)[0]
     return engine, schubert_slice(engine.schubert, z_j, sc)
-
-
-def cycle_space_exhaustion(c, sc, settings=None):
-    """Value of the cycle-space exhaustion at a cycle."""
-    if not cycle_in_domain(c, sc):
-        raise NotInDomain("cycle is not contained in the domain")
-    vals, ks = maximize_branch(sc.geometry.subject_row(c)[None, :], sc, settings)
-    return ExhaustionSample(value=float(vals[0]), argmax=ks[0])
-
-
-def domain_exhaustion(y, sc, settings=None, cross_check=False):
-    """Value of the domain exhaustion at a point.
-
-    Computed by slice alignment; cross_check additionally runs the
-    explicit infimum over the fiber of cycles through y and records the
-    discrepancy in the notes.
-    """
-    if not in_domain(y, sc):
-        raise NotInDomain("point is outside the domain")
-    vals, ks = aligned_domain_values(y.homogeneous[None, :], sc, settings,
-                                     audit=cross_check)
-    sample = ExhaustionSample(value=float(vals[0]), argmax=ks[0])
-    if cross_check:
-        inf_v, _ = fiber_infimum(y, sc, settings)
-        sample.notes["fiber_infimum"] = float(inf_v)
-        sample.notes["alignment_gap"] = float(inf_v - sample.value)
-    return sample
 
 
 def batch_values(rows, sc, target, settings=None):
@@ -192,6 +161,8 @@ def grid_axis(spec):
     lo, hi, n = spec
     if n < 1 or not np.isfinite([lo, hi]).all() or hi < lo:
         raise InvalidInput("grid spec must be min:max:n with n >= 1 and max >= min")
+    if n > MAX_GRID_N:
+        raise InvalidInput(f"grid n must be at most {MAX_GRID_N}, not {n}")
     return np.linspace(lo, hi, int(n))
 
 

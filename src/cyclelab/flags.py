@@ -72,8 +72,8 @@ class ScenarioConfig:
     the dual vector of the base cycle.  geometry (scenarios.PointCycles or
     LineCycles) makes every choice that differs between point and line
     cycles: subject rows, the branch kernel, grid charts and their
-    admissible sets, seeded samples, discs, divergence paths and the
-    cell chart.
+    admissible sets, seeded samples, discs, divergence paths, the cell
+    chart and the certificate's chart and minorant family.
     """
 
     name: str

@@ -19,18 +19,18 @@ its own point, so the family value minorizes the exhaustion exactly,
 and a small transverse quadratic is subtracted to make the domination
 strict off the slice.  The Levi form of the result keeps the positive
 slice curvature on its diagonal, so its positive count stays at least
-the slice dimension.
+the slice dimension.  The scenario geometry builds the chart frame and
+the minorant family of each case (scenarios.py); the certificate runs
+one body for both.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (MinorantFailure, NotInDomain, NumericalDegeneracy,
-                     StencilFailure)
+from .errors import MinorantFailure, NotInDomain, StencilFailure
 from .flags import in_domain, in_domain_rows
-from .optimize import (aligned_domain_values, aligned_values_from, get_engine,
-                       maximize_branch)
+from .optimize import aligned_domain_values, get_engine
 from .utils import sobol_points
 
 # certificate probes: Sobol points of the chart polydisk, first radius
@@ -134,38 +134,6 @@ class CertificateReport:
     notes: dict = field(default_factory=dict)
 
 
-def _aligned_chart(y, sc):
-    """Aligned branch data at y: value, k-hat, and chart directions."""
-    from .cycles import annihilator_basis
-
-    engine = get_engine(sc)
-    v = y.homogeneous
-    vals, ks = aligned_domain_values(v[None, :], sc)
-    value, khat = float(vals[0]), ks[0]
-    borel = engine.schubert.borel.matrix
-    if sc.cycle_dim == 0:
-        # slice = whole domain; one chart direction suffices
-        b_s = np.array([1.0, 0.0], complex)
-        frame = np.stack([v, b_s])
-        if abs(np.linalg.det(frame)) < 1e-8:
-            b_s = np.array([0.0, 1.0], complex)
-            frame = np.stack([v, b_s])
-        return value, khat, None, frame
-    ad = np.linalg.inv(borel) @ (khat @ v)
-    c0 = complex(ad[0] / ad[1])
-    lam = complex(ad[1])
-    b_s = np.linalg.inv(khat) @ borel[:, 0]
-    rows = annihilator_basis(sc.geometry.radial_dual(v))
-    t = rows[0] - (np.conj(v) @ rows[0]) * v
-    if np.linalg.norm(t) < 1e-8:
-        t = rows[1] - (np.conj(v) @ rows[1]) * v
-    b_p = t / np.linalg.norm(t)
-    frame = np.stack([v, b_s, b_p])
-    if abs(np.linalg.det(frame)) < 1e-8:
-        raise NumericalDegeneracy("certificate chart is degenerate")
-    return value, khat, (c0, lam), frame
-
-
 def q_pseudoconvex_certificate(y, sc, seed=42):
     """Build and check the local minorant certificate at an interior point.
 
@@ -177,13 +145,15 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
     """
     if not in_domain(y, sc):
         raise NotInDomain("certificates exist at interior points only")
-    value, khat, slice_data, frame = _aligned_chart(y, sc)
-    v = frame[0]
+    geo = sc.geometry
+    v = y.homogeneous
+    vals, ks = aligned_domain_values(v[None, :], sc)
+    value, khat = float(vals[0]), ks[0]
+    chart = geo.certificate_chart(v, khat, get_engine(sc).schubert.borel.matrix)
+    frame, slice_coord, _ = chart
     # the chart has one coordinate per dimension of Z
     dims = sc.ambient_dim
     required = dims - sc.cycle_dim
-    sigma = get_engine(sc).sigma
-    padding, notes = 0.0, {}
 
     def chart_rows(xi):
         rows = v[None, :]
@@ -191,50 +161,18 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
             rows = rows + xi[:, j:j + 1] * frame[j + 1][None, :]
         return rows
 
-    # family(xi) gives the minorant at probes xi and the aligned vectors of
-    # its family members (None for point cycles, whose minorant is one
-    # frozen branch), so one alignment serves both
-    if sc.cycle_dim == 0:
-        def family(xi):
-            moved = np.einsum("ab,mb->ma", khat, chart_rows(xi))
-            num = np.sum(np.abs(moved) ** 2, axis=1)
-            den = np.abs(moved @ sigma) ** 2
-            return np.log(num) - np.log(den), None
-
-        def exhaustion(xi):
-            vals, _ = maximize_branch(chart_rows(xi), sc)
-            return vals
-    else:
-        c0, lam = slice_data
-
-        def slice_branch(xi_s):
-            return np.log1p(np.abs(c0 + xi_s / lam) ** 2)
-
-        def exhaustion(xi):
-            vals, _ = aligned_domain_values(chart_rows(xi), sc)
-            return vals
-
-        def family(xi):
-            vals, _, aligned = aligned_values_from(chart_rows(xi), sc, khat)
-            return vals - padding * np.abs(xi[:, 1]) ** 2, aligned
+    def exhaustion(xi):
+        return geo.certificate_exhaustion(chart_rows(xi), sc)
 
     def minorant(xi):
         return family(xi)[0]
 
     for attempt in range(MAX_SHRINKS + 1):
         rad = RADIUS * 0.5**attempt
-        if sc.cycle_dim != 0:
-            # transverse decrease of the frozen branch at y; it scales the
-            # padding and is recorded, but the minorant itself follows the
-            # aligning element, which the frozen branch cannot (the frozen
-            # deficit has a slice-transverse cross term)
-            probe_p = rad * np.array([1, -1, 1j, -1j])
-            xi_t = np.stack([np.zeros(4, complex), probe_p], axis=1)
-            drop = slice_branch(xi_t[:, 0]) - exhaustion(xi_t)
-            a_meas = float(np.max(drop / np.abs(xi_t[:, 1]) ** 2))
-            padding = 0.5 * max(a_meas, 2e-3)
-            notes = {"transverse_decay": a_meas}
-
+        # family(xi) gives the minorant at probes xi and the vectors of its
+        # family members, so one alignment serves the feasibility check
+        # and the gaps
+        family, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows, rad)
         u = sobol_points(2 * dims, PROBES, seed)
         xi = (2.0 * u - 1.0) * rad
         xi = xi[:, 0::2] + 1j * xi[:, 1::2]
@@ -242,7 +180,7 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
             continue
         low, fam = family(xi)
         # each family element must stay a feasible branch of its point
-        if fam is not None and not np.all(in_domain_rows(fam, sc)):
+        if not np.all(in_domain_rows(fam, sc)):
             continue
         gaps = exhaustion(xi) - low
         touch = float(abs(minorant(np.zeros((1, dims), complex))[0] - value))
@@ -263,7 +201,7 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
             pos, _, _ = eig_signature(lev, sc.tol.zero_band)
             return CertificateReport(
                 point=v, value=value, chart=frame,
-                slice_coord=None if sc.cycle_dim == 0 else slice_data[0],
+                slice_coord=slice_coord,
                 padding=float(padding), radius=rad, touch_gap=touch,
                 probe_gap_min=gap_min, levi_matrix=lev,
                 levi_eigenvalues=np.linalg.eigvalsh(lev), n_pos=pos,

@@ -50,6 +50,11 @@ MAX_STEP = 1.0
 K_BLOCK = 128
 # fiber_infimum: sphere-grid candidates on the pencil of cycles through y
 FIBER_GRID = 32
+# coarse K0 samples (resolution ** dim + extras) at most: each block of
+# utils.CHUNK subject rows scores every sample in one CHUNK x K float64
+# block, 2 KiB a sample and one block per worker thread, so 256 MiB at
+# the cap (su21 resolution 19; resolution 21 would take 400 MB)
+MAX_K0_SAMPLES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -71,11 +76,14 @@ class OptimizerSettings:
                                    f"integer >= {low}, not {v!r}")
 
     def resolved(self, sc):
-        return (
-            self.resolution if self.resolution is not None else sc.k0_resolution,
-            self.extras if self.extras is not None else sc.k0_extras,
-            self.seed,
-        )
+        """(resolution, extras, seed) for a scenario; InvalidInput when the
+        coarse K0 stack would exceed MAX_K0_SAMPLES."""
+        res = self.resolution if self.resolution is not None else sc.k0_resolution
+        extras = self.extras if self.extras is not None else sc.k0_extras
+        if res ** len(sc.rf.k0_basis) + extras > MAX_K0_SAMPLES:
+            raise InvalidInput(f"resolution {res} with {extras} extras exceeds "
+                               f"{MAX_K0_SAMPLES} coarse K0 samples of {sc.name}")
+        return res, extras, self.seed
 
 
 _ENGINES = {}
@@ -96,7 +104,7 @@ class BranchEngine:
         self.schubert = make_schubert(sc)
         self.section = highest_weight_section(self.schubert, sc)
         self.sigma = self.section.row
-        self.variety_dual = self.schubert.variety_dual
+        self.duals = self.schubert.duals
         self.k0_basis = np.asarray(sc.rf.k0_basis)
         # exp(X) k moves a subject by exp(sum x_i G_i) after k, so the moved
         # subject has first derivatives G_i and second (G_i G_j + G_j G_i) / 2
@@ -124,7 +132,7 @@ class BranchEngine:
         for j in range(0, ks.shape[0], K_BLOCK):
             moved = np.einsum("kab,mb->mka", geo.move_matrices(ks[j:j + K_BLOCK]),
                               subjects)
-            p = geo.slice_vectors(moved, self.variety_dual)
+            p = geo.slice_vectors(moved, self.duals)
             out[:, j:j + K_BLOCK] = self._value_from_p(p)
         return out
 
@@ -132,7 +140,7 @@ class BranchEngine:
         """branch values, subjects (m, n) each against its own ks (m, s, n, n)."""
         geo = self.sc.geometry
         moved = np.einsum("msab,mb->msa", geo.move_matrices(ks), subjects)
-        return self._value_from_p(geo.slice_vectors(moved, self.variety_dual))
+        return self._value_from_p(geo.slice_vectors(moved, self.duals))
 
     def k0_stack(self, resolution, seed, extras):
         """Coarse K0 sample (K, n, n), built once per (resolution, seed,
@@ -147,7 +155,7 @@ class BranchEngine:
     def derivatives(self, moved):
         """Gradient (m, d) and Hessian (m, d, d) of the branch value in left
         exponential coordinates on K0, at moved subjects (m, n)."""
-        geo, ld = self.sc.geometry, self.variety_dual
+        geo, ld = self.sc.geometry, self.duals
         p = geo.slice_vectors(moved, ld)
         p1 = geo.slice_vectors(np.einsum("iab,mb->mia", self.move_basis, moved), ld)
         p2 = geo.slice_vectors(np.einsum("ijab,mb->mija", self.move_sym, moved), ld)
@@ -258,12 +266,13 @@ def maximize_branch(subjects, sc, settings=None):
 def _align_newton(engine, points, ks):
     """Drive ell_S . (k v) to its rounding floor per subject.
 
-    Gauss-Newton steps run until the residual either clears ALIGN_TOL or
-    stops shrinking; near the boundary the branch denominator is tiny
-    and a residual above the floor would contaminate it at first order.
-    Returns ks and residuals.
+    ell_S is the one dual that cuts S out where cycles are lines, the
+    only case that aligns.  Gauss-Newton steps run until the residual
+    either clears ALIGN_TOL or stops shrinking; near the boundary the
+    branch denominator is tiny and a residual above the floor would
+    contaminate it at first order.  Returns ks and residuals.
     """
-    ls = engine.variety_dual
+    ls = engine.duals[0]
     kb = engine.k0_basis
     ks = ks.copy()
     prev = np.full(points.shape[0], np.inf)
@@ -309,7 +318,7 @@ def _aligned(engine, points, ks, what):
     ks, res = _align_newton(engine, points, ks)
     if np.max(res) > ALIGN_STALL:
         raise OptimizerStall(f"{what} stalled at {np.max(res):.2e}")
-    ls = engine.variety_dual
+    ls = engine.duals[0]
     kv = np.einsum("mab,mb->ma", ks, points)
     aligned = kv - np.einsum("ma,a->m", kv, ls)[:, None] * np.conj(ls)[None, :]
     return engine._value_from_p(aligned), ks, aligned
@@ -330,14 +339,14 @@ def aligned_values_from(points, sc, k_init):
     return _aligned(get_engine(sc), points, k_init, "warm slice alignment")
 
 
-def aligned_domain_values(points, sc, settings=None, audit=False):
+def aligned_domain_values(points, sc, settings=None):
     """Domain exhaustion by slice alignment, batched over points.
 
     For su11 the slice is the whole domain and the value is the plain
     branch supremum.  For su21 the branch value is constant on the set
-    of aligning group elements, so one aligning element per point gives
-    the value exactly; audit verifies that constancy from a second
-    independent start.
+    of aligning group elements, so one aligning element per point, the
+    alignment from the coarse sample nearest the slice, gives the value
+    exactly.
     """
     settings = settings or OptimizerSettings()
     points = np.atleast_2d(np.asarray(points, complex))
@@ -348,17 +357,10 @@ def aligned_domain_values(points, sc, settings=None, audit=False):
     resolution, extras, seed = settings.resolved(sc)
     coarse = engine.k0_stack(resolution, seed, extras)
 
-    def solve(rows, start_rule):
-        g = np.abs(np.einsum("a,kab,mb->mk", engine.variety_dual, coarse, rows))
-        vals, ks, _ = _aligned(engine, rows, coarse[start_rule(g)], "slice alignment")
-        return vals, ks
-
     def block(rows):
-        vals, ks = solve(rows, lambda g: np.argmin(g, axis=1))
-        if audit:
-            vals2, _ = solve(rows, lambda g: np.argsort(g, axis=1)[:, 1])
-            if np.max(np.abs(vals2 - vals)) > 1e-9:
-                raise NumericalDegeneracy("aligned value not constant across starts")
+        g = np.abs(np.einsum("a,kab,mb->mk", engine.duals[0], coarse, rows))
+        vals, ks, _ = _aligned(engine, rows, coarse[np.argmin(g, axis=1)],
+                               "slice alignment")
         return vals, ks
 
     return run_chunked(block, points)

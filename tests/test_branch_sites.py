@@ -13,7 +13,7 @@ import cyclelab
 SITE_PATTERN = re.compile(
     r'cycle_dim (==|!=)|sc\.n (==|>|<)|\bn == 2|point is (not )?None'
     r'|dual is (not )?None|"su11" (not )?in|self\.dim == 0|dims == 2|point_cycles')
-SITE_CEILING = 16
+SITE_CEILING = 6
 
 
 def test_scenario_branch_sites_only_fall():

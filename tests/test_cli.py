@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import cyclelab.cli as cli
+from cyclelab import OptimizerSettings, get_scenario
 from cyclelab.errors import NumericalDegeneracy
+from cyclelab.exhaust import MAX_GRID_N, grid_axis
+from cyclelab.optimize import MAX_K0_SAMPLES
 
 from oracles import LOG2
 
@@ -215,6 +218,20 @@ def test_usage_errors_exit_2(tmp_path):
                 flag = "--" + key.replace("_", "-")
                 value = str(json.loads(valid[key]))
                 assert code(command, flag, value) == 2, (command, flag)
+    # requests past the documented memory bounds: a grid over MAX_GRID_N
+    # points per axis, a coarse K0 stack over MAX_K0_SAMPLES (su21
+    # resolution 20 is 160036 samples; refused for every target)
+    assert code(*grid[:-1], f"-0.9:0.9:{MAX_GRID_N + 1}") == 2
+    assert code(*grid[:-1], config=f'{{"grid": "-0.9:0.9:{MAX_GRID_N + 1}"}}') == 2
+    for target in ("r_s", "r_md"):
+        big = ("eval", "--scenario", "su21", "--target", target, "--grid", "-0.1:0.1:2")
+        assert code(*big, "--resolution-k0", "20") == 2
+        assert code(*big, config='{"optimizer": {"resolution": 20}}') == 2
+        assert code(*big, config=f'{{"optimizer": {{"extras": {MAX_K0_SAMPLES}}}}}') == 2
+    assert code(*grid, "--resolution-k0", str(MAX_K0_SAMPLES + 1)) == 2
+    # the caps themselves are accepted
+    assert grid_axis((-0.9, 0.9, MAX_GRID_N)).shape == (MAX_GRID_N,)
+    assert OptimizerSettings(resolution=19).resolved(get_scenario("su21"))[0] == 19
 
 
 def test_config_file_merge_and_override(tmp_path):

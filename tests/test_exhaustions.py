@@ -10,12 +10,11 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       evaluate_grid, in_domain, k0_sample, seeded_cycles,
                       seeded_domain_points,
                       translation_branch_pair)
-from cyclelab.errors import NotInDomain
 from cyclelab.flags import in_domain_rows
-from cyclelab.exhaust import (batch_values, boundary_depths,
-                              cycle_space_exhaustion, domain_exhaustion,
-                              submeanvalue_discs)
-from cyclelab.optimize import aligned_domain_values, maximize_branch
+from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
+from cyclelab.optimize import (OptimizerSettings, aligned_domain_values,
+                               aligned_values_from, fiber_infimum, get_engine,
+                               maximize_branch)
 
 from oracles import LOG2, LOG10, rd_ball, rmd_disk, rmd_dual_ball
 
@@ -31,11 +30,11 @@ def test_disk_cycle_space_closed_form(su11):
 
 def test_disk_spot_values(su11):
     c0 = cycle_from_point(su11.base_point, su11)
-    assert cycle_space_exhaustion(c0, su11).value == pytest.approx(
-        LOG2, abs=1e-9)
     c5 = cycle_from_point(FlagPoint(np.array([0.5, 1.0])), su11)
-    assert cycle_space_exhaustion(c5, su11).value == pytest.approx(
-        LOG10, abs=1e-9)
+    rows = [su11.geometry.subject_row(c) for c in (c0, c5)]
+    vals = batch_values(rows, su11, "r_md")
+    assert vals[0] == pytest.approx(LOG2, abs=1e-9)
+    assert vals[1] == pytest.approx(LOG10, abs=1e-9)
 
 
 def test_ball_cycle_space_closed_form(su21):
@@ -50,15 +49,26 @@ def test_ball_cycle_space_closed_form(su21):
 
 def test_ball_domain_closed_form(su21):
     for y in seeded_domain_points(su21, 8, seed=5):
-        got = domain_exhaustion(y, su21).value
+        got = batch_values(y.homogeneous, su21, "r_d")[0]
         assert got == pytest.approx(float(rd_ball(y.homogeneous)), abs=1e-9)
 
 
 def test_domain_exhaustion_cross_check(su21):
+    # the alignment shortcut against the explicit infimum over the fiber
+    # of cycles through y, and the aligned value is the same from the
+    # second-nearest coarse start
     y = seeded_domain_points(su21, 1, seed=3)[0]
-    sample = domain_exhaustion(y, su21, cross_check=True)
-    assert "fiber_infimum" in sample.notes
-    assert abs(sample.notes["alignment_gap"]) < 1e-6
+    v = y.homogeneous[None, :]
+    vals, _ = aligned_domain_values(v, su21)
+    inf_v, _ = fiber_infimum(y, su21)
+    assert abs(inf_v - vals[0]) < 1e-6
+    engine = get_engine(su21)
+    resolution, extras, seed = OptimizerSettings().resolved(su21)
+    coarse = engine.k0_stack(resolution, seed, extras)
+    gap = np.abs(np.einsum("a,kab,mb->mk", engine.duals[0], coarse, v))
+    second = coarse[np.argsort(gap, axis=1)[:, 1]]
+    vals2, _, _ = aligned_values_from(v, su21, second)
+    assert abs(vals2[0] - vals[0]) <= 1e-9
 
 
 def test_disk_domain_equals_cycle_space(su11):
@@ -67,16 +77,6 @@ def test_disk_domain_equals_cycle_space(su11):
     rows = np.stack([w, np.ones_like(w)], axis=1)
     diff = batch_values(rows, su11, "r_d") - batch_values(rows, su11, "r_md")
     assert np.max(np.abs(diff)) < 1e-12
-
-
-def test_exhaustion_requires_domain(su11, su21):
-    with pytest.raises(NotInDomain):
-        cycle_space_exhaustion(
-            cycle_from_point(FlagPoint(np.array([1.5, 1.0])), su11), su11)
-    with pytest.raises(NotInDomain):
-        domain_exhaustion(FlagPoint(np.array([0.0, 0.0, 1.0])), su21)
-    with pytest.raises(NotInDomain):
-        cycle_space_exhaustion(cycle_from_dual([1.3, 0.0, 1.0], su21), su21)
 
 
 def test_translation_identity(su11, su21):
@@ -90,11 +90,11 @@ def test_translation_identity(su11, su21):
 
 def test_compact_invariance(su21):
     c = seeded_cycles(su21, 1, seed=9)[0]
-    base = cycle_space_exhaustion(c, su21).value
+    base = batch_values(c.dual, su21, "r_md")[0]
     from cyclelab import translate_cycle
 
     for k in k0_sample(su21.rf, 2, seed=10, extras=3)[-3:]:
-        moved = cycle_space_exhaustion(translate_cycle(k, c, su21), su21).value
+        moved = batch_values(translate_cycle(k, c, su21).dual, su21, "r_md")[0]
         assert abs(moved - base) < 1e-6
 
 

@@ -97,9 +97,9 @@ def test_certificate_aligns_each_probe_set_once(su21, count_calls):
     # and the gaps: the probes, the touch point, the soundness probes and
     # the two Levi stencils, five calls for an attempt that does not shrink
     # (six when the gaps aligned the probes a second time)
-    from cyclelab import levi
+    from cyclelab import scenarios
 
-    calls = count_calls(levi, "aligned_values_from")
+    calls = count_calls(scenarios, "aligned_values_from")
     y = seeded_domain_points(su21, 2, seed=15)[0]
     rep = q_pseudoconvex_certificate(y, su21, seed=15)
     assert rep.notes["shrinks"] == 0
@@ -116,11 +116,11 @@ def test_certificate_aligns_each_probe_set_once(su21, count_calls):
 
 
 def test_certificate_value_matches_exhaustion(su21):
-    from cyclelab.exhaust import domain_exhaustion
+    from cyclelab.exhaust import batch_values
 
     y = seeded_domain_points(su21, 1, seed=33)[0]
     rep = q_pseudoconvex_certificate(y, su21, seed=33)
-    assert rep.value == pytest.approx(domain_exhaustion(y, su21).value,
+    assert rep.value == pytest.approx(batch_values(y.homogeneous, su21, "r_d")[0],
                                       abs=1e-9)
 
 

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from cyclelab import (FlagPoint, base_cycle, cycle_from_dual, cycle_from_point,
-                      intersect_base_cycle, intersect_slice, k0_sample,
-                      make_schubert, schubert_slice, translate_cycle,
-                      translate_schubert, translate_slice)
-from cyclelab.errors import IncidenceMiss, InvalidSlicePoint
+from cyclelab import (FlagPoint, GroupElement, SliceDatum, base_cycle,
+                      cycle_from_dual, cycle_from_point, intersect_base_cycle,
+                      intersect_slice, k0_sample, make_schubert, schubert_slice,
+                      seeded_cycles, translate_cycle, translate_schubert,
+                      translate_slice)
+from cyclelab.errors import (IncidenceMiss, IntersectionFailure, InvalidSlicePoint,
+                             UniquenessViolation)
 from cyclelab.flags import act, in_domain
+from cyclelab.optimize import get_engine
 from cyclelab.schubert import meets_cell_boundary, schubert_from_borel
 
 
 def test_schubert_datum_disk(su11):
     s = make_schubert(su11)
-    assert s.variety_dual is None
+    # S = P^1: no dual cuts it out
+    assert s.duals.shape == (0, 2)
     assert s.dim_S == 1
     r = np.sqrt(0.5)
     assert np.allclose(s.boundary_point.homogeneous, [r, r])
@@ -25,8 +29,9 @@ def test_schubert_datum_disk(su11):
 def test_schubert_datum_ball(su21):
     s = make_schubert(su21)
     r = np.sqrt(0.5)
-    # the unique B-fixed line of duals, gauge fixed
-    assert np.allclose(s.variety_dual, [0.0, r, -r])
+    # one dual cuts S out: the unique B-fixed line of duals, gauge fixed
+    assert s.duals.shape == (1, 3)
+    assert np.allclose(s.duals[0], [0.0, r, -r])
     assert np.allclose(s.boundary_point.homogeneous, [0.0, r, r])
     assert s.cell_base.is_close(FlagPoint(np.array([1.0, 0.0, 0.0])))
     assert s.on_variety(su21.base_point)
@@ -101,7 +106,6 @@ def test_point_cycle_intersection(su11):
     z = FlagPoint(np.array([0.2 + 0.1j, 1.0]))
     c = cycle_from_point(z, su11)
     rec = intersect_slice(sl, c)
-    assert rec.solution_count == 1
     assert rec.residual == 0.0
     # the point cycle meets the slice in its own point, the kernel of its dual
     assert rec.point.is_close(z)
@@ -113,11 +117,35 @@ def test_line_cycle_intersection_unique(su21):
     sl = schubert_slice(s, intersect_base_cycle(s, su21)[0], su21)
     c = cycle_from_dual([0.4, 0.3j, 1.0], su21)
     rec = intersect_slice(sl, c)
-    assert rec.solution_count == 1
     assert rec.residual < 1e-10
     assert abs(c.dual @ rec.point.homogeneous) < 1e-10
     assert s.on_variety(rec.point)
     assert sl.path_contains(rec.point)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_incidence_point_is_the_engine_kernel(name, su11, su21):
+    # C cap Sigma is the point of the slice vector the optimizer's branch
+    # values use: the same bits for point cycles, within 1e-15 for lines
+    sc = {"su11": su11, "su21": su21}[name]
+    geo, engine = sc.geometry, get_engine(sc)
+    sl = schubert_slice(engine.schubert, intersect_base_cycle(engine.schubert, sc)[0], sc)
+    tol = 0.0 if name == "su11" else 1e-15
+    for c in seeded_cycles(sc, 50, seed=4):
+        kernel = FlagPoint(geo.slice_vectors(geo.subject_row(c), engine.duals))
+        got = intersect_slice(sl, c).point.homogeneous
+        assert np.max(np.abs(got - kernel.homogeneous)) <= tol
+
+
+def test_cycle_sharing_the_schubert_line_is_refused(su21):
+    # the identity Borel gives S = P(ker (0, 0, 1)), the base cycle itself:
+    # C cap S is a whole line, not one point
+    s = schubert_from_borel(GroupElement(np.eye(3)), su21)
+    with pytest.raises(IntersectionFailure):
+        intersect_base_cycle(s, su21)
+    sl = SliceDatum(parent=s, base_point=su21.base_point, sc=su21)
+    with pytest.raises(UniquenessViolation):
+        intersect_slice(sl, base_cycle(su21))
 
 
 def test_intersection_rejects_outside_cycle(su21):
@@ -137,7 +165,6 @@ def test_incidence_equivariance(su21):
         moved = intersect_slice(translate_slice(k, sl),
                                 translate_cycle(k, c, su21))
         assert moved.point.is_close(act(k, base_pt), tol=1e-10)
-        assert moved.solution_count == 1
 
 
 def test_translated_borel_matches_translated_datum(su21):
@@ -146,7 +173,7 @@ def test_translated_borel_matches_translated_datum(su21):
     for k in k0_sample(su21.rf, 2, seed=14, extras=3)[-3:]:
         direct = schubert_from_borel(k @ s.borel, su21)
         moved = translate_schubert(k, s, su21)
-        assert np.max(np.abs(direct.variety_dual - moved.variety_dual)) < 1e-10
+        assert np.max(np.abs(direct.duals - moved.duals)) < 1e-10
         assert direct.cell_base.is_close(moved.cell_base, tol=1e-10)
         assert direct.boundary_point.is_close(moved.boundary_point, tol=1e-10)
 
@@ -158,5 +185,5 @@ def test_meets_cell_boundary(su11, su21):
     s2 = make_schubert(su21)
     assert not meets_cell_boundary(base_cycle(su21), s2)
     # a line whose dual kills the boundary point passes through it
-    grazing = cycle_from_dual(s2.variety_dual, su21)
+    grazing = cycle_from_dual(s2.duals[0], su21)
     assert meets_cell_boundary(grazing, s2)
