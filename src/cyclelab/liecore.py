@@ -21,6 +21,12 @@ MEMBERSHIP_TOLERANCE = 1e-10
 IWASAWA_RESIDUAL = 1e-9
 
 MEMBER_TAGS = ("G0", "K0", "Gu", "A0N0")
+# K0 samples at most, counted by k0_sample_count.  The optimizer keeps a
+# coarse stack with its two real (n^2, K) screen forms, about 0.3 KB a
+# sample for su21, so 40 MB at the cap (su21 resolution 19; su11 131072);
+# it screens and rescores the stack K_BLOCK samples at a time, so its
+# scoring temporaries do not grow with K
+MAX_K0_SAMPLES = 2 ** 17
 
 
 @dataclass(eq=False)
@@ -161,6 +167,22 @@ def iwasawa_decompose(g, rf):
     return k, a, n
 
 
+def k0_sample_count(rf, resolution, extras=None):
+    """resolution^dim + extras, the size of the K0 sample (the identity,
+    prepended to a grid that misses it, is not counted); InvalidInput
+    past MAX_K0_SAMPLES, before anything is built."""
+    if resolution < 1:
+        raise InvalidInput("resolution must be >= 1")
+    dim = len(rf.k0_basis)
+    if extras is None:
+        extras = 0 if dim == 1 else resolution**2
+    count = resolution**dim + extras
+    if count > MAX_K0_SAMPLES:
+        raise InvalidInput(f"resolution {resolution} with {extras} extras exceeds "
+                           f"{MAX_K0_SAMPLES} K0 samples of {rf.name}")
+    return count
+
+
 def _k0_coefficients(rf, resolution, seed, extras=None):
     """Exponential coordinates of the coarse K0 sample.
 
@@ -170,15 +192,12 @@ def _k0_coefficients(rf, resolution, seed, extras=None):
     under doubling of the resolution, which is what makes the optimizer's
     coarse stage monotone under refinement.
     """
-    if resolution < 1:
-        raise InvalidInput("resolution must be >= 1")
+    k0_sample_count(rf, resolution, extras)
     dim = len(rf.k0_basis)
     if dim == 1:
         coeffs = (np.pi * np.arange(resolution) / resolution)[:, None]
         n_extra = 0 if extras is None else int(extras)
     else:
-        if resolution**dim > 200000:
-            raise InvalidInput("grid resolution too large for this K0 dimension")
         axis = -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
         coeffs = np.stack([m.ravel() for m in mesh], axis=1)

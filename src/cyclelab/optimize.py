@@ -12,7 +12,14 @@ machinery gives the same supremum as moving the Schubert machinery by
 k^{-1}, since the compact group is a group.
 
 The supremum is a seeded coarse search over a K0 stack followed by a
-monotone Newton ascent from the best sample.  p is linear in the moved
+monotone Newton ascent from the best sample.  The coarse search screens
+before it scores: p = A_k s is linear in the subject s, so ||p||^2 and
+|sigma . p|^2 are Hermitian forms in s, and on the n^2 real features of
+s (|s_c|^2 and conj(s_c) s_d for c < d) the pair of every sample is two
+real matrix products against coefficients cached with the stack.  Only
+the samples whose screened ratio lies within a rounding window of the
+row's best are scored exactly, by values_shared, so the start is the
+first exact argmax bit for bit.  p is also linear in the moved
 subject, so its derivatives in left exponential coordinates on K0 are
 closed form, and so are the gradient and Hessian of the branch value
 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
@@ -28,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidInput, NumericalDegeneracy, OptimizerStall
-from .liecore import k0_sample_matrices
+from .liecore import k0_sample_count, k0_sample_matrices
 from .schubert import make_schubert
 from .sections import highest_weight_section
 from .utils import expm_antihermitian, run_chunked
@@ -45,16 +52,19 @@ NEWTON_ITERS = 200
 GAIN_FLOOR = 4e-16
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
-# values_shared scores this many K0 samples at a time, so its temporaries
-# stay at CHUNK x K_BLOCK x n whatever the coarse resolution
+# values_shared, the coarse screen and the r_d start scan take this many
+# K0 samples at a time, so their temporaries stay at CHUNK x K_BLOCK
+# (x n) whatever the coarse resolution
 K_BLOCK = 128
+# coarse screen: the start search rescores exactly the samples whose
+# Gram-form ratio lies within a window of SCREEN_SLACK (max(r_max, 1) /
+# nu + |log ||s||^2|) below the row's screened maximum (_screened_start
+# derives it); rows with |log ||s||^2| above SCREEN_LOG_SCALE, where a
+# branch value's num or den nears the ends of the float range, rescore all
+SCREEN_SLACK = 1e3 * np.finfo(float).eps
+SCREEN_LOG_SCALE = 500.0
 # fiber_infimum: sphere-grid candidates on the pencil of cycles through y
 FIBER_GRID = 32
-# coarse K0 samples (resolution ** dim + extras) at most: each block of
-# utils.CHUNK subject rows scores every sample in one CHUNK x K float64
-# block, 2 KiB a sample and one block per worker thread, so 256 MiB at
-# the cap (su21 resolution 19; resolution 21 would take 400 MB)
-MAX_K0_SAMPLES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -77,12 +87,10 @@ class OptimizerSettings:
 
     def resolved(self, sc):
         """(resolution, extras, seed) for a scenario; InvalidInput when the
-        coarse K0 stack would exceed MAX_K0_SAMPLES."""
+        coarse K0 stack would exceed liecore.MAX_K0_SAMPLES."""
         res = self.resolution if self.resolution is not None else sc.k0_resolution
         extras = self.extras if self.extras is not None else sc.k0_extras
-        if res ** len(sc.rf.k0_basis) + extras > MAX_K0_SAMPLES:
-            raise InvalidInput(f"resolution {res} with {extras} extras exceeds "
-                               f"{MAX_K0_SAMPLES} coarse K0 samples of {sc.name}")
+        k0_sample_count(sc.rf, res, extras)
         return res, extras, self.seed
 
 
@@ -145,11 +153,35 @@ class BranchEngine:
     def k0_stack(self, resolution, seed, extras):
         """Coarse K0 sample (K, n, n), built once per (resolution, seed,
         extras) and shared read-only by every caller."""
+        return self.coarse(resolution, seed, extras)[0]
+
+    def coarse(self, resolution, seed, extras):
+        """(stack, num forms, den forms): the coarse K0 stack and the real
+        (n^2, K) coefficients of ||p||^2 and |sigma . p|^2 on the Gram
+        features of a subject (_gram_split).
+
+        p = A_k s is linear in the subject, so both are Hermitian forms in
+        s: A_k* A_k and conj(b_k) b_k^T with b_k = A_k^T sigma.  A_k comes
+        from the geometry's branch kernel applied to the identity.
+        """
         key = (resolution, seed, extras)
         if key not in self._stacks:
-            mats = k0_sample_matrices(self.sc.rf, resolution, seed, extras)
-            mats.setflags(write=False)
-            self._stacks[key] = mats
+            ks = k0_sample_matrices(self.sc.rf, resolution, seed, extras)
+            # cols[k, c] = A_k e_c, the slice vector of the moved basis vector
+            cols = self.sc.geometry.slice_vectors(
+                np.swapaxes(self.sc.geometry.move_matrices(ks), 1, 2), self.duals)
+            b = np.einsum("kca,a->kc", cols, self.sigma)
+            forms = (np.einsum("kca,kda->kcd", np.conj(cols), cols),
+                     np.conj(b)[:, :, None] * b[:, None, :])
+            n = ks.shape[-1]
+            t = n * (n - 1) // 2
+            # s* Q s = sum_c Q_cc |s_c|^2 + 2 sum_{c<d} Re(Q_cd conj(s_c) s_d)
+            weight = np.repeat([1.0, 2.0, -2.0], [n, t, t])
+            entry = (ks,) + tuple(np.ascontiguousarray((_gram_split(q) * weight).T)
+                                  for q in forms)
+            for a in entry:
+                a.setflags(write=False)
+            self._stacks[key] = entry
         return self._stacks[key]
 
     def derivatives(self, moved):
@@ -182,6 +214,78 @@ def get_engine(sc):
     if key not in _ENGINES:
         _ENGINES[key] = BranchEngine(sc)
     return _ENGINES[key]
+
+
+def _gram_split(q):
+    """Real parts (..., n^2) of (..., n, n) complex matrices: the diagonal,
+    then the real and imaginary parts of the strict upper triangle.  Of
+    the Gram matrices conj(s_c) s_d they are the screen's features."""
+    iu = np.triu_indices(q.shape[-1], 1)
+    upper = q[..., iu[0], iu[1]]
+    return np.concatenate([np.diagonal(q, axis1=-2, axis2=-1).real,
+                           upper.real, upper.imag], axis=-1)
+
+
+def _screened_start(engine, subjects, ks, num_forms, den_forms):
+    """(index, value) of the best coarse sample per subject row, the first
+    of equal ones: np.argmax of values_shared over the stack, bit for bit.
+
+    Pass 1 screens every sample by the ratio r = ||p||^2 / |sigma . p|^2
+    of two real products on the Gram features of the unit rows (+inf where
+    the denominator is not positive) and keeps each row's largest ratio
+    r_max and smallest numerator nu.  Pass 2 recomputes the ratios and
+    rescores with values_shared, one K_BLOCK at a time, only the rows with
+    a sample within the window below r_max; the others are -inf there.
+    Both passes hold CHUNK x K_BLOCK temporaries only.
+    """
+    m = subjects.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.einsum("ma,ma->m", np.conj(subjects), subjects).real
+        unit = subjects / np.sqrt(sq)[:, None]
+        feats = _gram_split(np.conj(unit)[:, :, None] * unit[:, None, :])
+        scale = np.abs(np.log(sq))
+    blocks = [slice(j, j + K_BLOCK) for j in range(0, ks.shape[0], K_BLOCK)]
+
+    def screen(b):
+        num, den = feats @ num_forms[:, b], feats @ den_forms[:, b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = num / den
+        return np.where((den > 0) & ~np.isnan(r), r, np.inf), num
+
+    r_max, nu = np.full(m, -np.inf), np.full(m, np.inf)
+    for b in blocks:
+        r, num = screen(b)
+        r_max = np.maximum(r_max, np.max(r, axis=1))
+        nu = np.minimum(nu, np.min(num, axis=1))
+    # The window.  On a unit row the moved subjects and sigma have norm 1
+    # (unitary moves; a cross product with a unit dual), so num and den
+    # are sums of n^2 terms of size at most 1: the products round them by
+    # a few n^2 eps, relatively n^2 eps / num and n^2 eps r / num, and
+    # num >= nu (nu = 1 for points; small where a moved dual nears the
+    # slice's own).  The exact score's p carries no more relative error,
+    # and its two logarithms round by about eps |log ||s||^2| each.  The
+    # exact winner and the screened maximum each carry these errors, so
+    # the winner's ratio lies above r_max (1 - w) with
+    #     w = SCREEN_SLACK (max(r_max, 1) / nu + |log ||s||^2|).
+    # A row whose w is not below 1/2 keeps every sample.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = SCREEN_SLACK * (np.maximum(r_max, 1.0) / np.maximum(nu, 0.0) + scale)
+    keep_all = ~((w < 0.5) & (scale < SCREEN_LOG_SCALE))
+    floor = np.where(keep_all, -np.inf, r_max * (1.0 - w))
+    best, value = np.zeros(m, int), np.full(m, -np.inf)
+    for b in blocks:
+        cand = screen(b)[0] >= floor[:, None]
+        hit = np.flatnonzero(np.any(cand, axis=1))
+        if hit.size == 0:
+            continue
+        v = np.where(cand[hit], engine.values_shared(subjects[hit], ks[b]), -np.inf)
+        i = np.argmax(v, axis=1)
+        bv, cur = v[np.arange(hit.size), i], value[hit]
+        # np.argmax's order: a later block wins only when strictly
+        # greater, and NaN above everything
+        up = (bv > cur) | (np.isnan(bv) & ~np.isnan(cur))
+        best[hit[up]], value[hit[up]] = b.start + i[up], bv[up]
+    return best, value
 
 
 def _newton_ascent(engine, subjects, ks, vals):
@@ -251,13 +355,11 @@ def maximize_branch(subjects, sc, settings=None):
     resolution, extras, seed = settings.resolved(sc)
     engine = get_engine(sc)
     # the stack cache fills here, outside the thread pool
-    coarse = engine.k0_stack(resolution, seed, extras)
+    coarse, num_forms, den_forms = engine.coarse(resolution, seed, extras)
 
     def block(rows):
-        cvals = engine.values_shared(rows, coarse)
-        best = np.argmax(cvals, axis=1)
-        return _newton_ascent(engine, rows, coarse[best],
-                              cvals[np.arange(rows.shape[0]), best])
+        best, value = _screened_start(engine, rows, coarse, num_forms, den_forms)
+        return _newton_ascent(engine, rows, coarse[best], value)
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
     return run_chunked(block, subjects)
@@ -358,9 +460,17 @@ def aligned_domain_values(points, sc, settings=None):
     coarse = engine.k0_stack(resolution, seed, extras)
 
     def block(rows):
-        g = np.abs(np.einsum("a,kab,mb->mk", engine.duals[0], coarse, rows))
-        vals, ks, _ = _aligned(engine, rows, coarse[np.argmin(g, axis=1)],
-                               "slice alignment")
+        # np.argmin of |ell_S . (k v)| over the stack, K_BLOCK samples at a
+        # time; a later block wins only when strictly smaller
+        best, low = np.zeros(rows.shape[0], int), np.full(rows.shape[0], np.inf)
+        for j in range(0, coarse.shape[0], K_BLOCK):
+            g = np.abs(np.einsum("a,kab,mb->mk", engine.duals[0],
+                                 coarse[j:j + K_BLOCK], rows))
+            i = np.argmin(g, axis=1)
+            gi = g[np.arange(rows.shape[0]), i]
+            up = gi < low
+            best[up], low[up] = j + i[up], gi[up]
+        vals, ks, _ = _aligned(engine, rows, coarse[best], "slice alignment")
         return vals, ks
 
     return run_chunked(block, points)

@@ -14,7 +14,7 @@ import cyclelab.cli as cli
 from cyclelab import OptimizerSettings, get_scenario
 from cyclelab.errors import NumericalDegeneracy
 from cyclelab.exhaust import MAX_GRID_N, grid_axis
-from cyclelab.optimize import MAX_K0_SAMPLES
+from cyclelab.liecore import MAX_K0_SAMPLES
 
 from oracles import LOG2
 
@@ -59,6 +59,18 @@ def test_eval_thread_cap_invariance():
             "--grid", "-0.6:0.6:3")
     a = run_cli(*args, env_extra={"CYCLELAB_THREADS": "1"})
     b = run_cli(*args, env_extra={"CYCLELAB_THREADS": "3"})
+    assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("target", ["r_md", "r_d"])
+def test_eval_fine_k0_thread_cap_invariance(target):
+    # the fine su21 stack (10036 samples); 23 x 23 leaves two blocks of
+    # rows, so the pool runs at cap 2
+    args = ("eval", "--scenario", "su21", "--target", target,
+            "--resolution-k0", "10", "--grid", "-0.9:0.9:23")
+    a = run_cli(*args, env_extra={"CYCLELAB_THREADS": "1"})
+    b = run_cli(*args, env_extra={"CYCLELAB_THREADS": "2"})
+    assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 

@@ -344,6 +344,57 @@ def test_values_shared_blocks_match_one_block(su21, resolution, monkeypatch):
     assert np.array_equal(blocked, engine.values_shared(rows, ks))
 
 
+@pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10),
+                                             ("su11", 32), ("su11", 1024)])
+def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
+    # the Gram-form screen only picks which samples values_shared rescores:
+    # the start index and value are np.argmax over the whole stack, bit for bit
+    import cyclelab.optimize as optimize
+
+    sc = {"su11": su11, "su21": su21}[name]
+    geo = sc.geometry
+    res, extras, seed = OptimizerSettings(resolution=resolution).resolved(sc)
+    engine = get_engine(sc)
+    ks, num_forms, den_forms = engine.coarse(res, seed, extras)
+    # a symmetric grid has exact ties; at its origin every sample ties
+    # (su11 only to rounding: the moved point keeps a phase)
+    axis = np.linspace(-0.9, 0.9, 9)
+    chart = geo.chart_rows("r_md", (axis[:, None] + 1j * axis[None, :]).ravel(), sc.rf)
+    chart = chart[geo.admissible("r_md", chart)]
+    paths = [geo.divergence_rows("r_md", boundary_depths(15), np.random.default_rng(s),
+                                 sc.rf) for s in (1, 2)]
+    assert boundary_depths(15)[-1] == 5e-15
+    rows = np.concatenate([chart, _seeded_subjects(sc, 40, seed=12)] + paths)
+    origin = np.flatnonzero(np.all(rows[:, :-1] == 0, axis=1))
+    # scaled rows; at 1e-160 the branch terms are subnormal and every
+    # sample is rescored (SCREEN_LOG_SCALE)
+    rows = np.concatenate([rows, 1e100 * rows, 1e-100 * rows, 1e-160 * rows])
+    want = engine.values_shared(rows, ks)
+    idx = np.argmax(want, axis=1)
+    spread = np.ptp(want[origin], axis=1)
+    assert origin.size == 1 and np.all(spread <= (0.0 if name == "su21" else 1e-15))
+    got_idx, got_val = optimize._screened_start(engine, rows, ks, num_forms, den_forms)
+    assert np.array_equal(got_idx, idx)
+    assert got_val.tobytes() == want[np.arange(rows.shape[0]), idx].tobytes()
+
+
+def test_aligned_start_blocks_match_one_block(su21, monkeypatch):
+    # the r_d start search scans the stack K_BLOCK samples at a time; the
+    # first of equal residuals still wins (the symmetric grid has ties)
+    import cyclelab.optimize as optimize
+
+    settings = OptimizerSettings(resolution=10)
+    res, extras, seed = settings.resolved(su21)
+    axis = np.linspace(-0.9, 0.9, 9)
+    rows = su21.geometry.chart_rows("r_d", (axis[:, None] + 1j * axis[None, :]).ravel(),
+                                    su21.rf)
+    rows = rows[su21.geometry.admissible("r_d", rows)]
+    blocked = aligned_domain_values(rows, su21, settings)
+    monkeypatch.setattr(optimize, "K_BLOCK", get_engine(su21).k0_stack(res, seed, extras).shape[0])
+    whole = aligned_domain_values(rows, su21, settings)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked, whole))
+
+
 def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
                                              monkeypatch):
     import cyclelab.optimize as optimize

@@ -7,6 +7,7 @@ from cyclelab import (GroupElement, InvalidInput, cartan_involution, exp_map,
                       is_member, iwasawa_decompose, k0_sample)
 from cyclelab.errors import NotInRealForm
 from cyclelab.flags import act
+from cyclelab.liecore import MAX_K0_SAMPLES, k0_sample_count
 
 from oracles import TANH1
 
@@ -127,9 +128,20 @@ def test_k0_sample_product_grid(su21):
         assert is_member(k, su21.rf, "K0")
 
 
-def test_k0_sample_grid_cap(su21):
+def test_k0_sample_grid_cap(su11, su21):
     with pytest.raises(InvalidInput):
         k0_sample(su21.rf, 25, seed=0)
+    # one count for every caller: the grid plus the extras, default
+    # resolution^2 for su21; the circle of su11 is capped too
+    assert k0_sample_count(su21.rf, 19) == 19**4 + 19**2
+    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES) == MAX_K0_SAMPLES
+    for rf, res, extras in ((su21.rf, 19, MAX_K0_SAMPLES - 19**4 + 1),
+                            (su11.rf, MAX_K0_SAMPLES + 1, 0),
+                            (su11.rf, 2, MAX_K0_SAMPLES - 1)):
+        with pytest.raises(InvalidInput):
+            k0_sample_count(rf, res, extras)
+        with pytest.raises(InvalidInput):
+            k0_sample(rf, res, seed=0, extras=extras)
 
 
 def test_k0_sample_is_seed_deterministic(su21):
