@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import translate_cycle
-from .errors import InvalidInput, OptimizerStall, StencilFailure
+from .errors import InvalidInput
 from .optimize import aligned_domain_values, get_engine, maximize_branch
 from .schubert import intersect_base_cycle, intersect_slice, schubert_slice, \
     translate_schubert, translate_slice
@@ -185,9 +185,11 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     admissible set get an error string instead of a value.  levi_mode
     "on" attaches the count of positive Levi eigenvalues at each point;
     "auto" does so only for r_s, where the computation is closed form
-    cheap; "off" leaves the sentinel -1.  A point whose Levi stencil
-    leaves the domain or stalls keeps its value, with n_pos -1 and the
-    failure in its error; the rest of the grid stands.
+    cheap; "off" leaves the sentinel -1.  One batched stencil gives the
+    Levi forms of all admissible points.  A point whose stencil leaves
+    the domain keeps its value, with n_pos -1 and the failure in its
+    error; the rest of the grid stands.  An optimizer stall on a stencil
+    row fails the whole grid, as one in the value pass does.
     """
     if target not in TARGETS:
         raise InvalidInput(f"unknown target {target!r}")
@@ -210,22 +212,19 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     do_levi = levi_mode == "on" or (levi_mode == "auto" and target == "r_s")
     npos = np.full(cs.shape[0], -1, dtype=int)
     errors = ["" if inside else geo.outside[target] for inside in ok]
-    if do_levi:
+    if do_levi and np.any(ok):
         from .levi import eig_signature, levi_form_fd
 
         def fn(zs):
-            r = geo.chart_rows(target, np.atleast_1d(zs), sc.rf)
-            return batch_values(r, sc, target, settings)
+            return batch_values(geo.chart_rows(target, zs[:, 0], sc.rf), sc,
+                                target, settings)
 
-        for i in np.flatnonzero(ok):
-            # the stencil passes (m, 1) stacks; the chart wants scalars
-            try:
-                lev = levi_form_fd(lambda dz: fn(cs[i] + dz[:, 0]),
-                                   np.zeros(1, complex), h=sc.tol.fd_step)
-            except (OptimizerStall, StencilFailure) as exc:
-                errors[i] = f"Levi stencil: {exc}"
-                continue
-            npos[i] = eig_signature(lev, sc.tol.zero_band)[0]
+        slots = np.flatnonzero(ok)
+        lev = levi_form_fd(fn, cs[ok, None], h=sc.tol.fd_step)
+        bad = np.isnan(lev).any(axis=(1, 2))
+        npos[slots[~bad]] = eig_signature(lev[~bad], sc.tol.zero_band)[0]
+        for i in slots[bad]:
+            errors[i] = "Levi stencil: non-finite value on the Levi stencil"
     out = []
     for i in range(cs.shape[0]):
         out.append(GridRow(re=float(cs[i].real), im=float(cs[i].imag),

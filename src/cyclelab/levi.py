@@ -1,11 +1,12 @@
 """Finite-difference Levi forms and the pseudoconvexity certificate.
 
-levi_form_fd computes the complex Hessian (d^2 f / dz_a dzbar_b) of a
-real-valued function on C^d from central differences, with one
-Richardson extrapolation step.  The certificate realizes the defining
-datum of q-pseudoconvexity at a point y: a smooth local minorant of the
-domain exhaustion, touching at y, whose Levi form has at least n - q
-positive eigenvalues.
+levi_form_fd computes the complex Hessians (d^2 f / dz_a dzbar_b) of a
+real-valued function on C^d at a stack of centres from central
+differences, with one Richardson extrapolation step: one call of the
+function per step size on the stencil rows of all centres.  The
+certificate realizes the defining datum of q-pseudoconvexity at a point
+y: a smooth local minorant of the domain exhaustion, touching at y,
+whose Levi form has at least n - q positive eigenvalues.
 
 The minorant is built from the slice alignment of y.  When the cycles
 are points the fixed aligned branch is itself a global minorant (the
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import MinorantFailure, NotInDomain, StencilFailure
 from .flags import in_domain, in_domain_rows
 from .optimize import aligned_domain_values, get_engine
-from .utils import sobol_points
+from .utils import hermitize, sobol_points
 
 # certificate probes: Sobol points of the chart polydisk, first radius
 PROBES = 200
@@ -43,63 +44,56 @@ SOUNDNESS_PROBES = 20
 SOUNDNESS_TOL = 1e-8
 
 
-def levi_form_fd(fn, z0, h, richardson=True):
-    """Complex Hessian of fn at z0 by central differences.
+def _raw_levi(fn, z0, steps):
+    """Central-difference Levi forms (m, d, d) at centres z0 (m, d), one
+    stack per step size, each from one call of fn on the stencil rows of
+    all centres.  A centre with a non-finite value on its stencil gets a
+    NaN form."""
+    m, d = z0.shape
+    eye, (a, b), units = np.eye(d), np.triu_indices(d, 1), (1, -1, 1j, -1j)
+    # in units of the step: the centre, the four axis steps of each
+    # coordinate, then the sixteen steps of each coordinate pair
+    offsets = np.array([np.zeros(d)] + [u * eye[i] for i in range(d) for u in units]
+                       + [ua * eye[i] + ub * eye[j] for i, j in zip(a, b)
+                          for ua in units for ub in units], complex)
+    for step in steps:
+        vals = np.asarray(fn((z0[:, None, :] + step * offsets).reshape(-1, d)),
+                          float).reshape(m, -1)
+        vals[~np.all(np.isfinite(vals), axis=1)] = np.nan
+        axis = vals[:, 1:1 + 4 * d].reshape(m, d, 4)
+        # q[:, p, i, j]: pair p stepped by units[i] and units[j]; i ^ 1 negates
+        q = vals[:, 1 + 4 * d:].reshape(m, -1, 4, 4)
 
-    fn maps an (m, d) complex array to m real values and must be finite
-    on the stencil.  One Richardson step (4 L_{h/2} - L_h) / 3 removes
-    the leading O(h^2) error when richardson is set.
+        def d2(i, j):
+            return (q[..., i, j] - q[..., i, j ^ 1] - q[..., i ^ 1, j]
+                    + q[..., i ^ 1, j ^ 1]) / (4 * step**2)
+
+        lev = np.zeros((m, d, d), complex)
+        lev[:, range(d), range(d)] = (axis[..., 0] + axis[..., 1] + axis[..., 2]
+                                      + axis[..., 3] - 4 * vals[:, :1]) / (4 * step**2)
+        lev[:, a, b] = 0.25 * ((d2(0, 0) + d2(2, 2)) + 1j * (d2(0, 2) - d2(2, 0)))
+        lev[:, b, a] = np.conj(lev[:, a, b])
+        yield lev
+
+
+def levi_form_fd(fn, z0, h):
+    """Complex Hessians (d^2 f / dz_a dzbar_b) of fn at the centres z0,
+    an (m, d) array, by central differences, as an (m, d, d) stack.
+
+    fn maps an (k, d) complex array to k real values; it is called once
+    per step size on the stencil rows of all centres.  One Richardson
+    step (4 L_{h/2} - L_h) / 3 removes the leading O(h^2) error.  A
+    centre with a non-finite value on its stencil gets a NaN form.
     """
-    z0 = np.atleast_1d(np.asarray(z0, complex))
-    d = z0.shape[0]
-
-    def raw(step):
-        pts = [z0]
-        slots = {}
-        for a in range(d):
-            for delta in (step, -step, 1j * step, -1j * step):
-                slots[(a, delta)] = len(pts)
-                pts.append(z0 + delta * np.eye(d)[a])
-        for a in range(d):
-            for b in range(a + 1, d):
-                for da in (step, -step, 1j * step, -1j * step):
-                    for db in (step, -step, 1j * step, -1j * step):
-                        key = (a, b, da, db)
-                        slots[key] = len(pts)
-                        pts.append(z0 + da * np.eye(d)[a] + db * np.eye(d)[b])
-        vals = np.asarray(fn(np.stack(pts)), float)
-        if not np.all(np.isfinite(vals)):
-            raise StencilFailure("non-finite value on the Levi stencil")
-        lev = np.zeros((d, d), complex)
-        for a in range(d):
-            s = sum(vals[slots[(a, delta)]]
-                    for delta in (step, -step, 1j * step, -1j * step))
-            lev[a, a] = (s - 4 * vals[0]) / (4 * step**2)
-
-        def d2(a, b, da, db):
-            return (vals[slots[(a, b, da, db)]] - vals[slots[(a, b, da, -db)]]
-                    - vals[slots[(a, b, -da, db)]]
-                    + vals[slots[(a, b, -da, -db)]]) / (4 * step**2)
-
-        for a in range(d):
-            for b in range(a + 1, d):
-                real = d2(a, b, step, step) + d2(a, b, 1j * step, 1j * step)
-                imag = d2(a, b, step, 1j * step) - d2(a, b, 1j * step, step)
-                lev[a, b] = 0.25 * (real + 1j * imag)
-                lev[b, a] = np.conj(lev[a, b])
-        return lev
-
-    lev = raw(h)
-    if richardson:
-        lev = (4.0 * raw(h / 2) - lev) / 3.0
-    return 0.5 * (lev + np.conj(lev.T))
+    l1, l2 = _raw_levi(fn, np.asarray(z0, complex), (h, h / 2))
+    return hermitize((4.0 * l2 - l1) / 3.0)
 
 
 def levi_refinement_ratio(fn, z0, h):
-    """||L_h - L_{h/2}|| / ||L_{h/2} - L_{h/4}||, ~4 for clean second order."""
-    l1 = levi_form_fd(fn, z0, h, richardson=False)
-    l2 = levi_form_fd(fn, z0, h / 2, richardson=False)
-    l4 = levi_form_fd(fn, z0, h / 4, richardson=False)
+    """||L_h - L_{h/2}|| / ||L_{h/2} - L_{h/4}|| at one centre z0, ~4 for
+    clean second order."""
+    l1, l2, l4 = (lev[0] for lev in
+                  _raw_levi(fn, np.asarray(z0, complex)[None], (h, h / 2, h / 4)))
     den = np.linalg.norm(l2 - l4)
     if den < 1e-15:
         raise StencilFailure("refinement differences vanished; h too small")
@@ -107,11 +101,12 @@ def levi_refinement_ratio(fn, z0, h):
 
 
 def eig_signature(lev, zero_band):
-    """(positive, zero, negative) eigenvalue counts within a zero band."""
-    eigs = np.linalg.eigvalsh(0.5 * (lev + np.conj(lev.T)))
-    pos = int(np.sum(eigs > zero_band))
-    neg = int(np.sum(eigs < -zero_band))
-    return pos, lev.shape[0] - pos - neg, neg
+    """(positive, zero, negative) eigenvalue counts within a zero band of
+    a finite form, or per form of an (m, d, d) stack of finite forms."""
+    eigs = np.linalg.eigvalsh(hermitize(lev))
+    pos = np.sum(eigs > zero_band, axis=-1)
+    neg = np.sum(eigs < -zero_band, axis=-1)
+    return pos, lev.shape[-1] - pos - neg, neg
 
 
 @dataclass(eq=False)
@@ -164,25 +159,17 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
     def exhaustion(xi):
         return geo.certificate_exhaustion(chart_rows(xi), sc)
 
-    def minorant(xi):
-        return family(xi)[0]
-
     for attempt in range(MAX_SHRINKS + 1):
         rad = RADIUS * 0.5**attempt
-        # family(xi) gives the minorant at probes xi and the vectors of its
-        # family members, so one alignment serves the feasibility check
-        # and the gaps
-        family, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows, rad)
+        # minorant(xi) is the minorant at chart probes xi; each family
+        # member is a feasible branch of its own probe point
+        minorant, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows, rad)
         u = sobol_points(2 * dims, PROBES, seed)
         xi = (2.0 * u - 1.0) * rad
         xi = xi[:, 0::2] + 1j * xi[:, 1::2]
         if not np.all(in_domain_rows(chart_rows(xi), sc)):
             continue
-        low, fam = family(xi)
-        # each family element must stay a feasible branch of its point
-        if not np.all(in_domain_rows(fam, sc)):
-            continue
-        gaps = exhaustion(xi) - low
+        gaps = exhaustion(xi) - minorant(xi)
         touch = float(abs(minorant(np.zeros((1, dims), complex))[0] - value))
         if touch > TOUCH_TOL:
             raise MinorantFailure(f"minorant misses the value by {touch:.2e}")
@@ -196,9 +183,11 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
             sound = float(np.min(exhaustion(xi2) - minorant(xi2)))
             if sound < -SOUNDNESS_TOL:
                 continue
-            lev = levi_form_fd(minorant, np.zeros(dims, complex),
-                               h=sc.tol.fd_step)
-            pos, _, _ = eig_signature(lev, sc.tol.zero_band)
+            lev = levi_form_fd(minorant, np.zeros((1, dims), complex),
+                               h=sc.tol.fd_step)[0]
+            if np.isnan(lev).any():
+                raise StencilFailure("non-finite value on the Levi stencil")
+            pos = int(eig_signature(lev, sc.tol.zero_band)[0])
             return CertificateReport(
                 point=v, value=value, chart=frame,
                 slice_coord=slice_coord,

@@ -127,10 +127,9 @@ class PointCycles:
     def minorant_family(self, sc, khat, chart, chart_rows, rad):
         """(family, padding, notes) of the certificate at radius rad.
 
-        family(xi) returns the minorant at chart probes xi and the moved
-        vectors it evaluates.  The supremum over branches dominates any
-        single branch, so the branch frozen at khat is a global minorant
-        and needs no padding.
+        family(xi) returns the minorant at chart probes xi: the branch
+        frozen at khat.  The supremum over branches dominates any single
+        branch, so it is a global minorant and needs no padding.
         """
         sigma = get_engine(sc).sigma
 
@@ -138,7 +137,7 @@ class PointCycles:
             moved = np.einsum("ab,mb->ma", khat, chart_rows(xi))
             num = np.sum(np.abs(moved) ** 2, axis=1)
             den = np.abs(moved @ sigma) ** 2
-            return np.log(num) - np.log(den), moved
+            return np.log(num) - np.log(den)
 
         return family, 0.0, {}
 
@@ -262,7 +261,7 @@ class LineCycles:
 
         family(xi) takes the closed-form aligning element of each probe
         xi, as a frozen branch cannot minorize (levi.py), and returns the
-        aligned values less padding |xi_1|^2, with the aligned vectors.
+        aligned values less padding |xi_1|^2.
         """
         engine = get_engine(sc)
         _, c0, scale = chart
@@ -279,7 +278,7 @@ class LineCycles:
             rows = chart_rows(xi)
             _, aligned = self.align(rows / np.linalg.norm(rows, axis=1, keepdims=True))
             vals = engine._value_from_p(aligned)
-            return vals - padding * np.abs(xi[:, 1]) ** 2, aligned
+            return vals - padding * np.abs(xi[:, 1]) ** 2
 
         return family, padding, {"transverse_decay": a_meas}
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleLabError, InvalidInput
+from .errors import CycleLabError, InvalidInput, StencilFailure
 from .exhaust import (batch_values, divergence_path, seeded_cycles,
                       seeded_domain_points, submeanvalue_discs,
                       translation_branch_pair)
@@ -228,10 +228,12 @@ def check_strict_psh(counts, seed, scenarios):
             return exhaustion_values(section, geo.cell_rows(np.atleast_2d(zeta)))
 
         rng = np.random.default_rng((seed, 17))
-        for z0 in geo.cell_chart_points(rng, counts["levi_points"]):
-            lev = levi_form_fd(fn, z0, h=sc.tol.fd_step)
-            worst = min(worst, float(np.min(np.linalg.eigvalsh(lev))))
-            total += 1
+        z0 = np.array(geo.cell_chart_points(rng, counts["levi_points"]))
+        lev = levi_form_fd(fn, z0, h=sc.tol.fd_step)
+        if np.isnan(lev).any():
+            raise StencilFailure("non-finite value on the Levi stencil")
+        worst = min(worst, float(np.min(np.linalg.eigvalsh(lev))))
+        total += len(z0)
     return CheckResult("strict_psh_levi", worst > 1e-6, total, worst, 1e-6,
                        above=True)
 

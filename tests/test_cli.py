@@ -74,6 +74,17 @@ def test_eval_fine_k0_thread_cap_invariance(target):
     assert a.stdout == b.stdout
 
 
+def test_eval_levi_on_thread_cap_invariance():
+    # the batched Levi stencil of 23 x 23 points spans many row blocks,
+    # so the pool runs them at cap 2
+    args = ("eval", "--scenario", "su21", "--target", "r_md",
+            "--grid=-0.9:0.9:23", "--levi", "on")
+    a = run_cli(*args, env_extra={"CYCLELAB_THREADS": "1"})
+    b = run_cli(*args, env_extra={"CYCLELAB_THREADS": "2"})
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+
+
 def test_eval_json_payload():
     proc = run_cli("eval", "--scenario", "su11", "--target", "r_md",
                    "--grid", "-1.1:1.1:3", "--format", "json")

@@ -152,6 +152,21 @@ def test_grid_levi_column(su11):
     assert all(r.n_pos == -1 for r in rows_off)
 
 
+@pytest.mark.parametrize("target", TARGETS)
+def test_grid_levi_is_one_batched_stencil(su11, target, count_calls):
+    # every admissible point's Levi form comes from one levi_form_fd call,
+    # which evaluates the target once per step size; r_s also takes its
+    # values through batch_values
+    from cyclelab import exhaust, levi
+
+    stencils = count_calls(levi, "levi_form_fd")
+    values = count_calls(exhaust, "batch_values")
+    rows = evaluate_grid(su11, target, (-0.9, 0.9, 5), levi_mode="on")
+    assert len(stencils) == 1
+    assert len(values) == 2 + (target == "r_s")
+    assert all(r.n_pos == 1 for r in rows if r.value is not None)
+
+
 def test_thread_cap_does_not_change_values(su21, monkeypatch):
     y = seeded_domain_points(su21, 6, seed=4)
     rows = np.stack([p.homogeneous for p in y])

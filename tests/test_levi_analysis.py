@@ -19,28 +19,102 @@ def _fs(zeta):
 
 def test_levi_fd_matches_exact_dim1():
     z0 = np.array([0.3 + 0.1j])
-    lev = levi_form_fd(_fs, z0, h=1e-3)
+    lev = levi_form_fd(_fs, z0[None, :], h=1e-3)[0]
     assert np.max(np.abs(lev - fubini_study_levi(z0))) < 1e-8
 
 
 def test_levi_fd_matches_exact_dim2():
     z0 = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-    lev = levi_form_fd(_fs, z0, h=1e-3)
+    lev = levi_form_fd(_fs, z0[None, :], h=1e-3)[0]
     want = fubini_study_levi(z0)
     assert lev.shape == (2, 2)
     assert np.max(np.abs(lev - np.conj(lev.T))) == 0.0
     assert np.max(np.abs(lev - want)) < 1e-8
 
 
-def test_levi_fd_stencil_rejects_nonfinite():
+def _skewed(zeta):
+    # not unitarily invariant, so every entry of the form differs
+    return _fs(zeta) + np.real(zeta[:, 0] * np.conj(zeta[:, -1]) ** 2) \
+        + np.abs(zeta[:, 0]) ** 4
+
+
+def _levi_reference(fn, z0, h):
+    # the single-centre loop the batched stencil replaced: the same
+    # points, sums and differences, one fn call per centre and step size
+    d = z0.shape[0]
+    steps = (1, -1, 1j, -1j)
+
+    def raw(step):
+        pts, slots = [z0], {}
+        for a in range(d):
+            for u in steps:
+                slots[a, u] = len(pts)
+                pts.append(z0 + u * step * np.eye(d)[a])
+        for a in range(d):
+            for b in range(a + 1, d):
+                for ua in steps:
+                    for ub in steps:
+                        slots[a, b, ua, ub] = len(pts)
+                        pts.append(z0 + ua * step * np.eye(d)[a]
+                                   + ub * step * np.eye(d)[b])
+        vals = fn(np.stack(pts))
+        lev = np.zeros((d, d), complex)
+        for a in range(d):
+            s = sum(vals[slots[a, u]] for u in steps)
+            lev[a, a] = (s - 4 * vals[0]) / (4 * step**2)
+
+        def d2(a, b, ua, ub):
+            return (vals[slots[a, b, ua, ub]] - vals[slots[a, b, ua, -ub]]
+                    - vals[slots[a, b, -ua, ub]]
+                    + vals[slots[a, b, -ua, -ub]]) / (4 * step**2)
+
+        for a in range(d):
+            for b in range(a + 1, d):
+                real = d2(a, b, 1, 1) + d2(a, b, 1j, 1j)
+                imag = d2(a, b, 1, 1j) - d2(a, b, 1j, 1)
+                lev[a, b] = 0.25 * (real + 1j * imag)
+                lev[b, a] = np.conj(lev[a, b])
+        return lev
+
+    lev = (4.0 * raw(h / 2) - raw(h)) / 3.0
+    return 0.5 * (lev + np.conj(lev.T))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_levi_fd_batch_matches_single_centres(dim):
+    rng = np.random.default_rng(dim)
+    z0 = 0.5 * (rng.standard_normal((7, dim)) + 1j * rng.standard_normal((7, dim)))
+    calls = []
+
+    def fn(zeta):
+        calls.append(len(zeta))
+        return _skewed(zeta)
+
+    lev = levi_form_fd(fn, z0, h=1e-2)
+    # one call per step size over the stencil rows of every centre
+    assert calls == [7 * (1 + 4 * dim + 8 * dim * (dim - 1))] * 2
+    assert lev.shape == (7, dim, dim)
+    single = np.concatenate([levi_form_fd(_skewed, z0[i:i + 1], h=1e-2)
+                             for i in range(7)])
+    assert np.array_equal(lev, single)
+    assert np.array_equal(lev, [_levi_reference(_skewed, z, 1e-2) for z in z0])
+    assert np.all(np.isfinite(lev))
+
+
+def test_levi_fd_nonfinite_stencil_marks_its_centre():
     def bad(zeta):
-        zeta = np.atleast_2d(zeta)
-        out = np.sum(np.abs(zeta) ** 2, axis=1)
-        out[np.abs(zeta[:, 0]) > 0.001] = np.inf
+        out = _fs(zeta)
+        out[np.abs(zeta[:, 0] - 1.0) < 0.005] = np.inf
         return out
 
-    with pytest.raises(StencilFailure):
-        levi_form_fd(bad, np.array([0.0 + 0.0j]), h=1e-2)
+    # only the +h steps in the first coordinate of the middle centre's
+    # stencil (h = 1e-2) reach the bad disc; its whole form is NaN
+    z0 = np.array([[0.0, 0.1], [0.986, 0.2j], [0.3 + 0.1j, -0.2]])
+    lev = levi_form_fd(bad, z0, h=1e-2)
+    assert np.all(np.isnan(lev[1]))
+    good = [0, 2]
+    assert np.array_equal(lev[good], levi_form_fd(_fs, z0[good], h=1e-2))
+    assert np.all(np.isfinite(lev[good]))
 
 
 def test_refinement_ratio_second_order():
@@ -60,6 +134,9 @@ def test_eig_signature_banding():
     lev = np.diag([2.0, -1.0, 1e-9])
     assert eig_signature(lev, zero_band=1e-6) == (1, 1, 1)
     assert eig_signature(lev, zero_band=1e-12) == (2, 0, 1)
+    # a stack gives the counts of each form
+    pos, zero, neg = eig_signature(np.stack([lev, np.eye(3)]), zero_band=1e-6)
+    assert pos.tolist() == [1, 3] and zero.tolist() == [1, 0] and neg.tolist() == [1, 0]
 
 
 def test_certificate_disk(su11):
