@@ -81,19 +81,22 @@ def boundary_depths(samples=15, decade=1.0):
     return 0.5 * 10.0 ** (-decade * np.arange(samples, dtype=float))
 
 
-def divergence_path(sc, target, index, seed=42):
-    """Values of a target exhaustion along a seeded path to the boundary.
+def divergence_path(sc, target, indices, seed=42):
+    """Values of a target exhaustion along seeded paths to the boundary.
 
-    Returns (depths, values); evaluation skips domain enforcement since
-    the late samples sit below the sign margin on purpose.
+    Path i draws from default_rng((seed, i, 17)), and all paths are
+    evaluated in one batch; a path's values do not depend on the others.
+    Returns (depths, values (len(indices), samples)); evaluation skips
+    domain enforcement since the late samples sit below the sign margin
+    on purpose.
     """
-    rng = np.random.default_rng((seed, index, 17))
     # the r_s section ratio underflows once the approach distance nears the
     # inverse of its dynamic range; r_md and r_d resolve to machine
     # precision (their optimizers polish to the rounding floor)
     d = boundary_depths(decade=0.5 if target == "r_s" else 1.0)
-    return d, batch_values(sc.geometry.divergence_rows(target, d, rng, sc.rf),
-                           sc, target)
+    rows = [sc.geometry.divergence_rows(target, d, np.random.default_rng((seed, i, 17)),
+                                        sc.rf) for i in indices]
+    return d, batch_values(np.concatenate(rows), sc, target).reshape(len(rows), d.size)
 
 
 def submeanvalue_discs(sc, target, count, seed=42):

@@ -115,13 +115,11 @@ class CertificateReport:
 
     point: np.ndarray
     value: float
-    chart: np.ndarray
     slice_coord: complex
     padding: float
     radius: float
     touch_gap: float
     probe_gap_min: float
-    levi_matrix: np.ndarray
     levi_eigenvalues: np.ndarray
     n_pos: int
     required_pos: int
@@ -189,10 +187,9 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
                 raise StencilFailure("non-finite value on the Levi stencil")
             pos = int(eig_signature(lev, sc.tol.zero_band)[0])
             return CertificateReport(
-                point=v, value=value, chart=frame,
-                slice_coord=slice_coord,
+                point=v, value=value, slice_coord=slice_coord,
                 padding=float(padding), radius=rad, touch_gap=touch,
-                probe_gap_min=gap_min, levi_matrix=lev,
+                probe_gap_min=gap_min,
                 levi_eigenvalues=np.linalg.eigvalsh(lev), n_pos=pos,
                 required_pos=required, q_convex_ok=bool(pos >= required),
                 notes=dict(notes, probes=PROBES, shrinks=attempt,

@@ -292,11 +292,15 @@ def _newton_ascent(engine, subjects, ks, vals):
     logarithmic peak, so far starts near the boundary reach the peak in
     a few steps, and at the maximum g = 0 gives B = H.  Along each
     eigenvector of B the step divides the gradient by the curvature's
-    absolute value, so it ascends at saddles and minima too; a step
-    whose value falls is halved until it does not.  A row stops once the
-    model's gain, or the gain a step achieved, is below the rounding
-    floor of its value, or once its curvature is not finite (at the
-    pole sigma . p = 0).
+    absolute value, so it ascends at saddles and minima too.  Backtracking
+    (Nocedal and Wright, Numerical Optimization, 3.1): a row takes the
+    first t = 1, 1/2, 1/4, ... whose value does not fall, and no step
+    once the model's gain at t is at or below the rounding floor of its
+    value.  Halvings are tried 1, 2, 4, ... per call, so J halvings take
+    O(log J) calls, and each row ends where a one-per-call search ends,
+    bit for bit.  A row stops once the model's gain, or the gain a step
+    achieved, is below that floor, or once its curvature is not finite
+    (at the pole sigma . p = 0).
     """
     geo = engine.sc.geometry
     ks, vals = ks.copy(), vals.copy()
@@ -321,22 +325,32 @@ def _newton_ascent(engine, subjects, ks, vals):
         slope = np.einsum("mi,mi->m", grad, step)
         bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
         floor = GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
-        t = np.ones(live.size)
         todo = np.arange(live.size)
         going = np.zeros(live.size, bool)
-        while True:
-            todo = todo[t[todo] * slope[todo] + t[todo] ** 2 * bend[todo] > floor[todo]]
-            if todo.size == 0:
+        first, width = 0, 1
+        while todo.size:
+            # halvings first .. first + width - 1; a row's candidates end
+            # before its first t whose model gain is at or below the floor
+            t = np.ldexp(1.0, -np.arange(first, first + width))
+            gain = t * slope[todo, None] + t ** 2 * bend[todo, None]
+            alive = np.logical_and.accumulate(gain > floor[todo, None], axis=1)
+            at, j = np.nonzero(alive)
+            if at.size == 0:
                 break
-            rows = live[todo]
+            rows = live[todo[at]]
             trial = np.einsum("mab,mbc->mac", expm_antihermitian(np.einsum(
-                "m,mi,iab->mab", t[todo], step[todo], engine.k0_basis)), ks[rows])
+                "m,mi,iab->mab", t[j], step[todo[at]], engine.k0_basis)), ks[rows])
             tv = engine.values_own(subjects[rows], trial[:, None])[:, 0]
-            up = tv >= vals[rows]
-            going[todo[up]] = tv[up] - vals[rows[up]] > floor[todo[up]]
-            ks[rows[up]], vals[rows[up]] = trial[up], tv[up]
-            todo = todo[~up]
-            t[todo] *= 0.5
+            # each row takes its first candidate whose value does not fall
+            up = np.zeros(alive.shape, bool)
+            up[at, j] = tv >= vals[rows]
+            hit = np.any(up, axis=1)
+            pick = np.searchsorted(at, np.flatnonzero(hit)) + np.argmax(up[hit], axis=1)
+            win = todo[hit]
+            going[win] = tv[pick] - vals[live[win]] > floor[win]
+            ks[live[win]], vals[live[win]] = trial[pick], tv[pick]
+            todo = todo[~hit & alive[:, -1]]
+            first, width = first + width, 2 * width
         live = live[going]
     if live.size:
         raise OptimizerStall(f"Newton ascent still gaining after {NEWTON_ITERS} steps")

@@ -155,8 +155,11 @@ class LineCycles:
         return np.conj(ks)
 
     def slice_vectors(self, moved, duals):
-        # one dual cuts S out, a line of P^2
-        return np.cross(moved, duals[0])
+        # one dual cuts S out, a line of P^2: moved x dual, as np.cross computes it
+        m0, m1, m2 = moved[..., 0], moved[..., 1], moved[..., 2]
+        d0, d1, d2 = duals[0]
+        return np.stack([m1 * d2 - m2 * d1, m2 * d0 - m0 * d2, m0 * d1 - m1 * d0],
+                        axis=-1)
 
     def chart_rows(self, target, cs, rf):
         one, zero = np.ones(cs.shape[0], complex), np.zeros(cs.shape[0], complex)

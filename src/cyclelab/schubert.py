@@ -26,7 +26,7 @@ import scipy.linalg
 from .cycles import base_cycle, cycle_in_domain
 from .errors import (IncidenceMiss, IntersectionFailure, InvalidInput,
                      InvalidSlicePoint, UniquenessViolation)
-from .flags import FlagPoint, act, in_domain
+from .flags import FlagPoint, act, in_domain, in_domain_rows
 from .liecore import GroupElement
 from .utils import gauge_vector
 
@@ -191,11 +191,10 @@ class SliceDatum:
         if c1 is None:
             return False
         c0 = self.cell_coord(self.base_point)
-        for t in np.linspace(0.0, 1.0, PATH_SAMPLES):
-            p = self.cell_point(c0 + t * (c1 - c0))
-            if not in_domain(p, self.sc):
-                return False
-        return True
+        cells = np.zeros((PATH_SAMPLES, self.sc.n), complex)
+        cells[:, 0] = c0 + np.linspace(0.0, 1.0, PATH_SAMPLES) * (c1 - c0)
+        cells[:, 1] = 1.0
+        return bool(np.all(in_domain_rows(cells @ self.parent.borel.matrix.T, self.sc)))
 
 
 def schubert_slice(s, z_j, sc):

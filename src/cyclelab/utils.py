@@ -1,5 +1,7 @@
 """Small numeric helpers shared across modules."""
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -107,24 +109,27 @@ def logm_unitary(u):
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
 
 
+@functools.lru_cache(maxsize=16)
 def sobol_points(dim, count, seed):
-    """Deterministic scrambled-Sobol sample of [0,1)^dim.
+    """Deterministic scrambled-Sobol sample of [0,1)^dim, read-only.
 
     The sequence is extensible: the first k points of a longer draw with
     the same seed equal the shorter draw, which makes refinement of the
-    coarse optimizer stage monotone.
+    coarse optimizer stage monotone.  Cached: certificates redraw them.
     """
-    if count <= 0:
-        return np.zeros((0, dim))
-    # scipy.stats takes most of the package's import time; load it only
-    # when a sample is drawn
-    from scipy.stats import qmc
+    out = np.zeros((0, dim))
+    if count > 0:
+        # scipy.stats takes most of the package's import time; load it
+        # only when a sample is drawn
+        from scipy.stats import qmc
 
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    # drawing a power-of-two block and slicing keeps the balance warning
-    # quiet without changing the points of the common prefix
-    block = 1 << max(0, int(np.ceil(np.log2(count))))
-    return eng.random(block)[:count]
+        eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
+        # drawing a power-of-two block and slicing keeps the balance
+        # warning quiet without changing the points of the common prefix
+        block = 1 << max(0, int(np.ceil(np.log2(count))))
+        out = eng.random(block)[:count]
+    out.setflags(write=False)
+    return out
 
 
 def thread_count():

@@ -26,7 +26,8 @@ from .exhaust import (batch_values, divergence_path, seeded_cycles,
                       translation_branch_pair)
 from .levi import (levi_form_fd, levi_refinement_ratio,
                    q_pseudoconvex_certificate)
-from .liecore import GroupElement, exp_map, is_member, iwasawa_decompose, k0_sample
+from .liecore import (GroupElement, exp_map, is_member, iwasawa_decompose,
+                      k0_sample_matrices)
 from .optimize import get_engine
 from .scenarios import get_scenario
 from .schubert import intersect_base_cycle, intersect_slice, schubert_slice
@@ -122,8 +123,8 @@ class VerificationReport:
 
 
 def _group_elements(sc, count, seed):
-    samp = k0_sample(sc.rf, 4, seed=seed, extras=count)
-    return samp[-count:]
+    return [GroupElement(m)
+            for m in k0_sample_matrices(sc.rf, 4, seed=seed, extras=count)[-count:]]
 
 
 def check_translation_identity(counts, seed, scenarios):
@@ -296,8 +297,8 @@ def check_divergence(counts, seed, scenarios):
     for name in scenarios:
         sc = get_scenario(name)
         for target in ("r_md", "r_d"):
-            for idx in range(counts["paths"]):
-                _, vals = divergence_path(sc, target, idx, seed=seed)
+            _, paths = divergence_path(sc, target, range(counts["paths"]), seed=seed)
+            for vals in paths:
                 floor = min(floor, float(np.max(vals)))
                 mono_ok = mono_ok and bool(np.all(np.diff(vals[-5:]) > 0))
                 total += 1

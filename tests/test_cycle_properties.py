@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from cyclelab import (FlagPoint, cycle_from_dual, cycle_from_point,  # noqa: E402
                       cycle_in_domain, exp_map, get_scenario, in_domain,
                       translate_cycle)
+from cyclelab.flags import in_domain_rows  # noqa: E402
 from cyclelab.cycles import cycle_points  # noqa: E402
 from cyclelab.optimize import aligned_domain_values  # noqa: E402
 
@@ -63,6 +64,30 @@ def test_point_cycle_in_domain_is_point_in_domain(radius, angle):
     # off the band where the margin test could go either way by rounding
     assume(abs(sc.domain_sign * sc.form_value(z.homogeneous) - sc.tol.sign_margin) > 1e-10)
     assert cycle_in_domain(cycle_from_point(z, sc), sc) == in_domain(z, sc)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@PROPERTY
+@given(parts=st.lists(unit, min_size=6, max_size=6), decades=st.floats(0.5, 8.0),
+       outside=st.booleans(), scale=st.floats(-3.0, 3.0))
+def test_in_domain_rows_is_in_domain_near_the_boundary(name, parts, decades, outside,
+                                                       scale):
+    # a row whose unit form value sits 10^-decades (at least 1e-8) inside
+    # or outside the margin, at any scale: the batched test on the raw row
+    # decides as in_domain on its gauge-fixed FlagPoint
+    sc = get_scenario(name)
+    signs = np.real(np.diag(sc.rf.form_matrix)) * sc.domain_sign
+    v = np.array(parts[:sc.n]) + 1j * np.array(parts[3:3 + sc.n])
+    pos, neg = np.where(signs > 0, v, 0), np.where(signs < 0, v, 0)
+    assume(np.linalg.norm(pos) > 0.1 and np.linalg.norm(neg) > 0.1)
+    # sign * unit form = |a|^2 - |b|^2 with |a|^2 + |b|^2 = 1
+    f = sc.tol.sign_margin + (-1.0 if outside else 1.0) * 10.0 ** -decades
+    row = (np.sqrt((1.0 + f) / 2.0) * pos / np.linalg.norm(pos)
+           + np.sqrt((1.0 - f) / 2.0) * neg / np.linalg.norm(neg)) * 10.0 ** scale
+    want = in_domain(FlagPoint(row), sc)
+    assert want is not outside
+    assert in_domain_rows(row[None, :], sc).tolist() == [want]
+    assert in_domain_rows(np.stack([row, 2.0 * row]), sc).tolist() == [want, want]
 
 
 @PROPERTY

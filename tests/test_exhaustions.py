@@ -99,7 +99,7 @@ def test_boundary_depths_schedule():
 @pytest.mark.parametrize("name", ["su11", "su21"])
 def test_divergence_along_boundary_paths(name, target, su11, su21):
     sc = {"su11": su11, "su21": su21}[name]
-    depths, vals = divergence_path(sc, target, index=0, seed=42)
+    depths, (vals,) = divergence_path(sc, target, [0], seed=42)
     assert np.all(np.isfinite(vals))
     assert np.max(vals) > 30.0
     assert np.all(np.diff(vals[-5:]) > 0)
@@ -236,9 +236,9 @@ def test_geometry_contract(name, su11, su21, monkeypatch):
 def test_ball_domain_divergence_tail_is_monotone(su21, seed):
     # the closed-form alignment resolves depths down to 5e-15: the last
     # decades still climb
-    for index in (0, 1):
-        _, vals = divergence_path(su21, "r_d", index=index, seed=seed)
-        assert np.all(np.diff(vals[-5:]) > 0)
+    _, paths = divergence_path(su21, "r_d", [0, 1], seed=seed)
+    assert paths.shape == (2, 15)
+    assert np.all(np.diff(paths[:, -5:], axis=1) > 0)
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])
