@@ -27,7 +27,7 @@ import numpy as np
 
 from .cycles import base_cycle
 from .errors import CycleLabError, InvalidInput
-from .exhaust import TARGETS, evaluate_grid, seeded_domain_points
+from .exhaust import MAX_GRID_N, TARGETS, evaluate_grid, seeded_domain_points
 from .levi import q_pseudoconvex_certificate
 from .optimize import OptimizerSettings, get_engine
 from .scenarios import SCENARIO_NAMES, get_scenario
@@ -149,6 +149,9 @@ def build_config(args):
         v = getattr(cfg, key)
         if not isinstance(v, int) or isinstance(v, bool) or v < low:
             raise InvalidInput(f"{key} must be an integer >= {low}, not {v!r}")
+    # certify draws every point up front: no more than an eval grid holds
+    if cfg.count > MAX_GRID_N ** 2:
+        raise InvalidInput(f"count must be at most {MAX_GRID_N ** 2}, not {cfg.count}")
     return cfg
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from .cycles import translate_cycle
 from .errors import InvalidInput
 from .optimize import aligned_domain_values, get_engine, maximize_branch
-from .schubert import intersect_base_cycle, intersect_slice, schubert_slice, \
-    translate_schubert, translate_slice
+from .schubert import intersect_slice, translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
 from .utils import logm_unitary
 
@@ -31,12 +30,6 @@ DISC_POINTS = 16
 # 3 KB at peak (su21 r_md as JSON, argmax included), so 401 x 401 points
 # stay near 0.5 GB
 MAX_GRID_N = 401
-
-
-def _base_slice(sc):
-    engine = get_engine(sc)
-    z_j = intersect_base_cycle(engine.schubert, sc)[0]
-    return engine, schubert_slice(engine.schubert, z_j, sc)
 
 
 def batch_values(rows, sc, target, settings=None):
@@ -65,7 +58,8 @@ def translation_branch_pair(k, c, sc):
     C with the translated slice.  Right: the base cell exhaustion at the
     intersection of the k^{-1}-translated cycle with the base slice.
     """
-    engine, sl = _base_slice(sc)
+    engine = get_engine(sc)
+    sl = engine.slice
     s_t = translate_schubert(k, engine.schubert, sc)
     sec_t = highest_weight_section(s_t, sc)
     sl_t = translate_slice(k, sl)

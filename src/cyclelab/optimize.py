@@ -25,8 +25,7 @@ closed form, and so are the gradient and Hessian of the branch value
 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008, ch. 6-7).  Each row's search depends on that row
 alone: identical settings give identical results bit for bit, whatever
-rows share a batch; CYCLELAB_THREADS only parallelizes over fixed
-subject blocks and never changes the output.
+rows share a batch.
 
 The domain exhaustion needs no search: where cycles are lines it is the
 branch value at any element aligning the point with the slice, and the
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidInput, OptimizerStall
 from .liecore import k0_sample_count, k0_sample_matrices
-from .schubert import make_schubert
+from .schubert import intersect_base_cycle, make_schubert, schubert_slice
 from .sections import highest_weight_section
 from .utils import expm_antihermitian, run_chunked
 
@@ -101,14 +100,17 @@ class BranchEngine:
 
     Subjects are rows (the scenario geometry's subject_row of a cycle),
     moved and cut with the slice by the geometry's branch kernel.  The engine
-    also holds the coarse K0 stacks it has built, read-only and filled on
-    first use, and the move matrices of the K0 basis and their
-    symmetrized products, which give the branch value's derivatives.
+    also holds the base slice (through the first point of C0 cap S), the
+    coarse K0 stacks it has built, read-only and filled on first use, and
+    the move matrices of the K0 basis and their symmetrized products,
+    which give the branch value's derivatives.
     """
 
     def __init__(self, sc):
         self.sc = sc
         self.schubert = make_schubert(sc)
+        z_j = intersect_base_cycle(self.schubert, sc)[0]
+        self.slice = schubert_slice(self.schubert, z_j, sc)
         self.section = highest_weight_section(self.schubert, sc)
         self.sigma = self.section.row
         self.duals = self.schubert.duals
@@ -367,7 +369,6 @@ def maximize_branch(subjects, sc, settings=None):
     settings = settings or OptimizerSettings()
     resolution, extras, seed = settings.resolved(sc)
     engine = get_engine(sc)
-    # the stack cache fills here, outside the thread pool
     coarse, num_forms, den_forms = engine.coarse(resolution, seed, extras)
 
     def block(rows):

@@ -132,37 +132,16 @@ def sobol_points(dim, count, seed):
     return out
 
 
-def thread_count():
-    """Worker count from CYCLELAB_THREADS; 1 (serial) when unset or bad."""
-    import os
-
-    raw = os.environ.get("CYCLELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_chunked(fn, rows):
     """Apply fn to blocks of CHUNK rows and concatenate the results.
 
-    The block boundaries never depend on the worker count, so the
-    concatenated output is byte-identical whether the blocks run serially
-    or on a thread pool; the fixed size also bounds each block's
-    temporaries.  fn may return an array or a tuple of arrays.
+    The fixed block size bounds each block's temporaries; fn may return
+    an array or a tuple of arrays.
     """
     rows = np.asarray(rows)
     if rows.shape[0] == 0:
         raise InvalidInput("run_chunked needs at least one row")
-    blocks = [rows[i:i + CHUNK] for i in range(0, rows.shape[0], CHUNK)]
-    workers = thread_count()
-    if workers == 1 or len(blocks) == 1:
-        results = [fn(b) for b in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(fn, blocks))
+    results = [fn(rows[i:i + CHUNK]) for i in range(0, rows.shape[0], CHUNK)]
     if isinstance(results[0], tuple):
         return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
     return np.concatenate(results, axis=0)

@@ -30,7 +30,7 @@ from .liecore import (GroupElement, exp_map, is_member, iwasawa_decompose,
                       k0_sample_matrices)
 from .optimize import get_engine
 from .scenarios import get_scenario
-from .schubert import intersect_base_cycle, intersect_slice, schubert_slice
+from .schubert import intersect_slice
 from .sections import exhaustion_values, gu_invariant_metric
 from .cycles import translate_cycle
 
@@ -333,9 +333,7 @@ def check_slice_intersections(counts, seed, scenarios):
     worst, total = 0.0, 0
     for name in scenarios:
         sc = get_scenario(name)
-        engine = get_engine(sc)
-        z_j = intersect_base_cycle(engine.schubert, sc)[0]
-        sl = schubert_slice(engine.schubert, z_j, sc)
+        sl = get_engine(sc).slice
         for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7):
             worst = max(worst, float(intersect_slice(sl, c).residual))
             total += 1

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -21,12 +20,9 @@ from oracles import LOG2
 CSV_HEADER = "re,im,value,argmax_slice,n_pos"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    proc = subprocess.run([sys.executable, "-m", "cyclelab.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "cyclelab.cli", *args],
+                          capture_output=True, text=True)
 
 
 def test_eval_csv_example(tmp_path):
@@ -46,43 +42,15 @@ def test_eval_csv_example(tmp_path):
 
 
 def test_eval_is_byte_identical(tmp_path):
-    args = ("eval", "--scenario", "su21", "--target", "r_d",
-            "--grid", "-0.5:0.5:3", "--seed", "7")
-    a, b = run_cli(*args), run_cli(*args)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    assert a.stdout.splitlines()[0] == CSV_HEADER
-
-
-def test_eval_thread_cap_invariance():
-    args = ("eval", "--scenario", "su21", "--target", "r_md",
-            "--grid", "-0.6:0.6:3")
-    a = run_cli(*args, env_extra={"CYCLELAB_THREADS": "1"})
-    b = run_cli(*args, env_extra={"CYCLELAB_THREADS": "3"})
-    assert a.stdout == b.stdout
-
-
-@pytest.mark.parametrize("target", ["r_md", "r_d"])
-def test_eval_fine_k0_thread_cap_invariance(target):
-    # the fine su21 stack (10036 samples); 23 x 23 leaves two blocks of
-    # rows, so the pool runs at cap 2
-    args = ("eval", "--scenario", "su21", "--target", target,
-            "--resolution-k0", "10", "--grid", "-0.9:0.9:23")
-    a = run_cli(*args, env_extra={"CYCLELAB_THREADS": "1"})
-    b = run_cli(*args, env_extra={"CYCLELAB_THREADS": "2"})
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
-def test_eval_levi_on_thread_cap_invariance():
-    # the batched Levi stencil of 23 x 23 points spans many row blocks,
-    # so the pool runs them at cap 2
-    args = ("eval", "--scenario", "su21", "--target", "r_md",
-            "--grid=-0.9:0.9:23", "--levi", "on")
-    a = run_cli(*args, env_extra={"CYCLELAB_THREADS": "1"})
-    b = run_cli(*args, env_extra={"CYCLELAB_THREADS": "2"})
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    # run to run, also on the fine su21 K0 stack (10036 samples)
+    for extra in (("--target", "r_d", "--seed", "7"),
+                  ("--target", "r_md", "--resolution-k0", "10"),
+                  ("--target", "r_d", "--resolution-k0", "10")):
+        args = ("eval", "--scenario", "su21", "--grid", "-0.5:0.5:3", *extra)
+        a, b = run_cli(*args), run_cli(*args)
+        assert a.returncode == b.returncode == 0, extra
+        assert a.stdout == b.stdout, extra
+        assert a.stdout.splitlines()[0] == CSV_HEADER
 
 
 def test_eval_json_payload():
@@ -182,7 +150,8 @@ def test_usage_errors_exit_2(tmp_path):
     grid = ("eval", "--scenario", "su11", "--target", "r_md", "--grid", "-0.1:0.1:2")
     for command in (grid, ("verify",), ("certify", "--scenario", "su11")):
         assert code(*command, "--seed", "-1") == 2
-    for count in ("-2", "0"):
+    # a count over MAX_GRID_N ** 2 is refused before any point is drawn
+    for count in ("-2", "0", str(MAX_GRID_N ** 2 + 1)):
         assert code("certify", "--scenario", "su11", "--count", count) == 2
     bad_configs = [
         # removed or never-read keys

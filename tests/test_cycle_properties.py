@@ -1,4 +1,5 @@
-"""Property tests of the hyperplane cycle model over both scenarios."""
+"""Property tests of the hyperplane cycle model over both scenarios, and of
+the projective gauge and affine charts beneath it."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from cyclelab import (FlagPoint, cycle_from_dual, cycle_from_point,  # noqa: E402
                       cycle_in_domain, exp_map, get_scenario, in_domain,
                       translate_cycle)
-from cyclelab.flags import in_domain_rows  # noqa: E402
+from cyclelab.flags import Chart, in_domain_rows  # noqa: E402
 from cyclelab.cycles import cycle_points  # noqa: E402
 from cyclelab.optimize import aligned_domain_values  # noqa: E402
+from cyclelab.utils import GAUGE_REL_TOL, gauge_vector  # noqa: E402
 
 from oracles import rd_ball  # noqa: E402
 
@@ -117,3 +119,39 @@ def test_line_alignment_closed_form(parts, angle, decades):
     assert abs(vals[0] - rd_ball(v)) <= 10 * 1e-16 / depth
     outside = np.concatenate([v12, [(1.0 + depth) * np.exp(1j * angle)]])
     assert aligned_domain_values(outside[None, :], sc)[0][0] == np.inf
+
+
+@PROPERTY
+@given(parts=st.lists(st.one_of(st.just(0.0), unit, unit.map(lambda x: 1e-12 * x)),
+                      min_size=6, max_size=6),
+       scale=st.floats(-6.0, 6.0), angle=st.floats(0.0, 2 * np.pi))
+def test_gauge_vector_is_unique(parts, scale, angle):
+    # v and c e^{i theta} v (c > 0) gauge to the same unit array, whose
+    # first coordinate above GAUGE_REL_TOL of the largest is real positive
+    v = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    mags = np.abs(v)
+    assume(mags.max() > 0.1)
+    # off the band where rounding could move a coordinate across the threshold
+    ratio = mags / mags.max()
+    assume(not np.any((ratio > 0.5 * GAUGE_REL_TOL) & (ratio < 2.0 * GAUGE_REL_TOL)))
+    g = gauge_vector(v)
+    assert abs(np.linalg.norm(g) - 1.0) <= 1e-15
+    lead = g[np.argmax(ratio > GAUGE_REL_TOL)]
+    assert lead.real > 0.0 and abs(lead.imag) <= 1e-15
+    moved = gauge_vector(10.0 ** scale * np.exp(1j * angle) * v)
+    assert np.max(np.abs(moved - g)) <= 1e-14
+
+
+@PROPERTY
+@given(parts=st.lists(unit, min_size=6, max_size=6),
+       coords=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       n=st.integers(2, 3))
+def test_chart_coords_invert_point(parts, coords, n):
+    # coordinates c of a chart at any centre: coords(point(c)) gives c back
+    v = np.array(parts[:n]) + 1j * np.array(parts[3:3 + n])
+    assume(np.linalg.norm(v) > 0.1)
+    ch = Chart(FlagPoint(v))
+    c = np.array(coords[:n - 1]) + 1j * np.array(coords[2:n + 1])
+    back = ch.coords(ch.point(c))
+    assert np.max(np.abs(back - c)) <= 1e-13 * (1.0 + np.max(np.abs(c)))
+    assert ch.point(np.zeros(n - 1)).is_close(FlagPoint(v))

@@ -167,16 +167,6 @@ def test_grid_levi_is_one_batched_stencil(su11, target, count_calls):
     assert all(r.n_pos == 1 for r in rows if r.value is not None)
 
 
-def test_thread_cap_does_not_change_values(su21, monkeypatch):
-    y = seeded_domain_points(su21, 6, seed=4)
-    rows = np.stack([p.homogeneous for p in y])
-    monkeypatch.setenv("CYCLELAB_THREADS", "1")
-    serial = batch_values(rows, su21, "r_d")
-    monkeypatch.setenv("CYCLELAB_THREADS", "4")
-    threaded = batch_values(rows, su21, "r_d")
-    assert np.array_equal(serial, threaded)
-
-
 def test_seeded_samplers_are_deterministic(su21):
     a = seeded_domain_points(su21, 5, seed=99)
     b = seeded_domain_points(su21, 5, seed=99)
