@@ -22,8 +22,7 @@ from .schubert import (IncidenceRecord, SchubertDatum, SliceDatum,
 from .sections import (HermitianMetric, SectionVector, cell_exhaustion,
                        gu_invariant_metric, highest_weight_section,
                        section_norm_sq)
-from .optimize import (OptimizerSettings, aligned_domain_values,
-                       fiber_infimum, maximize_branch)
+from .optimize import aligned_domain_values, fiber_infimum, maximize_branch
 from .exhaust import (TARGETS, divergence_path, evaluate_grid, seeded_cycles,
                       seeded_domain_points, translation_branch_pair)
 from .levi import CertificateReport, levi_form_fd, q_pseudoconvex_certificate
@@ -45,7 +44,7 @@ __all__ = [
     "translate_slice",
     "HermitianMetric", "SectionVector", "cell_exhaustion",
     "gu_invariant_metric", "highest_weight_section", "section_norm_sq",
-    "OptimizerSettings", "aligned_domain_values", "maximize_branch",
+    "aligned_domain_values", "maximize_branch",
     "TARGETS", "divergence_path", "evaluate_grid", "seeded_cycles",
     "seeded_domain_points", "translation_branch_pair",
     "CertificateReport", "levi_form_fd", "q_pseudoconvex_certificate",

@@ -29,9 +29,9 @@ from .cycles import base_cycle
 from .errors import CycleLabError, InvalidInput
 from .exhaust import MAX_GRID_N, TARGETS, evaluate_grid, seeded_domain_points
 from .levi import q_pseudoconvex_certificate
-from .optimize import OptimizerSettings, get_engine
+from .liecore import k0_sample_count
+from .optimize import get_engine
 from .scenarios import SCENARIO_NAMES, get_scenario
-from .schubert import intersect_base_cycle
 from .verify import COUNTS, SUITE_NAMES, run_verification
 
 FORMATS = ("csv", "json")
@@ -39,9 +39,9 @@ LEVI_MODES = ("on", "off", "auto")
 
 COMMAND_KEYS = {
     "eval": ("scenario", "seed", "out", "format", "target", "grid",
-             "resolution_k0", "levi", "tolerances", "optimizer"),
+             "resolution_k0", "levi", "tolerances"),
     "verify": ("scenario", "seed", "out", "suite", "counts"),
-    "certify": ("scenario", "seed", "out", "format", "count", "tolerances"),
+    "certify": ("scenario", "seed", "out", "count", "tolerances"),
     "info": ("scenario", "tolerances"),
 }
 
@@ -63,7 +63,6 @@ class RunConfig:
     count: int = 5
     levi: str = "auto"
     tolerances: dict = dataclasses.field(default_factory=dict)
-    optimizer: dict = dataclasses.field(default_factory=dict)
 
 
 def parse_grid(text):
@@ -130,9 +129,6 @@ def build_config(args):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if (cfg.command == "certify" and getattr(args, "format", None) is None
-            and "format" not in file_values):
-        cfg.format = "json"
     if cfg.format not in FORMATS:
         raise InvalidInput(f"unknown format {cfg.format!r}")
     if cfg.scenario is not None and cfg.scenario not in SCENARIO_NAMES:
@@ -145,8 +141,10 @@ def build_config(args):
         raise InvalidInput(f"unknown counts preset {cfg.counts!r}")
     if cfg.levi not in LEVI_MODES:
         raise InvalidInput(f"unknown levi mode {cfg.levi!r}")
-    for key, low in (("seed", 0), ("count", 1)):
+    for key, low in (("seed", 0), ("count", 1), ("resolution_k0", 1)):
         v = getattr(cfg, key)
+        if v is None and key == "resolution_k0":
+            continue  # eval keeps the scenario's resolution
         if not isinstance(v, int) or isinstance(v, bool) or v < low:
             raise InvalidInput(f"{key} must be an integer >= {low}, not {v!r}")
     # certify draws every point up front: no more than an eval grid holds
@@ -156,6 +154,8 @@ def build_config(args):
 
 
 def _scenario(cfg):
+    """The named scenario with the run's overrides: tolerances, and for
+    eval the coarse K0 stack's seed and resolution."""
     if cfg.scenario is None:
         raise InvalidInput("this command needs --scenario")
     sc = get_scenario(cfg.scenario)
@@ -165,18 +165,10 @@ def _scenario(cfg):
         except TypeError as exc:
             raise InvalidInput(f"unknown tolerance override: {exc}") from exc
         sc = dataclasses.replace(sc, tol=tol)
+    if cfg.command == "eval":
+        sc = dataclasses.replace(sc, k0_seed=cfg.seed,
+                                 k0_resolution=cfg.resolution_k0 or sc.k0_resolution)
     return sc
-
-
-def _settings(cfg):
-    try:
-        opts = dict(cfg.optimizer)
-        opts.setdefault("seed", cfg.seed)
-        if cfg.resolution_k0 is not None:
-            opts["resolution"] = cfg.resolution_k0
-        return OptimizerSettings(**opts)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"bad optimizer settings: {exc}") from exc
 
 
 def _emit(text, out):
@@ -226,12 +218,10 @@ def _grid_json(cfg, rows):
 
 def cmd_eval(cfg):
     sc = _scenario(cfg)
-    settings = _settings(cfg)
     # refuses an oversized K0 stack for every target, before any work;
     # evaluate_grid refuses an oversized grid first thing
-    settings.resolved(sc)
-    rows = evaluate_grid(sc, cfg.target, cfg.grid, settings=settings,
-                         levi_mode=cfg.levi)
+    k0_sample_count(sc.rf, sc.k0_resolution, sc.k0_extras)
+    rows = evaluate_grid(sc, cfg.target, cfg.grid, levi_mode=cfg.levi)
     text = _grid_csv(rows) if cfg.format == "csv" else _grid_json(cfg, rows)
     _emit(text, cfg.out)
     bad = sum(1 for r in rows if r.value is None)
@@ -282,8 +272,6 @@ def _certificate_record(y, rep):
 
 
 def cmd_certify(cfg):
-    if cfg.format == "csv":
-        raise InvalidInput("certify emits JSON records; use --format json")
     sc = _scenario(cfg)
     points = seeded_domain_points(sc, cfg.count, seed=cfg.seed)
     lines, failures = [], 0
@@ -305,13 +293,14 @@ def cmd_certify(cfg):
 
 def cmd_info(cfg):
     sc = _scenario(cfg)
-    engine = get_engine(sc)
-    m = len(intersect_base_cycle(engine.schubert, sc))
+    # building the engine finds the one point of C0 cap S and checks it
+    # (schubert.intersect_base_cycle)
+    get_engine(sc)
     lines = [
         f"scenario: {sc.name}",
         f"q (cycle dimension): {sc.cycle_dim}",
         f"n_Z (ambient dimension): {sc.ambient_dim}",
-        f"m (base cycle intersections with the cell closure): {m}",
+        "m (base cycle intersections with the cell closure): 1",
         f"base point: {np.round(sc.base_point.homogeneous, 6).tolist()}",
         f"base cycle dual: {np.round(base_cycle(sc).dual, 6).tolist()}",
         f"compact group dimension: {len(sc.rf.k0_basis)}",
@@ -330,8 +319,8 @@ _COMMANDS = {
     "info": (cmd_info, "scenario summary"),
 }
 
-# the flag of each key in COMMAND_KEYS; tolerances and optimizer are
-# config-file objects and have none
+# the flag of each key in COMMAND_KEYS; tolerances is a config-file
+# object and has none
 _FLAGS = {
     "scenario": {"choices": SCENARIO_NAMES},
     "seed": {"type": int},

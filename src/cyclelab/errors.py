@@ -25,10 +25,6 @@ class IntersectionFailure(CycleLabError):
     """Intersection solver residual above tolerance."""
 
 
-class InvalidSlicePoint(CycleLabError):
-    """Slice base point is not an intersection point of the base cycle."""
-
-
 class IncidenceMiss(CycleLabError):
     """No slice intersection found; cycle likely outside the cycle space."""
 

@@ -6,8 +6,8 @@ optimize.maximize_branch) and the domain exhaustion by slice alignment
 (r_d, optimize.aligned_domain_values).  Grids, boundary paths and
 sub-mean-value discs are evaluated through it.
 
-Everything here is seeded and deterministic: the same inputs, settings,
-and seed give byte-identical values.
+Everything here is seeded and deterministic: the same inputs, scenario
+config and seed give byte-identical values.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ DISC_POINTS = 16
 MAX_GRID_N = 401
 
 
-def batch_values(rows, sc, target, settings=None):
+def batch_values(rows, sc, target):
     """Target values over subject rows, without domain enforcement.
 
     Rows are chart-appropriate homogeneous vectors: points for r_s and
@@ -43,10 +43,10 @@ def batch_values(rows, sc, target, settings=None):
         engine = get_engine(sc)
         return exhaustion_values(engine.section, rows)
     if target == "r_md":
-        vals, _ = maximize_branch(rows, sc, settings)
+        vals, _ = maximize_branch(rows, sc)
         return vals
     if target == "r_d":
-        vals, _ = aligned_domain_values(rows, sc, settings)
+        vals, _ = aligned_domain_values(rows, sc)
         return vals
     raise InvalidInput(f"unknown target {target!r}")
 
@@ -173,7 +173,7 @@ class GridRow:
     error: str = ""
 
 
-def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
+def evaluate_grid(sc, target, grid_spec, levi_mode="auto"):
     """Evaluate a target over a square grid in its natural chart.
 
     The grid coordinate is the disk chart w for su11; for su21 it is the
@@ -199,11 +199,11 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
     values = np.full(cs.shape[0], np.nan)
     argmaxes = [None] * cs.shape[0]
     if target == "r_s" and np.any(ok):
-        values[ok] = batch_values(rows[ok], sc, target, settings)
+        values[ok] = batch_values(rows[ok], sc, target)
     elif np.any(ok):
         # one optimizer pass gives both the values and the argmaxes
         solve = maximize_branch if target == "r_md" else aligned_domain_values
-        values[ok], ks = solve(rows[ok], sc, settings)
+        values[ok], ks = solve(rows[ok], sc)
         for slot, coords in zip(np.flatnonzero(ok), k0_log_coordinates(ks, sc.rf)):
             argmaxes[slot] = coords
     do_levi = levi_mode == "on" or (levi_mode == "auto" and target == "r_s")
@@ -213,8 +213,7 @@ def evaluate_grid(sc, target, grid_spec, settings=None, levi_mode="auto"):
         from .levi import eig_signature, levi_form_fd
 
         def fn(zs):
-            return batch_values(geo.chart_rows(target, zs[:, 0], sc.rf), sc,
-                                target, settings)
+            return batch_values(geo.chart_rows(target, zs[:, 0], sc.rf), sc, target)
 
         slots = np.flatnonzero(ok)
         lev = levi_form_fd(fn, cs[ok, None], h=sc.tol.fd_step)

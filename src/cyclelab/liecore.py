@@ -8,6 +8,7 @@ Iwasawa factorization reduces to a Cholesky factorization and is therefore
 deterministic and exactly reproducible.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,28 +168,27 @@ def iwasawa_decompose(g, rf):
     return k, a, n
 
 
-def k0_sample_count(rf, resolution, extras=None):
+def k0_sample_count(rf, resolution, extras):
     """resolution^dim + extras, the size of the K0 sample (the identity,
-    prepended to a grid that misses it, is not counted); InvalidInput
-    past MAX_K0_SAMPLES, before anything is built."""
-    if resolution < 1:
-        raise InvalidInput("resolution must be >= 1")
-    dim = len(rf.k0_basis)
-    if extras is None:
-        extras = 0 if dim == 1 else resolution**2
-    count = resolution**dim + extras
+    prepended to a grid that misses it, is not counted); InvalidInput for
+    a resolution or extras that is no integer in range, or a count past
+    MAX_K0_SAMPLES, before anything is built."""
+    for name, v, low in (("resolution", resolution, 1), ("extras", extras, 0)):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
+            raise InvalidInput(f"K0 sample {name} must be an integer >= {low}, not {v!r}")
+    count = resolution**len(rf.k0_basis) + extras
     if count > MAX_K0_SAMPLES:
         raise InvalidInput(f"resolution {resolution} with {extras} extras exceeds "
                            f"{MAX_K0_SAMPLES} K0 samples of {rf.name}")
     return count
 
 
-def _k0_coefficients(rf, resolution, seed, extras=None):
+def _k0_coefficients(rf, resolution, seed, extras):
     """Exponential coordinates of the coarse K0 sample.
 
     One-dimensional K0 (a circle) gets the forced uniform grid pi*j/res.
-    Higher dimension gets the product grid on [-pi, pi)^dim, the identity,
-    and scrambled-Sobol extras (default resolution^2).  Grids are nested
+    Higher dimension gets the product grid on [-pi, pi)^dim and the
+    identity.  Both get `extras` scrambled-Sobol points.  Grids are nested
     under doubling of the resolution, which is what makes the optimizer's
     coarse stage monotone under refinement.
     """
@@ -196,21 +196,19 @@ def _k0_coefficients(rf, resolution, seed, extras=None):
     dim = len(rf.k0_basis)
     if dim == 1:
         coeffs = (np.pi * np.arange(resolution) / resolution)[:, None]
-        n_extra = 0 if extras is None else int(extras)
     else:
         axis = -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
         coeffs = np.stack([m.ravel() for m in mesh], axis=1)
-        n_extra = resolution**2 if extras is None else int(extras)
     blocks = [coeffs]
     if not np.any(np.all(coeffs == 0.0, axis=1)):
         blocks.insert(0, np.zeros((1, dim)))
-    if n_extra > 0:
-        blocks.append(-np.pi + 2.0 * np.pi * sobol_points(dim, n_extra, seed))
+    if extras > 0:
+        blocks.append(-np.pi + 2.0 * np.pi * sobol_points(dim, int(extras), seed))
     return np.concatenate(blocks, axis=0)
 
 
-def k0_sample_matrices(rf, resolution, seed, extras=None):
+def k0_sample_matrices(rf, resolution, seed, extras):
     """Raw (N, n, n) stack of K0 sample matrices; fast path for optimizers."""
     coeffs = _k0_coefficients(rf, resolution, seed, extras)
     x = np.einsum("cd,dij->cij", coeffs, rf.k0_basis)
@@ -222,6 +220,6 @@ def k0_sample_matrices(rf, resolution, seed, extras=None):
         raise NumericalDegeneracy("K0 sample failed membership validation")
     return mats
 
-def k0_sample(rf, resolution, seed, extras=None):
+def k0_sample(rf, resolution, seed, extras):
     """Deterministic seeded sample of K0 as GroupElements."""
     return [GroupElement(m) for m in k0_sample_matrices(rf, resolution, seed, extras)]

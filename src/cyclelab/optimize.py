@@ -24,22 +24,19 @@ subject, so its derivatives in left exponential coordinates on K0 are
 closed form, and so are the gradient and Hessian of the branch value
 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008, ch. 6-7).  Each row's search depends on that row
-alone: identical settings give identical results bit for bit, whatever
-rows share a batch.
+alone: the same scenario config gives identical results bit for bit,
+whatever rows share a batch.
 
 The domain exhaustion needs no search: where cycles are lines it is the
 branch value at any element aligning the point with the slice, and the
 scenario geometry gives one in closed form (LineCycles.align).
 """
 
-import numbers
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from .errors import InvalidInput, OptimizerStall
-from .liecore import k0_sample_count, k0_sample_matrices
-from .schubert import intersect_base_cycle, make_schubert, schubert_slice
+from .errors import OptimizerStall
+from .liecore import k0_sample_matrices
+from .schubert import make_schubert, schubert_slice
 from .sections import highest_weight_section
 from .utils import expm_antihermitian, run_chunked
 
@@ -65,33 +62,6 @@ SCREEN_LOG_SCALE = 500.0
 FIBER_GRID = 32
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Knobs for the compact-group search; None fields fall back to the
-    scenario defaults."""
-
-    resolution: int = None
-    extras: int = None
-    seed: int = 42
-
-    def __post_init__(self):
-        for f in fields(self):
-            v, low = getattr(self, f.name), 0 if f.name in ("extras", "seed") else 1
-            if v is None and f.default is None:
-                continue
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
-                raise InvalidInput(f"optimizer setting {f.name} must be an "
-                                   f"integer >= {low}, not {v!r}")
-
-    def resolved(self, sc):
-        """(resolution, extras, seed) for a scenario; InvalidInput when the
-        coarse K0 stack would exceed liecore.MAX_K0_SAMPLES."""
-        res = self.resolution if self.resolution is not None else sc.k0_resolution
-        extras = self.extras if self.extras is not None else sc.k0_extras
-        k0_sample_count(sc.rf, res, extras)
-        return res, extras, self.seed
-
-
 _ENGINES = {}
 
 
@@ -100,7 +70,7 @@ class BranchEngine:
 
     Subjects are rows (the scenario geometry's subject_row of a cycle),
     moved and cut with the slice by the geometry's branch kernel.  The engine
-    also holds the base slice (through the first point of C0 cap S), the
+    also holds the base slice (through the point of C0 cap S), the
     coarse K0 stacks it has built, read-only and filled on first use, and
     the move matrices of the K0 basis and their symmetrized products,
     which give the branch value's derivatives.
@@ -109,8 +79,7 @@ class BranchEngine:
     def __init__(self, sc):
         self.sc = sc
         self.schubert = make_schubert(sc)
-        z_j = intersect_base_cycle(self.schubert, sc)[0]
-        self.slice = schubert_slice(self.schubert, z_j, sc)
+        self.slice = schubert_slice(self.schubert, sc)
         self.section = highest_weight_section(self.schubert, sc)
         self.sigma = self.section.row
         self.duals = self.schubert.duals
@@ -206,7 +175,8 @@ class BranchEngine:
 
 def get_engine(sc):
     """The engine of a scenario config; configs that differ in their
-    tolerances get engines (and caches) of their own."""
+    tolerances get engines (and caches) of their own.  Configs that differ
+    only in their k0_* fields share one: its stacks are keyed by them."""
     key = (sc.name, sc.tol)
     if key not in _ENGINES:
         _ENGINES[key] = BranchEngine(sc)
@@ -359,17 +329,17 @@ def _newton_ascent(engine, subjects, ks, vals):
     return vals, ks
 
 
-def maximize_branch(subjects, sc, settings=None):
+def maximize_branch(subjects, sc):
     """sup over the compact group of the branch value per subject row.
 
     Returns (values, argmax group matrices).  Newton ascent from the best
-    sample of the coarse K0 stack (the first of equal ones); the result
-    never falls below the coarse maximum.
+    sample of the coarse K0 stack of sc's k0_resolution, k0_seed and
+    k0_extras (the first of equal ones); the result never falls below the
+    coarse maximum.
     """
-    settings = settings or OptimizerSettings()
-    resolution, extras, seed = settings.resolved(sc)
     engine = get_engine(sc)
-    coarse, num_forms, den_forms = engine.coarse(resolution, seed, extras)
+    coarse, num_forms, den_forms = engine.coarse(sc.k0_resolution, sc.k0_seed,
+                                                 sc.k0_extras)
 
     def block(rows):
         best, value = _screened_start(engine, rows, coarse, num_forms, den_forms)
@@ -379,7 +349,7 @@ def maximize_branch(subjects, sc, settings=None):
     return run_chunked(block, subjects)
 
 
-def aligned_domain_values(points, sc, settings=None):
+def aligned_domain_values(points, sc):
     """Domain exhaustion by slice alignment, batched over points.
 
     For su11 the slice is the whole domain and the value is the plain
@@ -391,12 +361,12 @@ def aligned_domain_values(points, sc, settings=None):
     points = np.atleast_2d(np.asarray(points, complex))
     points = points / np.linalg.norm(points, axis=1, keepdims=True)
     if sc.cycle_dim == 0:
-        return maximize_branch(points, sc, settings)
+        return maximize_branch(points, sc)
     ks, aligned = sc.geometry.align(points)
     return get_engine(sc)._value_from_p(aligned), ks
 
 
-def fiber_infimum(y, sc, settings=None):
+def fiber_infimum(y, sc):
     """inf of the cycle-space exhaustion over cycles through y.
 
     Candidate duals come from a deterministic sphere grid on the fiber
@@ -406,9 +376,8 @@ def fiber_infimum(y, sc, settings=None):
     """
     from .cycles import cycle_from_dual, cycle_in_domain, mu_fiber
 
-    settings = settings or OptimizerSettings()
     if sc.cycle_dim == 0:
-        vals, _ = maximize_branch(y.homogeneous[None, :], sc, settings)
+        vals, _ = maximize_branch(y.homogeneous[None, :], sc)
         return float(vals[0]), None
     fib = mu_fiber(y, sc)
 
@@ -417,7 +386,7 @@ def fiber_infimum(y, sc, settings=None):
         keep = np.array([cycle_in_domain(cycle_from_dual(d, sc), sc) for d in duals])
         out = np.full(duals.shape[0], np.inf)
         if np.any(keep):
-            vals, _ = maximize_branch(duals[keep], sc, settings)
+            vals, _ = maximize_branch(duals[keep], sc)
             out[keep] = vals
         return out
 

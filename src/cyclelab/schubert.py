@@ -12,7 +12,7 @@ is stored by the stack of duals that cut it out.
 Every cycle is a hyperplane, so C cap S is the common kernel of the
 cycle's dual and that stack: one point, computed in closed form by the
 scenario geometry's slice kernel, the one the optimizer's branch values
-use.  The slice through an intersection point z_j is the A0 N0 orbit of
+use.  The slice through the point z_j of C0 cap S is the A0 N0 orbit of
 z_j, equal to the connected component of S cap D through z_j;
 membership of a candidate point is decided by an explicit path test
 from z_j inside S cap D, following the component definition.
@@ -24,8 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .cycles import base_cycle, cycle_in_domain
-from .errors import (IncidenceMiss, IntersectionFailure, InvalidInput,
-                     InvalidSlicePoint, UniquenessViolation)
+from .errors import IncidenceMiss, IntersectionFailure, InvalidInput, UniquenessViolation
 from .flags import FlagPoint, act, in_domain, in_domain_rows
 from .liecore import GroupElement
 from .utils import gauge_vector
@@ -88,10 +87,7 @@ def make_schubert(sc):
     family: the B-orbit closure of the cell base point for the
     Iwasawa-Borel subgroup built on the adapted frame.
     """
-    s = _schubert_from_conjugator(GroupElement(sc.rf.adapted_frame), sc, check_an=True)
-    if not intersect_base_cycle(s, sc):
-        raise IntersectionFailure("Schubert variety misses the base cycle")
-    return s
+    return _schubert_from_conjugator(GroupElement(sc.rf.adapted_frame), sc, check_an=True)
 
 
 def schubert_from_borel(conj, sc):
@@ -135,13 +131,14 @@ def _meet(c, s, sc, degenerate):
 
 
 def intersect_base_cycle(s, sc):
-    """The finitely many points of C0 cap S, all required in D cap cell."""
+    """The point of C0 cap S (_meet), required in D and off the cell
+    boundary."""
     p, _ = _meet(base_cycle(sc), s, sc, IntersectionFailure)
     if not in_domain(p, sc):
         raise IntersectionFailure("intersection point left the domain")
     if s.boundary_distance(p) < BOUNDARY_TOL:
         raise IntersectionFailure("intersection point fell on the cell boundary")
-    return [p]
+    return p
 
 
 @dataclass(eq=False)
@@ -197,12 +194,9 @@ class SliceDatum:
         return bool(np.all(in_domain_rows(cells @ self.parent.borel.matrix.T, self.sc)))
 
 
-def schubert_slice(s, z_j, sc):
-    """Slice datum through an intersection point of the base cycle."""
-    pts = intersect_base_cycle(s, sc)
-    if not any(z_j.is_close(p) for p in pts):
-        raise InvalidSlicePoint("slice base point is not an intersection point")
-    return SliceDatum(parent=s, base_point=z_j, sc=sc)
+def schubert_slice(s, sc):
+    """Slice datum through the point of C0 cap S (intersect_base_cycle)."""
+    return SliceDatum(parent=s, base_point=intersect_base_cycle(s, sc), sc=sc)
 
 
 def translate_slice(k, sl):

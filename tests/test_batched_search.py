@@ -10,8 +10,7 @@ import pytest
 import cyclelab.optimize as optimize
 from cyclelab import FlagPoint, divergence_path, in_domain
 from cyclelab.exhaust import boundary_depths, grid_axis
-from cyclelab.schubert import (PATH_SAMPLES, intersect_base_cycle, make_schubert,
-                               schubert_slice)
+from cyclelab.schubert import PATH_SAMPLES, make_schubert, schubert_slice
 from cyclelab.utils import expm_antihermitian
 
 
@@ -73,7 +72,7 @@ def _chart_rows(sc, spec):
 def test_newton_ascent_matches_one_halving_per_call(name, su11, su21, monkeypatch):
     sc = {"su11": su11, "su21": su21}[name]
     engine = optimize.get_engine(sc)
-    stack, num_forms, den_forms = engine.coarse(*optimize.OptimizerSettings().resolved(sc))
+    stack, num_forms, den_forms = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)
     depths = boundary_depths(15)
     assert depths[-1] == 5e-15
     rows = np.concatenate(
@@ -147,7 +146,7 @@ def _path_contains_per_sample(sl, z):
 def test_path_contains_matches_per_sample_test(name, su11, su21):
     sc = {"su11": su11, "su21": su21}[name]
     s = make_schubert(sc)
-    sl = schubert_slice(s, intersect_base_cycle(s, sc)[0], sc)
+    sl = schubert_slice(s, sc)
     rng = np.random.default_rng(8)
     # cell points out to |c| = 3 (su11 paths that leave the disk fail;
     # the su21 cell lies in D), slice points of the A0 N0 orbit, the

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import cyclelab.cli as cli
-from cyclelab import OptimizerSettings, get_scenario
+from cyclelab import get_scenario
 from cyclelab.errors import NumericalDegeneracy
 from cyclelab.exhaust import MAX_GRID_N, grid_axis
-from cyclelab.liecore import MAX_K0_SAMPLES
+from cyclelab.liecore import MAX_K0_SAMPLES, k0_sample_count
+from cyclelab.optimize import get_engine
 
 from oracles import LOG2
 
@@ -154,7 +155,7 @@ def test_usage_errors_exit_2(tmp_path):
     for count in ("-2", "0", str(MAX_GRID_N ** 2 + 1)):
         assert code("certify", "--scenario", "su11", "--count", count) == 2
     bad_configs = [
-        # removed or never-read keys
+        # removed or never-read keys (the optimizer object is one)
         '{"tolerances": {"det": 1e-9}}', '{"tolerances": {"membership": 1e-9}}',
         '{"tolerances": {"residual": 1e-9}}', '{"optimizer": {"step_tol": 1e-6}}',
         '{"tolerances": {"step_tol": 1e-8}}', '{"optimizer": {"refine_top": 3}}',
@@ -163,7 +164,8 @@ def test_usage_errors_exit_2(tmp_path):
         '{"optimizer": {"refine_top": 0}}', '{"optimizer": {"chunk": 2.5}}',
         '{"tolerances": {"step_tol": 0}}', '{"tolerances": {"rank": NaN}}',
         # values outside their ranges
-        '{"optimizer": {"seed": -3}}', '{"resolution_k0": 0}',
+        '{"optimizer": {"seed": -3}}', '{"resolution_k0": 0}', '{"resolution_k0": 2.5}',
+        '{"resolution_k0": true}', '{"resolution_k0": "4"}',
         '{"optimizer": {"resolution": 0}}', '{"optimizer": {"extras": -1}}',
         '{"tolerances": {"fd_step": "abc"}}', '{"tolerances": {"zero_band": -1e-6}}',
         '{"tolerances": {"intersection": Infinity}}',
@@ -179,6 +181,7 @@ def test_usage_errors_exit_2(tmp_path):
     ]
     for text in bad_configs:
         assert code(*grid, config=text) == 2, text
+    assert code(*grid, "--resolution-k0", "0") == 2
     # a scenario from the file that is not a scenario name
     for scenario in ("[1]", "5"):
         text = f'{{"scenario": {scenario}, "target": "r_md", "grid": "-0.1:0.1:2"}}'
@@ -199,9 +202,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert code("info", "--scenario", "su21", "--seed", "1") == 2
     valid = {"scenario": '"su11"', "seed": "1", "out": '"x.txt"', "format": '"json"',
              "target": '"r_md"', "grid": '"-0.1:0.1:2"', "resolution_k0": "4",
-             "levi": '"off"', "tolerances": '{"fd_step": 0.2}',
-             "optimizer": '{"resolution": 2}', "suite": '"psh"', "counts": '"quick"',
-             "count": "1"}
+             "levi": '"off"', "tolerances": '{"fd_step": 0.2}', "suite": '"psh"',
+             "counts": '"quick"', "count": "1"}
     assert set(valid) == {k for keys in cli.COMMAND_KEYS.values() for k in keys}
     for command, keys in cli.COMMAND_KEYS.items():
         for key in sorted(set(valid) - set(keys)):
@@ -218,12 +220,23 @@ def test_usage_errors_exit_2(tmp_path):
     for target in ("r_s", "r_md"):
         big = ("eval", "--scenario", "su21", "--target", target, "--grid", "-0.1:0.1:2")
         assert code(*big, "--resolution-k0", "20") == 2
-        assert code(*big, config='{"optimizer": {"resolution": 20}}') == 2
-        assert code(*big, config=f'{{"optimizer": {{"extras": {MAX_K0_SAMPLES}}}}}') == 2
+        assert code(*big, config='{"resolution_k0": 20}') == 2
     assert code(*grid, "--resolution-k0", str(MAX_K0_SAMPLES + 1)) == 2
     # the caps themselves are accepted
     assert grid_axis((-0.9, 0.9, MAX_GRID_N)).shape == (MAX_GRID_N,)
-    assert OptimizerSettings(resolution=19).resolved(get_scenario("su21"))[0] == 19
+    su21 = get_scenario("su21")
+    assert k0_sample_count(su21.rf, 19, su21.k0_extras) <= MAX_K0_SAMPLES
+
+
+def test_eval_seed_and_resolution_reach_the_coarse_stack(tmp_path):
+    # the eval run's scenario carries its seed and resolution; the built-in
+    # scenario, and so verify and certify, keep seed 42
+    su21 = get_scenario("su21")
+    argv = ["eval", "--scenario", "su21", "--target", "r_md", "--grid", "-0.1:0.1:2",
+            "--resolution-k0", "3", "--seed", "9", "--out", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 0
+    assert (3, 9, 36) in get_engine(su21)._stacks
+    assert su21.k0_seed == 42 and su21.k0_resolution == 6
 
 
 def test_config_file_merge_and_override(tmp_path):

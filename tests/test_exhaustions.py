@@ -1,5 +1,6 @@
 """The three exhaustions: closed forms, invariance, divergence, grids."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -12,8 +13,8 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       translation_branch_pair)
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
-from cyclelab.optimize import (OptimizerSettings, aligned_domain_values,
-                               fiber_infimum, get_engine, maximize_branch)
+from cyclelab.optimize import (aligned_domain_values, fiber_infimum, get_engine,
+                               maximize_branch)
 
 from oracles import LOG2, LOG10, rd_ball, rmd_disk, rmd_dual_ball
 
@@ -319,10 +320,9 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
     rows = np.concatenate([
         _seeded_subjects(sc, 300, seed=10),
         sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
-    res, extras, seed = optimize.OptimizerSettings().resolved(sc)
     engine = optimize.get_engine(sc)
-    coarse_max = np.max(engine.values_shared(rows, engine.coarse(res, seed, extras)[0]),
-                        axis=1)
+    stack = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)[0]
+    coarse_max = np.max(engine.values_shared(rows, stack), axis=1)
     vals, ks = maximize_branch(rows, sc)
     assert np.all(vals >= coarse_max)
     # the argmax gives back the value
@@ -333,10 +333,9 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
 def test_values_shared_blocks_match_one_block(su21, resolution, monkeypatch):
     import cyclelab.optimize as optimize
 
-    settings = optimize.OptimizerSettings(resolution=resolution)
-    res, extras, seed = settings.resolved(su21)
-    engine = optimize.get_engine(su21)
-    ks = engine.coarse(res, seed, extras)[0]
+    sc = su21 if resolution is None else dataclasses.replace(su21, k0_resolution=resolution)
+    engine = optimize.get_engine(sc)
+    ks = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)[0]
     assert ks.shape[0] == {None: 1332, 10: 10036}[resolution]
     rows = _seeded_subjects(su21, 40, seed=9)
     blocked = engine.values_shared(rows, ks)
@@ -351,11 +350,10 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     # the start index and value are np.argmax over the whole stack, bit for bit
     import cyclelab.optimize as optimize
 
-    sc = {"su11": su11, "su21": su21}[name]
+    sc = dataclasses.replace({"su11": su11, "su21": su21}[name], k0_resolution=resolution)
     geo = sc.geometry
-    res, extras, seed = OptimizerSettings(resolution=resolution).resolved(sc)
     engine = get_engine(sc)
-    ks, num_forms, den_forms = engine.coarse(res, seed, extras)
+    ks, num_forms, den_forms = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)
     # a symmetric grid has exact ties; at its origin every sample ties
     # (su11 only to rounding: the moved point keeps a phase)
     axis = np.linspace(-0.9, 0.9, 9)
@@ -392,20 +390,19 @@ def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
     run_suite("psh", counts, 4, ("su11", "su21"))
     assert len(calls) == 2
     for sc in (su11, su21):
-        res, extras, seed = optimize.OptimizerSettings().resolved(sc)
-        stack = optimize.get_engine(sc).coarse(res, seed, extras)[0]
+        stack = optimize.get_engine(sc).coarse(sc.k0_resolution, sc.k0_seed,
+                                               sc.k0_extras)[0]
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0
     assert len(calls) == 2
 
 
 def test_engine_is_keyed_by_tolerances(su21):
-    import dataclasses
-
-    from cyclelab.optimize import get_engine
-
     same = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol))
     assert get_engine(same) is get_engine(su21)
+    # the coarse stacks are keyed by the k0 fields, not the engine
+    k0 = dataclasses.replace(su21, k0_resolution=2, k0_seed=7, k0_extras=1)
+    assert get_engine(k0) is get_engine(su21)
     coarse = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol, fd_step=1e-2))
     assert get_engine(coarse) is not get_engine(su21)
     assert get_engine(coarse).sc.tol.fd_step == 1e-2

@@ -107,7 +107,7 @@ def test_iwasawa_rejects_outside_real_form(su11):
 
 
 def test_k0_sample_circle_grid(su11):
-    ks = k0_sample(su11.rf, 8, seed=0)
+    ks = k0_sample(su11.rf, 8, seed=0, extras=0)
     assert len(ks) == 8
     assert ks[0].distance_to(GroupElement(np.eye(2))) < 1e-14
     for j, k in enumerate(ks):
@@ -130,14 +130,17 @@ def test_k0_sample_product_grid(su21):
 
 def test_k0_sample_grid_cap(su11, su21):
     with pytest.raises(InvalidInput):
-        k0_sample(su21.rf, 25, seed=0)
-    # one count for every caller: the grid plus the extras, default
-    # resolution^2 for su21; the circle of su11 is capped too
-    assert k0_sample_count(su21.rf, 19) == 19**4 + 19**2
-    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES) == MAX_K0_SAMPLES
+        k0_sample(su21.rf, 25, seed=0, extras=0)
+    # one count for every caller: the grid plus the extras; the circle of
+    # su11 is capped too
+    assert k0_sample_count(su21.rf, 19, 19**2) == 19**4 + 19**2
+    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES, 0) == MAX_K0_SAMPLES
+    # past the cap, or a resolution or extras that is no integer in range
     for rf, res, extras in ((su21.rf, 19, MAX_K0_SAMPLES - 19**4 + 1),
                             (su11.rf, MAX_K0_SAMPLES + 1, 0),
-                            (su11.rf, 2, MAX_K0_SAMPLES - 1)):
+                            (su11.rf, 2, MAX_K0_SAMPLES - 1),
+                            (su21.rf, 0, 0), (su21.rf, 2.5, 0), (su21.rf, True, 0),
+                            (su21.rf, 2, -1), (su21.rf, 2, 1.0)):
         with pytest.raises(InvalidInput):
             k0_sample_count(rf, res, extras)
         with pytest.raises(InvalidInput):

@@ -8,10 +8,9 @@ from cyclelab import (FlagPoint, GroupElement, SliceDatum, base_cycle,
                       intersect_slice, k0_sample, make_schubert, schubert_slice,
                       seeded_cycles, translate_cycle, translate_schubert,
                       translate_slice)
-from cyclelab.errors import (IncidenceMiss, IntersectionFailure, InvalidSlicePoint,
-                             UniquenessViolation)
+from cyclelab.errors import IncidenceMiss, IntersectionFailure, UniquenessViolation
 from cyclelab.flags import act, in_domain
-from cyclelab.optimize import get_engine
+from cyclelab.optimize import BranchEngine, get_engine
 from cyclelab.schubert import meets_cell_boundary, schubert_from_borel
 
 
@@ -41,22 +40,35 @@ def test_schubert_datum_ball(su21):
 def test_base_intersection_is_the_base_point(su11, su21):
     for sc in (su11, su21):
         s = make_schubert(sc)
-        pts = intersect_base_cycle(s, sc)
-        assert len(pts) == 1
-        assert pts[0].is_close(sc.base_point)
-        assert in_domain(pts[0], sc)
+        p = intersect_base_cycle(s, sc)
+        assert p.is_close(sc.base_point)
+        assert in_domain(p, sc)
+        assert np.array_equal(schubert_slice(s, sc).base_point.homogeneous, p.homogeneous)
 
 
-def test_slice_base_point_is_validated(su21):
-    s = make_schubert(su21)
-    with pytest.raises(InvalidSlicePoint):
-        schubert_slice(s, FlagPoint(np.array([1.0, 0.1, 0.0])), su21)
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_engine_build_meets_the_base_cycle_once(name, su11, su21, count_calls,
+                                                monkeypatch):
+    import cyclelab.schubert as schubert
+
+    sc = {"su11": su11, "su21": su21}[name]
+    calls = count_calls(schubert, "_meet")
+    engine = BranchEngine(sc)
+    assert len(calls) == 1
+    assert engine.slice.base_point.is_close(sc.base_point)
+    # the point's checks still run on each build: in D, off the cell boundary
+    monkeypatch.setattr(schubert, "BOUNDARY_TOL", 2.0)
+    with pytest.raises(IntersectionFailure, match="cell boundary"):
+        BranchEngine(sc)
+    monkeypatch.setattr(schubert, "in_domain", lambda z, sc: False)
+    with pytest.raises(IntersectionFailure, match="left the domain"):
+        BranchEngine(sc)
+    assert len(calls) == 3
 
 
 def test_slice_cell_coordinates(su21):
     s = make_schubert(su21)
-    z_j = intersect_base_cycle(s, su21)[0]
-    sl = schubert_slice(s, z_j, su21)
+    sl = schubert_slice(s, su21)
     c = 0.3 - 0.2j
     z = sl.cell_point(c)
     assert s.on_variety(z)
@@ -66,8 +78,7 @@ def test_slice_cell_coordinates(su21):
 
 def test_an_orbit_stays_on_slice(su21):
     s = make_schubert(su21)
-    z_j = intersect_base_cycle(s, su21)[0]
-    sl = schubert_slice(s, z_j, su21)
+    sl = schubert_slice(s, su21)
     rng = np.random.default_rng(6)
     for _ in range(10):
         coords = rng.uniform(-1.2, 1.2, 4)
@@ -82,7 +93,7 @@ def test_disk_slice_fills_the_disk(su11):
     # S = P^1 that component is all of D, so A0 N0 orbit points cover
     # every disk point and the path test accepts exactly the disk
     s = make_schubert(su11)
-    sl = schubert_slice(s, su11.base_point, su11)
+    sl = schubert_slice(s, su11)
     ts = np.linspace(-2.5, 2.5, 61)
     us = np.linspace(-8.0, 8.0, 61)
     ws = []
@@ -102,7 +113,7 @@ def test_disk_slice_fills_the_disk(su11):
 
 def test_point_cycle_intersection(su11):
     s = make_schubert(su11)
-    sl = schubert_slice(s, su11.base_point, su11)
+    sl = schubert_slice(s, su11)
     z = FlagPoint(np.array([0.2 + 0.1j, 1.0]))
     c = cycle_from_point(z, su11)
     rec = intersect_slice(sl, c)
@@ -114,7 +125,7 @@ def test_point_cycle_intersection(su11):
 
 def test_line_cycle_intersection_unique(su21):
     s = make_schubert(su21)
-    sl = schubert_slice(s, intersect_base_cycle(s, su21)[0], su21)
+    sl = schubert_slice(s, su21)
     c = cycle_from_dual([0.4, 0.3j, 1.0], su21)
     rec = intersect_slice(sl, c)
     assert rec.residual < 1e-10
@@ -129,7 +140,7 @@ def test_incidence_point_is_the_engine_kernel(name, su11, su21):
     # values use: the same bits for point cycles, within 1e-15 for lines
     sc = {"su11": su11, "su21": su21}[name]
     geo, engine = sc.geometry, get_engine(sc)
-    sl = schubert_slice(engine.schubert, intersect_base_cycle(engine.schubert, sc)[0], sc)
+    sl = schubert_slice(engine.schubert, sc)
     tol = 0.0 if name == "su11" else 1e-15
     for c in seeded_cycles(sc, 50, seed=4):
         kernel = FlagPoint(geo.slice_vectors(geo.subject_row(c), engine.duals))
@@ -150,7 +161,7 @@ def test_cycle_sharing_the_schubert_line_is_refused(su21):
 
 def test_intersection_rejects_outside_cycle(su21):
     s = make_schubert(su21)
-    sl = schubert_slice(s, intersect_base_cycle(s, su21)[0], su21)
+    sl = schubert_slice(s, su21)
     with pytest.raises(IncidenceMiss):
         intersect_slice(sl, cycle_from_dual([1.4, 0.0, 1.0], su21))
 
@@ -158,7 +169,7 @@ def test_intersection_rejects_outside_cycle(su21):
 def test_incidence_equivariance(su21):
     # k(C cap Sigma) = (k C) cap (k Sigma) for compact translations
     s = make_schubert(su21)
-    sl = schubert_slice(s, intersect_base_cycle(s, su21)[0], su21)
+    sl = schubert_slice(s, su21)
     c = cycle_from_dual([0.2, -0.5j, 1.0], su21)
     base_pt = intersect_slice(sl, c).point
     for k in k0_sample(su21.rf, 2, seed=3, extras=4)[-4:]:
