@@ -37,6 +37,7 @@ from .verify import COUNTS, SUITE_NAMES, run_verification
 FORMATS = ("csv", "json")
 LEVI_MODES = ("on", "off", "auto")
 
+# eval's seed is read only into its JSON payload's "seed" field
 COMMAND_KEYS = {
     "eval": ("scenario", "seed", "out", "format", "target", "grid",
              "resolution_k0", "levi", "tolerances"),
@@ -155,7 +156,7 @@ def build_config(args):
 
 def _scenario(cfg):
     """The named scenario with the run's overrides: tolerances, and for
-    eval the coarse K0 stack's seed and resolution."""
+    eval the coarse K0 grid's resolution."""
     if cfg.scenario is None:
         raise InvalidInput("this command needs --scenario")
     sc = get_scenario(cfg.scenario)
@@ -166,8 +167,7 @@ def _scenario(cfg):
             raise InvalidInput(f"unknown tolerance override: {exc}") from exc
         sc = dataclasses.replace(sc, tol=tol)
     if cfg.command == "eval":
-        sc = dataclasses.replace(sc, k0_seed=cfg.seed,
-                                 k0_resolution=cfg.resolution_k0 or sc.k0_resolution)
+        sc = dataclasses.replace(sc, k0_resolution=cfg.resolution_k0 or sc.k0_resolution)
     return sc
 
 
@@ -220,7 +220,7 @@ def cmd_eval(cfg):
     sc = _scenario(cfg)
     # refuses an oversized K0 stack for every target, before any work;
     # evaluate_grid refuses an oversized grid first thing
-    k0_sample_count(sc.rf, sc.k0_resolution, sc.k0_extras)
+    k0_sample_count(sc.rf, sc.k0_resolution)
     rows = evaluate_grid(sc, cfg.target, cfg.grid, levi_mode=cfg.levi)
     text = _grid_csv(rows) if cfg.format == "csv" else _grid_json(cfg, rows)
     _emit(text, cfg.out)
@@ -304,8 +304,7 @@ def cmd_info(cfg):
         f"base point: {np.round(sc.base_point.homogeneous, 6).tolist()}",
         f"base cycle dual: {np.round(base_cycle(sc).dual, 6).tolist()}",
         f"compact group dimension: {len(sc.rf.k0_basis)}",
-        f"coarse search: resolution {sc.k0_resolution}, "
-        f"extras {sc.k0_extras}",
+        f"coarse search: resolution {sc.k0_resolution}",
         f"domain sign: {sc.domain_sign}",
     ]
     print("\n".join(lines))

@@ -74,8 +74,8 @@ class ScenarioConfig:
     cycles: subject rows, the branch kernel, grid charts and their
     admissible sets, seeded samples, discs, divergence paths, the cell
     chart and the certificate's chart and minorant family.
-    k0_resolution, k0_extras and k0_seed fix the coarse K0 stack that
-    seeds the branch supremum (optimize.maximize_branch).
+    k0_resolution fixes the coarse K0 grid that seeds the branch
+    supremum (optimize.maximize_branch).
     """
 
     name: str
@@ -86,8 +86,6 @@ class ScenarioConfig:
     base_cycle_dual: np.ndarray
     tol: Tolerances = field(default_factory=Tolerances)
     k0_resolution: int = 32
-    k0_extras: int = 0
-    k0_seed: int = 42
 
     @property
     def n(self):

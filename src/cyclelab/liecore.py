@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInput, NotInRealForm, NumericalDegeneracy
-from .utils import check_finite, expm_antihermitian, sobol_points
+from .utils import check_finite, expm_antihermitian
 
 DET_TOLERANCE = 1e-10
 MEMBERSHIP_TOLERANCE = 1e-10
@@ -25,8 +25,8 @@ MEMBER_TAGS = ("G0", "K0", "Gu", "A0N0")
 # K0 samples at most, counted by k0_sample_count.  The optimizer keeps a
 # coarse stack with its two real (n^2, K) screen forms, about 0.3 KB a
 # sample for su21, so 40 MB at the cap (su21 resolution 19; su11 131072);
-# it screens and rescores the stack K_BLOCK samples at a time, so its
-# scoring temporaries do not grow with K
+# it screens the stack K_BLOCK samples at a time and scores only the
+# screen's candidates, so its scoring temporaries do not grow with K
 MAX_K0_SAMPLES = 2 ** 17
 
 
@@ -168,49 +168,45 @@ def iwasawa_decompose(g, rf):
     return k, a, n
 
 
-def k0_sample_count(rf, resolution, extras):
-    """resolution^dim + extras, the size of the K0 sample (the identity,
+def k0_sample_count(rf, resolution):
+    """resolution^dim, the size of the coarse K0 grid (the identity,
     prepended to a grid that misses it, is not counted); InvalidInput for
-    a resolution or extras that is no integer in range, or a count past
-    MAX_K0_SAMPLES, before anything is built."""
-    for name, v, low in (("resolution", resolution, 1), ("extras", extras, 0)):
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
-            raise InvalidInput(f"K0 sample {name} must be an integer >= {low}, not {v!r}")
-    count = resolution**len(rf.k0_basis) + extras
+    a resolution that is no integer >= 1, or a count past MAX_K0_SAMPLES,
+    before anything is built."""
+    if (not isinstance(resolution, numbers.Integral) or isinstance(resolution, bool)
+            or resolution < 1):
+        raise InvalidInput(f"K0 sample resolution must be an integer >= 1, "
+                           f"not {resolution!r}")
+    count = resolution**len(rf.k0_basis)
     if count > MAX_K0_SAMPLES:
-        raise InvalidInput(f"resolution {resolution} with {extras} extras exceeds "
-                           f"{MAX_K0_SAMPLES} K0 samples of {rf.name}")
+        raise InvalidInput(f"resolution {resolution} exceeds {MAX_K0_SAMPLES} "
+                           f"K0 samples of {rf.name}")
     return count
 
 
-def _k0_coefficients(rf, resolution, seed, extras):
-    """Exponential coordinates of the coarse K0 sample.
+def _k0_coefficients(rf, resolution):
+    """Exponential coordinates of the coarse K0 grid.
 
     One-dimensional K0 (a circle) gets the forced uniform grid pi*j/res.
     Higher dimension gets the product grid on [-pi, pi)^dim and the
-    identity.  Both get `extras` scrambled-Sobol points.  Grids are nested
-    under doubling of the resolution, which is what makes the optimizer's
-    coarse stage monotone under refinement.
+    identity.  Grids are nested under doubling of the resolution, which
+    is what makes the optimizer's coarse stage monotone under refinement.
     """
-    k0_sample_count(rf, resolution, extras)
+    k0_sample_count(rf, resolution)
     dim = len(rf.k0_basis)
     if dim == 1:
-        coeffs = (np.pi * np.arange(resolution) / resolution)[:, None]
-    else:
-        axis = -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        coeffs = np.stack([m.ravel() for m in mesh], axis=1)
-    blocks = [coeffs]
-    if not np.any(np.all(coeffs == 0.0, axis=1)):
-        blocks.insert(0, np.zeros((1, dim)))
-    if extras > 0:
-        blocks.append(-np.pi + 2.0 * np.pi * sobol_points(dim, int(extras), seed))
-    return np.concatenate(blocks, axis=0)
+        return (np.pi * np.arange(resolution) / resolution)[:, None]
+    axis = -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    coeffs = np.stack([m.ravel() for m in mesh], axis=1)
+    if np.any(np.all(coeffs == 0.0, axis=1)):
+        return coeffs
+    return np.concatenate([np.zeros((1, dim)), coeffs], axis=0)
 
 
-def k0_sample_matrices(rf, resolution, seed, extras):
-    """Raw (N, n, n) stack of K0 sample matrices; fast path for optimizers."""
-    coeffs = _k0_coefficients(rf, resolution, seed, extras)
+def k0_matrices(rf, coeffs):
+    """(N, n, n) stack exp(sum_d coeffs[:, d] kappa_d) over the K0 basis,
+    validated as unitary and J-preserving; NumericalDegeneracy otherwise."""
     x = np.einsum("cd,dij->cij", coeffs, rf.k0_basis)
     mats = expm_antihermitian(x)
     j = rf.form_matrix
@@ -220,6 +216,12 @@ def k0_sample_matrices(rf, resolution, seed, extras):
         raise NumericalDegeneracy("K0 sample failed membership validation")
     return mats
 
-def k0_sample(rf, resolution, seed, extras):
-    """Deterministic seeded sample of K0 as GroupElements."""
-    return [GroupElement(m) for m in k0_sample_matrices(rf, resolution, seed, extras)]
+
+def k0_sample_matrices(rf, resolution):
+    """Raw (N, n, n) stack of the coarse K0 grid; fast path for optimizers."""
+    return k0_matrices(rf, _k0_coefficients(rf, resolution))
+
+
+def k0_sample(rf, resolution):
+    """The coarse K0 grid as GroupElements."""
+    return [GroupElement(m) for m in k0_sample_matrices(rf, resolution)]

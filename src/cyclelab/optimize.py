@@ -11,14 +11,14 @@ vectors for su21).  Moving the subject by k and evaluating the base
 machinery gives the same supremum as moving the Schubert machinery by
 k^{-1}, since the compact group is a group.
 
-The supremum is a seeded coarse search over a K0 stack followed by a
-monotone Newton ascent from the best sample.  The coarse search screens
+The supremum is a coarse search over a K0 grid followed by a monotone
+Newton ascent from the best sample.  The coarse search screens
 before it scores: p = A_k s is linear in the subject s, so ||p||^2 and
 |sigma . p|^2 are Hermitian forms in s, and on the n^2 real features of
 s (|s_c|^2 and conj(s_c) s_d for c < d) the pair of every sample is two
 real matrix products against coefficients cached with the stack.  Only
 the samples whose screened ratio lies within a rounding window of the
-row's best are scored exactly, by values_shared, so the start is the
+row's best are scored exactly, by values_own, so the start is the
 first exact argmax bit for bit.  p is also linear in the moved
 subject, so its derivatives in left exponential coordinates on K0 are
 closed form, and so are the gradient and Hessian of the branch value
@@ -47,9 +47,9 @@ NEWTON_ITERS = 200
 GAIN_FLOOR = 4e-16
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
-# values_shared and the coarse screen take this many K0 samples at a
-# time, so their temporaries stay at CHUNK x K_BLOCK (x n) whatever the
-# coarse resolution
+# the coarse screen takes this many K0 samples at a time, so its
+# temporaries, and the exact scores of its candidates, stay at most
+# CHUNK x K_BLOCK (x n) whatever the coarse resolution
 K_BLOCK = 128
 # coarse screen: the start search rescores exactly the samples whose
 # Gram-form ratio lies within a window of SCREEN_SLACK (max(r_max, 1) /
@@ -99,40 +99,24 @@ class BranchEngine:
         # |sigma . p| below 1e-15 |p| is rounding: the point is at the pole
         return np.where(den <= 1e-30 * num, np.inf, v)
 
-    def values_shared(self, subjects, ks):
-        """branch values, subjects (m, n) against a common stack ks (K, n, n).
-
-        Scored K_BLOCK samples at a time; every value is computed as in a
-        single pass over the whole stack.
-        """
-        geo = self.sc.geometry
-        out = np.empty((subjects.shape[0], ks.shape[0]))
-        for j in range(0, ks.shape[0], K_BLOCK):
-            moved = np.einsum("kab,mb->mka", geo.move_matrices(ks[j:j + K_BLOCK]),
-                              subjects)
-            p = geo.slice_vectors(moved, self.duals)
-            out[:, j:j + K_BLOCK] = self._value_from_p(p)
-        return out
-
     def values_own(self, subjects, ks):
         """branch values, subjects (m, n) each against its own ks (m, s, n, n)."""
         geo = self.sc.geometry
         moved = np.einsum("msab,mb->msa", geo.move_matrices(ks), subjects)
         return self._value_from_p(geo.slice_vectors(moved, self.duals))
 
-    def coarse(self, resolution, seed, extras):
-        """(stack, num forms, den forms): the coarse K0 stack and the real
+    def coarse(self, resolution):
+        """(stack, num forms, den forms): the coarse K0 grid and the real
         (n^2, K) coefficients of ||p||^2 and |sigma . p|^2 on the Gram
-        features of a subject (_gram_split), built once per (resolution,
-        seed, extras) and shared read-only by every caller.
+        features of a subject (_gram_split), built once per resolution and
+        shared read-only by every caller.
 
         p = A_k s is linear in the subject, so both are Hermitian forms in
         s: A_k* A_k and conj(b_k) b_k^T with b_k = A_k^T sigma.  A_k comes
         from the geometry's branch kernel applied to the identity.
         """
-        key = (resolution, seed, extras)
-        if key not in self._stacks:
-            ks = k0_sample_matrices(self.sc.rf, resolution, seed, extras)
+        if resolution not in self._stacks:
+            ks = k0_sample_matrices(self.sc.rf, resolution)
             # cols[k, c] = A_k e_c, the slice vector of the moved basis vector
             cols = self.sc.geometry.slice_vectors(
                 np.swapaxes(self.sc.geometry.move_matrices(ks), 1, 2), self.duals)
@@ -147,8 +131,8 @@ class BranchEngine:
                                   for q in forms)
             for a in entry:
                 a.setflags(write=False)
-            self._stacks[key] = entry
-        return self._stacks[key]
+            self._stacks[resolution] = entry
+        return self._stacks[resolution]
 
     def derivatives(self, moved):
         """Gradient (m, d) and Hessian (m, d, d) of the branch value in left
@@ -176,7 +160,7 @@ class BranchEngine:
 def get_engine(sc):
     """The engine of a scenario config; configs that differ in their
     tolerances get engines (and caches) of their own.  Configs that differ
-    only in their k0_* fields share one: its stacks are keyed by them."""
+    only in k0_resolution share one: its stacks are keyed by it."""
     key = (sc.name, sc.tol)
     if key not in _ENGINES:
         _ENGINES[key] = BranchEngine(sc)
@@ -195,15 +179,16 @@ def _gram_split(q):
 
 def _screened_start(engine, subjects, ks, num_forms, den_forms):
     """(index, value) of the best coarse sample per subject row, the first
-    of equal ones: np.argmax of values_shared over the stack, bit for bit.
+    of equal ones: np.argmax over the stack of the branch values that
+    values_own gives, bit for bit.
 
     Pass 1 screens every sample by the ratio r = ||p||^2 / |sigma . p|^2
     of two real products on the Gram features of the unit rows (+inf where
     the denominator is not positive) and keeps each row's largest ratio
-    r_max and smallest numerator nu.  Pass 2 recomputes the ratios and
-    rescores with values_shared, one K_BLOCK at a time, only the rows with
-    a sample within the window below r_max; the others are -inf there.
-    Both passes hold CHUNK x K_BLOCK temporaries only.
+    r_max and smallest numerator nu.  Pass 2 recomputes the ratios one
+    K_BLOCK at a time and scores with values_own only the candidates, the
+    (row, sample) pairs within the window below r_max; the others are
+    -inf there.  Both passes hold CHUNK x K_BLOCK temporaries at most.
     """
     m = subjects.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,7 +230,10 @@ def _screened_start(engine, subjects, ks, num_forms, den_forms):
         hit = np.flatnonzero(np.any(cand, axis=1))
         if hit.size == 0:
             continue
-        v = np.where(cand[hit], engine.values_shared(subjects[hit], ks[b]), -np.inf)
+        cand = cand[hit]
+        r, c = np.nonzero(cand)
+        v = np.full(cand.shape, -np.inf)
+        v[r, c] = engine.values_own(subjects[hit[r]], ks[b][c][:, None])[:, 0]
         i = np.argmax(v, axis=1)
         bv, cur = v[np.arange(hit.size), i], value[hit]
         # np.argmax's order: a later block wins only when strictly
@@ -333,17 +321,26 @@ def maximize_branch(subjects, sc):
     """sup over the compact group of the branch value per subject row.
 
     Returns (values, argmax group matrices).  Newton ascent from the best
-    sample of the coarse K0 stack of sc's k0_resolution, k0_seed and
-    k0_extras (the first of equal ones); the result never falls below the
-    coarse maximum.
+    sample of the coarse K0 grid of sc's k0_resolution (the first of equal
+    ones), then one Newton-Schulz step k (3I - k*k) / 2 on each finite
+    row's argmax (Higham, Functions of Matrices, 2008, ch. 8): the ascent's
+    accepted steps leave k off the unitary group by a few eps, and near
+    the boundary the value is sensitive to that defect.  A finite value
+    is the branch value at its polished argmax, so it differs from the
+    ascent's, which never falls below the coarse maximum, by the polish's
+    rounding only.
     """
     engine = get_engine(sc)
-    coarse, num_forms, den_forms = engine.coarse(sc.k0_resolution, sc.k0_seed,
-                                                 sc.k0_extras)
+    coarse, num_forms, den_forms = engine.coarse(sc.k0_resolution)
 
     def block(rows):
         best, value = _screened_start(engine, rows, coarse, num_forms, den_forms)
-        return _newton_ascent(engine, rows, coarse[best], value)
+        vals, ks = _newton_ascent(engine, rows, coarse[best], value)
+        fin = np.isfinite(vals)
+        k = ks[fin]
+        k = 0.5 * k @ (3.0 * np.eye(k.shape[-1]) - np.conj(np.swapaxes(k, 1, 2)) @ k)
+        ks[fin], vals[fin] = k, engine.values_own(rows[fin], k[:, None])[:, 0]
+        return vals, ks
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
     return run_chunked(block, subjects)

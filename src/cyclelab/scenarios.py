@@ -346,7 +346,6 @@ def _build_su11():
         base_cycle_dual=dual,
         tol=Tolerances(),
         k0_resolution=32,
-        k0_extras=0,
     )
 
 
@@ -390,10 +389,9 @@ def _build_su21():
         base_cycle_dual=dual,
         tol=Tolerances(),
         # 32 coarse points per compact dimension is affordable only for a
-        # one-dimensional K0; the 4-dimensional K0 of su21 uses a 6^4 grid
-        # plus 36 scrambled-Sobol extras, refined by local ascent.
+        # one-dimensional K0; the 4-dimensional K0 of su21 uses a 6^4 grid,
+        # refined by local ascent.
         k0_resolution=6,
-        k0_extras=36,
     )
 
 

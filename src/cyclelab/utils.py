@@ -114,8 +114,9 @@ def sobol_points(dim, count, seed):
     """Deterministic scrambled-Sobol sample of [0,1)^dim, read-only.
 
     The sequence is extensible: the first k points of a longer draw with
-    the same seed equal the shorter draw, which makes refinement of the
-    coarse optimizer stage monotone.  Cached: certificates redraw them.
+    the same seed equal the shorter draw.  It places the certificate
+    probes and verify's seeded K0 elements.  Cached: certificates redraw
+    them.
     """
     out = np.zeros((0, dim))
     if count > 0:

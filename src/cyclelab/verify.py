@@ -26,13 +26,13 @@ from .exhaust import (batch_values, divergence_path, seeded_cycles,
                       translation_branch_pair)
 from .levi import (levi_form_fd, levi_refinement_ratio,
                    q_pseudoconvex_certificate)
-from .liecore import (GroupElement, exp_map, is_member, iwasawa_decompose,
-                      k0_sample_matrices)
+from .liecore import GroupElement, exp_map, is_member, iwasawa_decompose, k0_matrices
 from .optimize import get_engine
 from .scenarios import get_scenario
 from .schubert import intersect_slice
 from .sections import exhaustion_values, gu_invariant_metric
 from .cycles import translate_cycle
+from .utils import sobol_points
 
 SUITE_NAMES = ("invariance", "psh", "exhaustion", "incidence", "levi")
 
@@ -123,8 +123,10 @@ class VerificationReport:
 
 
 def _group_elements(sc, count, seed):
-    return [GroupElement(m)
-            for m in k0_sample_matrices(sc.rf, 4, seed=seed, extras=count)[-count:]]
+    """count seeded K0 elements: scrambled-Sobol exponential coordinates
+    on [-pi, pi)^dim."""
+    coeffs = -np.pi + 2.0 * np.pi * sobol_points(len(sc.rf.k0_basis), count, seed)
+    return [GroupElement(m) for m in k0_matrices(sc.rf, coeffs)]
 
 
 def check_translation_identity(counts, seed, scenarios):

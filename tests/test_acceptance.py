@@ -123,9 +123,9 @@ def _boundary_rows(name, target, depth, rng, count):
 @pytest.mark.parametrize("name,target", [("su11", "r_md"), ("su11", "r_d"),
                                          ("su21", "r_md"), ("su21", "r_d")])
 def test_criterion_13_to_16_boundary_sweep(name, target):
-    # the input conditioning allows about 1e-16 / depth; the bound is 100x
-    # that, and 10x for su21 r_d, whose alignment is closed form
-    bound = 10.0 if (name, target) == ("su21", "r_d") else 100.0
+    # the input conditioning allows about 1e-16 / depth; the bound is 10x
+    # that
+    bound = 10.0
     sc = get_scenario(name)
     rng = np.random.default_rng((SEED, 43))
     depths = 10.0 ** -np.arange(1, 10)

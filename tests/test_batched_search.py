@@ -72,7 +72,7 @@ def _chart_rows(sc, spec):
 def test_newton_ascent_matches_one_halving_per_call(name, su11, su21, monkeypatch):
     sc = {"su11": su11, "su21": su21}[name]
     engine = optimize.get_engine(sc)
-    stack, num_forms, den_forms = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)
+    stack, num_forms, den_forms = engine.coarse(sc.k0_resolution)
     depths = boundary_depths(15)
     assert depths[-1] == 5e-15
     rows = np.concatenate(

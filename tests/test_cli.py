@@ -214,7 +214,7 @@ def test_usage_errors_exit_2(tmp_path):
                 assert code(command, flag, value) == 2, (command, flag)
     # requests past the documented memory bounds: a grid over MAX_GRID_N
     # points per axis, a coarse K0 stack over MAX_K0_SAMPLES (su21
-    # resolution 20 is 160036 samples; refused for every target)
+    # resolution 20 is 160000 samples; refused for every target)
     assert code(*grid[:-1], f"-0.9:0.9:{MAX_GRID_N + 1}") == 2
     assert code(*grid[:-1], config=f'{{"grid": "-0.9:0.9:{MAX_GRID_N + 1}"}}') == 2
     for target in ("r_s", "r_md"):
@@ -225,18 +225,40 @@ def test_usage_errors_exit_2(tmp_path):
     # the caps themselves are accepted
     assert grid_axis((-0.9, 0.9, MAX_GRID_N)).shape == (MAX_GRID_N,)
     su21 = get_scenario("su21")
-    assert k0_sample_count(su21.rf, 19, su21.k0_extras) <= MAX_K0_SAMPLES
+    assert k0_sample_count(su21.rf, 19) <= MAX_K0_SAMPLES
 
 
 def test_eval_seed_and_resolution_reach_the_coarse_stack(tmp_path):
-    # the eval run's scenario carries its seed and resolution; the built-in
-    # scenario, and so verify and certify, keep seed 42
+    # the eval run's scenario carries its resolution, the stack's only key;
+    # the built-in scenario, and so verify and certify, keep resolution 6
     su21 = get_scenario("su21")
     argv = ["eval", "--scenario", "su21", "--target", "r_md", "--grid", "-0.1:0.1:2",
             "--resolution-k0", "3", "--seed", "9", "--out", str(tmp_path / "g.csv")]
     assert cli.main(argv) == 0
-    assert (3, 9, 36) in get_engine(su21)._stacks
-    assert su21.k0_seed == 42 and su21.k0_resolution == 6
+    assert 3 in get_engine(su21)._stacks
+    assert su21.k0_resolution == 6
+
+
+def test_eval_seed_leaves_the_grid_payload_unchanged(tmp_path):
+    # eval still takes --seed (its JSON payload records it), but no value
+    # depends on it
+    outs = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"g{seed}.csv"
+        assert cli.main(["eval", "--scenario", "su21", "--target", "r_md",
+                         "--grid", "-0.5:0.5:5", "--seed", seed, "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_fresh_rmd_eval_leaves_scipy_stats_unloaded():
+    code = ("import sys\n"
+            "from cyclelab.cli import main\n"
+            "assert main(['eval', '--scenario', 'su21', '--target', 'r_md', "
+            "'--grid', '-0.5:0.5:3']) == 0\n"
+            "assert 'scipy.stats' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_config_file_merge_and_override(tmp_path):

@@ -8,13 +8,14 @@ import pytest
 
 from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       cycle_from_point, cycle_in_domain, divergence_path,
-                      evaluate_grid, in_domain, k0_sample, seeded_cycles,
+                      evaluate_grid, in_domain, seeded_cycles,
                       seeded_domain_points,
                       translation_branch_pair)
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
 from cyclelab.optimize import (aligned_domain_values, fiber_infimum, get_engine,
                                maximize_branch)
+from cyclelab.verify import _group_elements
 
 from oracles import LOG2, LOG10, rd_ball, rmd_disk, rmd_dual_ball
 
@@ -73,7 +74,7 @@ def test_disk_domain_equals_cycle_space(su11):
 def test_translation_identity(su11, su21):
     for sc in (su11, su21):
         cycles = seeded_cycles(sc, 4, seed=11)
-        ks = k0_sample(sc.rf, 2, seed=12, extras=4)[-4:]
+        ks = _group_elements(sc, 4, 12)
         for k, c in zip(ks, cycles):
             lhs, rhs = translation_branch_pair(k, c, sc)
             assert abs(lhs - rhs) < 1e-9
@@ -84,7 +85,7 @@ def test_compact_invariance(su21):
     base = batch_values(c.dual, su21, "r_md")[0]
     from cyclelab import translate_cycle
 
-    for k in k0_sample(su21.rf, 2, seed=10, extras=3)[-3:]:
+    for k in _group_elements(su21, 3, 10):
         moved = batch_values(translate_cycle(k, c, su21).dual, su21, "r_md")[0]
         assert abs(moved - base) < 1e-6
 
@@ -321,39 +322,78 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
         _seeded_subjects(sc, 300, seed=10),
         sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
     engine = optimize.get_engine(sc)
-    stack = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)[0]
-    coarse_max = np.max(engine.values_shared(rows, stack), axis=1)
+    stack = engine.coarse(sc.k0_resolution)[0]
+    coarse_max = np.max(_stack_values(engine, rows, stack), axis=1)
     vals, ks = maximize_branch(rows, sc)
     assert np.all(vals >= coarse_max)
     # the argmax gives back the value
     assert np.array_equal(vals, engine.values_own(rows, ks[:, None])[:, 0])
 
 
+def test_maximize_branch_argmax_stays_on_the_group(su21):
+    # the ascent's accepted steps drift off the unitary group by a few eps;
+    # the polished argmax is unitary to rounding
+    depths = boundary_depths(15, decade=1.0)
+    rows = np.concatenate([su21.geometry.divergence_rows(
+        "r_md", depths, np.random.default_rng(s), su21.rf) for s in range(8)])
+    _, ks = maximize_branch(rows, su21)
+    defect = np.max(np.abs(np.conj(np.swapaxes(ks, 1, 2)) @ ks - np.eye(3)))
+    assert defect <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_maximize_branch_is_k0_invariant(name, su11, su21):
+    # r_md(k C) = r_md(C): the supremum over K0 of a k-moved subject equals
+    # that of the subject, within twice the sweep's 10x of the conditioning
+    # floor 1e-16 / depth (K0 keeps the depth 1 - |head| / |last|)
+    sc = {"su11": su11, "su21": su21}[name]
+    rng = np.random.default_rng(21)
+    depths = np.repeat(10.0 ** -np.arange(1, 13), 8)
+    head = (rng.standard_normal((depths.size, sc.n - 1))
+            + 1j * rng.standard_normal((depths.size, sc.n - 1)))
+    head *= ((1.0 - depths) / np.linalg.norm(head, axis=1))[:, None]
+    rows = np.concatenate([head, np.ones((depths.size, 1))], axis=1)
+    ks = np.stack([k.matrix for k in _group_elements(sc, depths.size, 22)])
+    moved = np.einsum("mab,mb->ma", sc.geometry.move_matrices(ks), rows)
+    err = np.abs(maximize_branch(moved, sc)[0] - maximize_branch(rows, sc)[0])
+    assert np.max(err * depths / 1e-16) <= 20.0
+
+
+def _stack_values(engine, rows, ks, block=16):
+    """Branch values (m, K) of every row against the whole stack ks
+    (K, n, n), by values_own, block rows at a time."""
+    return np.concatenate([
+        engine.values_own(part, np.broadcast_to(ks, (part.shape[0],) + ks.shape))
+        for part in np.array_split(rows, -(-rows.shape[0] // block))])
+
+
 @pytest.mark.parametrize("resolution", [None, 10])
-def test_values_shared_blocks_match_one_block(su21, resolution, monkeypatch):
+def test_screened_start_blocks_match_one_block(su21, resolution, monkeypatch):
     import cyclelab.optimize as optimize
 
     sc = su21 if resolution is None else dataclasses.replace(su21, k0_resolution=resolution)
     engine = optimize.get_engine(sc)
-    ks = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)[0]
-    assert ks.shape[0] == {None: 1332, 10: 10036}[resolution]
+    coarse = engine.coarse(sc.k0_resolution)
+    assert coarse[0].shape[0] == {None: 1296, 10: 10000}[resolution]
     rows = _seeded_subjects(su21, 40, seed=9)
-    blocked = engine.values_shared(rows, ks)
-    monkeypatch.setattr(optimize, "K_BLOCK", ks.shape[0])
-    assert np.array_equal(blocked, engine.values_shared(rows, ks))
+    blocked = optimize._screened_start(engine, rows, *coarse)
+    monkeypatch.setattr(optimize, "K_BLOCK", coarse[0].shape[0])
+    whole = optimize._screened_start(engine, rows, *coarse)
+    assert blocked[0].tobytes() == whole[0].tobytes()
+    assert blocked[1].tobytes() == whole[1].tobytes()
 
 
 @pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10),
                                              ("su11", 32), ("su11", 1024)])
 def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
-    # the Gram-form screen only picks which samples values_shared rescores:
-    # the start index and value are np.argmax over the whole stack, bit for bit
+    # the Gram-form screen only picks which samples values_own scores: the
+    # start index and value are np.argmax over the whole stack, bit for bit
     import cyclelab.optimize as optimize
 
     sc = dataclasses.replace({"su11": su11, "su21": su21}[name], k0_resolution=resolution)
     geo = sc.geometry
     engine = get_engine(sc)
-    ks, num_forms, den_forms = engine.coarse(sc.k0_resolution, sc.k0_seed, sc.k0_extras)
+    ks, num_forms, den_forms = engine.coarse(sc.k0_resolution)
     # a symmetric grid has exact ties; at its origin every sample ties
     # (su11 only to rounding: the moved point keeps a phase)
     axis = np.linspace(-0.9, 0.9, 9)
@@ -367,7 +407,7 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     # scaled rows; at 1e-160 the branch terms are subnormal and every
     # sample is rescored (SCREEN_LOG_SCALE)
     rows = np.concatenate([rows, 1e100 * rows, 1e-100 * rows, 1e-160 * rows])
-    want = engine.values_shared(rows, ks)
+    want = _stack_values(engine, rows, ks)
     idx = np.argmax(want, axis=1)
     spread = np.ptp(want[origin], axis=1)
     assert origin.size == 1 and np.all(spread <= (0.0 if name == "su21" else 1e-15))
@@ -390,8 +430,7 @@ def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
     run_suite("psh", counts, 4, ("su11", "su21"))
     assert len(calls) == 2
     for sc in (su11, su21):
-        stack = optimize.get_engine(sc).coarse(sc.k0_resolution, sc.k0_seed,
-                                               sc.k0_extras)[0]
+        stack = optimize.get_engine(sc).coarse(sc.k0_resolution)[0]
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0
     assert len(calls) == 2
@@ -400,8 +439,8 @@ def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
 def test_engine_is_keyed_by_tolerances(su21):
     same = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol))
     assert get_engine(same) is get_engine(su21)
-    # the coarse stacks are keyed by the k0 fields, not the engine
-    k0 = dataclasses.replace(su21, k0_resolution=2, k0_seed=7, k0_extras=1)
+    # the coarse stacks are keyed by the resolution, not the engine
+    k0 = dataclasses.replace(su21, k0_resolution=2)
     assert get_engine(k0) is get_engine(su21)
     coarse = dataclasses.replace(su21, tol=dataclasses.replace(su21.tol, fd_step=1e-2))
     assert get_engine(coarse) is not get_engine(su21)

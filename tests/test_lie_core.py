@@ -8,6 +8,7 @@ from cyclelab import (GroupElement, InvalidInput, cartan_involution, exp_map,
 from cyclelab.errors import NotInRealForm
 from cyclelab.flags import act
 from cyclelab.liecore import MAX_K0_SAMPLES, k0_sample_count
+from cyclelab.verify import _group_elements
 
 from oracles import TANH1
 
@@ -70,7 +71,7 @@ def test_cartan_involution_is_adjoint_inverse(su21):
 
 
 def test_cartan_involution_fixes_compact_factor(su21):
-    for k in k0_sample(su21.rf, 2, seed=5, extras=6)[:8]:
+    for k in k0_sample(su21.rf, 2)[:8]:
         assert cartan_involution(k, su21.rf).distance_to(k) < 1e-12
 
 
@@ -79,7 +80,7 @@ def test_iwasawa_roundtrip(name, su11, su21):
     sc = {"su11": su11, "su21": su21}[name]
     rf = sc.rf
     rng = np.random.default_rng(11)
-    ks = k0_sample(rf, 3, seed=11, extras=12)
+    ks = k0_sample(rf, 3) + _group_elements(sc, 12, 11)
     worst = 0.0
     for k in ks:
         ta = rng.uniform(-1.5, 1.5, len(rf.a_basis))
@@ -107,7 +108,7 @@ def test_iwasawa_rejects_outside_real_form(su11):
 
 
 def test_k0_sample_circle_grid(su11):
-    ks = k0_sample(su11.rf, 8, seed=0, extras=0)
+    ks = k0_sample(su11.rf, 8)
     assert len(ks) == 8
     assert ks[0].distance_to(GroupElement(np.eye(2))) < 1e-14
     for j, k in enumerate(ks):
@@ -119,9 +120,9 @@ def test_k0_sample_circle_grid(su11):
 def test_k0_sample_product_grid(su21):
     # the 2^4 grid on [-pi, pi)^4 already contains the zero row, so no
     # identity is prepended; resolution 3 lacks it and gets one
-    ks = k0_sample(su21.rf, 2, seed=1, extras=5)
-    assert len(ks) == 16 + 5
-    ks3 = k0_sample(su21.rf, 3, seed=1, extras=0)
+    ks = k0_sample(su21.rf, 2)
+    assert len(ks) == 16
+    ks3 = k0_sample(su21.rf, 3)
     assert len(ks3) == 1 + 81
     assert ks3[0].distance_to(GroupElement(np.eye(3))) < 1e-14
     for k in ks[:6] + ks3[:3]:
@@ -130,24 +131,24 @@ def test_k0_sample_product_grid(su21):
 
 def test_k0_sample_grid_cap(su11, su21):
     with pytest.raises(InvalidInput):
-        k0_sample(su21.rf, 25, seed=0, extras=0)
-    # one count for every caller: the grid plus the extras; the circle of
-    # su11 is capped too
-    assert k0_sample_count(su21.rf, 19, 19**2) == 19**4 + 19**2
-    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES, 0) == MAX_K0_SAMPLES
-    # past the cap, or a resolution or extras that is no integer in range
-    for rf, res, extras in ((su21.rf, 19, MAX_K0_SAMPLES - 19**4 + 1),
-                            (su11.rf, MAX_K0_SAMPLES + 1, 0),
-                            (su11.rf, 2, MAX_K0_SAMPLES - 1),
-                            (su21.rf, 0, 0), (su21.rf, 2.5, 0), (su21.rf, True, 0),
-                            (su21.rf, 2, -1), (su21.rf, 2, 1.0)):
+        k0_sample(su21.rf, 25)
+    # one count for every caller: resolution^dim; the circle of su11 is
+    # capped too
+    assert k0_sample_count(su21.rf, 19) == 19**4
+    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES) == MAX_K0_SAMPLES
+    # past the cap, or a resolution that is no integer in range
+    for rf, res in ((su21.rf, 20), (su11.rf, MAX_K0_SAMPLES + 1),
+                    (su21.rf, 0), (su21.rf, 2.5), (su21.rf, True)):
         with pytest.raises(InvalidInput):
-            k0_sample_count(rf, res, extras)
+            k0_sample_count(rf, res)
         with pytest.raises(InvalidInput):
-            k0_sample(rf, res, seed=0, extras=extras)
+            k0_sample(rf, res)
 
 
 def test_k0_sample_is_seed_deterministic(su21):
-    a = k0_sample(su21.rf, 2, seed=9, extras=4)
-    b = k0_sample(su21.rf, 2, seed=9, extras=4)
+    # the grid takes no seed; the seeded draw repeats for its seed only
+    a, b = k0_sample(su21.rf, 2), k0_sample(su21.rf, 2)
     assert all(x.distance_to(y) == 0.0 for x, y in zip(a, b))
+    a, b = _group_elements(su21, 4, 9), _group_elements(su21, 4, 9)
+    assert all(x.distance_to(y) == 0.0 for x, y in zip(a, b))
+    assert all(x.distance_to(y) > 0.0 for x, y in zip(a, _group_elements(su21, 4, 10)))

@@ -5,13 +5,14 @@ import pytest
 
 from cyclelab import (FlagPoint, GroupElement, SliceDatum, base_cycle,
                       cycle_from_dual, cycle_from_point, intersect_base_cycle,
-                      intersect_slice, k0_sample, make_schubert, schubert_slice,
+                      intersect_slice, make_schubert, schubert_slice,
                       seeded_cycles, translate_cycle, translate_schubert,
                       translate_slice)
 from cyclelab.errors import IncidenceMiss, IntersectionFailure, UniquenessViolation
 from cyclelab.flags import act, in_domain
 from cyclelab.optimize import BranchEngine, get_engine
 from cyclelab.schubert import meets_cell_boundary, schubert_from_borel
+from cyclelab.verify import _group_elements
 
 
 def test_schubert_datum_disk(su11):
@@ -172,7 +173,7 @@ def test_incidence_equivariance(su21):
     sl = schubert_slice(s, su21)
     c = cycle_from_dual([0.2, -0.5j, 1.0], su21)
     base_pt = intersect_slice(sl, c).point
-    for k in k0_sample(su21.rf, 2, seed=3, extras=4)[-4:]:
+    for k in _group_elements(su21, 4, 3):
         moved = intersect_slice(translate_slice(k, sl),
                                 translate_cycle(k, c, su21))
         assert moved.point.is_close(act(k, base_pt), tol=1e-10)
@@ -181,7 +182,7 @@ def test_incidence_equivariance(su21):
 def test_translated_borel_matches_translated_datum(su21):
     # building from the conjugated Borel and translating the datum agree
     s = make_schubert(su21)
-    for k in k0_sample(su21.rf, 2, seed=14, extras=3)[-3:]:
+    for k in _group_elements(su21, 3, 14):
         direct = schubert_from_borel(k @ s.borel, su21)
         moved = translate_schubert(k, s, su21)
         assert np.max(np.abs(direct.duals - moved.duals)) < 1e-10

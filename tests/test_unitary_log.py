@@ -8,12 +8,19 @@ from scipy.linalg import logm
 from cyclelab.exhaust import k0_log_coordinates
 from cyclelab.liecore import k0_sample_matrices
 from cyclelab.utils import LOG_AXIS, expm_antihermitian, logm_unitary
+from cyclelab.verify import _group_elements
 
 
 def reference_log(u):
     """Anti-Hermitian part of scipy's logm, matrix by matrix."""
     x = np.array([logm(m) for m in u])
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
+
+
+def _grid_and_seeded(sc):
+    """The resolution-4 K0 grid and 64 seeded K0 elements."""
+    return np.concatenate([k0_sample_matrices(sc.rf, 4),
+                           [k.matrix for k in _group_elements(sc, 64, 5)]])
 
 
 def haar_unitaries(count, n, seed):
@@ -44,7 +51,7 @@ def assert_log_of(x, u, tol=1e-12):
 @pytest.mark.parametrize("name", ["su11", "su21"])
 def test_seeded_k0_stacks_match_logm(name, su11, su21, logm_calls):
     sc = {"su11": su11, "su21": su21}[name]
-    u = k0_sample_matrices(sc.rf, 4, seed=5, extras=64)
+    u = _grid_and_seeded(sc)
     x = logm_unitary(u)
     assert not logm_calls
     # an anti-Hermitian log of u with every eigen-angle in (-pi, pi] is
@@ -113,7 +120,7 @@ def test_exact_minus_one_pair_takes_plus_i_pi(logm_calls):
 @pytest.mark.parametrize("name", ["su11", "su21"])
 def test_k0_coordinates_give_back_the_element(name, su11, su21):
     sc = {"su11": su11, "su21": su21}[name]
-    u = k0_sample_matrices(sc.rf, 4, seed=5, extras=64)
+    u = _grid_and_seeded(sc)
     basis = np.asarray(sc.rf.k0_basis)
     coords = k0_log_coordinates(u, sc.rf)
     x = np.einsum("ma,aij->mij", coords, basis)
