@@ -32,9 +32,9 @@ import numpy as np
 from .errors import MinorantFailure, NotInDomain, StencilFailure
 from .flags import in_domain, in_domain_rows
 from .optimize import aligned_domain_values, get_engine
-from .utils import hermitize, sobol_points
+from .utils import hermitize
 
-# certificate probes: Sobol points of the chart polydisk, first radius
+# certificate probes: seeded uniform points of the chart polydisk, first radius
 PROBES = 200
 RADIUS = 1e-2
 PROBE_GAP_TOL = 1e-9
@@ -130,11 +130,13 @@ class CertificateReport:
 def q_pseudoconvex_certificate(y, sc, seed=42):
     """Build and check the local minorant certificate at an interior point.
 
-    Probes are PROBES Sobol points of the chart polydisk; the certificate
-    holds when the exhaustion dominates the minorant at every probe within
+    Probes are PROBES uniform points of the chart polydisk, seeded, and
+    SOUNDNESS_PROBES more recheck the radius; the certificate holds when
+    the exhaustion dominates the minorant at every probe within
     PROBE_GAP_TOL and the minorant's Levi form has at least n - q
     positive eigenvalues.  The radius starts at RADIUS and halves a
-    bounded number of times before the attempt is abandoned.
+    bounded number of times before the attempt is abandoned; each attempt
+    scales the same points.
     """
     if not in_domain(y, sc):
         raise NotInDomain("certificates exist at interior points only")
@@ -155,16 +157,17 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
         return rows
 
     def exhaustion(xi):
-        return geo.certificate_exhaustion(chart_rows(xi), sc)
+        return aligned_domain_values(chart_rows(xi), sc)[0]
 
+    box = np.random.default_rng((seed, 41)).uniform(
+        -1.0, 1.0, (PROBES + SOUNDNESS_PROBES, 2 * dims))
+    unit = box[:, 0::2] + 1j * box[:, 1::2]
     for attempt in range(MAX_SHRINKS + 1):
         rad = RADIUS * 0.5**attempt
         # minorant(xi) is the minorant at chart probes xi; each family
         # member is a feasible branch of its own probe point
         minorant, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows, rad)
-        u = sobol_points(2 * dims, PROBES, seed)
-        xi = (2.0 * u - 1.0) * rad
-        xi = xi[:, 0::2] + 1j * xi[:, 1::2]
+        xi = rad * unit[:PROBES]
         if not np.all(in_domain_rows(chart_rows(xi), sc)):
             continue
         gaps = exhaustion(xi) - minorant(xi)
@@ -173,11 +176,9 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
             raise MinorantFailure(f"minorant misses the value by {touch:.2e}")
         gap_min = float(np.min(gaps))
         if gap_min >= -PROBE_GAP_TOL:
-            # soundness recheck: fresh probes, independent of the batch
-            # that tuned the radius
-            u2 = sobol_points(2 * dims, SOUNDNESS_PROBES, seed + 1)
-            xi2 = (2.0 * u2 - 1.0) * rad
-            xi2 = xi2[:, 0::2] + 1j * xi2[:, 1::2]
+            # soundness recheck: probes independent of the batch that
+            # tuned the radius
+            xi2 = rad * unit[PROBES:]
             sound = float(np.min(exhaustion(xi2) - minorant(xi2)))
             if sound < -SOUNDNESS_TOL:
                 continue

@@ -14,9 +14,9 @@ two cases make differently in the evaluation layers: the subject row of
 a cycle (the kernel point of l, or l itself), the branch kernel (which
 also gives the incidence points C cap S), the grid charts, the seeded
 samplers and discs, the divergence paths, the cell chart of the Levi
-check and the chart, exhaustion and minorant family of the
-pseudoconvexity certificate.  A new scenario is registered here with a
-geometry of its own.
+check and the chart and minorant family of the pseudoconvexity
+certificate.  A new scenario is registered here with a geometry of its
+own.
 
 The adapted frames diagonalize the split torus generator: its null
 eigenvectors stay fixed and the +/-1 eigenvectors v+ and v- become the
@@ -33,7 +33,7 @@ from .flags import FlagPoint, ScenarioConfig, Tolerances
 from .liecore import RealFormSpec
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
-from .optimize import aligned_domain_values, get_engine, maximize_branch
+from .optimize import aligned_domain_values, get_engine
 from .utils import expm_antihermitian
 
 SCENARIO_NAMES = ("su11", "su21")
@@ -119,10 +119,6 @@ class PointCycles:
             b_s = np.array([0.0, 1.0], complex)
             frame = np.stack([v, b_s])
         return frame, None, None
-
-    def certificate_exhaustion(self, rows, sc):
-        # the domain exhaustion of point cycles is the branch supremum
-        return maximize_branch(rows, sc)[0]
 
     def minorant_family(self, sc, khat, chart, chart_rows, rad):
         """(family, padding, notes) of the certificate at radius rad.
@@ -256,9 +252,6 @@ class LineCycles:
             raise NumericalDegeneracy("certificate chart is degenerate")
         return frame, complex(ad[0] / ad[1]), complex(ad[1])
 
-    def certificate_exhaustion(self, rows, sc):
-        return aligned_domain_values(rows, sc)[0]
-
     def minorant_family(self, sc, khat, chart, chart_rows, rad):
         """(family, padding, notes) of the certificate at radius rad.
 
@@ -273,7 +266,7 @@ class LineCycles:
         probe_p = rad * np.array([1, -1, 1j, -1j])
         xi_t = np.stack([np.zeros(4, complex), probe_p], axis=1)
         frozen = np.log1p(np.abs(c0 + xi_t[:, 0] / scale) ** 2)
-        drop = frozen - self.certificate_exhaustion(chart_rows(xi_t), sc)
+        drop = frozen - aligned_domain_values(chart_rows(xi_t), sc)[0]
         a_meas = float(np.max(drop / np.abs(xi_t[:, 1]) ** 2))
         padding = 0.5 * max(a_meas, 2e-3)
 

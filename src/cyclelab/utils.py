@@ -1,7 +1,5 @@
 """Small numeric helpers shared across modules."""
 
-import functools
-
 import numpy as np
 import scipy.linalg
 
@@ -107,30 +105,6 @@ def logm_unitary(u):
     for i in np.flatnonzero(np.max(np.abs(corr), axis=(1, 2)) > LOG_GUARD):
         x[i] = scipy.linalg.logm(u[i])
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
-
-
-@functools.lru_cache(maxsize=16)
-def sobol_points(dim, count, seed):
-    """Deterministic scrambled-Sobol sample of [0,1)^dim, read-only.
-
-    The sequence is extensible: the first k points of a longer draw with
-    the same seed equal the shorter draw.  It places the certificate
-    probes and verify's seeded K0 elements.  Cached: certificates redraw
-    them.
-    """
-    out = np.zeros((0, dim))
-    if count > 0:
-        # scipy.stats takes most of the package's import time; load it
-        # only when a sample is drawn
-        from scipy.stats import qmc
-
-        eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        # drawing a power-of-two block and slicing keeps the balance
-        # warning quiet without changing the points of the common prefix
-        block = 1 << max(0, int(np.ceil(np.log2(count))))
-        out = eng.random(block)[:count]
-    out.setflags(write=False)
-    return out
 
 
 def run_chunked(fn, rows):

@@ -32,7 +32,6 @@ from .scenarios import get_scenario
 from .schubert import intersect_slice
 from .sections import exhaustion_values, gu_invariant_metric
 from .cycles import translate_cycle
-from .utils import sobol_points
 
 SUITE_NAMES = ("invariance", "psh", "exhaustion", "incidence", "levi")
 
@@ -123,9 +122,10 @@ class VerificationReport:
 
 
 def _group_elements(sc, count, seed):
-    """count seeded K0 elements: scrambled-Sobol exponential coordinates
-    on [-pi, pi)^dim."""
-    coeffs = -np.pi + 2.0 * np.pi * sobol_points(len(sc.rf.k0_basis), count, seed)
+    """count seeded K0 elements: exponential coordinates drawn uniformly
+    on [-pi, pi)^dim from default_rng((seed, 29))."""
+    rng = np.random.default_rng((seed, 29))
+    coeffs = rng.uniform(-np.pi, np.pi, (count, len(sc.rf.k0_basis)))
     return [GroupElement(m) for m in k0_matrices(sc.rf, coeffs)]
 
 
@@ -140,7 +140,7 @@ def check_translation_identity(counts, seed, scenarios):
             lhs, rhs = translation_branch_pair(k, c, sc)
             worst = max(worst, abs(lhs - rhs))
             total += 1
-    return CheckResult("translation_identity", worst < 1e-9, total, worst, 1e-9)
+    return CheckResult("translation_identity", worst < 1e-12, total, worst, 1e-12)
 
 
 def check_compact_invariance(counts, seed, scenarios):
@@ -157,7 +157,7 @@ def check_compact_invariance(counts, seed, scenarios):
         moved_vals = batch_values(moved, sc, "r_md")
         worst = max(worst, float(np.max(np.abs(moved_vals - base_vals))))
         total += len(cycles)
-    return CheckResult("compact_invariance", worst < 1e-6, total, worst, 1e-6)
+    return CheckResult("compact_invariance", worst < 1e-12, total, worst, 1e-12)
 
 
 def check_metric_invariance(counts, seed, scenarios):

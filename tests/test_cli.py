@@ -118,7 +118,7 @@ def test_info_reports_invariants():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only Sobol sampling needs it
+    # scipy.stats is most of the import time, and no run path needs it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cyclelab; print('scipy.stats' in sys.modules)"],
@@ -251,11 +251,16 @@ def test_eval_seed_leaves_the_grid_payload_unchanged(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_fresh_rmd_eval_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("args", [
+    ["eval", "--scenario", "su21", "--target", "r_md", "--grid", "-0.5:0.5:3"],
+    ["verify", "--counts", "quick"],
+    ["certify", "--scenario", "su11", "--count", "2"],
+    ["certify", "--scenario", "su21", "--count", "2"],
+], ids=["eval-su21-r_md", "verify-quick", "certify-su11", "certify-su21"])
+def test_fresh_run_leaves_scipy_stats_unloaded(args):
     code = ("import sys\n"
             "from cyclelab.cli import main\n"
-            "assert main(['eval', '--scenario', 'su21', '--target', 'r_md', "
-            "'--grid', '-0.5:0.5:3']) == 0\n"
+            f"assert main({args!r}) == 0\n"
             "assert 'scipy.stats' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -187,8 +187,8 @@ def test_certificate_aligns_each_probe_set_once(su21, count_calls):
     assert rep.value == pytest.approx(1.829392665550663, rel=1e-12)
     assert rep.padding == pytest.approx(2.614105923915977, rel=1e-12)
     assert rep.touch_gap <= 1e-13
-    assert rep.probe_gap_min == pytest.approx(2.8119023440797974e-06, abs=1e-13)
-    assert rep.notes["soundness_gap_min"] == pytest.approx(6.85785398646388e-06,
+    assert rep.probe_gap_min == pytest.approx(9.498852500122723e-07, abs=1e-13)
+    assert rep.notes["soundness_gap_min"] == pytest.approx(1.5410872242105356e-05,
                                                            abs=1e-13)
     assert rep.levi_eigenvalues == pytest.approx(
         [-8.291817388640936, 0.6081207377752429], rel=1e-9)
