@@ -13,7 +13,7 @@ from .scenarios import SCENARIO_NAMES, get_scenario
 from .liecore import (GroupElement, RealFormSpec,
                       cartan_involution, exp_map, is_member,
                       iwasawa_decompose, k0_sample)
-from .flags import FlagPoint, ScenarioConfig, Tolerances, act, chart, in_domain
+from .flags import FlagPoint, ScenarioConfig, act, chart, in_domain
 from .cycles import (Cycle, base_cycle, cycle_from_dual, cycle_from_point,
                      cycle_in_domain, mu_fiber, translate_cycle)
 from .schubert import (IncidenceRecord, SchubertDatum, SliceDatum,
@@ -36,7 +36,7 @@ __all__ = [
     "SCENARIO_NAMES", "get_scenario",
     "GroupElement", "RealFormSpec", "cartan_involution",
     "exp_map", "is_member", "iwasawa_decompose", "k0_sample",
-    "FlagPoint", "ScenarioConfig", "Tolerances", "act", "chart", "in_domain",
+    "FlagPoint", "ScenarioConfig", "act", "chart", "in_domain",
     "Cycle", "base_cycle", "cycle_from_dual", "cycle_from_point",
     "cycle_in_domain", "fiber_infimum", "mu_fiber", "translate_cycle",
     "IncidenceRecord", "SchubertDatum", "SliceDatum", "intersect_base_cycle",

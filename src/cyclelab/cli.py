@@ -40,10 +40,10 @@ LEVI_MODES = ("on", "off", "auto")
 # eval's seed is read only into its JSON payload's "seed" field
 COMMAND_KEYS = {
     "eval": ("scenario", "seed", "out", "format", "target", "grid",
-             "resolution_k0", "levi", "tolerances"),
+             "resolution_k0", "levi"),
     "verify": ("scenario", "seed", "out", "suite", "counts"),
-    "certify": ("scenario", "seed", "out", "count", "tolerances"),
-    "info": ("scenario", "tolerances"),
+    "certify": ("scenario", "seed", "out", "count"),
+    "info": ("scenario",),
 }
 
 
@@ -63,7 +63,6 @@ class RunConfig:
     counts: str = "quick"
     count: int = 5
     levi: str = "auto"
-    tolerances: dict = dataclasses.field(default_factory=dict)
 
 
 def parse_grid(text):
@@ -155,17 +154,10 @@ def build_config(args):
 
 
 def _scenario(cfg):
-    """The named scenario with the run's overrides: tolerances, and for
-    eval the coarse K0 grid's resolution."""
+    """The named scenario, for eval with the run's coarse K0 resolution."""
     if cfg.scenario is None:
         raise InvalidInput("this command needs --scenario")
     sc = get_scenario(cfg.scenario)
-    if cfg.tolerances:
-        try:
-            tol = dataclasses.replace(sc.tol, **cfg.tolerances)
-        except TypeError as exc:
-            raise InvalidInput(f"unknown tolerance override: {exc}") from exc
-        sc = dataclasses.replace(sc, tol=tol)
     if cfg.command == "eval":
         sc = dataclasses.replace(sc, k0_resolution=cfg.resolution_k0 or sc.k0_resolution)
     return sc
@@ -318,8 +310,7 @@ _COMMANDS = {
     "info": (cmd_info, "scenario summary"),
 }
 
-# the flag of each key in COMMAND_KEYS; tolerances is a config-file
-# object and has none
+# the flag of each key in COMMAND_KEYS
 _FLAGS = {
     "scenario": {"choices": SCENARIO_NAMES},
     "seed": {"type": int},
@@ -344,8 +335,7 @@ def build_parser():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config")
         for key in COMMAND_KEYS[command]:
-            if key in _FLAGS:
-                p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 

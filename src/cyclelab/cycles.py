@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NotInDomain
-from .flags import FlagPoint, in_domain
+from .flags import SIGN_MARGIN, FlagPoint, in_domain
 from .utils import check_finite, gauge_vector
 
 
@@ -116,10 +116,10 @@ def cycle_in_domain(c, sc):
     """True iff the cycle lies entirely inside D.
 
     Exact criterion: the form restricted to ker l is definite of the
-    domain sign, by more than sign_margin.
+    domain sign, by more than flags.SIGN_MARGIN.
     """
     eigs = restricted_form_eigenvalues(c, sc)
-    return bool(np.min(sc.domain_sign * eigs) > sc.tol.sign_margin)
+    return bool(np.min(sc.domain_sign * eigs) > SIGN_MARGIN)
 
 
 class FiberParametrization:

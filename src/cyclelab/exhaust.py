@@ -216,9 +216,9 @@ def evaluate_grid(sc, target, grid_spec, levi_mode="auto"):
             return batch_values(geo.chart_rows(target, zs[:, 0], sc.rf), sc, target)
 
         slots = np.flatnonzero(ok)
-        lev = levi_form_fd(fn, cs[ok, None], h=sc.tol.fd_step)
+        lev = levi_form_fd(fn, cs[ok, None])
         bad = np.isnan(lev).any(axis=(1, 2))
-        npos[slots[~bad]] = eig_signature(lev[~bad], sc.tol.zero_band)[0]
+        npos[slots[~bad]] = eig_signature(lev[~bad])[0]
         for i in slots[bad]:
             errors[i] = "Levi stencil: non-finite value on the Levi stencil"
     out = []

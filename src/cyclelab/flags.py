@@ -6,9 +6,7 @@ representative.  The open orbit D of the real form is cut out by the sign
 of the Hermitian form on that line.
 """
 
-import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +16,9 @@ from .utils import check_finite, gauge_vector
 
 # orbit_is_open: singular values above this count toward the orbit's rank
 ORBIT_RANK_TOL = 1e-8
+# in_domain, in_domain_rows and cycles.cycle_in_domain: the unit form
+# value must clear the boundary by more than this
+SIGN_MARGIN = 1e-12
 
 
 @dataclass(eq=False)
@@ -43,24 +44,6 @@ class FlagPoint:
         return bool(np.max(np.abs(self.homogeneous - other.homogeneous)) < tol)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Every tolerance is a finite positive number; sign_margin may be 0."""
-
-    intersection: float = 1e-10
-    sign_margin: float = 1e-12
-    zero_band: float = 1e-6
-    fd_step: float = 1e-3
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
-                    or not 0 <= v < math.inf or (v == 0 and f.name != "sign_margin")):
-                raise InvalidInput(f"tolerance {f.name} must be a finite "
-                                   f"positive number, not {v!r}")
-
-
 @dataclass(eq=False)
 class ScenarioConfig:
     """Everything a built-in scenario pins down.
@@ -84,7 +67,6 @@ class ScenarioConfig:
     domain_sign: int
     geometry: object
     base_cycle_dual: np.ndarray
-    tol: Tolerances = field(default_factory=Tolerances)
     k0_resolution: int = 32
 
     @property
@@ -113,9 +95,9 @@ def act(g, z, tol=1e-14):
 
 
 def in_domain(z, sc):
-    """Membership in the open orbit D, boundary excluded by sign_margin."""
+    """Membership in the open orbit D, boundary excluded by SIGN_MARGIN."""
     val = sc.form_value(z.homogeneous)
-    return bool(sc.domain_sign * val > sc.tol.sign_margin)
+    return bool(sc.domain_sign * val > SIGN_MARGIN)
 
 
 def in_domain_rows(rows, sc):
@@ -127,7 +109,7 @@ def in_domain_rows(rows, sc):
     rows = np.atleast_2d(np.asarray(rows, complex))
     v = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     val = np.einsum("ma,ab,mb->m", np.conj(v), sc.rf.form_matrix, v).real
-    return sc.domain_sign * val > sc.tol.sign_margin
+    return sc.domain_sign * val > SIGN_MARGIN
 
 
 def orbit_is_open(z, sc):

@@ -34,6 +34,10 @@ from .flags import in_domain, in_domain_rows
 from .optimize import aligned_domain_values, get_engine
 from .utils import hermitize
 
+# levi_form_fd: the default step; eig_signature: eigenvalues within
+# this band of 0 count as zero
+FD_STEP = 1e-3
+ZERO_BAND = 1e-6
 # certificate probes: seeded uniform points of the chart polydisk, first radius
 PROBES = 200
 RADIUS = 1e-2
@@ -76,7 +80,7 @@ def _raw_levi(fn, z0, steps):
         yield lev
 
 
-def levi_form_fd(fn, z0, h):
+def levi_form_fd(fn, z0, h=FD_STEP):
     """Complex Hessians (d^2 f / dz_a dzbar_b) of fn at the centres z0,
     an (m, d) array, by central differences, as an (m, d, d) stack.
 
@@ -100,7 +104,7 @@ def levi_refinement_ratio(fn, z0, h):
     return float(np.linalg.norm(l1 - l2) / den)
 
 
-def eig_signature(lev, zero_band):
+def eig_signature(lev, zero_band=ZERO_BAND):
     """(positive, zero, negative) eigenvalue counts within a zero band of
     a finite form, or per form of an (m, d, d) stack of finite forms."""
     eigs = np.linalg.eigvalsh(hermitize(lev))
@@ -182,11 +186,10 @@ def q_pseudoconvex_certificate(y, sc, seed=42):
             sound = float(np.min(exhaustion(xi2) - minorant(xi2)))
             if sound < -SOUNDNESS_TOL:
                 continue
-            lev = levi_form_fd(minorant, np.zeros((1, dims), complex),
-                               h=sc.tol.fd_step)[0]
+            lev = levi_form_fd(minorant, np.zeros((1, dims), complex))[0]
             if np.isnan(lev).any():
                 raise StencilFailure("non-finite value on the Levi stencil")
-            pos = int(eig_signature(lev, sc.tol.zero_band)[0])
+            pos = int(eig_signature(lev)[0])
             return CertificateReport(
                 point=v, value=value, slice_coord=slice_coord,
                 padding=float(padding), radius=rad, touch_gap=touch,

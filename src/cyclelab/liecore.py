@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, NotInRealForm, NumericalDegeneracy
 from .utils import check_finite, expm_antihermitian
@@ -89,6 +88,8 @@ class RealFormSpec:
 
 def exp_map(x):
     """Matrix exponential into the group."""
+    import scipy.linalg
+
     mat = check_finite(np.asarray(x, complex), "exponent")
     return GroupElement(scipy.linalg.expm(mat))
 

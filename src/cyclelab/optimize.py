@@ -158,13 +158,11 @@ class BranchEngine:
 
 
 def get_engine(sc):
-    """The engine of a scenario config; configs that differ in their
-    tolerances get engines (and caches) of their own.  Configs that differ
-    only in k0_resolution share one: its stacks are keyed by it."""
-    key = (sc.name, sc.tol)
-    if key not in _ENGINES:
-        _ENGINES[key] = BranchEngine(sc)
-    return _ENGINES[key]
+    """The engine of a scenario, one per name: configs that differ only in
+    k0_resolution share it, as its stacks are keyed by the resolution."""
+    if sc.name not in _ENGINES:
+        _ENGINES[sc.name] = BranchEngine(sc)
+    return _ENGINES[sc.name]
 
 
 def _gram_split(q):

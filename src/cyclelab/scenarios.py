@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NumericalDegeneracy
-from .flags import FlagPoint, ScenarioConfig, Tolerances
+from .flags import FlagPoint, ScenarioConfig
 from .liecore import RealFormSpec
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
@@ -127,13 +127,10 @@ class PointCycles:
         frozen at khat.  The supremum over branches dominates any single
         branch, so it is a global minorant and needs no padding.
         """
-        sigma = get_engine(sc).sigma
+        engine = get_engine(sc)
 
         def family(xi):
-            moved = np.einsum("ab,mb->ma", khat, chart_rows(xi))
-            num = np.sum(np.abs(moved) ** 2, axis=1)
-            den = np.abs(moved @ sigma) ** 2
-            return np.log(num) - np.log(den)
+            return engine._value_from_p(np.einsum("ab,mb->ma", khat, chart_rows(xi)))
 
         return family, 0.0, {}
 
@@ -259,7 +256,6 @@ class LineCycles:
         xi, as a frozen branch cannot minorize (levi.py), and returns the
         aligned values less padding |xi_1|^2.
         """
-        engine = get_engine(sc)
         _, c0, scale = chart
         # transverse decrease of the frozen branch at y (along the slice
         # it is the cell exhaustion); it scales the padding and is recorded
@@ -271,9 +267,7 @@ class LineCycles:
         padding = 0.5 * max(a_meas, 2e-3)
 
         def family(xi):
-            rows = chart_rows(xi)
-            _, aligned = self.align(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-            vals = engine._value_from_p(aligned)
+            vals = aligned_domain_values(chart_rows(xi), sc)[0]
             return vals - padding * np.abs(xi[:, 1]) ** 2
 
         return family, padding, {"transverse_decay": a_meas}
@@ -337,7 +331,6 @@ def _build_su11():
         domain_sign=-1,
         geometry=PointCycles(),
         base_cycle_dual=dual,
-        tol=Tolerances(),
         k0_resolution=32,
     )
 
@@ -380,7 +373,6 @@ def _build_su21():
         domain_sign=1,
         geometry=LineCycles(),
         base_cycle_dual=dual,
-        tol=Tolerances(),
         # 32 coarse points per compact dimension is affordable only for a
         # one-dimensional K0; the 4-dimensional K0 of su21 uses a 6^4 grid,
         # refined by local ascent.

@@ -21,7 +21,6 @@ from z_j inside S cap D, following the component definition.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cycles import base_cycle, cycle_in_domain
 from .errors import IncidenceMiss, IntersectionFailure, InvalidInput, UniquenessViolation
@@ -31,6 +30,8 @@ from .utils import gauge_vector
 
 PATH_SAMPLES = 33
 BOUNDARY_TOL = 1e-8
+# _meet: the largest residual |l . v| / |v| of C cap S over its duals
+INTERSECTION_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -113,10 +114,9 @@ def _meet(c, s, sc, degenerate):
 
     The kernel vector comes from the scenario geometry's slice kernel,
     as in the optimizer's branch values.  The residual is the largest
-    |l . v| / |v| over those duals; it must stay within the intersection
-    tolerance.  The duals are unit vectors, so a kernel vector shorter
-    than 1e-12 means C and S share more than a point, which raises
-    degenerate.
+    |l . v| / |v| over those duals; it must stay within INTERSECTION_TOL.
+    The duals are unit vectors, so a kernel vector shorter than 1e-12
+    means C and S share more than a point, which raises degenerate.
     """
     geo = sc.geometry
     v = geo.slice_vectors(geo.subject_row(c), s.duals)
@@ -125,7 +125,7 @@ def _meet(c, s, sc, degenerate):
         raise degenerate("the cycle and the Schubert variety meet in more than a point")
     rows = np.vstack([c.dual, s.duals])
     residual = float(np.max(np.abs(np.sum(rows * v, axis=1))) / nrm)
-    if residual > sc.tol.intersection:
+    if residual > INTERSECTION_TOL:
         raise IntersectionFailure(f"intersection residual {residual:.2e}")
     return FlagPoint(v), residual
 
@@ -174,6 +174,8 @@ class SliceDatum:
         expected = len(rf.a_basis) + len(rf.n0_basis)
         if coords.shape[0] != expected:
             raise InvalidInput(f"A0 N0 coordinates must have length {expected}")
+        import scipy.linalg
+
         t, u = coords[: len(rf.a_basis)], coords[len(rf.a_basis):]
         g = scipy.linalg.expm(np.einsum("d,dij->ij", t, rf.a_basis)) @ \
             scipy.linalg.expm(np.einsum("d,dij->ij", u, rf.n0_basis))

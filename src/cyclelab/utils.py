@@ -1,7 +1,6 @@
 """Small numeric helpers shared across modules."""
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, NumericalDegeneracy
 
@@ -103,6 +102,8 @@ def logm_unitary(u):
     log_d = corr + 1j * theta[:, :, None] * eye
     x = np.einsum("mij,mjk,mlk->mil", vec, log_d, np.conj(vec))
     for i in np.flatnonzero(np.max(np.abs(corr), axis=(1, 2)) > LOG_GUARD):
+        import scipy.linalg
+
         x[i] = scipy.linalg.logm(u[i])
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cyclelab import (FlagPoint, HermitianMetric, InvalidInput,
-                      cell_exhaustion, gu_invariant_metric,
+                      cell_exhaustion, get_scenario, gu_invariant_metric,
                       highest_weight_section, make_schubert, section_norm_sq)
-from cyclelab.errors import OnCellBoundary
-from cyclelab.sections import exhaustion_values
+from cyclelab.errors import NumericalDegeneracy, OnCellBoundary
+from cyclelab.sections import (SectionVector, _check_eigenvector, _restriction_frame,
+                               exhaustion_values)
 
 from oracles import LOG2, LOG10, LOG362, rs_disk
 
@@ -31,6 +32,19 @@ def test_metric_pairing_sesquilinear():
 def test_invariant_metric_is_standard(su11, su21):
     assert np.allclose(gu_invariant_metric(su11).gram, np.eye(2))
     assert np.allclose(gu_invariant_metric(su21).gram, np.eye(3))
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_eigenvector_check_rejects_a_perturbed_section(name):
+    sc = get_scenario(name)
+    s = make_schubert(sc)
+    sec = highest_weight_section(s, sc)
+    w = _restriction_frame(s, sc)
+    _check_eigenvector(sec, s, w)
+    # the restricted row picks up a second weight: no longer a B-eigenvector
+    bent = SectionVector(row=sec.row + 1e-3 * np.conj(w[:, 0]))
+    with pytest.raises(NumericalDegeneracy):
+        _check_eigenvector(bent, s, w)
 
 
 def test_disk_section_vector(su11):

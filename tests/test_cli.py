@@ -118,10 +118,11 @@ def test_info_reports_invariants():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time, and no run path needs it
+    # the package imports scipy lazily, where a function needs it; no run
+    # path needs scipy.stats, which is most of scipy's import time
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cyclelab; print('scipy.stats' in sys.modules)"],
+         "import sys, cyclelab; print('scipy' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
@@ -155,7 +156,7 @@ def test_usage_errors_exit_2(tmp_path):
     for count in ("-2", "0", str(MAX_GRID_N ** 2 + 1)):
         assert code("certify", "--scenario", "su11", "--count", count) == 2
     bad_configs = [
-        # removed or never-read keys (the optimizer object is one)
+        # removed or never-read keys (the optimizer and tolerances objects)
         '{"tolerances": {"det": 1e-9}}', '{"tolerances": {"membership": 1e-9}}',
         '{"tolerances": {"residual": 1e-9}}', '{"optimizer": {"step_tol": 1e-6}}',
         '{"tolerances": {"step_tol": 1e-8}}', '{"optimizer": {"refine_top": 3}}',
@@ -163,13 +164,14 @@ def test_usage_errors_exit_2(tmp_path):
         '{"optimizer": {"chunk": 0}}', '{"optimizer": {"chunk": -5}}',
         '{"optimizer": {"refine_top": 0}}', '{"optimizer": {"chunk": 2.5}}',
         '{"tolerances": {"step_tol": 0}}', '{"tolerances": {"rank": NaN}}',
+        '{"tolerances": {"fd_step": "abc"}}', '{"tolerances": {"zero_band": -1e-6}}',
+        '{"tolerances": {"intersection": Infinity}}',
+        '{"tolerances": {"sign_margin": -1e-12}}',
         # values outside their ranges
         '{"optimizer": {"seed": -3}}', '{"resolution_k0": 0}', '{"resolution_k0": 2.5}',
         '{"resolution_k0": true}', '{"resolution_k0": "4"}',
         '{"optimizer": {"resolution": 0}}', '{"optimizer": {"extras": -1}}',
-        '{"tolerances": {"fd_step": "abc"}}', '{"tolerances": {"zero_band": -1e-6}}',
-        '{"tolerances": {"intersection": Infinity}}',
-        '{"tolerances": {"sign_margin": -1e-12}}', '{"seed": "7"}', '{"count": 1.5}',
+        '{"seed": "7"}', '{"count": 1.5}',
         # not an object
         '{"optimizer": "abc"}', '{"optimizer": 5}', '{"tolerances": [1]}',
         # a grid that is neither "min:max:n" nor three numbers, an out that
@@ -186,8 +188,12 @@ def test_usage_errors_exit_2(tmp_path):
     for scenario in ("[1]", "5"):
         text = f'{{"scenario": {scenario}, "target": "r_md", "grid": "-0.1:0.1:2"}}'
         assert code("eval", config=text) == 2, text
+    # the tolerances are module constants: no command reads the object
+    # (verify's case follows)
     assert code("info", "--scenario", "su21",
-                config='{"tolerances": {"sign_margin": 0}}') == 0
+                config='{"tolerances": {"sign_margin": 0}}') == 2
+    for command in (grid, ("certify", "--scenario", "su21"), ("info", "--scenario", "su21")):
+        assert code(*command, config='{"tolerances": {"fd_step": 0.2}}') == 2, command
     # a setting the command does not read is refused, as a config key and
     # as a flag, instead of being ignored
     assert code("verify", "--suite", "psh", "--seed", "3",
@@ -202,16 +208,14 @@ def test_usage_errors_exit_2(tmp_path):
     assert code("info", "--scenario", "su21", "--seed", "1") == 2
     valid = {"scenario": '"su11"', "seed": "1", "out": '"x.txt"', "format": '"json"',
              "target": '"r_md"', "grid": '"-0.1:0.1:2"', "resolution_k0": "4",
-             "levi": '"off"', "tolerances": '{"fd_step": 0.2}', "suite": '"psh"',
-             "counts": '"quick"', "count": "1"}
+             "levi": '"off"', "suite": '"psh"', "counts": '"quick"', "count": "1"}
     assert set(valid) == {k for keys in cli.COMMAND_KEYS.values() for k in keys}
     for command, keys in cli.COMMAND_KEYS.items():
         for key in sorted(set(valid) - set(keys)):
             assert code(command, config=f'{{"{key}": {valid[key]}}}') == 2, (command, key)
-            if not valid[key].startswith("{"):
-                flag = "--" + key.replace("_", "-")
-                value = str(json.loads(valid[key]))
-                assert code(command, flag, value) == 2, (command, flag)
+            flag = "--" + key.replace("_", "-")
+            value = str(json.loads(valid[key]))
+            assert code(command, flag, value) == 2, (command, flag)
     # requests past the documented memory bounds: a grid over MAX_GRID_N
     # points per axis, a coarse K0 stack over MAX_K0_SAMPLES (su21
     # resolution 20 is 160000 samples; refused for every target)
@@ -251,17 +255,22 @@ def test_eval_seed_leaves_the_grid_payload_unchanged(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("args", [
-    ["eval", "--scenario", "su21", "--target", "r_md", "--grid", "-0.5:0.5:3"],
-    ["verify", "--counts", "quick"],
-    ["certify", "--scenario", "su11", "--count", "2"],
-    ["certify", "--scenario", "su21", "--count", "2"],
-], ids=["eval-su21-r_md", "verify-quick", "certify-su11", "certify-su21"])
-def test_fresh_run_leaves_scipy_stats_unloaded(args):
+@pytest.mark.parametrize("args, module", [
+    (["eval", "--scenario", "su21", "--target", "r_md", "--grid", "-0.5:0.5:3"], "scipy"),
+    (["verify", "--counts", "quick"], "scipy.stats"),
+    (["certify", "--scenario", "su11", "--count", "2"], "scipy"),
+    (["certify", "--scenario", "su21", "--count", "2"], "scipy"),
+    (["info", "--scenario", "su11"], "scipy"),
+    (["info", "--scenario", "su21"], "scipy"),
+], ids=["eval-su21-r_md", "verify-quick", "certify-su11", "certify-su21",
+        "info-su11", "info-su21"])
+def test_fresh_run_leaves_scipy_stats_unloaded(args, module):
+    # no run path imports scipy.stats; only verify, through exp_map's
+    # scipy.linalg.expm, loads scipy at all
     code = ("import sys\n"
             "from cyclelab.cli import main\n"
             f"assert main({args!r}) == 0\n"
-            "assert 'scipy.stats' not in sys.modules\n")
+            f"assert {module!r} not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
@@ -288,7 +297,7 @@ def test_config_grid_list_keeps_its_numbers(tmp_path):
 
 
 def test_levi_stall_stays_with_its_point(tmp_path):
-    # two points of this window lie within fd_step of the boundary; their
+    # two points of this window lie within levi.FD_STEP of the boundary; their
     # Levi stencils leave the domain (+inf there), the rest of the grid
     # stands
     out = tmp_path / "grid.json"

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from cyclelab import (FlagPoint, cycle_from_dual, cycle_from_point,  # noqa: E402
                       cycle_in_domain, exp_map, get_scenario, in_domain,
                       translate_cycle)
-from cyclelab.flags import Chart, in_domain_rows  # noqa: E402
+from cyclelab.flags import SIGN_MARGIN, Chart, in_domain_rows  # noqa: E402
 from cyclelab.cycles import cycle_points  # noqa: E402
 from cyclelab.optimize import aligned_domain_values  # noqa: E402
 from cyclelab.utils import GAUGE_REL_TOL, gauge_vector  # noqa: E402
@@ -64,7 +64,7 @@ def test_point_cycle_in_domain_is_point_in_domain(radius, angle):
     sc = get_scenario("su11")
     z = FlagPoint(np.array([radius * np.exp(1j * angle), 1.0]))
     # off the band where the margin test could go either way by rounding
-    assume(abs(sc.domain_sign * sc.form_value(z.homogeneous) - sc.tol.sign_margin) > 1e-10)
+    assume(abs(sc.domain_sign * sc.form_value(z.homogeneous) - SIGN_MARGIN) > 1e-10)
     assert cycle_in_domain(cycle_from_point(z, sc), sc) == in_domain(z, sc)
 
 
@@ -83,7 +83,7 @@ def test_in_domain_rows_is_in_domain_near_the_boundary(name, parts, decades, out
     pos, neg = np.where(signs > 0, v, 0), np.where(signs < 0, v, 0)
     assume(np.linalg.norm(pos) > 0.1 and np.linalg.norm(neg) > 0.1)
     # sign * unit form = |a|^2 - |b|^2 with |a|^2 + |b|^2 = 1
-    f = sc.tol.sign_margin + (-1.0 if outside else 1.0) * 10.0 ** -decades
+    f = SIGN_MARGIN + (-1.0 if outside else 1.0) * 10.0 ** -decades
     row = (np.sqrt((1.0 + f) / 2.0) * pos / np.linalg.norm(pos)
            + np.sqrt((1.0 - f) / 2.0) * neg / np.linalg.norm(neg)) * 10.0 ** scale
     want = in_domain(FlagPoint(row), sc)
