@@ -141,13 +141,14 @@ def k0_log_coordinates(ks, rf):
     turns = np.rint(np.trace(x, axis1=1, axis2=2).imag / (2 * np.pi))
     signs = np.diagonal(rf.cartan_matrix).real
     blocks = [np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)]
-    for i in np.flatnonzero(turns):
-        # eigenvalues of -i t x are t times the eigen-angles
-        pairs = [np.linalg.eigh(-1j * turns[i] * x[i][np.ix_(b, b)]) for b in blocks]
-        tops = [w[-1] for w, _ in pairs]
-        j = max(j for j, top in enumerate(tops) if top >= max(tops) - LOG_TIE)
-        v = pairs[j][1][:, -1]
-        x[i][np.ix_(blocks[j], blocks[j])] -= 2j * np.pi * turns[i] * np.outer(v, np.conj(v))
+    rows = np.flatnonzero(turns)
+    t = turns[rows, None, None]
+    # eigenvalues of -i t x are t times the eigen-angles; ties go to the last block
+    pairs = [np.linalg.eigh(-1j * t * x[np.ix_(rows, b, b)]) for b in blocks]
+    last = pairs[1][0][:, -1] >= pairs[0][0][:, -1] - LOG_TIE
+    for on, b, (_, vec) in zip((~last, last), blocks, pairs):
+        v = vec[on, :, -1, None]
+        x[np.ix_(rows[on], b, b)] -= 2j * np.pi * t[on] * (v * np.conj(v.transpose(0, 2, 1)))
     basis = np.asarray(rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
     rhs = np.einsum("aij,mij->am", np.conj(basis), x).real

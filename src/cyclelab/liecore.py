@@ -23,9 +23,9 @@ IWASAWA_RESIDUAL = 1e-9
 MEMBER_TAGS = ("G0", "K0", "Gu", "A0N0")
 # K0 samples at most, counted by k0_sample_count.  The optimizer keeps a
 # coarse stack with its two real (n^2, K) screen forms, about 0.3 KB a
-# sample for su21, so 40 MB at the cap (su21 resolution 19; su11 131072);
-# it screens the stack K_BLOCK samples at a time and scores only the
-# screen's candidates, so its scoring temporaries do not grow with K
+# sample for su21, so 40 MB at the cap (su21 resolution 19; su11 131072).
+# Its screen keeps 8 B per row and K_BLOCK samples, 8 KB a row at the
+# cap; the rest of its temporaries do not grow with K
 MAX_K0_SAMPLES = 2 ** 17
 
 

@@ -16,14 +16,14 @@ Newton ascent from the best sample.  The coarse search screens
 before it scores: p = A_k s is linear in the subject s, so ||p||^2 and
 |sigma . p|^2 are Hermitian forms in s, and on the n^2 real features of
 s (|s_c|^2 and conj(s_c) s_d for c < d) the pair of every sample is two
-real matrix products against coefficients cached with the stack.  Only
-the samples whose screened ratio lies within a rounding window of the
-row's best are scored exactly, by values_own, so the start is the
-first exact argmax bit for bit.  p is also linear in the moved
-subject, so its derivatives in left exponential coordinates on K0 are
-closed form, and so are the gradient and Hessian of the branch value
-(Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008, ch. 6-7).  Each row's search depends on that row
+real matrix products against coefficients cached with the stack.  Each
+row's screened maximum per block of samples picks the blocks to screen
+again, and only their samples within a rounding window of the row's best
+are scored exactly, by values_own, so the start is the first exact argmax
+bit for bit.  p is also linear in the moved subject, so its derivatives
+in left exponential coordinates on K0 are closed form, and so are the
+gradient and Hessian of the branch value (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6-7).  Each row's search depends on that row
 alone: the same scenario config gives identical results bit for bit,
 whatever rows share a batch.
 
@@ -38,7 +38,7 @@ from .errors import OptimizerStall
 from .liecore import k0_sample_matrices
 from .schubert import make_schubert, schubert_slice
 from .sections import highest_weight_section
-from .utils import expm_antihermitian, run_chunked
+from .utils import CHUNK, expm_antihermitian, run_chunked
 
 # Newton ascent: iteration cap; a gain below GAIN_FLOOR * max(1, |value|)
 # is rounding; curvatures are floored at CURVATURE_FLOOR of the row's
@@ -47,15 +47,14 @@ NEWTON_ITERS = 200
 GAIN_FLOOR = 4e-16
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
-# the coarse screen takes this many K0 samples at a time, so its
-# temporaries, and the exact scores of its candidates, stay at most
-# CHUNK x K_BLOCK (x n) whatever the coarse resolution
-K_BLOCK = 128
-# coarse screen: the start search rescores exactly the samples whose
-# Gram-form ratio lies within a window of SCREEN_SLACK (max(r_max, 1) /
+# coarse screen: K_BLOCK K0 samples at a time, keeping each row's maximum
+# per block, so its temporaries and each batch of exact scores stay at
+# most CHUNK x K_BLOCK (x n) whatever the resolution.  It rescores the
+# samples whose Gram-form ratio lies within SCREEN_SLACK (max(r_max, 1) /
 # nu + |log ||s||^2|) below the row's screened maximum (_screened_start
-# derives it); rows with |log ||s||^2| above SCREEN_LOG_SCALE, where a
-# branch value's num or den nears the ends of the float range, rescore all
+# derives it), and every sample of a row whose |log ||s||^2| exceeds
+# SCREEN_LOG_SCALE, where num or den nears the ends of the float range
+K_BLOCK = 128
 SCREEN_SLACK = 1e3 * np.finfo(float).eps
 SCREEN_LOG_SCALE = 500.0
 # fiber_infimum: sphere-grid candidates on the pencil of cycles through y
@@ -175,38 +174,32 @@ def _gram_split(q):
                            upper.real, upper.imag], axis=-1)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _screened_start(engine, subjects, ks, num_forms, den_forms):
     """(index, value) of the best coarse sample per subject row, the first
     of equal ones: np.argmax over the stack of the branch values that
     values_own gives, bit for bit.
 
-    Pass 1 screens every sample by the ratio r = ||p||^2 / |sigma . p|^2
-    of two real products on the Gram features of the unit rows (+inf where
-    the denominator is not positive) and keeps each row's largest ratio
-    r_max and smallest numerator nu.  Pass 2 recomputes the ratios one
-    K_BLOCK at a time and scores with values_own only the candidates, the
-    (row, sample) pairs within the window below r_max; the others are
-    -inf there.  Both passes hold CHUNK x K_BLOCK temporaries at most.
+    Pass 1 screens each block of K_BLOCK samples by the ratio r = ||p||^2 /
+    |sigma . p|^2 of two real products on the unit rows' Gram features
+    (+inf where the denominator is not positive) and keeps each row's block
+    maxima of r and smallest numerator nu.  Pass 2 re-screens the rows of
+    each block whose maximum reaches the window below the row's largest
+    ratio r_max, and values_own scores the candidates, the (row, sample)
+    pairs within the window, CHUNK x K_BLOCK at most per call.
     """
     m = subjects.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.einsum("ma,ma->m", np.conj(subjects), subjects).real
-        unit = subjects / np.sqrt(sq)[:, None]
-        feats = _gram_split(np.conj(unit)[:, :, None] * unit[:, None, :])
-        scale = np.abs(np.log(sq))
+    sq = np.einsum("ma,ma->m", np.conj(subjects), subjects).real
+    unit = subjects / np.sqrt(sq)[:, None]
+    feats = _gram_split(np.conj(unit)[:, :, None] * unit[:, None, :])
+    scale = np.abs(np.log(sq))
     blocks = [slice(j, j + K_BLOCK) for j in range(0, ks.shape[0], K_BLOCK)]
-
-    def screen(b):
+    tops, nu = np.empty((m, len(blocks))), np.full(m, np.inf)
+    for j, b in enumerate(blocks):
         num, den = feats @ num_forms[:, b], feats @ den_forms[:, b]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = num / den
-        return np.where((den > 0) & ~np.isnan(r), r, np.inf), num
-
-    r_max, nu = np.full(m, -np.inf), np.full(m, np.inf)
-    for b in blocks:
-        r, num = screen(b)
-        r_max = np.maximum(r_max, np.max(r, axis=1))
         nu = np.minimum(nu, np.min(num, axis=1))
+        tops[:, j] = np.where(np.min(den, axis=1) > 0, np.max(num / den, axis=1), np.inf)
+    r_max = np.max(tops, axis=1)
     # The window.  On a unit row the moved subjects and sigma have norm 1
     # (unitary moves; a cross product with a unit dual), so num and den
     # are sums of n^2 terms of size at most 1: the products round them by
@@ -218,26 +211,30 @@ def _screened_start(engine, subjects, ks, num_forms, den_forms):
     # the winner's ratio lies above r_max (1 - w) with
     #     w = SCREEN_SLACK (max(r_max, 1) / nu + |log ||s||^2|).
     # A row whose w is not below 1/2 keeps every sample.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = SCREEN_SLACK * (np.maximum(r_max, 1.0) / np.maximum(nu, 0.0) + scale)
+    w = SCREEN_SLACK * (np.maximum(r_max, 1.0) / np.maximum(nu, 0.0) + scale)
     keep_all = ~((w < 0.5) & (scale < SCREEN_LOG_SCALE))
     floor = np.where(keep_all, -np.inf, r_max * (1.0 - w))
     best, value = np.zeros(m, int), np.full(m, -np.inf)
-    for b in blocks:
-        cand = screen(b)[0] >= floor[:, None]
-        hit = np.flatnonzero(np.any(cand, axis=1))
-        if hit.size == 0:
-            continue
-        cand = cand[hit]
-        r, c = np.nonzero(cand)
-        v = np.full(cand.shape, -np.inf)
-        v[r, c] = engine.values_own(subjects[hit[r]], ks[b][c][:, None])[:, 0]
-        i = np.argmax(v, axis=1)
-        bv, cur = v[np.arange(hit.size), i], value[hit]
-        # np.argmax's order: a later block wins only when strictly
-        # greater, and NaN above everything
-        up = (bv > cur) | (np.isnan(bv) & ~np.isnan(cur))
-        best[hit[up]], value[hit[up]] = b.start + i[up], bv[up]
+
+    def score(rows, samples):
+        # np.argmax's rule, the first maximum with NaN on top; winners so far first
+        v = np.append(value, engine.values_own(subjects[rows], ks[samples][:, None])[:, 0])
+        rows, samples = np.append(np.arange(m), rows), np.append(best, samples)
+        order = np.lexsort((samples, -v, ~np.isnan(v), rows))
+        first = order[np.searchsorted(rows[order], np.arange(m))]
+        best[:], value[:] = samples[first], v[first]
+
+    size, rows, samples = CHUNK * K_BLOCK, np.empty(0, int), np.empty(0, int)
+    for j in np.flatnonzero(np.any(tops >= floor[:, None], axis=0)):
+        hit, b = np.flatnonzero(tops[:, j] >= floor), blocks[j]
+        num, den = feats[hit] @ num_forms[:, b], feats[hit] @ den_forms[:, b]
+        r, c = np.nonzero((num / den >= floor[hit, None]) | ~(den > 0))
+        rows, samples = np.append(rows, hit[r]), np.append(samples, b.start + c)
+        while rows.size >= size:
+            score(rows[:size], samples[:size])
+            rows, samples = rows[size:], samples[size:]
+    if rows.size:
+        score(rows, samples)
     return best, value
 
 

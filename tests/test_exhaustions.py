@@ -1,7 +1,6 @@
 """The three exhaustions: closed forms, invariance, divergence, grids."""
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -414,6 +413,37 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     got_idx, got_val = optimize._screened_start(engine, rows, ks, num_forms, den_forms)
     assert np.array_equal(got_idx, idx)
     assert got_val.tobytes() == want[np.arange(rows.shape[0]), idx].tobytes()
+
+
+def test_screened_start_scores_in_bounded_batches(su21, monkeypatch):
+    # 1e-160-scaled rows rescore every sample (SCREEN_LOG_SCALE); the
+    # candidates still reach values_own in the fewest batches of at most
+    # CHUNK x K_BLOCK pairs, so no temporary holds rows x K
+    import cyclelab.optimize as optimize
+
+    sc = dataclasses.replace(su21, k0_resolution=10)
+    geo = sc.geometry
+    engine = get_engine(sc)
+    ks, num_forms, den_forms = engine.coarse(sc.k0_resolution)
+    axis = np.linspace(-0.9, 0.9, 9)
+    chart = geo.chart_rows("r_md", (axis[:, None] + 1j * axis[None, :]).ravel(), sc.rf)
+    paths = [geo.divergence_rows("r_md", boundary_depths(15), np.random.default_rng(s),
+                                 sc.rf) for s in (1, 2)]
+    rows = 1e-160 * np.concatenate([chart[geo.admissible("r_md", chart)],
+                                    _seeded_subjects(sc, 40, seed=12)] + paths)
+    sizes = []
+    values_own = optimize.BranchEngine.values_own
+
+    def counted(self, subjects, samples):
+        sizes.append(subjects.shape[0] * samples.shape[1])
+        return values_own(self, subjects, samples)
+
+    monkeypatch.setattr(optimize.BranchEngine, "values_own", counted)
+    optimize._screened_start(engine, rows, ks, num_forms, den_forms)
+    bound = optimize.CHUNK * optimize.K_BLOCK
+    total = rows.shape[0] * ks.shape[0]
+    assert max(sizes) <= bound and sum(sizes) == total
+    assert len(sizes) == -(-total // bound)
 
 
 def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,

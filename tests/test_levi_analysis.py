@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cyclelab import (FlagPoint, get_scenario, levi_form_fd,
+from cyclelab import (FlagPoint, levi_form_fd,
                       q_pseudoconvex_certificate, seeded_domain_points)
 from cyclelab.errors import NotInDomain, StencilFailure
 from cyclelab.flags import in_domain, in_domain_rows

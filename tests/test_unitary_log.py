@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 from scipy.linalg import logm
 
-from cyclelab.exhaust import k0_log_coordinates
+from cyclelab.exhaust import LOG_TIE, k0_log_coordinates
 from cyclelab.liecore import k0_sample_matrices
+from cyclelab.optimize import maximize_branch
 from cyclelab.utils import LOG_AXIS, expm_antihermitian, logm_unitary
 from cyclelab.verify import _group_elements
 
@@ -15,6 +16,24 @@ def reference_log(u):
     """Anti-Hermitian part of scipy's logm, matrix by matrix."""
     x = np.array([logm(m) for m in u])
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
+
+
+def loop_log_coordinates(ks, rf):
+    """k0_log_coordinates with its turned-row correction one row at a time."""
+    x = logm_unitary(ks)
+    turns = np.rint(np.trace(x, axis1=1, axis2=2).imag / (2 * np.pi))
+    signs = np.diagonal(rf.cartan_matrix).real
+    blocks = [np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)]
+    for i in np.flatnonzero(turns):
+        pairs = [np.linalg.eigh(-1j * turns[i] * x[i][np.ix_(b, b)]) for b in blocks]
+        tops = [w[-1] for w, _ in pairs]
+        j = max(j for j, top in enumerate(tops) if top >= max(tops) - LOG_TIE)
+        v = pairs[j][1][:, -1]
+        x[i][np.ix_(blocks[j], blocks[j])] -= 2j * np.pi * turns[i] * np.outer(v, np.conj(v))
+    basis = np.asarray(rf.k0_basis)
+    gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
+    rhs = np.einsum("aij,mij->am", np.conj(basis), x).real
+    return np.linalg.solve(gram, rhs).T
 
 
 def _grid_and_seeded(sc):
@@ -143,3 +162,22 @@ def test_k0_coordinates_of_a_split_minus_one_pair(su11, su21):
         for sign in (1, -1):
             k = expm_antihermitian(sign * np.pi * b)[None]
             assert np.max(np.abs(k0_log_coordinates(k, sc.rf)[0] - want)) < 1e-12
+
+
+def test_k0_coordinates_match_the_row_loop(su11, su21):
+    # the turned rows are corrected in one batch per Cartan block; the
+    # per-row loop gives the same coordinates bit for bit on the K0 grid,
+    # seeded elements, r_md argmaxes of a chart grid and split -1 pairs
+    # (a tie), and so does a batch without turned rows (su11's grid)
+    axis = np.linspace(-0.9, 0.9, 9)
+    for sc in (su11, su21):
+        chart = sc.geometry.chart_rows("r_md", (axis[:, None] + 1j * axis[None, :]).ravel(),
+                                       sc.rf)
+        argmaxes = maximize_branch(chart[sc.geometry.admissible("r_md", chart)], sc)[1]
+        b = np.asarray(sc.rf.k0_basis)[0]
+        split = expm_antihermitian(np.pi * np.array([b, -b]))
+        u = np.concatenate([argmaxes, split, _grid_and_seeded(sc)])
+        got = k0_log_coordinates(u, sc.rf)
+        assert got.tobytes() == loop_log_coordinates(u, sc.rf).tobytes()
+        tail = slice(len(argmaxes) + 2, None)
+        assert got[tail].tobytes() == k0_log_coordinates(u[tail], sc.rf).tobytes()
