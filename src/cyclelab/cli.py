@@ -15,9 +15,7 @@ verification failure, 2 usage error.
 """
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import numbers
 import sys
@@ -172,21 +170,16 @@ def _emit(text, out):
 
 
 def _json_value(v):
-    if v is None or not np.isfinite(v):
-        return None if v is None else repr(float(v))
-    return float(v)
+    return None if v is None else float(v) if np.isfinite(v) else repr(float(v))
 
 
 def _grid_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["re", "im", "value", "argmax_slice", "n_pos"])
-    for r in rows:
-        value = "" if r.value is None else repr(float(r.value))
-        argmax = "" if r.argmax is None else ";".join(repr(float(x))
-                                                      for x in r.argmax)
-        writer.writerow([repr(r.re), repr(r.im), value, argmax, str(r.n_pos)])
-    return buf.getvalue()
+    # every field is a float or int repr, or ';'-joined float reprs: none
+    # holds a comma, a quote or a newline, so csv.writer would quote nothing
+    return "".join(["re,im,value,argmax_slice,n_pos\n"] + [
+        f"{r.re!r},{r.im!r},{'' if r.value is None else repr(r.value)},"
+        f"{'' if r.argmax is None else ';'.join(map(repr, r.argmax))},{r.n_pos}\n"
+        for r in rows])
 
 
 def _grid_json(cfg, rows):
@@ -199,9 +192,8 @@ def _grid_json(cfg, rows):
         "rows": [{
             "re": r.re, "im": r.im,
             "value": _json_value(r.value),
-            "argmax_slice": None if r.argmax is None else
-                            [float(x) for x in r.argmax],
-            "n_pos": int(r.n_pos),
+            "argmax_slice": r.argmax,
+            "n_pos": r.n_pos,
             "error": r.error,
         } for r in rows],
     }

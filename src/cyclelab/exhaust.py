@@ -166,10 +166,12 @@ def grid_axis(spec):
 
 @dataclass(eq=False)
 class GridRow:
+    """One grid point, in Python types: value is None outside the admissible
+    set, argmax a list of floats (r_md, r_d only), n_pos -1 without Levi."""
     re: float
     im: float
     value: float = None
-    argmax: np.ndarray = None
+    argmax: list = None
     n_pos: int = -1
     error: str = ""
 
@@ -205,7 +207,7 @@ def evaluate_grid(sc, target, grid_spec, levi_mode="auto"):
         # one optimizer pass gives both the values and the argmaxes
         solve = maximize_branch if target == "r_md" else aligned_domain_values
         values[ok], ks = solve(rows[ok], sc)
-        for slot, coords in zip(np.flatnonzero(ok), k0_log_coordinates(ks, sc.rf)):
+        for slot, coords in zip(np.flatnonzero(ok), k0_log_coordinates(ks, sc.rf).tolist()):
             argmaxes[slot] = coords
     do_levi = levi_mode == "on" or (levi_mode == "auto" and target == "r_s")
     npos = np.full(cs.shape[0], -1, dtype=int)
@@ -222,10 +224,7 @@ def evaluate_grid(sc, target, grid_spec, levi_mode="auto"):
         npos[slots[~bad]] = eig_signature(lev[~bad])[0]
         for i in slots[bad]:
             errors[i] = "Levi stencil: non-finite value on the Levi stencil"
-    out = []
-    for i in range(cs.shape[0]):
-        out.append(GridRow(re=float(cs[i].real), im=float(cs[i].imag),
-                           value=None if not ok[i] else float(values[i]),
-                           argmax=argmaxes[i], n_pos=int(npos[i]),
-                           error=errors[i]))
-    return out
+    return [GridRow(x, y, v if inside else None, a, n, e)
+            for x, y, v, inside, a, n, e in zip(
+                cs.real.tolist(), cs.imag.tolist(), values.tolist(), ok.tolist(),
+                argmaxes, npos.tolist(), errors)]

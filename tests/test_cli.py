@@ -12,7 +12,7 @@ import pytest
 import cyclelab.cli as cli
 from cyclelab import get_scenario
 from cyclelab.errors import NumericalDegeneracy
-from cyclelab.exhaust import MAX_GRID_N, grid_axis
+from cyclelab.exhaust import MAX_GRID_N, GridRow, evaluate_grid, grid_axis
 from cyclelab.liecore import MAX_K0_SAMPLES, k0_sample_count
 from cyclelab.optimize import get_engine
 
@@ -67,6 +67,43 @@ def test_eval_json_payload():
     assert {r["error"] for r in bad} == {"outside the domain"}
     good = [r for r in payload["rows"] if not r["error"]]
     assert all(isinstance(r["value"], float) for r in good)
+
+
+def test_grid_csv_matches_csv_writer(su11, su21):
+    # the writer joins reprs without csv.writer; on rows that hold every
+    # kind of field it must give csv.writer's bytes
+    def reference(rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for r in rows:
+            writer.writerow([
+                repr(r.re), repr(r.im), "" if r.value is None else repr(r.value),
+                "" if r.argmax is None else ";".join(repr(x) for x in r.argmax),
+                str(r.n_pos)])
+        return buf.getvalue()
+
+    inf, nan, tiny = float("inf"), float("nan"), 5e-324
+    rows = [GridRow(0.5, -0.25, None, None, -1, "outside the domain"),
+            GridRow(-0.0, -0.0, 0.0, [-0.0], 0),
+            GridRow(1e-300, -0.9, inf, [inf, -inf, nan, tiny], 2),
+            GridRow(-0.9, 0.9, -inf, [0.1], 2, "Levi stencil: x"),
+            GridRow(0.1, 0.2, nan, [tiny], -1),
+            GridRow(0.3, 0.7, tiny, [-tiny, 1.0, -2.5e-17, 3.0], 0)]
+    assert cli._grid_csv(rows) == reference(rows)
+    assert cli._grid_csv([]) == CSV_HEADER + "\n"
+    # the writer prints reprs: numpy 2 would print np.float64(0.5)
+    for sc, target, window in ((su11, "r_md", (-1.2, 1.2, 5)),
+                               (su21, "r_d", (-0.9, 0.9, 3))):
+        grid = evaluate_grid(sc, target, window, levi_mode="on")
+        assert {r.value is None for r in grid} == {True, False}
+        for r in grid:
+            assert type(r.re) is float and type(r.im) is float
+            assert type(r.n_pos) is int and type(r.error) is str
+            if r.value is not None:
+                assert type(r.value) is float and type(r.argmax) is list
+                assert all(type(x) is float for x in r.argmax)
+        assert cli._grid_csv(grid) == reference(grid)
 
 
 def test_verify_repeatable_and_scenario_scoped(tmp_path):
