@@ -10,9 +10,8 @@ from .errors import (CycleLabError, EigenvectorAmbiguity, InvalidInput,
                      MinorantFailure, NotInDomain, NumericalDegeneracy,
                      OptimizerStall)
 from .scenarios import SCENARIO_NAMES, get_scenario
-from .liecore import (GroupElement, RealFormSpec,
-                      cartan_involution, exp_map, is_member,
-                      iwasawa_decompose, k0_sample)
+from .liecore import (GroupElement, RealFormSpec, cartan_involution,
+                      is_member, iwasawa_decompose, k0_sample)
 from .flags import FlagPoint, ScenarioConfig, act, chart, in_domain
 from .cycles import (Cycle, base_cycle, cycle_from_dual, cycle_from_point,
                      cycle_in_domain, mu_fiber, translate_cycle)
@@ -35,7 +34,7 @@ __all__ = [
     "MinorantFailure", "NotInDomain", "NumericalDegeneracy", "OptimizerStall",
     "SCENARIO_NAMES", "get_scenario",
     "GroupElement", "RealFormSpec", "cartan_involution",
-    "exp_map", "is_member", "iwasawa_decompose", "k0_sample",
+    "is_member", "iwasawa_decompose", "k0_sample",
     "FlagPoint", "ScenarioConfig", "act", "chart", "in_domain",
     "Cycle", "base_cycle", "cycle_from_dual", "cycle_from_point",
     "cycle_in_domain", "fiber_infimum", "mu_fiber", "translate_cycle",

@@ -51,8 +51,8 @@ SOUNDNESS_TOL = 1e-8
 def _raw_levi(fn, z0, steps):
     """Central-difference Levi forms (m, d, d) at centres z0 (m, d), one
     stack per step size, each from one call of fn on the stencil rows of
-    all centres.  A centre with a non-finite value on its stencil gets a
-    NaN form."""
+    all centres (the centre rows in the first call only).  A centre with a
+    non-finite value on its stencil gets a NaN form."""
     m, d = z0.shape
     eye, (a, b), units = np.eye(d), np.triu_indices(d, 1), (1, -1, 1j, -1j)
     # in units of the step: the centre, the four axis steps of each
@@ -60,9 +60,12 @@ def _raw_levi(fn, z0, steps):
     offsets = np.array([np.zeros(d)] + [u * eye[i] for i in range(d) for u in units]
                        + [ua * eye[i] + ub * eye[j] for i, j in zip(a, b)
                           for ua in units for ub in units], complex)
+    # the centre row, the same at every step size, is evaluated in the first call
+    centre = np.zeros((m, 0))
     for step in steps:
-        vals = np.asarray(fn((z0[:, None, :] + step * offsets).reshape(-1, d)),
-                          float).reshape(m, -1)
+        pts = (z0[:, None, :] + step * offsets[centre.shape[1]:]).reshape(-1, d)
+        vals = np.concatenate([centre, np.asarray(fn(pts), float).reshape(m, -1)], axis=1)
+        centre = vals[:, :1].copy()
         vals[~np.all(np.isfinite(vals), axis=1)] = np.nan
         axis = vals[:, 1:1 + 4 * d].reshape(m, d, 4)
         # q[:, p, i, j]: pair p stepped by units[i] and units[j]; i ^ 1 negates

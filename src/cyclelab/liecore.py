@@ -8,6 +8,7 @@ Iwasawa factorization reduces to a Cholesky factorization and is therefore
 deterministic and exactly reproducible.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -86,14 +87,6 @@ class RealFormSpec:
         return np.concatenate([self.k0_basis, self.s0_basis], axis=0)
 
 
-def exp_map(x):
-    """Matrix exponential into the group."""
-    import scipy.linalg
-
-    mat = check_finite(np.asarray(x, complex), "exponent")
-    return GroupElement(scipy.linalg.expm(mat))
-
-
 def cartan_involution(g, rf):
     """theta(g) = T g T^{-1}; involutive and fixing K0 pointwise."""
     t = rf.cartan_matrix
@@ -108,6 +101,19 @@ def _is_g0(mat, rf, tol):
 def _adapted(mat, rf):
     p = rf.adapted_frame
     return np.conj(p.T) @ mat @ p
+
+
+def a0_matrix(rf, t):
+    """exp(sum_d t_d a_d): real diagonal in the adapted frame, so P diag(e^d) P*."""
+    p = rf.adapted_frame
+    d = np.diagonal(_adapted(np.einsum("d,dij->ij", t, rf.a_basis), rf)).real
+    return (p * np.exp(d)) @ np.conj(p.T)
+
+
+def n0_matrix(rf, u):
+    """exp(N), N = sum_i u_i n_i: nilpotent, so sum_{j<n} N^j / j! is exact."""
+    x = np.einsum("d,dij->ij", u, rf.n0_basis)
+    return sum(np.linalg.matrix_power(x, j) / math.factorial(j) for j in range(rf.n))
 
 
 def is_member(g, rf, which, tol=MEMBERSHIP_TOLERANCE):
@@ -157,9 +163,8 @@ def iwasawa_decompose(g, rf):
     d = np.diagonal(u).real
     if np.min(d) <= 0:
         raise NumericalDegeneracy("non-positive Cholesky diagonal")
-    a_ad = np.diag(d.astype(complex))
     n_ad = u / d[:, None]
-    a = GroupElement(p @ a_ad @ np.conj(p.T))
+    a = GroupElement((p * d) @ np.conj(p.T))
     n = GroupElement(p @ n_ad @ np.conj(p.T))
     an_inv = p @ (np.linalg.inv(n_ad) @ np.diag(1.0 / d)) @ np.conj(p.T)
     k = GroupElement(g.matrix @ an_inv)

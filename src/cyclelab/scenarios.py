@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalDegeneracy
 from .flags import FlagPoint, ScenarioConfig
-from .liecore import RealFormSpec
+from .liecore import RealFormSpec, k0_matrices
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
 from .optimize import aligned_domain_values, get_engine
-from .utils import expm_antihermitian
 
 SCENARIO_NAMES = ("su11", "su21")
 
@@ -215,9 +214,7 @@ class LineCycles:
             e /= np.linalg.norm(e)
             beta = (1.0 - d)[:, None] * e[None, :]
             return np.concatenate([beta, np.ones((len(d), 1))], axis=1)
-        coeff = rng.uniform(-np.pi, np.pi, len(rf.k0_basis))
-        u = expm_antihermitian(
-            np.einsum("d,dij->ij", coeff, np.asarray(rf.k0_basis))[None])[0]
+        u = k0_matrices(rf, rng.uniform(-np.pi, np.pi, (1, len(rf.k0_basis))))[0]
         rows = np.stack([np.ones_like(d) + 0j, np.zeros_like(d) + 0j,
                          (1.0 - d) + 0j], axis=1)
         return rows @ u.T

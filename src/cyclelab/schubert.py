@@ -25,7 +25,7 @@ import numpy as np
 from .cycles import base_cycle, cycle_in_domain
 from .errors import IncidenceMiss, IntersectionFailure, InvalidInput, UniquenessViolation
 from .flags import FlagPoint, act, in_domain, in_domain_rows
-from .liecore import GroupElement
+from .liecore import GroupElement, a0_matrix, n0_matrix
 from .utils import gauge_vector
 
 PATH_SAMPLES = 33
@@ -174,11 +174,8 @@ class SliceDatum:
         expected = len(rf.a_basis) + len(rf.n0_basis)
         if coords.shape[0] != expected:
             raise InvalidInput(f"A0 N0 coordinates must have length {expected}")
-        import scipy.linalg
-
         t, u = coords[: len(rf.a_basis)], coords[len(rf.a_basis):]
-        g = scipy.linalg.expm(np.einsum("d,dij->ij", t, rf.a_basis)) @ \
-            scipy.linalg.expm(np.einsum("d,dij->ij", u, rf.n0_basis))
+        g = a0_matrix(rf, t) @ n0_matrix(rf, u)
         return FlagPoint(g @ self.base_point.homogeneous)
 
     def path_contains(self, z):

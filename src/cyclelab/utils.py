@@ -9,8 +9,8 @@ from .errors import InvalidInput, NumericalDegeneracy
 GAUGE_REL_TOL = 1e-9
 # logm_unitary: rotation angle of the Hermitian combination whose
 # eigenvectors it uses, the first-order error in a logarithm above which
-# a matrix goes to scipy.linalg.logm instead, and the angular distance
-# from -1 within which an eigenvalue takes the angle +pi.
+# a matrix goes to the general logm of its guard instead, and the angular
+# distance from -1 within which an eigenvalue takes the angle +pi.
 LOG_AXIS = 2.0
 LOG_GUARD = 1e-12
 LOG_BRANCH_SNAP = 1e-14
@@ -53,8 +53,7 @@ def expm_antihermitian(x):
     """Matrix exponential of (stacks of) anti-Hermitian matrices via eigh.
 
     x satisfies x* = -x, so x = i h with h Hermitian and
-    exp(x) = V diag(exp(i w)) V*.  Much faster than scipy expm for the
-    small stacked matrices used in group-orbit sampling.
+    exp(x) = V diag(exp(i w)) V*.
     """
     x = np.asarray(x, dtype=complex)
     h = -1j * x

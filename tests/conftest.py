@@ -1,6 +1,14 @@
 import pytest
+import scipy.linalg
 
-from cyclelab import get_scenario
+from cyclelab import GroupElement, get_scenario
+
+
+def group_expm(x):
+    """exp(x) of a general algebra element as a GroupElement, by
+    scipy.linalg.expm: the package exponentiates only A0, N0 and
+    anti-Hermitian elements, each in closed form."""
+    return GroupElement(scipy.linalg.expm(x))
 
 
 @pytest.fixture(scope="session")

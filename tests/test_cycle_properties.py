@@ -8,13 +8,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cyclelab import (FlagPoint, cycle_from_dual, cycle_from_point,  # noqa: E402
-                      cycle_in_domain, exp_map, get_scenario, in_domain,
+                      cycle_in_domain, get_scenario, in_domain,
                       translate_cycle)
 from cyclelab.flags import SIGN_MARGIN, Chart, in_domain_rows  # noqa: E402
 from cyclelab.cycles import cycle_points  # noqa: E402
 from cyclelab.optimize import aligned_domain_values  # noqa: E402
 from cyclelab.utils import GAUGE_REL_TOL, gauge_vector  # noqa: E402
 
+from conftest import group_expm  # noqa: E402
 from oracles import rd_ball  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -30,7 +31,7 @@ def _cycle(sc, parts):
 
 def _group_element(sc, coeffs):
     basis = np.asarray(sc.rf.g0_basis)
-    return exp_map(np.einsum("d,dij->ij", np.array(coeffs[:len(basis)]), basis))
+    return group_expm(np.einsum("d,dij->ij", np.array(coeffs[:len(basis)]), basis))
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

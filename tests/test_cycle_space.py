@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cyclelab import (FlagPoint, InvalidInput, act, cycle_from_dual,
-                      cycle_from_point, cycle_in_domain, base_cycle, exp_map,
+                      cycle_from_point, cycle_in_domain, base_cycle,
                       fiber_infimum, mu_fiber, translate_cycle)
 from cyclelab.cycles import (annihilator_basis, cycle_points,
                              restricted_form_eigenvalues)
 from cyclelab.errors import NotInDomain, NumericalDegeneracy
 from cyclelab.exhaust import batch_values, seeded_domain_points
+
+from conftest import group_expm
 
 
 def test_base_cycle_data(su11, su21):
@@ -89,7 +91,7 @@ def test_translate_cycle_composition(su21):
     c = cycle_from_dual([0.3, -0.2j, 1.0], su21)
     xs = [np.einsum("d,dij->ij", rng.uniform(-0.4, 0.4, 8), su21.rf.g0_basis)
           for _ in range(2)]
-    g, h = exp_map(xs[0]), exp_map(xs[1])
+    g, h = group_expm(xs[0]), group_expm(xs[1])
     lhs = translate_cycle(g, translate_cycle(h, c, su21), su21)
     rhs = translate_cycle(g @ h, c, su21)
     assert lhs.is_close(rhs)

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cyclelab import (GroupElement, InvalidInput, cartan_involution, exp_map,
+from cyclelab import (GroupElement, InvalidInput, cartan_involution,
                       is_member, iwasawa_decompose, k0_sample)
 from cyclelab.errors import NotInRealForm
 from cyclelab.flags import act
-from cyclelab.liecore import MAX_K0_SAMPLES, k0_sample_count
+from cyclelab.liecore import MAX_K0_SAMPLES, a0_matrix, k0_sample_count, n0_matrix
 from cyclelab.verify import _group_elements
 
+from conftest import group_expm
 from oracles import TANH1
 
 
@@ -23,13 +25,26 @@ def test_group_element_rejects_nonfinite():
         GroupElement(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_exp_map_at_zero_is_identity(su11):
-    g = exp_map(np.zeros((2, 2)))
-    assert g.distance_to(GroupElement(np.eye(2))) < 1e-14
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_a0_n0_closed_forms_match_expm(name, su11, su21):
+    # A0 is diagonal in the adapted frame and N0 nilpotent: both closed
+    # forms agree with the general exponential to rounding, and give the
+    # identity at zero
+    rf = {"su11": su11, "su21": su21}[name].rf
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        t = rng.uniform(-1.5, 1.5, len(rf.a_basis))
+        u = rng.uniform(-1.5, 1.5, len(rf.n0_basis))
+        for got, x in ((a0_matrix(rf, t), np.einsum("d,dij->ij", t, rf.a_basis)),
+                       (n0_matrix(rf, u), np.einsum("d,dij->ij", u, rf.n0_basis))):
+            want = scipy.linalg.expm(x)
+            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(a0_matrix(rf, np.zeros(len(rf.a_basis))) - np.eye(rf.n))) < 1e-15
+    assert np.array_equal(n0_matrix(rf, np.zeros(len(rf.n0_basis))), np.eye(rf.n))
 
 
 def test_split_torus_element_memberships(su11):
-    a1 = exp_map(su11.rf.a_basis[0])
+    a1 = GroupElement(a0_matrix(su11.rf, [1.0]))
     c, s = np.cosh(1.0), np.sinh(1.0)
     assert np.allclose(a1.matrix, [[c, s], [s, c]], atol=1e-14)
     assert is_member(a1, su11.rf, "G0")
@@ -40,19 +55,19 @@ def test_split_torus_element_memberships(su11):
 
 def test_unknown_membership_tag(su11):
     with pytest.raises(InvalidInput):
-        is_member(exp_map(np.zeros((2, 2))), su11.rf, "P0")
+        is_member(GroupElement(np.eye(2)), su11.rf, "P0")
 
 
 def test_disk_action_of_split_torus(su11):
     # exp(a_1) acts on the disk center as a Mobius map with value tanh(1)
-    a1 = exp_map(su11.rf.a_basis[0])
+    a1 = GroupElement(a0_matrix(su11.rf, [1.0]))
     z = act(a1, su11.base_point)
     w = z.homogeneous[0] / z.homogeneous[1]
     assert abs(w - TANH1) < 1e-14
 
 
 def test_cartan_involution_inverts_split_part(su11):
-    a1 = exp_map(su11.rf.a_basis[0])
+    a1 = GroupElement(a0_matrix(su11.rf, [1.0]))
     theta = cartan_involution(a1, su11.rf)
     assert theta.distance_to(a1.inverse()) < 1e-12
 
@@ -61,7 +76,7 @@ def test_cartan_involution_is_adjoint_inverse(su21):
     # on the real form theta(g) = (g*)^{-1}
     rng = np.random.default_rng(3)
     coeff = rng.uniform(-0.7, 0.7, len(su21.rf.g0_basis))
-    g = exp_map(np.einsum("d,dij->ij", coeff, su21.rf.g0_basis))
+    g = group_expm(np.einsum("d,dij->ij", coeff, su21.rf.g0_basis))
     assert is_member(g, su21.rf, "G0")
     theta = cartan_involution(g, su21.rf)
     want = np.linalg.inv(np.conj(g.matrix.T))
@@ -85,8 +100,8 @@ def test_iwasawa_roundtrip(name, su11, su21):
     for k in ks:
         ta = rng.uniform(-1.5, 1.5, len(rf.a_basis))
         tn = rng.uniform(-1.5, 1.5, len(rf.n0_basis))
-        a = exp_map(np.einsum("d,dij->ij", ta, np.asarray(rf.a_basis)))
-        n = exp_map(np.einsum("d,dij->ij", tn, np.asarray(rf.n0_basis)))
+        a = GroupElement(a0_matrix(rf, ta))
+        n = GroupElement(n0_matrix(rf, tn))
         g = GroupElement(k.matrix @ a.matrix @ n.matrix)
         k2, a2, n2 = iwasawa_decompose(g, rf)
         assert is_member(k2, rf, "K0")
@@ -95,7 +110,7 @@ def test_iwasawa_roundtrip(name, su11, su21):
                     k2.distance_to(k), a2.distance_to(a), n2.distance_to(n),
                     float(np.max(np.abs(
                         k2.matrix @ a2.matrix @ n2.matrix - g.matrix))))
-    assert worst < 1e-9
+    assert worst < 4e-12
 
 
 def test_iwasawa_rejects_outside_real_form(su11):
