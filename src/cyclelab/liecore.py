@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NotInRealForm, NumericalDegeneracy
-from .utils import check_finite, expm_antihermitian
+from .utils import check_finite
 
 DET_TOLERANCE = 1e-10
 MEMBERSHIP_TOLERANCE = 1e-10
@@ -210,11 +210,43 @@ def _k0_coefficients(rf, resolution):
     return np.concatenate([np.zeros((1, dim)), coeffs], axis=0)
 
 
+def k0_exp(rf, x):
+    """exp of an (m, n, n) stack of k0 elements, in closed form per row.
+
+    K0 = S(U(p) x U(q)) is block diagonal along the +1 and -1 eigenspaces
+    of the diagonal form J, and here p, q <= 2.  A 1x1 block i theta
+    exponentiates to e^{i theta}.  A 2x2 block is i tau I + Y0 with Y0
+    traceless anti-Hermitian, so Y0^2 = -r^2 I and its exponential is
+    e^{i tau} (cos r I + sinc r Y0), divided by sqrt(cos^2 r + sinc^2 r r^2)
+    so that the rounding of r does not leave the unitary group.  Every
+    operation is elementwise, so a row's result does not depend on the
+    rows that share its stack.
+    """
+    out = np.zeros(x.shape, complex)
+    sign = np.diagonal(rf.form_matrix).real
+    for block in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)):
+        if block.size == 1:
+            i = block[0]
+            out[:, i, i] = np.exp(1j * x[:, i, i].imag)
+            continue
+        i, j = block
+        tau = 0.5 * (x[:, i, i].imag + x[:, j, j].imag)
+        h, b = 0.5 * (x[:, i, i].imag - x[:, j, j].imag), x[:, i, j]
+        r = np.hypot(h, np.abs(b))
+        cos, sinc = np.cos(r), np.sinc(r / np.pi)
+        scale = np.exp(1j * tau) / np.sqrt(cos ** 2 + (sinc * r) ** 2)
+        out[:, i, i] = scale * (cos + 1j * sinc * h)
+        out[:, j, j] = scale * (cos - 1j * sinc * h)
+        out[:, i, j] = scale * sinc * b
+        out[:, j, i] = scale * sinc * x[:, j, i]
+    return out
+
+
 def k0_matrices(rf, coeffs):
-    """(N, n, n) stack exp(sum_d coeffs[:, d] kappa_d) over the K0 basis,
-    validated as unitary and J-preserving; NumericalDegeneracy otherwise."""
-    x = np.einsum("cd,dij->cij", coeffs, rf.k0_basis)
-    mats = expm_antihermitian(x)
+    """(N, n, n) stack exp(sum_d coeffs[:, d] kappa_d) over the K0 basis
+    (k0_exp), validated as unitary and J-preserving; NumericalDegeneracy
+    otherwise."""
+    mats = k0_exp(rf, np.einsum("cd,dij->cij", coeffs, rf.k0_basis))
     j = rf.form_matrix
     res_u = np.max(np.abs(np.einsum("cji,cjk->cik", np.conj(mats), mats) - np.eye(rf.n)))
     res_j = np.max(np.abs(np.einsum("cji,jl,clk->cik", np.conj(mats), j, mats) - j))

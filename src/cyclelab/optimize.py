@@ -23,9 +23,16 @@ are scored exactly, by values_own, so the start is the first exact argmax
 bit for bit.  p is also linear in the moved subject, so its derivatives
 in left exponential coordinates on K0 are closed form, and so are the
 gradient and Hessian of the branch value (Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, ch. 6-7).  Each row's search depends on that row
-alone: the same scenario config gives identical results bit for bit,
-whatever rows share a batch.
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 6-7).  The ascent
+runs in reduced coordinates: every branch value is constant along
+k -> exp(s Y) k for some directions Y of k0 (su21 has one,
+diag(-2i, i, i); there the gradient and the curvature along Y vanish),
+so the engine drops one basis vector per such direction.  The rest span
+a complement of them, so exp(x) k with x in their span charts K0 modulo
+those directions near k, and the ascent in that chart seeks the same
+maxima.  The steps exponentiate in closed form on K0 (liecore.k0_exp).
+Each row's search depends on that row alone: the same scenario config
+gives identical results bit for bit, whatever rows share a batch.
 
 The domain exhaustion needs no search: where cycles are lines it is the
 branch value at any element aligning the point with the slice, and the
@@ -35,16 +42,19 @@ scenario geometry gives one in closed form (LineCycles.align).
 import numpy as np
 
 from .errors import OptimizerStall
-from .liecore import k0_sample_matrices
+from .liecore import k0_exp, k0_sample_matrices
 from .schubert import make_schubert, schubert_slice
 from .sections import highest_weight_section
-from .utils import CHUNK, expm_antihermitian, run_chunked
+from .utils import CHUNK, run_chunked
 
 # Newton ascent: iteration cap; a gain below GAIN_FLOOR * max(1, |value|)
-# is rounding; curvatures are floored at CURVATURE_FLOOR of the row's
+# is rounding, and so is one below RESOLVED_STEP^2 times the largest
+# curvature (what a move of a few ulps along the stiffest direction
+# changes); curvatures are floored at CURVATURE_FLOOR of the row's
 # largest, and steps are at most MAX_STEP long in K0 coordinates
 NEWTON_ITERS = 200
 GAIN_FLOOR = 4e-16
+RESOLVED_STEP = 4 * np.finfo(float).eps
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
 # coarse screen: K_BLOCK K0 samples at a time, keeping each row's maximum
@@ -70,9 +80,12 @@ class BranchEngine:
     Subjects are rows (the scenario geometry's subject_row of a cycle),
     moved and cut with the slice by the geometry's branch kernel.  The engine
     also holds the base slice (through the point of C0 cap S), the
-    coarse K0 stacks it has built, read-only and filled on first use, and
-    the move matrices of the K0 basis and their symmetrized products,
-    which give the branch value's derivatives.
+    coarse K0 stacks it has built, read-only and filled on first use, the
+    step basis (the K0 basis less one vector per direction that leaves
+    every branch value unchanged, _invariant_directions) and the linear
+    maps from a moved subject to its slice vector and that vector's first
+    and second derivatives along the step basis, which give the branch
+    value's derivatives.
     """
 
     def __init__(self, sc):
@@ -82,12 +95,25 @@ class BranchEngine:
         self.section = highest_weight_section(self.schubert, sc)
         self.sigma = self.section.row
         self.duals = self.schubert.duals
-        self.k0_basis = np.asarray(sc.rf.k0_basis)
+        geo, n = sc.geometry, sc.n
+        # p = C m: the slice vector is linear in the moved subject m
+        c = geo.slice_vectors(np.eye(n, dtype=complex), self.duals).T
+        # drop the basis vector of largest weight in each invariant
+        # direction, eliminated against the earlier ones, so the rest spans
+        # a complement of the invariant directions (su21 drops kappa_1)
+        null, drop = _invariant_directions(sc, c, self.sigma), []
+        for j in range(len(null)):
+            drop.append(int(np.argmax(np.abs(null[j]))))
+            null[j + 1:] -= np.outer(null[j + 1:, drop[-1]] / null[j, drop[-1]], null[j])
+        self.step_basis = np.delete(np.asarray(sc.rf.k0_basis), drop, axis=0)
         # exp(X) k moves a subject by exp(sum x_i G_i) after k, so the moved
-        # subject has first derivatives G_i and second (G_i G_j + G_j G_i) / 2
-        self.move_basis = sc.geometry.move_matrices(self.k0_basis)
-        prod = np.einsum("iab,jbc->ijac", self.move_basis, self.move_basis)
-        self.move_sym = 0.5 * (prod + np.swapaxes(prod, 0, 1))
+        # subject has first derivatives G_i m and second (G_i G_j + G_j G_i) m / 2:
+        # C times I, the G_i and these products maps m to p and its derivatives
+        g = geo.move_matrices(self.step_basis)
+        prod = np.einsum("iab,jbc->ijac", g, g)
+        sym = 0.5 * (prod + np.swapaxes(prod, 0, 1))
+        self.slice_maps = np.einsum("ab,kbc->kac", c, np.concatenate(
+            [np.eye(n)[None], g, sym.reshape(-1, n, n)]))
         self._stacks = {}
 
     def _value_from_p(self, p):
@@ -135,11 +161,10 @@ class BranchEngine:
 
     def derivatives(self, moved):
         """Gradient (m, d) and Hessian (m, d, d) of the branch value in left
-        exponential coordinates on K0, at moved subjects (m, n)."""
-        geo, ld = self.sc.geometry, self.duals
-        p = geo.slice_vectors(moved, ld)
-        p1 = geo.slice_vectors(np.einsum("iab,mb->mia", self.move_basis, moved), ld)
-        p2 = geo.slice_vectors(np.einsum("ijab,mb->mija", self.move_sym, moved), ld)
+        exponential coordinates of the step basis, at moved subjects (m, n)."""
+        d = len(self.step_basis)
+        ps = np.einsum("kab,mb->mka", self.slice_maps, moved)
+        p, p1, p2 = ps[:, 0], ps[:, 1:d + 1], ps[:, d + 1:].reshape(-1, d, d, ps.shape[-1])
         # log ||p||^2
         cp = np.conj(p)
         num = np.einsum("ma,ma->m", cp, p).real[:, None]
@@ -154,6 +179,31 @@ class BranchEngine:
         hess = (n2 - n1[:, :, None] * n1[:, None, :]
                 - 2.0 * (r2 - r1[:, :, None] * r1[:, None, :]).real)
         return grad, hess
+
+
+def _invariant_directions(sc, c, sigma):
+    """(r, dim K0) orthonormal coefficients of the k0 directions Y along
+    which every branch value is constant: k -> exp(s Y) k leaves it
+    unchanged for every subject.
+
+    With p = C m the slice vector of the moved subject m, G_Y the move
+    matrix of Y and w = C^T sigma, the value log ||C m||^2 - log |w^T m|^2
+    has derivative 2 Re(m* C*C G_Y m) / ||p||^2 - 2 Re(w^T G_Y m / w^T m)
+    along exp(s G_Y) m, zero for every m iff C*C G_Y is anti-Hermitian and
+    G_Y^T w lies in i R w.  Both conditions are real-linear in Y; their
+    null space is read off an SVD at numpy's matrix_rank tolerance.
+    """
+    basis = np.asarray(sc.rf.k0_basis)
+    w, g = c.T @ sigma, sc.geometry.move_matrices(basis)
+    gram = np.conj(c.T) @ c @ g
+    v = np.einsum("iba,b->ia", g, w)
+    # v minus its i R w part: zero iff v lies in i R w
+    off = v - 1j * (v @ np.conj(w)).imag[:, None] * w / np.vdot(w, w).real
+    eqs = np.concatenate([(gram + np.conj(np.swapaxes(gram, 1, 2))).reshape(len(basis), -1),
+                          off], axis=1)
+    eqs = np.concatenate([eqs.real, eqs.imag], axis=1)
+    u, sv, _ = np.linalg.svd(eqs)
+    return u[:, sv <= sv[0] * max(eqs.shape) * np.finfo(float).eps].T
 
 
 def get_engine(sc):
@@ -241,7 +291,9 @@ def _screened_start(engine, subjects, ks, num_forms, den_forms):
 def _newton_ascent(engine, subjects, ks, vals):
     """Monotone saddle-free Newton ascent on K0 from ks, per subject row.
 
-    A step x moves k to exp(sum x_i kappa_i) k.  Its curvature matrix is
+    A step x moves k to exp(sum x_i b_i) k, the b_i the engine's step
+    basis (the K0 basis less its invariant directions), exponentiated in
+    closed form (liecore.k0_exp).  Its curvature matrix is
     B = H - g g^T, the Hessian of exp(-value) = |sigma . p|^2 / ||p||^2
     over exp(-value): that ratio is smooth where the value has its
     logarithmic peak, so far starts near the boundary reach the peak in
@@ -250,8 +302,12 @@ def _newton_ascent(engine, subjects, ks, vals):
     absolute value, so it ascends at saddles and minima too.  Backtracking
     (Nocedal and Wright, Numerical Optimization, 3.1): a row takes the
     first t = 1, 1/2, 1/4, ... whose value does not fall, and no step
-    once the model's gain at t is at or below the rounding floor of its
-    value.  Halvings are tried 1, 2, 4, ... per call, so J halvings take
+    once the model's gain at t is at or below its rounding floor.  The
+    floor is the larger of GAIN_FLOOR max(1, |value|), the rounding of
+    the value, and RESOLVED_STEP^2 max |lambda(B)|, what a move of a few
+    ulps of k along the stiffest direction changes: near the boundary
+    the curvature is large and a smaller gain is rounding noise in k.
+    Halvings are tried 1, 2, 4, ... per call, so J halvings take
     O(log J) calls, and each row ends where a one-per-call search ends,
     bit for bit.  A row stops once the model's gain, or the gain a step
     achieved, is below that floor, or once its curvature is not finite
@@ -270,8 +326,8 @@ def _newton_ascent(engine, subjects, ks, vals):
         fine = np.all(np.isfinite(curv), axis=(1, 2))
         live, grad, curv = live[fine], grad[fine], curv[fine]
         lam, vec = np.linalg.eigh(curv)
-        scale = np.maximum(np.abs(lam), CURVATURE_FLOOR
-                           * np.max(np.abs(lam), axis=1, keepdims=True))
+        top = np.max(np.abs(lam), axis=1)
+        scale = np.maximum(np.abs(lam), CURVATURE_FLOOR * top[:, None])
         coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, np.finfo(float).tiny)
         step = np.einsum("mij,mj->mi", vec, coef)
         length = np.sqrt(np.einsum("mi,mi->m", step, step))
@@ -279,7 +335,8 @@ def _newton_ascent(engine, subjects, ks, vals):
         # model gain t g.x + t^2 x.B.x / 2 of the step t x
         slope = np.einsum("mi,mi->m", grad, step)
         bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
-        floor = GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
+        floor = np.maximum(GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live])),
+                           RESOLVED_STEP ** 2 * top)
         todo = np.arange(live.size)
         going = np.zeros(live.size, bool)
         first, width = 0, 1
@@ -293,8 +350,8 @@ def _newton_ascent(engine, subjects, ks, vals):
             if at.size == 0:
                 break
             rows = live[todo[at]]
-            trial = np.einsum("mab,mbc->mac", expm_antihermitian(np.einsum(
-                "m,mi,iab->mab", t[j], step[todo[at]], engine.k0_basis)), ks[rows])
+            trial = np.einsum("mab,mbc->mac", k0_exp(engine.sc.rf, np.einsum(
+                "m,mi,iab->mab", t[j], step[todo[at]], engine.step_basis)), ks[rows])
             tv = engine.values_own(subjects[rows], trial[:, None])[:, 0]
             # each row takes its first candidate whose value does not fall
             up = np.zeros(alive.shape, bool)

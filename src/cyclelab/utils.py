@@ -49,25 +49,12 @@ def hermitize(m):
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def expm_antihermitian(x):
-    """Matrix exponential of (stacks of) anti-Hermitian matrices via eigh.
-
-    x satisfies x* = -x, so x = i h with h Hermitian and
-    exp(x) = V diag(exp(i w)) V*.
-    """
-    x = np.asarray(x, dtype=complex)
-    h = -1j * x
-    w, vec = np.linalg.eigh(hermitize(h))
-    phase = np.exp(1j * w)
-    return np.einsum("...ij,...j,...kj->...ik", vec, phase, np.conj(vec))
-
-
 def logm_unitary(u):
     """Principal logarithm of an (m, n, n) stack of unitary matrices.
 
-    The inverse of expm_antihermitian: the result is anti-Hermitian and
-    agrees with scipy.linalg.logm to 1e-12 (away from an eigenvalue -1,
-    see the branch rule).  A unitary U shares its
+    The inverse of the exponential of anti-Hermitian matrices: the result
+    is anti-Hermitian and agrees with scipy.linalg.logm to 1e-12 (away
+    from an eigenvalue -1, see the branch rule).  A unitary U shares its
     eigenvectors V with H = (e^{-ia} U + e^{ia} U*) / 2, a = LOG_AXIS,
     whose eigenvalues cos(theta - a) separate the eigen-angles theta
     unless two of them are symmetric about a.  D = V* U V is diagonal up

@@ -32,7 +32,6 @@ from .optimize import get_engine
 from .scenarios import get_scenario
 from .schubert import intersect_slice
 from .sections import exhaustion_values, gu_invariant_metric
-from .utils import expm_antihermitian
 from .cycles import translate_cycle
 
 SUITE_NAMES = ("invariance", "psh", "exhaustion", "incidence", "levi")
@@ -170,10 +169,12 @@ def check_metric_invariance(counts, seed, scenarios):
         metric = gu_invariant_metric(sc)
         rng = np.random.default_rng((seed, 11))
         for _ in range(counts["metric_pairs"]):
-            x = rng.standard_normal((sc.n, sc.n)) + 1j * rng.standard_normal((sc.n, sc.n))
-            x = x - np.conj(x.T)
-            x = x - np.trace(x) / sc.n * np.eye(sc.n)
-            g = GroupElement(expm_antihermitian(x))
+            # Haar unitary: Q of a complex Gaussian with R's diagonal made
+            # positive (Mezzadri, Notices AMS 54, 2007), then det 1
+            z = rng.standard_normal((sc.n, sc.n)) + 1j * rng.standard_normal((sc.n, sc.n))
+            q, r = np.linalg.qr(z)
+            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            g = GroupElement(q / np.linalg.det(q) ** (1.0 / sc.n))
             if not is_member(g, sc.rf, "Gu"):
                 raise CycleLabError("seeded compact element failed membership")
             v = rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)

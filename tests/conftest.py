@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -9,6 +10,19 @@ def group_expm(x):
     scipy.linalg.expm: the package exponentiates only A0, N0 and
     anti-Hermitian elements, each in closed form."""
     return GroupElement(scipy.linalg.expm(x))
+
+
+def seeded_subjects(sc, count, seed):
+    """Cycle subjects (su11 points, su21 duals) well inside the cycle space."""
+    rng = np.random.default_rng(seed)
+    if sc.n == 2:
+        w = 0.95 * np.sqrt(rng.uniform(size=count)) * np.exp(
+            2j * np.pi * rng.uniform(size=count))
+        return np.stack([w, np.ones_like(w)], axis=1)
+    beta = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    beta *= (0.95 * np.sqrt(rng.uniform(size=count))
+             / np.linalg.norm(beta, axis=1))[:, None]
+    return np.concatenate([beta, np.ones((count, 1))], axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -45,3 +45,11 @@ def fubini_study_levi(z):
     d = z.shape[0]
     s = 1.0 + np.sum(np.abs(z) ** 2)
     return (np.eye(d) * s - np.conj(z)[:, None] * z[None, :]) / s**2
+
+
+def expm_antihermitian(x):
+    """exp of (stacks of) anti-Hermitian matrices by eigh: x = i h with h
+    Hermitian, so exp(x) = V diag(e^{i w}) V* for h = V diag(w) V*."""
+    h = -1j * np.asarray(x, complex)
+    w, vec = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
+    return np.einsum("...ij,...j,...kj->...ik", vec, np.exp(1j * w), np.conj(vec))

@@ -11,7 +11,7 @@ import cyclelab.optimize as optimize
 from cyclelab import FlagPoint, divergence_path, in_domain
 from cyclelab.exhaust import boundary_depths, grid_axis
 from cyclelab.schubert import PATH_SAMPLES, make_schubert, schubert_slice
-from cyclelab.utils import expm_antihermitian
+from cyclelab.liecore import k0_exp
 
 
 def _newton_reference(engine, subjects, ks, vals, calls_per_step):
@@ -30,15 +30,16 @@ def _newton_reference(engine, subjects, ks, vals, calls_per_step):
         fine = np.all(np.isfinite(curv), axis=(1, 2))
         live, grad, curv = live[fine], grad[fine], curv[fine]
         lam, vec = np.linalg.eigh(curv)
-        scale = np.maximum(np.abs(lam), optimize.CURVATURE_FLOOR
-                           * np.max(np.abs(lam), axis=1, keepdims=True))
+        top = np.max(np.abs(lam), axis=1)
+        scale = np.maximum(np.abs(lam), optimize.CURVATURE_FLOOR * top[:, None])
         coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, np.finfo(float).tiny)
         step = np.einsum("mij,mj->mi", vec, coef)
         length = np.sqrt(np.einsum("mi,mi->m", step, step))
         step *= (optimize.MAX_STEP / np.maximum(length, optimize.MAX_STEP))[:, None]
         slope = np.einsum("mi,mi->m", grad, step)
         bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
-        floor = optimize.GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
+        floor = np.maximum(optimize.GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live])),
+                           optimize.RESOLVED_STEP ** 2 * top)
         t = np.ones(live.size)
         todo = np.arange(live.size)
         going = np.zeros(live.size, bool)
@@ -48,8 +49,8 @@ def _newton_reference(engine, subjects, ks, vals, calls_per_step):
             if todo.size == 0:
                 break
             rows = live[todo]
-            trial = np.einsum("mab,mbc->mac", expm_antihermitian(np.einsum(
-                "m,mi,iab->mab", t[todo], step[todo], engine.k0_basis)), ks[rows])
+            trial = np.einsum("mab,mbc->mac", k0_exp(engine.sc.rf, np.einsum(
+                "m,mi,iab->mab", t[todo], step[todo], engine.step_basis)), ks[rows])
             tv = engine.values_own(subjects[rows], trial[:, None])[:, 0]
             calls_per_step[-1] += 1
             up = tv >= vals[rows]

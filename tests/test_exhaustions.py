@@ -16,7 +16,8 @@ from cyclelab.optimize import (aligned_domain_values, fiber_infimum, get_engine,
                                maximize_branch)
 from cyclelab.verify import _group_elements
 
-from oracles import LOG2, LOG10, rd_ball, rmd_disk, rmd_dual_ball
+from conftest import seeded_subjects
+from oracles import LOG2, LOG10, expm_antihermitian, rd_ball, rmd_disk, rmd_dual_ball
 
 
 def test_disk_cycle_space_closed_form(su11):
@@ -250,8 +251,6 @@ def test_grid_runs_the_optimizer_once(name, su11, su21, count_calls):
 def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
     import scipy.linalg
 
-    from cyclelab.utils import expm_antihermitian
-
     sc = {"su11": su11, "su21": su21}[name]
     rows = [r for r in evaluate_grid(sc, target, (-0.9, 0.9, 9), levi_mode="off")
             if not r.error]
@@ -285,25 +284,12 @@ def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
     assert checked > len(rows) // 2
 
 
-def _seeded_subjects(sc, count, seed):
-    """Cycle subjects (su11 points, su21 duals) well inside the cycle space."""
-    rng = np.random.default_rng(seed)
-    if sc.n == 2:
-        w = 0.95 * np.sqrt(rng.uniform(size=count)) * np.exp(
-            2j * np.pi * rng.uniform(size=count))
-        return np.stack([w, np.ones_like(w)], axis=1)
-    beta = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
-    beta *= (0.95 * np.sqrt(rng.uniform(size=count))
-             / np.linalg.norm(beta, axis=1))[:, None]
-    return np.concatenate([beta, np.ones((count, 1))], axis=1)
-
-
 @pytest.mark.parametrize("name", ["su11", "su21"])
 def test_maximize_branch_batch_equals_disc_sized_calls(name, su11, su21):
     # submeanvalue_discs evaluates 24 discs of 17 rows in one call; that
     # is only sound if a row's result does not depend on its batch
     sc = {"su11": su11, "su21": su21}[name]
-    rows = _seeded_subjects(sc, 24 * 17, seed=8)
+    rows = seeded_subjects(sc, 24 * 17, seed=8)
     vals, ks = maximize_branch(rows, sc)
     parts = [maximize_branch(rows[i:i + 17], sc) for i in range(0, len(rows), 17)]
     assert np.array_equal(vals, np.concatenate([v for v, _ in parts]))
@@ -318,7 +304,7 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
     # interior subjects and a path to the boundary, where the ascent is longest
     depths = boundary_depths(15, decade=1.0)
     rows = np.concatenate([
-        _seeded_subjects(sc, 300, seed=10),
+        seeded_subjects(sc, 300, seed=10),
         sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
     engine = optimize.get_engine(sc)
     stack = engine.coarse(sc.k0_resolution)[0]
@@ -374,7 +360,7 @@ def test_screened_start_blocks_match_one_block(su21, resolution, monkeypatch):
     engine = optimize.get_engine(sc)
     coarse = engine.coarse(sc.k0_resolution)
     assert coarse[0].shape[0] == {None: 1296, 10: 10000}[resolution]
-    rows = _seeded_subjects(su21, 40, seed=9)
+    rows = seeded_subjects(su21, 40, seed=9)
     blocked = optimize._screened_start(engine, rows, *coarse)
     monkeypatch.setattr(optimize, "K_BLOCK", coarse[0].shape[0])
     whole = optimize._screened_start(engine, rows, *coarse)
@@ -401,7 +387,7 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     paths = [geo.divergence_rows("r_md", boundary_depths(15), np.random.default_rng(s),
                                  sc.rf) for s in (1, 2)]
     assert boundary_depths(15)[-1] == 5e-15
-    rows = np.concatenate([chart, _seeded_subjects(sc, 40, seed=12)] + paths)
+    rows = np.concatenate([chart, seeded_subjects(sc, 40, seed=12)] + paths)
     origin = np.flatnonzero(np.all(rows[:, :-1] == 0, axis=1))
     # scaled rows; at 1e-160 the branch terms are subnormal and every
     # sample is rescored (SCREEN_LOG_SCALE)
@@ -430,7 +416,7 @@ def test_screened_start_scores_in_bounded_batches(su21, monkeypatch):
     paths = [geo.divergence_rows("r_md", boundary_depths(15), np.random.default_rng(s),
                                  sc.rf) for s in (1, 2)]
     rows = 1e-160 * np.concatenate([chart[geo.admissible("r_md", chart)],
-                                    _seeded_subjects(sc, 40, seed=12)] + paths)
+                                    seeded_subjects(sc, 40, seed=12)] + paths)
     sizes = []
     values_own = optimize.BranchEngine.values_own
 

@@ -8,8 +8,10 @@ from scipy.linalg import logm
 from cyclelab.exhaust import LOG_TIE, k0_log_coordinates
 from cyclelab.liecore import k0_sample_matrices
 from cyclelab.optimize import maximize_branch
-from cyclelab.utils import LOG_AXIS, expm_antihermitian, logm_unitary
+from cyclelab.utils import LOG_AXIS, logm_unitary
 from cyclelab.verify import _group_elements
+
+from oracles import expm_antihermitian
 
 
 def reference_log(u):
