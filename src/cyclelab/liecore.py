@@ -219,8 +219,9 @@ def k0_exp(rf, x):
     traceless anti-Hermitian, so Y0^2 = -r^2 I and its exponential is
     e^{i tau} (cos r I + sinc r Y0), divided by sqrt(cos^2 r + sinc^2 r r^2)
     so that the rounding of r does not leave the unitary group.  Every
-    operation is elementwise, so a row's result does not depend on the
-    rows that share its stack.
+    operation is elementwise, and none is left to numpy's elision of
+    temporaries, so a row's result does not depend on the rows that share
+    its stack.
     """
     out = np.zeros(x.shape, complex)
     sign = np.diagonal(rf.form_matrix).real
@@ -235,8 +236,11 @@ def k0_exp(rf, x):
         r = np.hypot(h, np.abs(b))
         cos, sinc = np.cos(r), np.sinc(r / np.pi)
         scale = np.exp(1j * tau) / np.sqrt(cos ** 2 + (sinc * r) ** 2)
-        out[:, i, i] = scale * (cos + 1j * sinc * h)
-        out[:, j, j] = scale * (cos - 1j * sinc * h)
+        # named, so that numpy cannot elide them into scale * (...): from
+        # 256 KiB on it would compute (...) * scale in place, and with fused
+        # multiply-adds the complex product rounds differently that way round
+        up, down = cos + 1j * sinc * h, cos - 1j * sinc * h
+        out[:, i, i], out[:, j, j] = scale * up, scale * down
         out[:, i, j] = scale * sinc * b
         out[:, j, i] = scale * sinc * x[:, j, i]
     return out

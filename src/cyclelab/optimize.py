@@ -31,8 +31,13 @@ so the engine drops one basis vector per such direction.  The rest span
 a complement of them, so exp(x) k with x in their span charts K0 modulo
 those directions near k, and the ascent in that chart seeks the same
 maxima.  The steps exponentiate in closed form on K0 (liecore.k0_exp).
-Each row's search depends on that row alone: the same scenario config
-gives identical results bit for bit, whatever rows share a batch.
+The screen works on tiles of CHUNK rows, and the ascent and the polish
+run once per batch of up to ASCENT_ROWS rows, so one ascent serves a
+whole grid of that size.  Each row's search depends on that row alone:
+its operations act row by row, and none rounds by the batch's size (see
+k0_exp on numpy's elision of temporaries of 256 KiB and more), so the
+same scenario config gives identical results bit for bit, whatever rows
+share a tile or a batch.
 
 The domain exhaustion needs no search: where cycles are lines it is the
 branch value at any element aligning the point with the slice, and the
@@ -51,12 +56,15 @@ from .utils import CHUNK, run_chunked
 # is rounding, and so is one below RESOLVED_STEP^2 times the largest
 # curvature (what a move of a few ulps along the stiffest direction
 # changes); curvatures are floored at CURVATURE_FLOOR of the row's
-# largest, and steps are at most MAX_STEP long in K0 coordinates
+# largest, and steps are at most MAX_STEP long in K0 coordinates; a step
+# that achieves less than POOR_MODEL of its model's gain marks the model
+# of its row as poor for the next step
 NEWTON_ITERS = 200
 GAIN_FLOOR = 4e-16
 RESOLVED_STEP = 4 * np.finfo(float).eps
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
+POOR_MODEL = 0.03
 # coarse screen: K_BLOCK K0 samples at a time, keeping each row's maximum
 # per block, so its temporaries and each batch of exact scores stay at
 # most CHUNK x K_BLOCK (x n) whatever the resolution.  It rescores the
@@ -67,6 +75,14 @@ MAX_STEP = 1.0
 K_BLOCK = 128
 SCREEN_SLACK = 1e3 * np.finfo(float).eps
 SCREEN_LOG_SCALE = 500.0
+# Newton ascent and polish: rows per batch, CHUNK-row screen tiles each.
+# The ascent runs until its slowest row is done, so every batch pays its
+# own tail of near-empty iterations: the 461 rows of a 23x23 su21 r_md eval
+# take 18 Newton iterations as 256 + 205 rows and 9 as one batch.  The
+# bound keeps the ascent's (rows x halvings) trials off the peak memory:
+# one unbounded batch raised a 401x401 su21 r_md eval's peak RSS from 285
+# to 374 MB
+ASCENT_ROWS = 4096
 # fiber_infimum: sphere-grid candidates on the pencil of cycles through y
 FIBER_GRID = 32
 
@@ -312,10 +328,19 @@ def _newton_ascent(engine, subjects, ks, vals):
     bit for bit.  A row stops once the model's gain, or the gain a step
     achieved, is below that floor, or once its curvature is not finite
     (at the pole sigma . p = 0).
+
+    A step that achieves less than POOR_MODEL of the model's gain marks
+    the model poor, and then its curvature is not trusted: the row stops
+    only on a gain below GAIN_FLOOR max(1, |value|), and its next step
+    divides by -lambda, floored, so that along directions in which the
+    value is convex MAX_STEP and the backtracking set the length.  Deep
+    su21 rows whose slice vector p shrinks toward 0 meet such models
+    and would otherwise stop far below their maximum.
     """
     geo = engine.sc.geometry
     ks, vals = ks.copy(), vals.copy()
     live = np.flatnonzero(np.isfinite(vals))
+    poor = np.zeros(vals.shape, bool)
     for _ in range(NEWTON_ITERS):
         if live.size == 0:
             return vals, ks
@@ -327,7 +352,8 @@ def _newton_ascent(engine, subjects, ks, vals):
         live, grad, curv = live[fine], grad[fine], curv[fine]
         lam, vec = np.linalg.eigh(curv)
         top = np.max(np.abs(lam), axis=1)
-        scale = np.maximum(np.abs(lam), CURVATURE_FLOOR * top[:, None])
+        curvature = np.where(poor[live][:, None], -lam, np.abs(lam))
+        scale = np.maximum(curvature, CURVATURE_FLOOR * top[:, None])
         coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, np.finfo(float).tiny)
         step = np.einsum("mij,mj->mi", vec, coef)
         length = np.sqrt(np.einsum("mi,mi->m", step, step))
@@ -335,8 +361,8 @@ def _newton_ascent(engine, subjects, ks, vals):
         # model gain t g.x + t^2 x.B.x / 2 of the step t x
         slope = np.einsum("mi,mi->m", grad, step)
         bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
-        floor = np.maximum(GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live])),
-                           RESOLVED_STEP ** 2 * top)
+        rounding = GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
+        floor = np.maximum(rounding, RESOLVED_STEP ** 2 * top)
         todo = np.arange(live.size)
         going = np.zeros(live.size, bool)
         first, width = 0, 1
@@ -359,7 +385,9 @@ def _newton_ascent(engine, subjects, ks, vals):
             hit = np.any(up, axis=1)
             pick = np.searchsorted(at, np.flatnonzero(hit)) + np.argmax(up[hit], axis=1)
             win = todo[hit]
-            going[win] = tv[pick] - vals[live[win]] > floor[win]
+            gained = tv[pick] - vals[live[win]]
+            poor[live[win]] = gained < POOR_MODEL * gain[alive][pick]
+            going[win] = gained > np.where(poor[live[win]], rounding[win], floor[win])
             ks[live[win]], vals[live[win]] = trial[pick], tv[pick]
             todo = todo[~hit & alive[:, -1]]
             first, width = first + width, 2 * width
@@ -385,8 +413,11 @@ def maximize_branch(subjects, sc):
     engine = get_engine(sc)
     coarse, num_forms, den_forms = engine.coarse(sc.k0_resolution)
 
+    def screen(tile):
+        return _screened_start(engine, tile, coarse, num_forms, den_forms)
+
     def block(rows):
-        best, value = _screened_start(engine, rows, coarse, num_forms, den_forms)
+        best, value = run_chunked(screen, rows)
         vals, ks = _newton_ascent(engine, rows, coarse[best], value)
         fin = np.isfinite(vals)
         k = ks[fin]
@@ -395,7 +426,7 @@ def maximize_branch(subjects, sc):
         return vals, ks
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
-    return run_chunked(block, subjects)
+    return run_chunked(block, subjects, ASCENT_ROWS)
 
 
 def aligned_domain_values(points, sc):

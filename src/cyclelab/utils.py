@@ -14,7 +14,7 @@ GAUGE_REL_TOL = 1e-9
 LOG_AXIS = 2.0
 LOG_GUARD = 1e-12
 LOG_BRANCH_SNAP = 1e-14
-# run_chunked: rows per block
+# run_chunked: rows per block unless the caller gives its own
 CHUNK = 256
 
 
@@ -94,16 +94,19 @@ def logm_unitary(u):
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
 
 
-def run_chunked(fn, rows):
-    """Apply fn to blocks of CHUNK rows and concatenate the results.
+def run_chunked(fn, rows, chunk=CHUNK):
+    """Apply fn to blocks of chunk rows and concatenate the results.
 
     The fixed block size bounds each block's temporaries; fn may return
-    an array or a tuple of arrays.
+    an array or a tuple of arrays.  For results independent of the
+    block size, fn must act row by row and leave no product to numpy's
+    elision of temporaries, which from 256 KiB (16384 complex entries)
+    on may swap a commutative product's operands.
     """
     rows = np.asarray(rows)
     if rows.shape[0] == 0:
         raise InvalidInput("run_chunked needs at least one row")
-    results = [fn(rows[i:i + CHUNK]) for i in range(0, rows.shape[0], CHUNK)]
+    results = [fn(rows[i:i + chunk]) for i in range(0, rows.shape[0], chunk)]
     if isinstance(results[0], tuple):
         return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
     return np.concatenate(results, axis=0)

@@ -20,6 +20,7 @@ def _newton_reference(engine, subjects, ks, vals, calls_per_step):
     geo = engine.sc.geometry
     ks, vals = ks.copy(), vals.copy()
     live = np.flatnonzero(np.isfinite(vals))
+    poor = np.zeros(vals.shape, bool)
     for _ in range(optimize.NEWTON_ITERS):
         if live.size == 0:
             return vals, ks
@@ -31,15 +32,16 @@ def _newton_reference(engine, subjects, ks, vals, calls_per_step):
         live, grad, curv = live[fine], grad[fine], curv[fine]
         lam, vec = np.linalg.eigh(curv)
         top = np.max(np.abs(lam), axis=1)
-        scale = np.maximum(np.abs(lam), optimize.CURVATURE_FLOOR * top[:, None])
+        curvature = np.where(poor[live][:, None], -lam, np.abs(lam))
+        scale = np.maximum(curvature, optimize.CURVATURE_FLOOR * top[:, None])
         coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, np.finfo(float).tiny)
         step = np.einsum("mij,mj->mi", vec, coef)
         length = np.sqrt(np.einsum("mi,mi->m", step, step))
         step *= (optimize.MAX_STEP / np.maximum(length, optimize.MAX_STEP))[:, None]
         slope = np.einsum("mi,mi->m", grad, step)
         bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
-        floor = np.maximum(optimize.GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live])),
-                           optimize.RESOLVED_STEP ** 2 * top)
+        rounding = optimize.GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
+        floor = np.maximum(rounding, optimize.RESOLVED_STEP ** 2 * top)
         t = np.ones(live.size)
         todo = np.arange(live.size)
         going = np.zeros(live.size, bool)
@@ -54,7 +56,10 @@ def _newton_reference(engine, subjects, ks, vals, calls_per_step):
             tv = engine.values_own(subjects[rows], trial[:, None])[:, 0]
             calls_per_step[-1] += 1
             up = tv >= vals[rows]
-            going[todo[up]] = tv[up] - vals[rows[up]] > floor[todo[up]]
+            win, gained = todo[up], tv[up] - vals[rows[up]]
+            poor[live[win]] = gained < optimize.POOR_MODEL * (
+                t[win] * slope[win] + t[win] ** 2 * bend[win])
+            going[win] = gained > np.where(poor[live[win]], rounding[win], floor[win])
             ks[rows[up]], vals[rows[up]] = trial[up], tv[up]
             todo = todo[~up]
             t[todo] *= 0.5

@@ -12,8 +12,8 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       translation_branch_pair)
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
-from cyclelab.optimize import (aligned_domain_values, fiber_infimum, get_engine,
-                               maximize_branch)
+from cyclelab.optimize import (ASCENT_ROWS, aligned_domain_values, fiber_infimum,
+                               get_engine, maximize_branch)
 from cyclelab.verify import _group_elements
 
 from conftest import seeded_subjects
@@ -294,6 +294,17 @@ def test_maximize_branch_batch_equals_disc_sized_calls(name, su11, su21):
     parts = [maximize_branch(rows[i:i + 17], sc) for i in range(0, len(rows), 17)]
     assert np.array_equal(vals, np.concatenate([v for v, _ in parts]))
     assert np.array_equal(ks, np.concatenate([k for _, k in parts]))
+    # past ASCENT_ROWS the ascent runs in batches of that many rows; one
+    # call, deep boundary rows included, still equals calls of one screen
+    # tile each, bit for bit
+    depths = boundary_depths(15, decade=1.0)
+    rows = np.concatenate([seeded_subjects(sc, ASCENT_ROWS, seed=9)] + [
+        sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(s), sc.rf)
+        for s in range(7)])
+    vals, ks = maximize_branch(rows, sc)
+    parts = [maximize_branch(rows[i:i + 256], sc) for i in range(0, len(rows), 256)]
+    assert vals.tobytes() == np.concatenate([v for v, _ in parts]).tobytes()
+    assert ks.tobytes() == np.concatenate([k for _, k in parts]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])

@@ -54,6 +54,13 @@ def test_k0_exp_rows_do_not_depend_on_their_batch(name, su11, su21):
     assert k0_exp(sc.rf, x[order]).tobytes() == got[order].tobytes()
     for i in (0, 7, len(x) - 1):
         assert k0_exp(sc.rf, x[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
+    # numpy elides temporaries of 256 KiB (16384 complex entries) and more,
+    # and may then swap a complex product's operands: a stack past that
+    # size equals its 256-row pieces
+    x = _k0_elements(sc, np.random.default_rng(64), 4200)
+    assert len(x) > 16384
+    pieces = [k0_exp(sc.rf, x[i:i + 256]) for i in range(0, len(x), 256)]
+    assert k0_exp(sc.rf, x).tobytes() == np.concatenate(pieces).tobytes()
 
 
 def test_su21_drops_exactly_its_invariant_direction(su21):
@@ -134,3 +141,23 @@ def test_deep_su21_boundary_rows_take_few_newton_steps(su21, monkeypatch):
     assert depths[-1] == 5e-15 and steps[0] == paths.size
     assert len(steps) <= 60
     assert np.all(np.isfinite(paths))
+
+
+@pytest.mark.parametrize("seed", [2, 6, 77, 103, 108, 144])
+def test_deep_su21_boundary_paths_climb_past_the_verify_floor(su21, seed, monkeypatch):
+    # at these seeds the deepest row of a path (depth 5e-15) nears the
+    # point where its slice vector vanishes, where the Newton model fails
+    # and the curvature floor grows; r_md still rises along every path's
+    # tail, past boundary_divergence's floor of 30, in one short ascent
+    steps = []
+    original = optimize.BranchEngine.derivatives
+
+    def counted(self, moved):
+        steps.append(moved.shape[0])
+        return original(self, moved)
+
+    monkeypatch.setattr(optimize.BranchEngine, "derivatives", counted)
+    _, paths = divergence_path(su21, "r_md", range(16), seed=seed)
+    assert len(steps) <= 60
+    assert np.all(np.diff(paths[:, -5:], axis=1) > 0)
+    assert np.min(paths[:, -1]) > 30.0
