@@ -24,7 +24,8 @@ from .sections import (HermitianMetric, SectionVector, cell_exhaustion,
 from .optimize import aligned_domain_values, fiber_infimum, maximize_branch
 from .exhaust import (TARGETS, divergence_path, evaluate_grid, seeded_cycles,
                       seeded_domain_points, translation_branch_pair)
-from .levi import CertificateReport, levi_form_fd, q_pseudoconvex_certificate
+from .levi import (CertificateReport, certificates, levi_form_fd,
+                   q_pseudoconvex_certificate)
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"
@@ -46,7 +47,7 @@ __all__ = [
     "aligned_domain_values", "maximize_branch",
     "TARGETS", "divergence_path", "evaluate_grid", "seeded_cycles",
     "seeded_domain_points", "translation_branch_pair",
-    "CertificateReport", "levi_form_fd", "q_pseudoconvex_certificate",
+    "CertificateReport", "certificates", "levi_form_fd", "q_pseudoconvex_certificate",
     "VerificationReport", "run_verification",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 from .cycles import base_cycle
 from .errors import CycleLabError, InvalidInput
 from .exhaust import MAX_GRID_N, TARGETS, evaluate_grid, seeded_domain_points
-from .levi import q_pseudoconvex_certificate
+from .levi import certificates
 from .liecore import k0_sample_count
 from .optimize import get_engine
 from .scenarios import SCENARIO_NAMES, get_scenario
@@ -259,13 +259,12 @@ def cmd_certify(cfg):
     sc = _scenario(cfg)
     points = seeded_domain_points(sc, cfg.count, seed=cfg.seed)
     lines, failures = [], 0
-    for y in points:
-        try:
-            rep = q_pseudoconvex_certificate(y, sc, seed=cfg.seed)
-            record = _certificate_record(y, rep)
-        except CycleLabError as exc:
+    for y, rep in zip(points, certificates(points, sc, seed=cfg.seed)):
+        if isinstance(rep, CycleLabError):
             record = {"point": _complex_pairs(y.homogeneous),
-                      "q_convex_ok": False, "error": str(exc)}
+                      "q_convex_ok": False, "error": str(rep)}
+        else:
+            record = _certificate_record(y, rep)
         if not record["q_convex_ok"]:
             failures += 1
         lines.append(json.dumps(record, sort_keys=True))

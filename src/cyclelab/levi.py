@@ -21,17 +21,24 @@ minorizes the exhaustion exactly, and a small transverse quadratic is
 subtracted to make the domination strict off the slice.  The Levi form
 of the result keeps the positive slice curvature on its diagonal, so
 its positive count stays at least the slice dimension.  The scenario
-geometry builds the chart frame and the minorant family of each case
+geometry builds the chart frames and the minorant families of each case
 (scenarios.py); the certificate runs one body for both.
+
+certificates takes a scenario's points GROUP at a time and runs each
+probe set of a radius attempt as one optimizer call for the open points
+of the group.  Both optimizer paths work row by row, bit for bit,
+whatever rows share a call, so a point's report does not depend on its
+group; q_pseudoconvex_certificate is the group of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MinorantFailure, NotInDomain, StencilFailure
+from .errors import (CycleLabError, MinorantFailure, NotInDomain, NumericalDegeneracy,
+                     StencilFailure)
 from .flags import in_domain, in_domain_rows
-from .optimize import aligned_domain_values, get_engine
+from .optimize import ASCENT_ROWS, aligned_domain_values, get_engine
 from .utils import hermitize
 
 # levi_form_fd: the default step; eig_signature: eigenvalues within
@@ -46,6 +53,9 @@ TOUCH_TOL = 1e-10
 MAX_SHRINKS = 4
 SOUNDNESS_PROBES = 20
 SOUNDNESS_TOL = 1e-8
+# certificates: points per group, so that a group's probe rows fit one
+# Newton ascent
+GROUP = ASCENT_ROWS // (PROBES + SOUNDNESS_PROBES)
 
 
 def _raw_levi(fn, z0, steps):
@@ -134,71 +144,142 @@ class CertificateReport:
     notes: dict = field(default_factory=dict)
 
 
-def q_pseudoconvex_certificate(y, sc, seed=42):
-    """Build and check the local minorant certificate at an interior point.
+def certificates(points, sc, seed=42):
+    """Certificate of each point, in order: a CertificateReport or the
+    CycleLabError that point raised.
 
-    Probes are PROBES uniform points of the chart polydisk, seeded, and
-    SOUNDNESS_PROBES more recheck the radius; the certificate holds when
-    the exhaustion dominates the minorant at every probe within
-    PROBE_GAP_TOL and the minorant's Levi form has at least n - q
-    positive eigenvalues.  The radius starts at RADIUS and halves a
-    bounded number of times before the attempt is abandoned; each attempt
-    scales the same points.
+    Each point's certificate holds when the exhaustion dominates its
+    minorant at PROBES seeded uniform points of the chart polydisk within
+    PROBE_GAP_TOL, at SOUNDNESS_PROBES more that recheck the radius, and
+    the minorant's Levi form has at least n - q positive eigenvalues.  The
+    radius starts at RADIUS and halves up to MAX_SHRINKS times; each
+    attempt scales the same seeded probe offsets, which all points share.
+
+    Points are certified GROUP at a time, and each radius attempt runs
+    for the still-open points of a group together: the value at y, su21's
+    transverse probes, the probes, the touch point, the soundness probes
+    and each step size of the Levi stencil are one aligned_domain_values
+    call for the group, not one per point.  A report does not depend on
+    the group: both optimizer paths (maximize_branch, LineCycles.align)
+    work row by row and bit for bit whatever rows share a call, and the
+    rest is elementwise or point by point.  A CycleLabError from a shared
+    call runs that call again one point at a time, so only the points
+    that raise it fail.  The generator holds one group at a time.
     """
-    if not in_domain(y, sc):
-        raise NotInDomain("certificates exist at interior points only")
-    geo = sc.geometry
-    v = y.homogeneous
-    vals, ks = aligned_domain_values(v[None, :], sc)
-    value, khat = float(vals[0]), ks[0]
-    chart = geo.certificate_chart(v, khat, get_engine(sc).schubert.borel.matrix)
-    frame, slice_coord, _ = chart
-    # the chart has one coordinate per dimension of Z
-    dims = sc.ambient_dim
+    points = list(points)
+    for start in range(0, len(points), GROUP):
+        yield from _certify_group(points[start:start + GROUP], sc, seed)
+
+
+def _certify_group(points, sc, seed):
+    geo, dims, n, g = sc.geometry, sc.ambient_dim, sc.n, len(points)
     required = dims - sc.cycle_dim
+    # per point: None while open, then its report or its error
+    out = [None if in_domain(y, sc) else
+           NotInDomain("certificates exist at interior points only") for y in points]
+    # the points of the current step: shared calls evaluate these, if open
+    act = np.ones(g, bool)
+
+    def is_open():
+        return np.array([o is None for o in out])
+
+    def aligned(rows):
+        """(values (g, k), aligning elements) of the rows (g, k, n), NaN
+        for all but the open points of the step, in one call for all."""
+        on = np.flatnonzero(act & is_open())
+        k = rows.shape[1]
+        vals, ks = np.full((g, k), np.nan), np.full((g, k, n, n), np.nan, complex)
+        if on.size == 0:
+            return vals, ks
+        try:
+            got = aligned_domain_values(rows[on].reshape(-1, n), sc)
+            vals[on], ks[on] = got[0].reshape(-1, k), got[1].reshape(-1, k, n, n)
+        except CycleLabError:
+            for i in on:
+                try:
+                    vals[i], ks[i] = aligned_domain_values(rows[i], sc)
+                except CycleLabError as exc:
+                    out[i] = exc
+        return vals, ks
+
+    v = np.array([y.homogeneous for y in points])
+    vals, ks = aligned(v[:, None, :])
+    value, khat = vals[:, 0], ks[:, 0]
+    on = np.flatnonzero(is_open())
+    if on.size == 0:
+        return out
+    sub = geo.certificate_chart(v[on], khat[on], get_engine(sc).schubert.borel.matrix)
+    for i in on[np.abs(np.linalg.det(sub[0])) < 1e-8]:
+        out[i] = NumericalDegeneracy("certificate chart is degenerate")
+    # (frames, slice coordinates, cell scales) per point; a failed point
+    # borrows an open point's chart, so no step computes on NaN, and no
+    # step reads its values
+    pos = np.minimum(np.searchsorted(on, np.arange(g)), on.size - 1)
+    chart = [None if a is None else a[pos] for a in sub]
+    frames = chart[0]
 
     def chart_rows(xi):
-        rows = v[None, :]
+        # the chart has one coordinate per dimension of Z
+        rows = v[:, None, :]
         for j in range(dims):
-            rows = rows + xi[:, j:j + 1] * frame[j + 1][None, :]
+            rows = rows + xi[:, :, j:j + 1] * frames[:, None, j + 1, :]
         return rows
 
     def exhaustion(xi):
-        return aligned_domain_values(chart_rows(xi), sc)[0]
+        return aligned(chart_rows(xi))[0]
 
     box = np.random.default_rng((seed, 41)).uniform(
         -1.0, 1.0, (PROBES + SOUNDNESS_PROBES, 2 * dims))
     unit = box[:, 0::2] + 1j * box[:, 1::2]
     for attempt in range(MAX_SHRINKS + 1):
+        act[:] = is_open()
+        if not act.any():
+            break
         rad = RADIUS * 0.5**attempt
         # minorant(xi) is the minorant at chart probes xi; each family
         # member is a feasible branch of its own probe point
-        minorant, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows, rad)
-        xi = rad * unit[:PROBES]
-        if not np.all(in_domain_rows(chart_rows(xi), sc)):
-            continue
+        minorant, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows,
+                                                       exhaustion, rad)
+        xi = np.broadcast_to(rad * unit[:PROBES], (g, PROBES, dims))
+        act &= np.all(in_domain_rows(chart_rows(xi).reshape(-1, n), sc)
+                      .reshape(g, PROBES), axis=1)
         gaps = exhaustion(xi) - minorant(xi)
-        touch = float(abs(minorant(np.zeros((1, dims), complex))[0] - value))
-        if touch > TOUCH_TOL:
-            raise MinorantFailure(f"minorant misses the value by {touch:.2e}")
-        gap_min = float(np.min(gaps))
-        if gap_min >= -PROBE_GAP_TOL:
-            # soundness recheck: probes independent of the batch that
-            # tuned the radius
-            xi2 = rad * unit[PROBES:]
-            sound = float(np.min(exhaustion(xi2) - minorant(xi2)))
-            if sound < -SOUNDNESS_TOL:
+        touch = np.abs(minorant(np.zeros((g, 1, dims), complex))[:, 0] - value)
+        for i in np.flatnonzero(act & is_open() & (touch > TOUCH_TOL)):
+            out[i] = MinorantFailure(f"minorant misses the value by {touch[i]:.2e}")
+        gap_min = np.min(gaps, axis=1)
+        act &= is_open() & (gap_min >= -PROBE_GAP_TOL)
+        # soundness recheck: probes independent of the batch that tuned
+        # the radius
+        xi2 = np.broadcast_to(rad * unit[PROBES:], (g, SOUNDNESS_PROBES, dims))
+        sound = np.min(exhaustion(xi2) - minorant(xi2), axis=1)
+        act &= is_open() & (sound >= -SOUNDNESS_TOL)
+        # the stencil rows are centre-major, so each centre's rows are its
+        # own point's chart probes
+        lev = levi_form_fd(lambda pts: minorant(pts.reshape(g, -1, dims)).ravel(),
+                           np.zeros((g, dims), complex))
+        for i in np.flatnonzero(act & is_open()):
+            if np.isnan(lev[i]).any():
+                out[i] = StencilFailure("non-finite value on the Levi stencil")
                 continue
-            lev = levi_form_fd(minorant, np.zeros((1, dims), complex))[0]
-            if np.isnan(lev).any():
-                raise StencilFailure("non-finite value on the Levi stencil")
-            pos = int(eig_signature(lev)[0])
-            return CertificateReport(
-                point=v, value=value, slice_coord=slice_coord,
-                padding=float(padding), radius=rad, touch_gap=touch,
-                probe_gap_min=gap_min,
-                levi_eigenvalues=np.linalg.eigvalsh(lev), n_pos=pos,
-                required_pos=required, q_convex_ok=bool(pos >= required),
-                notes=dict(notes, probes=PROBES, shrinks=attempt,
-                           soundness_gap_min=sound))
-    raise MinorantFailure("no radius produced a verified minorant")
+            n_pos = int(eig_signature(lev[i])[0])
+            out[i] = CertificateReport(
+                point=v[i], value=float(value[i]),
+                slice_coord=None if chart[1] is None else complex(chart[1][i]),
+                padding=float(padding[i]), radius=rad, touch_gap=float(touch[i]),
+                probe_gap_min=float(gap_min[i]),
+                levi_eigenvalues=np.linalg.eigvalsh(lev[i]), n_pos=n_pos,
+                required_pos=required, q_convex_ok=bool(n_pos >= required),
+                notes=dict({k: float(a[i]) for k, a in notes.items()}, probes=PROBES,
+                           shrinks=attempt, soundness_gap_min=float(sound[i])))
+    return [MinorantFailure("no radius produced a verified minorant") if o is None else o
+            for o in out]
+
+
+def q_pseudoconvex_certificate(y, sc, seed=42):
+    """Build and check the local minorant certificate at an interior
+    point: the batch of one of certificates, raising the point's error."""
+    rep = next(certificates([y], sc, seed))
+    if isinstance(rep, CycleLabError):
+        raise rep
+    return rep

@@ -28,12 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalDegeneracy
+from .errors import InvalidInput
 from .flags import FlagPoint, ScenarioConfig
 from .liecore import RealFormSpec, k0_matrices
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
-from .optimize import aligned_domain_values, get_engine
+from .optimize import get_engine
 
 SCENARIO_NAMES = ("su11", "su21")
 
@@ -108,30 +108,33 @@ class PointCycles:
     def cell_rows(self, zeta):
         return np.concatenate([zeta, np.ones_like(zeta[:, :1])], axis=1)
 
-    def certificate_chart(self, v, khat, borel):
-        """(frame, slice coordinate, cell scale) of the Levi certificate's
-        chart at the unit point v.  The slice is the whole domain: v and
-        one direction span the chart, and there is no slice coordinate."""
-        b_s = np.array([1.0, 0.0], complex)
-        frame = np.stack([v, b_s])
-        if abs(np.linalg.det(frame)) < 1e-8:
-            b_s = np.array([0.0, 1.0], complex)
-            frame = np.stack([v, b_s])
-        return frame, None, None
+    def certificate_chart(self, vs, khats, borel):
+        """(frames, slice coordinates, cell scales) of the Levi
+        certificate's charts at the unit points vs (m, 2).  The slice is
+        the whole domain: v and one direction span each chart, and there
+        is no slice coordinate."""
+        b_s = np.zeros_like(vs)
+        b_s[:, 0] = 1.0
+        frames = np.stack([vs, b_s], axis=1)
+        frames[np.abs(np.linalg.det(frames)) < 1e-8, 1] = [0.0, 1.0]
+        return frames, None, None
 
-    def minorant_family(self, sc, khat, chart, chart_rows, rad):
-        """(family, padding, notes) of the certificate at radius rad.
+    def minorant_family(self, sc, khats, chart, chart_rows, exhaustion, rad):
+        """(family, paddings, notes) of the certificates at radius rad.
 
-        family(xi) returns the minorant at chart probes xi: the branch
-        frozen at khat.  The supremum over branches dominates any single
-        branch, so it is a global minorant and needs no padding.
+        family(xi) returns the minorants at chart probes xi (m, k, 1) of
+        the m points: the branch frozen at each point's khat.  The supremum
+        over branches dominates any single branch, so it is a global
+        minorant and needs no padding.
         """
         engine = get_engine(sc)
 
+        # one einsum per point, the one a point certified alone makes
         def family(xi):
-            return engine._value_from_p(np.einsum("ab,mb->ma", khat, chart_rows(xi)))
+            return np.array([engine._value_from_p(np.einsum("ab,mb->ma", khat, rows))
+                             for khat, rows in zip(khats, chart_rows(xi))])
 
-        return family, 0.0, {}
+        return family, np.zeros(len(khats)), {}
 
 
 class LineCycles:
@@ -226,46 +229,49 @@ class LineCycles:
     def cell_rows(self, zeta):
         return np.concatenate([np.ones_like(zeta[:, :1]), zeta], axis=1)
 
-    def certificate_chart(self, v, khat, borel):
-        """(frame, slice coordinate, cell scale) of the Levi certificate's
-        chart at the unit point v.
+    def certificate_chart(self, vs, khats, borel):
+        """(frames, slice coordinates, cell scales) of the Levi
+        certificate's charts at the unit points vs (m, 3), aligned by khats.
 
         khat v = scale (c0 b_0 + b_1) in the Borel frame b: c0 is the
         slice coordinate of y.  The frame is v, the slice direction
         khat^-1 b_0, and a unit direction transverse to the slice inside
         the line through v whose dual-ball radius matches the point's.
         """
-        ad = np.linalg.inv(borel) @ (khat @ v)
-        b_s = np.linalg.inv(khat) @ borel[:, 0]
-        rows = annihilator_basis(self.radial_dual(v))
-        t = rows[0] - (np.conj(v) @ rows[0]) * v
-        if np.linalg.norm(t) < 1e-8:
-            t = rows[1] - (np.conj(v) @ rows[1]) * v
-        frame = np.stack([v, b_s, t / np.linalg.norm(t)])
-        if abs(np.linalg.det(frame)) < 1e-8:
-            raise NumericalDegeneracy("certificate chart is degenerate")
-        return frame, complex(ad[0] / ad[1]), complex(ad[1])
+        # point by point: a norm over a stack's axis sums in another order
+        # than radial_dual's and the frame's norms of one vector
+        frames, c0, scale = [], [], []
+        for v, khat in zip(vs, khats):
+            ad = np.linalg.inv(borel) @ (khat @ v)
+            b_s = np.linalg.inv(khat) @ borel[:, 0]
+            rows = annihilator_basis(self.radial_dual(v))
+            t = rows[0] - (np.conj(v) @ rows[0]) * v
+            if np.linalg.norm(t) < 1e-8:
+                t = rows[1] - (np.conj(v) @ rows[1]) * v
+            frames.append(np.stack([v, b_s, t / np.linalg.norm(t)]))
+            c0.append(ad[0] / ad[1])
+            scale.append(ad[1])
+        return np.array(frames), np.array(c0), np.array(scale)
 
-    def minorant_family(self, sc, khat, chart, chart_rows, rad):
-        """(family, padding, notes) of the certificate at radius rad.
+    def minorant_family(self, sc, khats, chart, chart_rows, exhaustion, rad):
+        """(family, paddings, notes) of the certificates at radius rad.
 
         family(xi) takes the closed-form aligning element of each probe
-        xi, as a frozen branch cannot minorize (levi.py), and returns the
-        aligned values less padding |xi_1|^2.
+        of xi (m, k, 2), as a frozen branch cannot minorize (levi.py), and
+        returns the aligned values (exhaustion) less padding |xi_1|^2.
         """
         _, c0, scale = chart
         # transverse decrease of the frozen branch at y (along the slice
         # it is the cell exhaustion); it scales the padding and is recorded
         probe_p = rad * np.array([1, -1, 1j, -1j])
         xi_t = np.stack([np.zeros(4, complex), probe_p], axis=1)
-        frozen = np.log1p(np.abs(c0 + xi_t[:, 0] / scale) ** 2)
-        drop = frozen - aligned_domain_values(chart_rows(xi_t), sc)[0]
-        a_meas = float(np.max(drop / np.abs(xi_t[:, 1]) ** 2))
-        padding = 0.5 * max(a_meas, 2e-3)
+        frozen = np.log1p(np.abs(c0[:, None] + xi_t[:, 0] / scale[:, None]) ** 2)
+        drop = frozen - exhaustion(np.broadcast_to(xi_t, (len(c0),) + xi_t.shape))
+        a_meas = np.max(drop / np.abs(xi_t[:, 1]) ** 2, axis=1)
+        padding = 0.5 * np.maximum(a_meas, 2e-3)
 
         def family(xi):
-            vals = aligned_domain_values(chart_rows(xi), sc)[0]
-            return vals - padding * np.abs(xi[:, 1]) ** 2
+            return exhaustion(xi) - padding[:, None] * np.abs(xi[..., 1]) ** 2
 
         return family, padding, {"transverse_decay": a_meas}
 

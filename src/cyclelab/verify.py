@@ -24,8 +24,7 @@ from .errors import CycleLabError, InvalidInput, StencilFailure
 from .exhaust import (batch_values, divergence_path, seeded_cycles,
                       seeded_domain_points, submeanvalue_discs,
                       translation_branch_pair)
-from .levi import (levi_form_fd, levi_refinement_ratio,
-                   q_pseudoconvex_certificate)
+from .levi import certificates, levi_form_fd, levi_refinement_ratio
 from .liecore import (GroupElement, a0_matrix, is_member, iwasawa_decompose,
                       k0_matrices, n0_matrix)
 from .optimize import get_engine
@@ -270,7 +269,7 @@ def check_closed_form(counts, seed, scenarios):
     worst = float(np.max(np.abs(vals - want)))
     spot = max(abs(vals[-2] - np.log(2.0)), abs(vals[-1] - np.log(10.0)))
     worst = max(worst, float(spot))
-    return CheckResult("closed_form_su11", worst < 1e-6, len(w), worst, 1e-6)
+    return CheckResult("closed_form_su11", worst < 5e-12, len(w), worst, 5e-12)
 
 
 def check_closed_form_su21(counts, seed, scenarios):
@@ -290,7 +289,7 @@ def check_closed_form_su21(counts, seed, scenarios):
         rho_sq = ratio if target == "r_md" else 1.0 / ratio
         want = np.log((1.0 + rho_sq) / (1.0 - rho_sq))
         worst = max(worst, float(np.max(np.abs(batch_values(rows, sc, target) - want))))
-    return CheckResult("closed_form_su21", worst < 1e-9, 2 * count, worst, 1e-9)
+    return CheckResult("closed_form_su21", worst < 4e-12, 2 * count, worst, 4e-12)
 
 
 def check_divergence(counts, seed, scenarios):
@@ -323,8 +322,8 @@ def check_degenerate_grid(counts, seed, scenarios):
     rows = np.stack([w, np.ones_like(w)], axis=1)
     diff = batch_values(rows, sc, "r_d") - batch_values(rows, sc, "r_md")
     worst = float(np.max(np.abs(diff)))
-    return CheckResult("point_cycle_degeneration", worst < 1e-9, len(w),
-                       worst, 1e-9)
+    return CheckResult("point_cycle_degeneration", worst < 4e-12, len(w),
+                       worst, 4e-12)
 
 
 def check_slice_intersections(counts, seed, scenarios):
@@ -339,8 +338,8 @@ def check_slice_intersections(counts, seed, scenarios):
         for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7):
             worst = max(worst, float(intersect_slice(sl, c).residual))
             total += 1
-    return CheckResult("unique_slice_intersection", bool(worst < 1e-10), total,
-                       worst, 1e-10, detail="all unique")
+    return CheckResult("unique_slice_intersection", bool(worst < 2e-14), total,
+                       worst, 2e-14, detail="all unique")
 
 
 def check_certificates(counts, seed, scenarios):
@@ -348,16 +347,14 @@ def check_certificates(counts, seed, scenarios):
     gap_floor, total, ok = np.inf, 0, True
     for name in scenarios:
         sc = get_scenario(name)
-        for y in seeded_domain_points(sc, counts["certificates"], seed=seed):
-            try:
-                rep = q_pseudoconvex_certificate(y, sc, seed=seed)
-            except CycleLabError:
+        points = seeded_domain_points(sc, counts["certificates"], seed=seed)
+        for rep in certificates(points, sc, seed=seed):
+            total += 1
+            if isinstance(rep, CycleLabError):
                 ok = False
-                total += 1
                 continue
             gap_floor = min(gap_floor, rep.probe_gap_min)
             ok = ok and bool(rep.q_convex_ok and rep.touch_gap <= 1e-10)
-            total += 1
     return CheckResult("pseudoconvexity_certificates", bool(ok and gap_floor >= -1e-9),
                        total, float(gap_floor), -1e-9, above=True)
 

@@ -139,3 +139,32 @@ def test_criterion_13_to_16_boundary_sweep(name, target):
             f"{8 * len(depths)} cases)")
     print(line)
     assert worst <= bound, line
+
+
+def test_tightened_bounds_catch_small_errors(monkeypatch):
+    # the closed-form, degeneration and slice-intersection bounds sit about
+    # 100x above their worst metric over quick seeds 1-400: an r_md error
+    # of 1e-10 or a residual of 1e-12, which the bounds of 1e-6, 1e-9 and
+    # 1e-10 they replace let pass, now fails each check
+    from cyclelab import verify
+
+    quick = COUNTS["quick"]
+    checks = (check_closed_form, check_closed_form_su21, check_degenerate_grid,
+              check_slice_intersections)
+    assert all(fn(quick, 1, BOTH).passed for fn in checks)
+    real_values, real_meet = verify.batch_values, verify.intersect_slice
+
+    def skewed_values(rows, sc, target):
+        return real_values(rows, sc, target) + (1e-10 if target == "r_md" else 0.0)
+
+    def skewed_meet(sl, c):
+        rec = real_meet(sl, c)
+        rec.residual += 1e-12
+        return rec
+
+    monkeypatch.setattr(verify, "batch_values", skewed_values)
+    monkeypatch.setattr(verify, "intersect_slice", skewed_meet)
+    old_bounds = (1e-6, 1e-9, 1e-9, 1e-10)
+    for fn, old in zip(checks, old_bounds):
+        res = fn(quick, 1, BOTH)
+        assert res.metric < old and not res.passed, res.name

@@ -1,13 +1,15 @@
 """Finite-difference Levi forms and pseudoconvexity certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cyclelab import (FlagPoint, levi_form_fd,
+from cyclelab import (FlagPoint, certificates, levi_form_fd,
                       q_pseudoconvex_certificate, seeded_domain_points)
-from cyclelab.errors import NotInDomain, StencilFailure
+from cyclelab.errors import CycleLabError, NotInDomain, OptimizerStall, StencilFailure
 from cyclelab.flags import in_domain, in_domain_rows
-from cyclelab.levi import eig_signature, levi_refinement_ratio
+from cyclelab.levi import GROUP, eig_signature, levi_refinement_ratio
 
 from oracles import fubini_study_levi
 
@@ -194,6 +196,81 @@ def test_certificate_aligns_each_probe_set_once(su21, count_calls):
                                                            abs=1e-13)
     assert rep.levi_eigenvalues == pytest.approx(
         [-8.291817388640936, 0.6081207377752429], rel=1e-9)
+    # the points of a group share each of those calls
+    calls.clear()
+    reps = list(certificates(seeded_domain_points(su21, 6, seed=15), su21, seed=15))
+    assert [r.notes["shrinks"] for r in reps] == [0] * 6
+    assert len(calls) == 9
+
+
+def test_certificate_group_maximizes_each_probe_set_once(su11, count_calls):
+    # su11's minorant is a frozen branch: only the value at y, the probes
+    # and the soundness probes run the optimizer, once for the group
+    from cyclelab import optimize
+
+    calls = count_calls(optimize, "maximize_branch")
+    reps = list(certificates(seeded_domain_points(su11, 6, seed=15), su11, seed=15))
+    assert [r.notes["shrinks"] for r in reps] == [0] * 6
+    assert len(calls) == 3
+
+
+def _report_fields(rep):
+    """Every field of a report, or the type and message of an error, with
+    arrays and floats as bytes so that equal means bit for bit."""
+    if isinstance(rep, CycleLabError):
+        return type(rep).__name__, str(rep)
+    fields = {}
+    for f in dataclasses.fields(rep):
+        val = getattr(rep, f.name)
+        fields[f.name] = (repr(val) if f.name == "notes" or val is None
+                          else np.asarray(val).tobytes())
+    return fields
+
+
+def _single(y, sc, seed):
+    try:
+        return q_pseudoconvex_certificate(y, sc, seed=seed)
+    except CycleLabError as exc:
+        return exc
+
+
+# su11 at cap 0.999 and seed 6 has points that shrink (the ninth twice over)
+@pytest.mark.parametrize("name,cap,seed", [("su11", 0.999, 6), ("su21", 0.99, 3)])
+def test_certificates_equal_single_point_calls(name, cap, seed, su11, su21):
+    sc = {"su11": su11, "su21": su21}[name]
+    pts = seeded_domain_points(sc, GROUP + 4, seed=seed, cap=cap)
+    # a point outside the domain, inside the first group
+    pts.insert(5, FlagPoint(np.array([1.0, 0.5]) if sc.n == 2 else np.array([0.1, 0.0, 1.0])))
+    reps = list(certificates(pts, sc, seed=seed))
+    want = [_single(y, sc, seed) for y in pts]
+    assert isinstance(reps[5], NotInDomain)
+    assert [_report_fields(r) for r in reps] == [_report_fields(r) for r in want]
+    if name == "su11":
+        assert max(r.notes["shrinks"] for r in reps if not isinstance(r, CycleLabError)) > 0
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_certificates_stall_fails_one_point(name, su11, su21, monkeypatch):
+    # a shared call that raises runs again point by point: only the point
+    # whose probe rows stall fails, and the others keep their reports
+    from cyclelab import levi
+
+    sc = {"su11": su11, "su21": su21}[name]
+    pts = seeded_domain_points(sc, 8, seed=4)
+    want = [_report_fields(_single(y, sc, 4)) for y in pts]
+    bad = pts[3].homogeneous
+    real = levi.aligned_domain_values
+
+    def stalling(rows, sc):
+        dist = np.linalg.norm(np.asarray(rows) - bad, axis=1)
+        if np.any((dist > 0) & (dist < 0.05)):
+            raise OptimizerStall("stalled on the probes of one point")
+        return real(rows, sc)
+
+    monkeypatch.setattr(levi, "aligned_domain_values", stalling)
+    got = [_report_fields(r) for r in certificates(pts, sc, seed=4)]
+    assert got[3] == ("OptimizerStall", "stalled on the probes of one point")
+    assert got[:3] + got[4:] == want[:3] + want[4:]
 
 
 def test_certificate_value_matches_exhaustion(su21):
