@@ -16,14 +16,12 @@ import numpy as np
 
 from .cycles import translate_cycle
 from .errors import InvalidInput
+from .liecore import k0_log
 from .optimize import aligned_domain_values, get_engine, maximize_branch
 from .schubert import intersect_slice, translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
-from .utils import logm_unitary
 
 TARGETS = ("r_s", "r_md", "r_d")
-# k0_log_coordinates: eigen-angles closer than this count as tied.
-LOG_TIE = 1e-12
 # submeanvalue_discs: equally spaced points on each disc's boundary circle
 DISC_POINTS = 16
 # grid_axis: points per axis at most.  An eval grid point takes about
@@ -124,35 +122,14 @@ def seeded_cycles(sc, count, seed=42, cap=0.95):
 
 
 def k0_log_coordinates(ks, rf):
-    """Coordinates in the compact algebra basis of a logarithm of each
-    matrix of an (m, n, n) stack of K0 elements (for reports).
-
-    The logarithm is the principal one (utils.logm_unitary) whenever
-    that lies in the algebra.  det k = 1 puts the principal log's trace
-    at 2 pi i t with t in {-1, 0, 1} (n <= 3); for t != 0 the eigen-angle
-    nearest t pi moves by -2 pi t, along an eigenvector inside one
-    diagonal block of the Cartan matrix, so that the log is traceless,
-    stays block diagonal and still exponentiates to k.  Angles within
-    LOG_TIE of each other count as tied, and a tie moves the angle of
-    the last block: an exact -1 pair split across the blocks logs to
-    +i pi on the first and -i pi on the last.
-    """
-    x = logm_unitary(ks)
-    turns = np.rint(np.trace(x, axis1=1, axis2=2).imag / (2 * np.pi))
-    signs = np.diagonal(rf.cartan_matrix).real
-    blocks = [np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)]
-    rows = np.flatnonzero(turns)
-    t = turns[rows, None, None]
-    # eigenvalues of -i t x are t times the eigen-angles; ties go to the last block
-    pairs = [np.linalg.eigh(-1j * t * x[np.ix_(rows, b, b)]) for b in blocks]
-    last = pairs[1][0][:, -1] >= pairs[0][0][:, -1] - LOG_TIE
-    for on, b, (_, vec) in zip((~last, last), blocks, pairs):
-        v = vec[on, :, -1, None]
-        x[np.ix_(rows[on], b, b)] -= 2j * np.pi * t[on] * (v * np.conj(v.transpose(0, 2, 1)))
+    """Coordinates in the compact algebra basis of liecore.k0_log of each
+    matrix of an (m, n, n) stack of K0 elements (for reports)."""
     basis = np.asarray(rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
-    rhs = np.einsum("aij,mij->am", np.conj(basis), x).real
-    return np.linalg.solve(gram, rhs).T
+    rhs = np.einsum("aij,mij->ma", np.conj(basis), k0_log(rf, ks)).real
+    # the inverse Gram matrix row by row, not a solve: LAPACK solves one
+    # right-hand side in another order than several
+    return np.einsum("mb,ab->ma", rhs, np.linalg.inv(gram))
 
 
 def grid_axis(spec):

@@ -157,12 +157,13 @@ def certificates(points, sc, seed=42):
 
     Points are certified GROUP at a time, and each radius attempt runs
     for the still-open points of a group together: the value at y, su21's
-    transverse probes, the probes, the touch point, the soundness probes
-    and each step size of the Levi stencil are one aligned_domain_values
-    call for the group, not one per point.  A report does not depend on
-    the group: both optimizer paths (maximize_branch, LineCycles.align)
-    work row by row and bit for bit whatever rows share a call, and the
-    rest is elementwise or point by point.  A CycleLabError from a shared
+    transverse probes, the probes, the soundness probes and each step size
+    of the Levi stencil are one aligned_domain_values call for the group,
+    not one per point (the minorant reuses the values at y and at both
+    probe sets).  A report does not depend on the group: both optimizer
+    paths (maximize_branch, LineCycles.align) work row by row and bit for
+    bit whatever rows share a call, and the rest is elementwise or point
+    by point.  A CycleLabError from a shared
     call runs that call again one point at a time, so only the points
     that raise it fail.  The generator holds one group at a time.
     """
@@ -236,15 +237,17 @@ def _certify_group(points, sc, seed):
         if not act.any():
             break
         rad = RADIUS * 0.5**attempt
-        # minorant(xi) is the minorant at chart probes xi; each family
-        # member is a feasible branch of its own probe point
+        # minorant(xi, values) is the minorant at chart probes xi with the
+        # exhaustion values there; each member is a feasible branch of its probe
         minorant, padding, notes = geo.minorant_family(sc, khat, chart, chart_rows,
                                                        exhaustion, rad)
         xi = np.broadcast_to(rad * unit[:PROBES], (g, PROBES, dims))
         act &= np.all(in_domain_rows(chart_rows(xi).reshape(-1, n), sc)
                       .reshape(g, PROBES), axis=1)
-        gaps = exhaustion(xi) - minorant(xi)
-        touch = np.abs(minorant(np.zeros((g, 1, dims), complex))[:, 0] - value)
+        ex = exhaustion(xi)
+        gaps = ex - minorant(xi, ex)
+        touch = np.abs(minorant(np.zeros((g, 1, dims), complex), value[:, None])[:, 0]
+                       - value)
         for i in np.flatnonzero(act & is_open() & (touch > TOUCH_TOL)):
             out[i] = MinorantFailure(f"minorant misses the value by {touch[i]:.2e}")
         gap_min = np.min(gaps, axis=1)
@@ -252,7 +255,8 @@ def _certify_group(points, sc, seed):
         # soundness recheck: probes independent of the batch that tuned
         # the radius
         xi2 = np.broadcast_to(rad * unit[PROBES:], (g, SOUNDNESS_PROBES, dims))
-        sound = np.min(exhaustion(xi2) - minorant(xi2), axis=1)
+        ex = exhaustion(xi2)
+        sound = np.min(ex - minorant(xi2, ex), axis=1)
         act &= is_open() & (sound >= -SOUNDNESS_TOL)
         # the stencil rows are centre-major, so each centre's rows are its
         # own point's chart probes

@@ -28,6 +28,10 @@ MEMBER_TAGS = ("G0", "K0", "Gu", "A0N0")
 # Its screen keeps 8 B per row and K_BLOCK samples, 8 KB a row at the
 # cap; the rest of its temporaries do not grow with K
 MAX_K0_SAMPLES = 2 ** 17
+# k0_log: an angle within LOG_BRANCH_SNAP of -pi takes +pi; angles closer
+# than LOG_TIE are tied
+LOG_BRANCH_SNAP = 1e-14
+LOG_TIE = 1e-12
 
 
 @dataclass(eq=False)
@@ -243,6 +247,68 @@ def k0_exp(rf, x):
         out[:, i, i], out[:, j, j] = scale * up, scale * down
         out[:, i, j] = scale * sinc * b
         out[:, j, i] = scale * sinc * x[:, j, i]
+    return out
+
+
+def _flip(part, shift):
+    """A 2x2 block's [tau, r, a, b] with the angle tau - shift r moved by
+    2 pi shift, shift in {-1, 0, 1} per row: tau + shift pi, pi - r, -D."""
+    tau, r, a, b = part
+    on, sign = shift != 0, np.where(shift != 0, -1.0, 1.0)
+    return [np.where(on, tau + np.pi * shift, tau), np.where(on, np.pi - r, r),
+            sign * a, sign * b]
+
+
+def _block_log(ks, block):
+    """Principal log data of a diagonal block of a K0 stack: [theta] of a
+    1x1 block e^{i theta}, or [tau, r, a, b] of a 2x2 block B with log
+    i tau I + r D, D = [[i a, b], [-conj b, -i a]]: tau = arg(det B) / 2 and
+    e^{-i tau} B = cos r I + s D, s = sin r >= 0.  D = i diag(1, -1) where
+    s <= LOG_BRANCH_SNAP (a scalar block; the log moves by at most 2 s)."""
+    if block.size == 1:
+        theta = np.angle(ks[:, block[0], block[0]])
+        return [np.where(theta < -np.pi + LOG_BRANCH_SNAP, np.pi, theta)]
+    i, j = block
+    tau = 0.5 * np.angle(ks[:, i, i] * ks[:, j, j] - ks[:, i, j] * ks[:, j, i])
+    turn = np.exp(-1j * tau)
+    vii, vjj = turn * ks[:, i, i], turn * ks[:, j, j]
+    a, b = 0.5 * (vii - vjj).imag, 0.5 * (turn * ks[:, i, j] - np.conj(turn * ks[:, j, i]))
+    s = np.hypot(a, np.abs(b))
+    r = np.arctan2(s, 0.5 * (vii + vjj).real)
+    scalar = s <= LOG_BRANCH_SNAP
+    s = np.where(scalar, 1.0, s)
+    a, b = np.where(scalar, 1.0, a / s), np.where(scalar, 0.0, b / s)
+    up, down = tau - r < -np.pi + LOG_BRANCH_SNAP, tau + r >= np.pi + LOG_BRANCH_SNAP
+    return _flip([tau, r, a, b], 1.0 * up - down)
+
+
+def k0_log(rf, ks):
+    """Traceless log of each matrix of an (m, n, n) K0 stack, in closed
+    form per row: the inverse of k0_exp, block by block along J.
+
+    Eigen-angles are principal, in (-pi, pi], one within LOG_BRANCH_SNAP
+    of -pi taking +pi.  det k = 1 then puts the trace at 2 pi i t; for
+    t != 0 the angle nearest t pi moves by -2 pi t, and a tie within
+    LOG_TIE moves the last block's (an exact -1 pair split across the
+    blocks logs to +i pi on the first, -i pi on the last).  Elementwise,
+    so a row's log does not depend on the rows that share its stack.
+    """
+    sign = np.diagonal(rf.form_matrix).real
+    blocks = [np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)]
+    parts = [_block_log(ks, block) for block in blocks]
+    # the block traces are i theta and 2 i tau
+    t = np.rint(sum(p[0] * b.size for p, b in zip(parts, blocks)) / (2 * np.pi))
+    # t times each block's angle nearest t pi; ties go to the last block
+    tops = [t * p[0] + (p[1] if len(p) > 1 else 0.0) for p in parts]
+    last = tops[1] >= tops[0] - LOG_TIE
+    out = np.zeros(ks.shape, complex)
+    for moves, block, part in zip(((t != 0) & ~last, (t != 0) & last), blocks, parts):
+        if block.size == 1:
+            out[:, block[0], block[0]] = 1j * np.where(moves, part[0] - 2 * np.pi * t, part[0])
+            continue
+        (tau, r, a, b), (i, j) = _flip(part, np.where(moves, -t, 0.0)), block
+        out[:, i, i], out[:, j, j] = 1j * (tau + r * a), 1j * (tau - r * a)
+        out[:, i, j], out[:, j, i] = r * b, -np.conj(r * b)
     return out
 
 

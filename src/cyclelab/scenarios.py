@@ -122,15 +122,15 @@ class PointCycles:
     def minorant_family(self, sc, khats, chart, chart_rows, exhaustion, rad):
         """(family, paddings, notes) of the certificates at radius rad.
 
-        family(xi) returns the minorants at chart probes xi (m, k, 1) of
-        the m points: the branch frozen at each point's khat.  The supremum
-        over branches dominates any single branch, so it is a global
-        minorant and needs no padding.
+        family(xi, values) returns the minorants at chart probes xi (m, k, 1)
+        of the m points, whatever the values: the branch frozen at each
+        point's khat.  The supremum over branches dominates any single
+        branch, so it is a global minorant and needs no padding.
         """
         engine = get_engine(sc)
 
         # one einsum per point, the one a point certified alone makes
-        def family(xi):
+        def family(xi, values=None):
             return np.array([engine._value_from_p(np.einsum("ab,mb->ma", khat, rows))
                              for khat, rows in zip(khats, chart_rows(xi))])
 
@@ -256,9 +256,9 @@ class LineCycles:
     def minorant_family(self, sc, khats, chart, chart_rows, exhaustion, rad):
         """(family, paddings, notes) of the certificates at radius rad.
 
-        family(xi) takes the closed-form aligning element of each probe
-        of xi (m, k, 2), as a frozen branch cannot minorize (levi.py), and
-        returns the aligned values (exhaustion) less padding |xi_1|^2.
+        family(xi, values) takes the closed-form aligning element of each
+        probe of xi (m, k, 2), as a frozen branch cannot minorize (levi.py),
+        and returns their values (exhaustion(xi) unless given) less padding |xi_1|^2.
         """
         _, c0, scale = chart
         # transverse decrease of the frozen branch at y (along the slice
@@ -270,8 +270,9 @@ class LineCycles:
         a_meas = np.max(drop / np.abs(xi_t[:, 1]) ** 2, axis=1)
         padding = 0.5 * np.maximum(a_meas, 2e-3)
 
-        def family(xi):
-            return exhaustion(xi) - padding[:, None] * np.abs(xi[..., 1]) ** 2
+        def family(xi, values=None):
+            values = exhaustion(xi) if values is None else values
+            return values - padding[:, None] * np.abs(xi[..., 1]) ** 2
 
         return family, padding, {"transverse_decay": a_meas}
 

@@ -1,6 +1,5 @@
 """Command line behavior: formats, determinism, exit codes."""
 
-import ast
 import csv
 import io
 import json
@@ -168,17 +167,13 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_scipy_appears_only_in_the_log_guard():
-    # logm_unitary's guard is the package's one use of scipy; every other
-    # exponential and logarithm is numpy
+def test_no_source_file_mentions_scipy():
+    # every exponential and logarithm of the package is a numpy closed
+    # form; scipy serves the tests only, as a reference
     src = Path(cyclelab.__file__).parent
     for path in sorted(src.glob("*.py")):
-        text = path.read_text()
-        lines = [i + 1 for i, line in enumerate(text.splitlines()) if "scipy" in line]
-        if path.name == "utils.py":
-            guard = next(node for node in ast.parse(text).body
-                         if getattr(node, "name", None) == "logm_unitary")
-            lines = [i for i in lines if not guard.lineno <= i <= guard.end_lineno]
+        lines = [i + 1 for i, line in enumerate(path.read_text().splitlines())
+                 if "scipy" in line]
         assert lines == [], f"{path.name} mentions scipy on lines {lines}"
 
 
@@ -320,8 +315,7 @@ def test_eval_seed_leaves_the_grid_payload_unchanged(tmp_path):
         "info-su11", "info-su21"])
 def test_fresh_run_leaves_scipy_stats_unloaded(args):
     # no command loads scipy at all, scipy.stats included: the exponentials
-    # are numpy closed forms, and logm_unitary's scipy guard does not fire
-    # on these runs
+    # and the K0 logarithm are numpy closed forms
     code = ("import sys\n"
             "from cyclelab.cli import main\n"
             f"assert main({args!r}) == 0\n"

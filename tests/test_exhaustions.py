@@ -56,11 +56,12 @@ def test_ball_domain_closed_form(su21):
 
 def test_domain_exhaustion_cross_check(su21):
     # the alignment shortcut against the explicit infimum over the fiber
-    # of cycles through y
-    y = seeded_domain_points(su21, 1, seed=3)[0]
-    vals, _ = aligned_domain_values(y.homogeneous[None, :], su21)
-    inf_v, _ = fiber_infimum(y, su21)
-    assert abs(inf_v - vals[0]) < 1e-6
+    # of cycles through y, at the default cap and nearer the boundary
+    for cap in (0.9, 0.5, 0.99, 0.999):
+        y = seeded_domain_points(su21, 1, seed=3, cap=cap)[0]
+        vals, _ = aligned_domain_values(y.homogeneous[None, :], su21)
+        inf_v, _ = fiber_infimum(y, su21)
+        assert abs(inf_v - vals[0]) < 1e-12
 
 
 def test_disk_domain_equals_cycle_space(su11):

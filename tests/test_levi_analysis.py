@@ -176,17 +176,17 @@ def test_certificate_ball(su21):
 def test_certificate_aligns_each_probe_set_once(su21, count_calls):
     # one closed-form alignment per probe set feeds both the family
     # feasibility check and the gaps.  An attempt that does not shrink
-    # aligns nine times: the family at the probes, the touch point, the
-    # soundness probes and the two Levi stencils (five), and the
-    # exhaustion at y, the transverse probes, the probes and the
-    # soundness probes (four)
+    # aligns six times: the exhaustion at y, the transverse probes, the
+    # probes and the soundness probes, and the family at the two Levi
+    # stencils; the family at the probes, the soundness probes and y
+    # reuses the exhaustion's values
     from cyclelab import scenarios
 
     calls = count_calls(scenarios.LineCycles, "align")
     y = seeded_domain_points(su21, 2, seed=15)[0]
     rep = q_pseudoconvex_certificate(y, su21, seed=15)
     assert rep.notes["shrinks"] == 0
-    assert len(calls) == 9
+    assert len(calls) == 6
     # the record of the closed-form path
     assert rep.value == pytest.approx(1.829392665550663, rel=1e-12)
     assert rep.padding == pytest.approx(2.614105923915977, rel=1e-12)
@@ -200,7 +200,7 @@ def test_certificate_aligns_each_probe_set_once(su21, count_calls):
     calls.clear()
     reps = list(certificates(seeded_domain_points(su21, 6, seed=15), su21, seed=15))
     assert [r.notes["shrinks"] for r in reps] == [0] * 6
-    assert len(calls) == 9
+    assert len(calls) == 6
 
 
 def test_certificate_group_maximizes_each_probe_set_once(su11, count_calls):

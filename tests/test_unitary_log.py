@@ -1,41 +1,23 @@
-"""The batched principal logarithm of unitary matrices."""
+"""The closed-form logarithm of K0 elements (liecore.k0_log) and its
+coordinates in the compact algebra basis."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import logm
 
-from cyclelab.exhaust import LOG_TIE, k0_log_coordinates
-from cyclelab.liecore import k0_sample_matrices
-from cyclelab.optimize import maximize_branch
-from cyclelab.utils import LOG_AXIS, logm_unitary
+from cyclelab.exhaust import k0_log_coordinates
+from cyclelab.liecore import LOG_BRANCH_SNAP, LOG_TIE, k0_exp, k0_log, k0_sample_matrices
 from cyclelab.verify import _group_elements
 
 from oracles import expm_antihermitian
+
+EPS = np.finfo(float).eps
 
 
 def reference_log(u):
     """Anti-Hermitian part of scipy's logm, matrix by matrix."""
     x = np.array([logm(m) for m in u])
     return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
-
-
-def loop_log_coordinates(ks, rf):
-    """k0_log_coordinates with its turned-row correction one row at a time."""
-    x = logm_unitary(ks)
-    turns = np.rint(np.trace(x, axis1=1, axis2=2).imag / (2 * np.pi))
-    signs = np.diagonal(rf.cartan_matrix).real
-    blocks = [np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)]
-    for i in np.flatnonzero(turns):
-        pairs = [np.linalg.eigh(-1j * turns[i] * x[i][np.ix_(b, b)]) for b in blocks]
-        tops = [w[-1] for w, _ in pairs]
-        j = max(j for j, top in enumerate(tops) if top >= max(tops) - LOG_TIE)
-        v = pairs[j][1][:, -1]
-        x[i][np.ix_(blocks[j], blocks[j])] -= 2j * np.pi * turns[i] * np.outer(v, np.conj(v))
-    basis = np.asarray(rf.k0_basis)
-    gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
-    rhs = np.einsum("aij,mij->am", np.conj(basis), x).real
-    return np.linalg.solve(gram, rhs).T
 
 
 def _grid_and_seeded(sc):
@@ -52,106 +34,154 @@ def haar_unitaries(count, n, seed):
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def with_angles(angles, count=20, seed=0):
-    """Stack of V diag(e^{i angles}) V* over Haar-random V."""
-    v = haar_unitaries(count, len(angles), seed)
-    return np.einsum("mij,j,mkj->mik", v, np.exp(1j * np.asarray(angles)),
-                     np.conj(v)), v
+def haar_k0(sc, count, seed):
+    """Haar-random elements of K0 = S(U(p) x U(q)): a Haar unitary on the
+    +1 block of J, the conjugate of its determinant on the 1x1 -1 block."""
+    p = int(np.sum(np.diagonal(sc.rf.form_matrix).real > 0))
+    u = np.zeros((count, sc.n, sc.n), complex)
+    u[:, :p, :p] = haar_unitaries(count, p, seed)
+    u[:, p, p] = np.conj(np.linalg.det(u[:, :p, :p]))
+    return u
 
 
-@pytest.fixture
-def logm_calls(count_calls):
-    return count_calls(scipy.linalg, "logm")
+def near_scalar_k0(sc):
+    """su21 elements whose U(2) block is scalar or within 1e-12 / 1e-13 of
+    a scalar, at phases that do and do not move one of its angles by the
+    trace rule; su11 has no 2x2 block and gets none."""
+    if sc.n == 2:
+        return np.zeros((0, 2, 2), complex)
+    rng = np.random.default_rng(3)
+    basis = np.asarray(sc.rf.k0_basis)
+    coeffs = []
+    for tau in (0.0, 0.4, -1.3, np.pi / 2, 2.5, np.pi, -np.pi):
+        for size in (0.0, 1e-13, 1e-12):
+            c = size * rng.standard_normal(4)
+            # diag(i tau, i tau, -2 i tau) plus a rotation of the given size
+            c[0] += tau
+            c[1] += tau
+            coeffs.append(c)
+    return k0_exp(sc.rf, np.einsum("ma,aij->mij", np.array(coeffs), basis))
 
 
-def assert_log_of(x, u, tol=1e-12):
-    assert np.max(np.abs(x + np.conj(np.swapaxes(x, -1, -2)))) == 0.0
-    assert np.max(np.abs(expm_antihermitian(x) - u)) < tol
+def _stacks(sc):
+    """The default K0 grid too (su21's holds 20 elements with a U(2) block
+    -I), Haar-random and near-scalar elements."""
+    return np.concatenate([_grid_and_seeded(sc), k0_sample_matrices(sc.rf, sc.k0_resolution),
+                           haar_k0(sc, 400, 1), near_scalar_k0(sc)])
+
+
+def assert_log_of(x, u, rf):
+    """x is an anti-Hermitian, traceless, J-block-diagonal log of u, whose
+    exponential is u within 8 eps (1 + rho), rho its largest eigen-angle."""
+    assert np.array_equal(x, -np.conj(np.swapaxes(x, -1, -2)))
+    assert np.max(np.abs(np.trace(x, axis1=1, axis2=2))) < 1e-14
+    sign = np.diagonal(rf.form_matrix).real
+    assert np.all(x[:, sign[:, None] != sign[None, :]] == 0)
+    rho = np.max(np.abs(np.linalg.eigvalsh(-1j * x)), axis=1)
+    back = np.max(np.abs(expm_antihermitian(x) - u), axis=(1, 2))
+    assert np.all(back <= 8 * EPS * (1 + rho))
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])
-def test_seeded_k0_stacks_match_logm(name, su11, su21, logm_calls):
+def test_seeded_k0_stacks_match_logm(name, su11, su21):
+    # where scipy's principal log is traceless and no eigenvalue is near
+    # -1 (logm is ill-conditioned there), k0_log is that log
     sc = {"su11": su11, "su21": su21}[name]
-    u = _grid_and_seeded(sc)
-    x = logm_unitary(u)
-    assert not logm_calls
-    # an anti-Hermitian log of u with every eigen-angle in (-pi, pi] is
-    # the principal one, an eigenvalue -1 included
-    assert_log_of(x, u)
-    angles = np.linalg.eigvalsh(-1j * x)
-    assert np.all(angles > -np.pi + 1e-9) and np.all(angles <= np.pi + 1e-12)
-    # logm is a reference only away from -1: at an exact -1 pair it can
-    # return a log whose anti-Hermitian part is off by 1e-2.  su21's grid
-    # of K0 coordinates hits such pairs.
-    at_minus_one = np.any(np.abs(np.linalg.eigvals(u) + 1.0) < 1e-12, axis=1)
-    assert np.any(at_minus_one) == (name == "su21")
-    assert np.max(np.abs(x - reference_log(u))[~at_minus_one]) < 1e-12
+    u = np.concatenate([_grid_and_seeded(sc), near_scalar_k0(sc)])
+    x = k0_log(sc.rf, u)
+    assert_log_of(x, u, sc.rf)
+    ref = reference_log(u)
+    keep = ((np.abs(np.trace(ref, axis1=1, axis2=2)) < 1e-9)
+            & np.all(np.abs(np.linalg.eigvals(u) + 1.0) > 1e-6, axis=1))
+    assert np.sum(keep) > len(u) // 3
+    assert np.max(np.abs(x - ref)[keep]) < 1e-12
 
 
-def test_random_unitaries_match_logm(logm_calls):
-    u = haar_unitaries(400, 3, seed=1)
-    x = logm_unitary(u)
-    assert len(logm_calls) < 4
-    assert np.max(np.abs(x - reference_log(u))) < 1e-12
-    assert_log_of(x, u)
+def test_random_unitaries_match_logm(su21):
+    # Haar-random K0 elements: a quarter of them or so have a principal
+    # log of trace +-2 pi i, which k0_log turns traceless
+    u = haar_k0(su21, 400, 2)
+    x = k0_log(su21.rf, u)
+    assert_log_of(x, u, su21.rf)
+    ref = reference_log(u)
+    keep = np.abs(np.trace(ref, axis1=1, axis2=2)) < 1e-9
+    assert 0 < np.sum(~keep) < len(u) // 2
+    assert np.max(np.abs(x - ref)[keep]) < 1e-12
 
 
-def test_identity_and_repeated_eigenvalues(logm_calls):
-    eye = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3))
-    assert np.array_equal(logm_unitary(eye), np.zeros((2, 3, 3)))
-    for angles in ([0.4, 0.4, -0.8], [-2.0, -2.0, -2.0], [1.1, 1.1, 1.1]):
-        u, _ = with_angles(angles)
-        x = logm_unitary(u)
-        assert np.max(np.abs(x - reference_log(u))) < 1e-12
-        assert_log_of(x, u)
-    assert not logm_calls
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_k0_log_angles_are_principal(name, su11, su21):
+    # every eigen-angle lies in (-pi, pi], an angle within LOG_BRANCH_SNAP
+    # of -pi taking +pi, except where the principal angles sum to 2 pi t,
+    # t = +-1: there the angle nearest t pi has moved by -2 pi t
+    sc = {"su11": su11, "su21": su21}[name]
+    u = _stacks(sc)
+    w = np.linalg.eigvalsh(-1j * k0_log(sc.rf, u))
+    low = w[:, 0] < -np.pi + 0.5 * LOG_BRANCH_SNAP
+    high = w[:, -1] > np.pi + 0.5 * LOG_BRANCH_SNAP
+    assert not np.any(low & high)
+    assert np.all(w[low, 1:] > -np.pi + 0.5 * LOG_BRANCH_SNAP)
+    assert np.all(w[high, :-1] <= np.pi + 0.5 * LOG_BRANCH_SNAP)
+    # moved back, the angle is the largest (smallest) of its row
+    assert np.all(w[low, 0] + 2 * np.pi >= w[low, -1] - LOG_TIE)
+    assert np.all(w[high, -1] - 2 * np.pi <= w[high, 0] + LOG_TIE)
+    assert np.all(w[low, 0] + 2 * np.pi <= np.pi + 1e-14)
+    assert np.all(w[high, -1] - 2 * np.pi > -np.pi)
+    # su21's stacks have moved angles; su11's +-theta sum to 2 pi only at -1
+    assert np.any(low | high) == (name == "su21")
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e-9])
-def test_guard_catches_pairs_symmetric_about_the_axis(offset, logm_calls):
-    # eigen-angles a +- 0.7 make the Hermitian combination degenerate
-    u, _ = with_angles([LOG_AXIS + 0.7 + offset, LOG_AXIS - 0.7, 0.3])
-    x = logm_unitary(u)
-    assert len(logm_calls) == len(u)
-    assert np.max(np.abs(x - reference_log(u))) < 1e-12
-    assert_log_of(x, u)
+def test_identity_and_repeated_eigenvalues(su11, su21):
+    for sc in (su11, su21):
+        eye = np.broadcast_to(np.eye(sc.n, dtype=complex), (2, sc.n, sc.n))
+        assert np.array_equal(k0_log(sc.rf, eye), np.zeros((2, sc.n, sc.n)))
+    # scalar U(2) blocks e^{i tau} I: the log is i tau I on the block, a
+    # moved angle aside
+    u = near_scalar_k0(su21)
+    x = k0_log(su21.rf, u)
+    assert_log_of(x, u, su21.rf)
+    w = np.linalg.eigvalsh(-1j * x[:, :2, :2])
+    scalar = np.max(np.abs(u[:, :2, :2] - u[:, :1, :1] * np.eye(2)), axis=(1, 2)) == 0
+    unmoved = np.abs(np.trace(reference_log(u), axis1=1, axis2=2)) < 1e-9
+    assert np.any(scalar & unmoved) and np.any(scalar & ~unmoved)
+    assert np.max(np.abs(w[:, 1] - w[:, 0])[scalar & unmoved]) < 1e-14
 
 
-def test_eigenvalues_straddling_minus_one(logm_calls):
+def test_eigenvalues_straddling_minus_one(su21):
+    # eigen-angles +-(pi - eps) in the U(2) block: the log's eigenvectors
+    # are ill-conditioned there (condition about pi / eps), its angles and
+    # its exponential are not
     eps = 1e-9
-    u, _ = with_angles([np.pi - eps, -(np.pi - eps), 0.0])
-    x = logm_unitary(u)
-    assert len(logm_calls) == len(u)
-    assert np.max(np.abs(x - reference_log(u))) < 1e-12
-    assert_log_of(x, u)
+    v = haar_unitaries(20, 2, 0)
+    u = np.zeros((20, 3, 3), complex)
+    u[:, :2, :2] = np.einsum("mij,j,mkj->mik", v, np.exp(1j * np.array([np.pi - eps,
+                                                                        -(np.pi - eps)])),
+                             np.conj(v))
+    u[:, 2, 2] = 1.0
+    x = k0_log(su21.rf, u)
+    assert_log_of(x, u, su21.rf)
+    w = np.linalg.eigvalsh(-1j * x)
+    assert np.max(np.abs(w - [-(np.pi - eps), 0.0, np.pi - eps])) < 1e-14
 
 
-def test_exact_minus_one_pair_takes_plus_i_pi(logm_calls):
-    u, v = with_angles([np.pi, np.pi, 0.0])
-    x = logm_unitary(u)
-    assert not logm_calls
-    # branch rule: i pi on the whole -1 eigenspace
-    want = np.einsum("mij,j,mkj->mik", v, [1j * np.pi, 1j * np.pi, 0.0], np.conj(v))
-    assert np.max(np.abs(x - want)) < 1e-12
-    assert_log_of(x, u)
-    diag = np.diag([-1.0, -1.0, 1.0]).astype(complex)[None]
-    assert np.max(np.abs(logm_unitary(diag) - reference_log(diag))) < 1e-12
+def test_scalar_minus_one_block_logs_to_plus_and_minus_i_pi(su21):
+    # diag(-1, -1, 1): the principal angles pi, pi, 0 sum to 2 pi, and the
+    # U(2) block, whose direction is free, flips to i diag(pi, -pi)
+    k = np.diag([-1.0, -1.0, 1.0]).astype(complex)[None]
+    assert np.array_equal(k0_log_coordinates(k, su21.rf), [[np.pi, -np.pi, 0.0, 0.0]])
+    assert_log_of(k0_log(su21.rf, k), k, su21.rf)
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])
 def test_k0_coordinates_give_back_the_element(name, su11, su21):
     sc = {"su11": su11, "su21": su21}[name]
-    u = _grid_and_seeded(sc)
+    u = _stacks(sc)
     basis = np.asarray(sc.rf.k0_basis)
-    coords = k0_log_coordinates(u, sc.rf)
-    x = np.einsum("ma,aij->mij", coords, basis)
-    assert np.max(np.abs(expm_antihermitian(x) - u)) < 1e-12
-    # where the principal log is traceless, it is the log used
-    principal = logm_unitary(u)
-    keep = np.abs(np.trace(principal, axis1=1, axis2=2)) < 1e-9
-    # for su21 about a quarter of them have trace +-2 pi i
-    assert (0 < np.sum(~keep) < len(u) // 2) == (name == "su21")
-    assert np.max(np.abs(x - principal)[keep]) < 1e-12
+    x = np.einsum("ma,aij->mij", k0_log_coordinates(u, sc.rf), basis)
+    rho = np.max(np.abs(np.linalg.eigvalsh(-1j * x)), axis=1)
+    back = np.max(np.abs(expm_antihermitian(x) - u), axis=(1, 2))
+    assert np.all(back <= 8 * EPS * (1 + rho))
+    assert np.max(np.abs(x - k0_log(sc.rf, u))) < 1e-14
 
 
 def test_k0_coordinates_of_a_split_minus_one_pair(su11, su21):
@@ -167,19 +197,14 @@ def test_k0_coordinates_of_a_split_minus_one_pair(su11, su21):
 
 
 def test_k0_coordinates_match_the_row_loop(su11, su21):
-    # the turned rows are corrected in one batch per Cartan block; the
-    # per-row loop gives the same coordinates bit for bit on the K0 grid,
-    # seeded elements, r_md argmaxes of a chart grid and split -1 pairs
-    # (a tie), and so does a batch without turned rows (su11's grid)
-    axis = np.linspace(-0.9, 0.9, 9)
+    # a batch equals its rows one at a time and in blocks of 7 (the last
+    # holds one row), bit for bit, at 16801 rows: past numpy's 256 KiB
+    # elision size
     for sc in (su11, su21):
-        chart = sc.geometry.chart_rows("r_md", (axis[:, None] + 1j * axis[None, :]).ravel(),
-                                       sc.rf)
-        argmaxes = maximize_branch(chart[sc.geometry.admissible("r_md", chart)], sc)[1]
-        b = np.asarray(sc.rf.k0_basis)[0]
-        split = expm_antihermitian(np.pi * np.array([b, -b]))
-        u = np.concatenate([argmaxes, split, _grid_and_seeded(sc)])
+        u = np.concatenate([_stacks(sc), haar_k0(sc, 16801, 4)])[:16801]
         got = k0_log_coordinates(u, sc.rf)
-        assert got.tobytes() == loop_log_coordinates(u, sc.rf).tobytes()
-        tail = slice(len(argmaxes) + 2, None)
-        assert got[tail].tobytes() == k0_log_coordinates(u[tail], sc.rf).tobytes()
+        blocks = np.concatenate([k0_log_coordinates(u[i:i + 7], sc.rf)
+                                 for i in range(0, len(u), 7)])
+        assert got.tobytes() == blocks.tobytes()
+        for i in range(0, len(u), 997):
+            assert got[i].tobytes() == k0_log_coordinates(u[i:i + 1], sc.rf)[0].tobytes()
