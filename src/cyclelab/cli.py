@@ -16,6 +16,7 @@ verification failure, 2 usage error.
 
 import argparse
 import dataclasses
+import functools
 import json
 import numbers
 import sys
@@ -317,7 +318,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """One parser per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cyclelab",
         description="numerical laboratory for exhaustions on flag domains")

@@ -64,9 +64,6 @@ class Cycle:
     def contains(self, z, tol=1e-10):
         return bool(abs(self.dual @ z.homogeneous) < tol)
 
-    def is_close(self, other, tol=1e-10):
-        return bool(np.max(np.abs(self.dual - other.dual)) < tol)
-
 
 def cycle_from_dual(dual, sc):
     """The cycle P(ker dual); dual has one entry per coordinate of Z."""

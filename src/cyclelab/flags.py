@@ -40,9 +40,6 @@ class FlagPoint:
     def n(self):
         return self.homogeneous.shape[0]
 
-    def is_close(self, other, tol=1e-10):
-        return bool(np.max(np.abs(self.homogeneous - other.homogeneous)) < tol)
-
 
 @dataclass(eq=False)
 class ScenarioConfig:
@@ -155,14 +152,6 @@ class Chart:
         for i, idx in enumerate(self.free):
             w[idx] += c[i]
         return FlagPoint(w)
-
-    def lift(self, c):
-        """Un-normalized homogeneous vectors for a batch of coordinates."""
-        c = np.atleast_2d(np.asarray(c, complex))
-        w = np.tile(self.base, (c.shape[0], 1))
-        for i, idx in enumerate(self.free):
-            w[:, idx] += c[:, i]
-        return w
 
     def coords(self, z):
         v = z.homogeneous

@@ -23,8 +23,8 @@ IWASAWA_RESIDUAL = 1e-9
 
 MEMBER_TAGS = ("G0", "K0", "Gu", "A0N0")
 # K0 samples at most, counted by k0_sample_count.  The optimizer keeps a
-# coarse stack with its two real (n^2, K) screen forms, about 0.3 KB a
-# sample for su21, so 40 MB at the cap (su21 resolution 19; su11 131072).
+# coarse grid's coordinates and two real (K, n^2) screen forms, 176 B a
+# sample for su21, so 23 MB at the cap (su21 resolution 19; su11 131072).
 # Its screen keeps 8 B per row and K_BLOCK samples, 8 KB a row at the
 # cap; the rest of its temporaries do not grow with K
 MAX_K0_SAMPLES = 2 ** 17
@@ -55,9 +55,6 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(np.linalg.inv(self.matrix))
-
-    def distance_to(self, other):
-        return float(np.max(np.abs(self.matrix - other.matrix)))
 
 
 @dataclass(eq=False)
@@ -194,7 +191,7 @@ def k0_sample_count(rf, resolution):
     return count
 
 
-def _k0_coefficients(rf, resolution):
+def k0_coefficients(rf, resolution):
     """Exponential coordinates of the coarse K0 grid.
 
     One-dimensional K0 (a circle) gets the forced uniform grid pi*j/res.
@@ -312,11 +309,15 @@ def k0_log(rf, ks):
     return out
 
 
-def k0_matrices(rf, coeffs):
+def k0_from_coefficients(rf, coeffs):
     """(N, n, n) stack exp(sum_d coeffs[:, d] kappa_d) over the K0 basis
-    (k0_exp), validated as unitary and J-preserving; NumericalDegeneracy
-    otherwise."""
-    mats = k0_exp(rf, np.einsum("cd,dij->cij", coeffs, rf.k0_basis))
+    (k0_exp), row by row: any subset of the rows gives the same bits."""
+    return k0_exp(rf, np.einsum("cd,dij->cij", coeffs, rf.k0_basis))
+
+
+def k0_matrices(rf, coeffs):
+    """k0_from_coefficients validated as unitary and J-preserving."""
+    mats = k0_from_coefficients(rf, coeffs)
     j = rf.form_matrix
     res_u = np.max(np.abs(np.einsum("cji,cjk->cik", np.conj(mats), mats) - np.eye(rf.n)))
     res_j = np.max(np.abs(np.einsum("cji,jl,clk->cik", np.conj(mats), j, mats) - j))
@@ -326,8 +327,8 @@ def k0_matrices(rf, coeffs):
 
 
 def k0_sample_matrices(rf, resolution):
-    """Raw (N, n, n) stack of the coarse K0 grid; fast path for optimizers."""
-    return k0_matrices(rf, _k0_coefficients(rf, resolution))
+    """The validated (N, n, n) stack of the coarse K0 grid."""
+    return k0_matrices(rf, k0_coefficients(rf, resolution))
 
 
 def k0_sample(rf, resolution):

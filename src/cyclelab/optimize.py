@@ -16,11 +16,12 @@ Newton ascent from the best sample.  The coarse search screens
 before it scores: p = A_k s is linear in the subject s, so ||p||^2 and
 |sigma . p|^2 are Hermitian forms in s, and on the n^2 real features of
 s (|s_c|^2 and conj(s_c) s_d for c < d) the pair of every sample is two
-real matrix products against coefficients cached with the stack.  Each
-row's screened maximum per block of samples picks the blocks to screen
-again, and only their samples within a rounding window of the row's best
-are scored exactly, by values_own, so the start is the first exact argmax
-bit for bit.  p is also linear in the moved subject, so its derivatives
+real matrix products against samples-major forms cached with the grid's
+exponential coordinates.  Each row's screened maximum per block of
+samples picks the blocks to screen again, and only their samples within
+a rounding window of the row's best are scored exactly, by values_own at
+matrices rebuilt from the coordinates; the start is the exact argmax bit
+for bit.  p is also linear in the moved subject, so its derivatives
 in left exponential coordinates on K0 are closed form, and so are the
 gradient and Hessian of the branch value (Absil, Mahony and Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008, ch. 6-7).  The ascent
@@ -47,10 +48,10 @@ scenario geometry gives one in closed form (LineCycles.align).
 import numpy as np
 
 from .errors import OptimizerStall
-from .liecore import k0_exp, k0_sample_matrices
+from .liecore import k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices
 from .schubert import make_schubert, schubert_slice
 from .sections import highest_weight_section
-from .utils import CHUNK, run_chunked
+from .utils import run_chunked
 
 # Newton ascent: iteration cap; a gain below GAIN_FLOOR * max(1, |value|)
 # is rounding, and so is one below RESOLVED_STEP^2 times the largest
@@ -66,15 +67,18 @@ CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
 POOR_MODEL = 0.03
 # coarse screen: K_BLOCK K0 samples at a time, keeping each row's maximum
-# per block, so its temporaries and each batch of exact scores stay at
-# most CHUNK x K_BLOCK (x n) whatever the resolution.  It rescores the
-# samples whose Gram-form ratio lies within SCREEN_SLACK (max(r_max, 1) /
-# nu + |log ||s||^2|) below the row's screened maximum (_screened_start
-# derives it), and every sample of a row whose |log ||s||^2| exceeds
-# SCREEN_LOG_SCALE, where num or den nears the ends of the float range
+# per block, so its products stay K_BLOCK x CHUNK whatever the resolution;
+# values_own scores SCORE_PAIRS (row, sample) pairs at most per call.  It
+# rescores the samples whose Gram-form ratio lies within SCREEN_SLACK
+# (max(r_max, 1) / nu + |log ||s||^2|) below the row's screened maximum
+# (_screened_start derives it), and every sample of a row whose
+# |log ||s||^2| exceeds SCREEN_LOG_SCALE, where num or den nears the ends
+# of the float range.  The forms are built BUILD_ROWS samples at a time
 K_BLOCK = 128
+SCORE_PAIRS = 8192
 SCREEN_SLACK = 1e3 * np.finfo(float).eps
 SCREEN_LOG_SCALE = 500.0
+BUILD_ROWS = 4096
 # Newton ascent and polish: rows per batch, CHUNK-row screen tiles each.
 # The ascent runs until its slowest row is done, so every batch pays its
 # own tail of near-empty iterations: the 461 rows of a 23x23 su21 r_md eval
@@ -147,29 +151,33 @@ class BranchEngine:
         return self._value_from_p(geo.slice_vectors(moved, self.duals))
 
     def coarse(self, resolution):
-        """(stack, num forms, den forms): the coarse K0 grid and the real
-        (n^2, K) coefficients of ||p||^2 and |sigma . p|^2 on the Gram
-        features of a subject (_gram_split), built once per resolution and
-        shared read-only by every caller.
+        """(coefficients, num forms, den forms): the exponential coordinates
+        (K, dim K0) of the coarse K0 grid and the real C-contiguous (K, n^2)
+        coefficients of ||p||^2 and |sigma . p|^2 on the Gram features of a
+        subject (_gram_split), built once per resolution and shared
+        read-only by every caller.  The K0 matrices exist one block at a
+        time; k0_from_coefficients gives back any sample's, bit for bit.
 
         p = A_k s is linear in the subject, so both are Hermitian forms in
         s: A_k* A_k and conj(b_k) b_k^T with b_k = A_k^T sigma.  A_k comes
         from the geometry's branch kernel applied to the identity.
         """
         if resolution not in self._stacks:
-            ks = k0_sample_matrices(self.sc.rf, resolution)
-            # cols[k, c] = A_k e_c, the slice vector of the moved basis vector
-            cols = self.sc.geometry.slice_vectors(
-                np.swapaxes(self.sc.geometry.move_matrices(ks), 1, 2), self.duals)
-            b = np.einsum("kca,a->kc", cols, self.sigma)
-            forms = (np.einsum("kca,kda->kcd", np.conj(cols), cols),
-                     np.conj(b)[:, :, None] * b[:, None, :])
-            n = ks.shape[-1]
+            rf, geo, n = self.sc.rf, self.sc.geometry, self.sc.n
+            coeffs = k0_coefficients(rf, resolution)
             t = n * (n - 1) // 2
             # s* Q s = sum_c Q_cc |s_c|^2 + 2 sum_{c<d} Re(Q_cd conj(s_c) s_d)
             weight = np.repeat([1.0, 2.0, -2.0], [n, t, t])
-            entry = (ks,) + tuple(np.ascontiguousarray((_gram_split(q) * weight).T)
-                                  for q in forms)
+            num, den = np.empty((2, coeffs.shape[0], n * n))
+            for j in range(0, coeffs.shape[0], BUILD_ROWS):
+                ks = k0_matrices(rf, coeffs[j:j + BUILD_ROWS])
+                # cols[k, c] = A_k e_c, the slice vector of the moved basis vector
+                cols = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), self.duals)
+                b = np.einsum("kca,a->kc", cols, self.sigma)
+                num[j:j + len(ks)] = weight * _gram_split(
+                    np.einsum("kca,kda->kcd", np.conj(cols), cols))
+                den[j:j + len(ks)] = weight * _gram_split(np.conj(b)[:, :, None] * b[:, None, :])
+            entry = (coeffs, num, den)
             for a in entry:
                 a.setflags(write=False)
             self._stacks[resolution] = entry
@@ -241,31 +249,34 @@ def _gram_split(q):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _screened_start(engine, subjects, ks, num_forms, den_forms):
+def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
     """(index, value) of the best coarse sample per subject row, the first
-    of equal ones: np.argmax over the stack of the branch values that
+    of equal ones: np.argmax over the grid of the branch values that
     values_own gives, bit for bit.
 
     Pass 1 screens each block of K_BLOCK samples by the ratio r = ||p||^2 /
-    |sigma . p|^2 of two real products on the unit rows' Gram features
-    (+inf where the denominator is not positive) and keeps each row's block
+    |sigma . p|^2 of two real (samples, rows) products on the unit rows'
+    Gram features (+inf where the denominator is not positive), written
+    into buffers that every block reuses, and keeps each row's block
     maxima of r and smallest numerator nu.  Pass 2 re-screens the rows of
     each block whose maximum reaches the window below the row's largest
     ratio r_max, and values_own scores the candidates, the (row, sample)
-    pairs within the window, CHUNK x K_BLOCK at most per call.
+    pairs within the window, at matrices rebuilt from their coefficients.
     """
-    m = subjects.shape[0]
+    m, k = subjects.shape[0], num_forms.shape[0]
     sq = np.einsum("ma,ma->m", np.conj(subjects), subjects).real
     unit = subjects / np.sqrt(sq)[:, None]
     feats = _gram_split(np.conj(unit)[:, :, None] * unit[:, None, :])
     scale = np.abs(np.log(sq))
-    blocks = [slice(j, j + K_BLOCK) for j in range(0, ks.shape[0], K_BLOCK)]
-    tops, nu = np.empty((m, len(blocks))), np.full(m, np.inf)
+    blocks = [slice(j, min(j + K_BLOCK, k)) for j in range(0, k, K_BLOCK)]
+    tops, nu = np.empty((len(blocks), m)), np.full(m, np.inf)
+    buf = np.empty((2, K_BLOCK, m))
     for j, b in enumerate(blocks):
-        num, den = feats @ num_forms[:, b], feats @ den_forms[:, b]
-        nu = np.minimum(nu, np.min(num, axis=1))
-        tops[:, j] = np.where(np.min(den, axis=1) > 0, np.max(num / den, axis=1), np.inf)
-    r_max = np.max(tops, axis=1)
+        num = np.matmul(num_forms[b], feats.T, out=buf[0, :b.stop - b.start])
+        den = np.matmul(den_forms[b], feats.T, out=buf[1, :b.stop - b.start])
+        nu, positive = np.minimum(nu, np.min(num, axis=0)), np.min(den, axis=0) > 0
+        tops[j] = np.where(positive, np.max(np.divide(num, den, out=num), axis=0), np.inf)
+    r_max = np.max(tops, axis=0)
     # The window.  On a unit row the moved subjects and sigma have norm 1
     # (unitary moves; a cross product with a unit dual), so num and den
     # are sums of n^2 terms of size at most 1: the products round them by
@@ -284,17 +295,18 @@ def _screened_start(engine, subjects, ks, num_forms, den_forms):
 
     def score(rows, samples):
         # np.argmax's rule, the first maximum with NaN on top; winners so far first
-        v = np.append(value, engine.values_own(subjects[rows], ks[samples][:, None])[:, 0])
+        ks = k0_from_coefficients(engine.sc.rf, coeffs[samples])
+        v = np.append(value, engine.values_own(subjects[rows], ks[:, None])[:, 0])
         rows, samples = np.append(np.arange(m), rows), np.append(best, samples)
         order = np.lexsort((samples, -v, ~np.isnan(v), rows))
         first = order[np.searchsorted(rows[order], np.arange(m))]
         best[:], value[:] = samples[first], v[first]
 
-    size, rows, samples = CHUNK * K_BLOCK, np.empty(0, int), np.empty(0, int)
-    for j in np.flatnonzero(np.any(tops >= floor[:, None], axis=0)):
-        hit, b = np.flatnonzero(tops[:, j] >= floor), blocks[j]
-        num, den = feats[hit] @ num_forms[:, b], feats[hit] @ den_forms[:, b]
-        r, c = np.nonzero((num / den >= floor[hit, None]) | ~(den > 0))
+    size, rows, samples = SCORE_PAIRS, np.empty(0, int), np.empty(0, int)
+    for j in np.flatnonzero(np.any(tops >= floor, axis=1)):
+        hit, b = np.flatnonzero(tops[j] >= floor), blocks[j]
+        num, den = num_forms[b] @ feats[hit].T, den_forms[b] @ feats[hit].T
+        r, c = np.nonzero(((num / den >= floor[hit]) | ~(den > 0)).T)
         rows, samples = np.append(rows, hit[r]), np.append(samples, b.start + c)
         while rows.size >= size:
             score(rows[:size], samples[:size])
@@ -411,14 +423,14 @@ def maximize_branch(subjects, sc):
     rounding only.
     """
     engine = get_engine(sc)
-    coarse, num_forms, den_forms = engine.coarse(sc.k0_resolution)
+    coeffs, num_forms, den_forms = engine.coarse(sc.k0_resolution)
 
     def screen(tile):
-        return _screened_start(engine, tile, coarse, num_forms, den_forms)
+        return _screened_start(engine, tile, coeffs, num_forms, den_forms)
 
     def block(rows):
         best, value = run_chunked(screen, rows)
-        vals, ks = _newton_ascent(engine, rows, coarse[best], value)
+        vals, ks = _newton_ascent(engine, rows, k0_from_coefficients(sc.rf, coeffs[best]), value)
         fin = np.isfinite(vals)
         k = ks[fin]
         k = 0.5 * k @ (3.0 * np.eye(k.shape[-1]) - np.conj(np.swapaxes(k, 1, 2)) @ k)

@@ -160,13 +160,6 @@ class SliceDatum:
             return None
         return complex(w[0] / w[1])
 
-    def cell_point(self, c):
-        n = self.sc.n
-        v = np.zeros(n, dtype=complex)
-        v[0] = c
-        v[1] = 1.0
-        return FlagPoint(self.parent.borel.matrix @ v)
-
     def an_point(self, coords):
         """Image of z_j under exp(t a) exp(sum u_i n_i); coords = (t, u...)."""
         coords = np.asarray(coords, float)

@@ -1,11 +1,15 @@
-"""Independent closed-form oracles and frozen spot values.
+"""Independent closed-form oracles, frozen spot values, and the
+comparisons and maps that only tests need.
 
-Derived by hand from the defining formulas (Mobius geometry of the
-disk, the dual-ball radius for lines, the fiber radius for points);
-kept free of package code so tests compare two independent paths.
+The oracles are derived by hand from the defining formulas (Mobius
+geometry of the disk, the dual-ball radius for lines, the fiber radius
+for points) and kept free of package code, so tests compare two
+independent paths.
 """
 
 import numpy as np
+
+from cyclelab import FlagPoint
 
 LOG2 = 0.6931471805599453
 LOG10 = 2.302585092994046
@@ -53,3 +57,32 @@ def expm_antihermitian(x):
     h = -1j * np.asarray(x, complex)
     w, vec = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
     return np.einsum("...ij,...j,...kj->...ik", vec, np.exp(1j * w), np.conj(vec))
+
+
+def is_close(a, b, tol=1e-10):
+    """Two points (FlagPoint) or two cycles (Cycle) agree to tol entrywise;
+    their vectors are gauge-fixed, so each has one representative."""
+    key = "homogeneous" if hasattr(a, "homogeneous") else "dual"
+    return bool(np.max(np.abs(getattr(a, key) - getattr(b, key))) < tol)
+
+
+def distance(g, h):
+    """Largest entrywise distance between two GroupElements."""
+    return float(np.max(np.abs(g.matrix - h.matrix)))
+
+
+def chart_lift(ch, c):
+    """Un-normalized homogeneous vectors of a flags.Chart for a batch of
+    coordinates c: the chart's base plus c on its free indices."""
+    c = np.atleast_2d(np.asarray(c, complex))
+    w = np.tile(ch.base, (c.shape[0], 1))
+    w[:, ch.free] += c
+    return w
+
+
+def cell_point(sl, c):
+    """The point conj . (c, 1, 0, ...) of a SliceDatum's cell at cell
+    coordinate c."""
+    v = np.zeros(sl.sc.n, complex)
+    v[:2] = c, 1.0
+    return FlagPoint(sl.parent.borel.matrix @ v)

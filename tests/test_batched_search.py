@@ -11,7 +11,9 @@ import cyclelab.optimize as optimize
 from cyclelab import FlagPoint, divergence_path, in_domain
 from cyclelab.exhaust import boundary_depths, grid_axis
 from cyclelab.schubert import PATH_SAMPLES, make_schubert, schubert_slice
-from cyclelab.liecore import k0_exp
+from cyclelab.liecore import k0_exp, k0_sample_matrices
+
+from oracles import cell_point
 
 
 def _newton_reference(engine, subjects, ks, vals, calls_per_step):
@@ -78,14 +80,14 @@ def _chart_rows(sc, spec):
 def test_newton_ascent_matches_one_halving_per_call(name, su11, su21, monkeypatch):
     sc = {"su11": su11, "su21": su21}[name]
     engine = optimize.get_engine(sc)
-    stack, num_forms, den_forms = engine.coarse(sc.k0_resolution)
+    stack = k0_sample_matrices(sc.rf, sc.k0_resolution)
     depths = boundary_depths(15)
     assert depths[-1] == 5e-15
     rows = np.concatenate(
         [_chart_rows(sc, (-0.9, 0.9, 23)), _chart_rows(sc, (-0.999999, 0.999999, 21))]
         + [sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(s), sc.rf)
            for s in range(4)])
-    best, value = optimize._screened_start(engine, rows, stack, num_forms, den_forms)
+    best, value = optimize._screened_start(engine, rows, *engine.coarse(sc.k0_resolution))
     want_calls = []
     want = _newton_reference(engine, rows, stack[best], value, want_calls)
     # one "step" mark per Newton step (one derivatives call each), then
@@ -144,7 +146,7 @@ def _path_contains_per_sample(sl, z):
     if c1 is None:
         return False
     c0 = sl.cell_coord(sl.base_point)
-    return all(in_domain(sl.cell_point(c0 + t * (c1 - c0)), sl.sc)
+    return all(in_domain(cell_point(sl, c0 + t * (c1 - c0)), sl.sc)
                for t in np.linspace(0.0, 1.0, PATH_SAMPLES))
 
 
@@ -158,7 +160,7 @@ def test_path_contains_matches_per_sample_test(name, su11, su21):
     # the su21 cell lies in D), slice points of the A0 N0 orbit, the
     # cell's boundary point and a random point (off the su21 variety)
     cs = 3.0 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
-    points = [sl.cell_point(c) for c in cs]
+    points = [cell_point(sl, c) for c in cs]
     dim = len(sc.rf.a_basis) + len(sc.rf.n0_basis)
     points += [sl.an_point(rng.uniform(-1.2, 1.2, dim)) for _ in range(10)]
     points.append(s.boundary_point)

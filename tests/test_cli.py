@@ -281,6 +281,33 @@ def test_usage_errors_exit_2(tmp_path):
     assert k0_sample_count(su21.rf, 19) <= MAX_K0_SAMPLES
 
 
+def test_one_process_gives_the_payloads_of_separate_processes(tmp_path):
+    # the parser is built once per process: eval, verify and eval again in
+    # one process write the bytes of three separate processes, and usage
+    # errors, before and after them, still exit 2
+    assert cli.build_parser() is cli.build_parser()
+    evaluation = ["eval", "--scenario", "su21", "--target", "r_md", "--grid=-0.5:0.5:5"]
+    runs = [evaluation, ["verify", "--counts", "quick", "--suite", "invariance"], evaluation]
+    names = ["eval-1.csv", "verify.json", "eval-2.csv"]
+    code = ("import sys\n"
+            "from cyclelab.cli import main\n"
+            "def usage(argv):\n"
+            "    try:\n"
+            "        return main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        return exc.code\n"
+            "assert usage(['eval', '--scenario', 'nope']) == 2\n"
+            f"for argv, out in {list(zip(runs, names))!r}:\n"
+            f"    assert main(argv + ['--out', {str(tmp_path)!r} + '/one-' + out]) == 0\n"
+            "assert usage(['eval', '--scenario', 'nope']) == 2\n"
+            "assert usage(['eval', '--target', 'r_md']) == 2\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for argv, name in zip(runs, names):
+        assert run_cli(*argv, "--out", str(tmp_path / name)).returncode == 0
+        assert (tmp_path / f"one-{name}").read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_eval_seed_and_resolution_reach_the_coarse_stack(tmp_path):
     # the eval run's scenario carries its resolution, the stack's only key;
     # the built-in scenario, and so verify and certify, keep resolution 6

@@ -12,12 +12,14 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       translation_branch_pair)
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
-from cyclelab.optimize import (ASCENT_ROWS, aligned_domain_values, fiber_infimum,
-                               get_engine, maximize_branch)
+from cyclelab.liecore import k0_from_coefficients, k0_sample_matrices
+from cyclelab.optimize import (ASCENT_ROWS, BranchEngine, aligned_domain_values,
+                               fiber_infimum, get_engine, maximize_branch)
 from cyclelab.verify import _group_elements
 
 from conftest import seeded_subjects
-from oracles import LOG2, LOG10, expm_antihermitian, rd_ball, rmd_disk, rmd_dual_ball
+from oracles import (LOG2, LOG10, expm_antihermitian, is_close, rd_ball, rmd_disk,
+                     rmd_dual_ball)
 
 
 def test_disk_cycle_space_closed_form(su11):
@@ -173,7 +175,7 @@ def test_grid_levi_is_one_batched_stencil(su11, target, count_calls):
 def test_seeded_samplers_are_deterministic(su21):
     a = seeded_domain_points(su21, 5, seed=99)
     b = seeded_domain_points(su21, 5, seed=99)
-    assert all(x.is_close(y, tol=0.0) or x.is_close(y) for x, y in zip(a, b))
+    assert all(is_close(x, y, tol=0.0) or is_close(x, y) for x, y in zip(a, b))
     ca = seeded_cycles(su21, 5, seed=98)
     cb = seeded_cycles(su21, 5, seed=98)
     assert all(np.array_equal(x.dual, y.dual) for x, y in zip(ca, cb))
@@ -319,7 +321,7 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
         seeded_subjects(sc, 300, seed=10),
         sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
     engine = optimize.get_engine(sc)
-    stack = engine.coarse(sc.k0_resolution)[0]
+    stack = k0_sample_matrices(sc.rf, sc.k0_resolution)
     coarse_max = np.max(_stack_values(engine, rows, stack), axis=1)
     vals, ks = maximize_branch(rows, sc)
     assert np.all(vals >= coarse_max)
@@ -390,7 +392,7 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     sc = dataclasses.replace({"su11": su11, "su21": su21}[name], k0_resolution=resolution)
     geo = sc.geometry
     engine = get_engine(sc)
-    ks, num_forms, den_forms = engine.coarse(sc.k0_resolution)
+    ks = k0_sample_matrices(sc.rf, resolution)
     # a symmetric grid has exact ties; at its origin every sample ties
     # (su11 only to rounding: the moved point keeps a phase)
     axis = np.linspace(-0.9, 0.9, 9)
@@ -408,21 +410,104 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     idx = np.argmax(want, axis=1)
     spread = np.ptp(want[origin], axis=1)
     assert origin.size == 1 and np.all(spread <= (0.0 if name == "su21" else 1e-15))
-    got_idx, got_val = optimize._screened_start(engine, rows, ks, num_forms, den_forms)
+    got_idx, got_val = optimize._screened_start(engine, rows, *engine.coarse(resolution))
     assert np.array_equal(got_idx, idx)
     assert got_val.tobytes() == want[np.arange(rows.shape[0]), idx].tobytes()
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_screened_start_scores_every_sample_of_a_row_at_a_pole(name, su11, su21,
+                                                               monkeypatch):
+    # s = (b_1, -b_0, 0, ...) has b_k . s = 0 for b_k = A_k^T sigma: the row
+    # sits at sample k's pole, where the Gram-form den rounds to 0 or below.
+    # Such a row's block top is +inf, so every sample of the row is scored,
+    # and the start is still the exact argmax
+    import cyclelab.optimize as optimize
+
+    sc = {"su11": su11, "su21": su21}[name]
+    geo, engine = sc.geometry, get_engine(sc)
+    coarse = engine.coarse(sc.k0_resolution)
+    stack = k0_sample_matrices(sc.rf, sc.k0_resolution)
+    ks = stack[:64]
+    b = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), engine.duals) @ engine.sigma
+    poles = np.zeros((ks.shape[0], sc.n), complex)
+    poles[:, 0], poles[:, 1] = b[:, 1], -b[:, 0]
+    rows = np.concatenate([seeded_subjects(sc, 40, seed=13), poles])
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    feats = optimize._gram_split(np.conj(unit)[:, :, None] * unit[:, None, :])
+    k = coarse[0].shape[0]
+    den = np.concatenate([coarse[2][j:j + optimize.K_BLOCK] @ feats.T
+                          for j in range(0, k, optimize.K_BLOCK)])
+    at_pole = np.min(den, axis=0) <= 0
+    assert np.any(at_pole) and not np.any(at_pole[:40])
+    keys = [row.tobytes() for row in rows[at_pole]]
+    scored = []
+    values_own = optimize.BranchEngine.values_own
+
+    def counted(self, subjects, samples):
+        scored.extend(row.tobytes() for row in subjects)
+        return values_own(self, subjects, samples)
+
+    monkeypatch.setattr(optimize.BranchEngine, "values_own", counted)
+    got_idx, got_val = optimize._screened_start(engine, rows, *coarse)
+    assert all(scored.count(key) == k for key in keys)
+    monkeypatch.undo()
+    want = _stack_values(engine, rows, stack)
+    idx = np.argmax(want, axis=1)
+    assert np.array_equal(got_idx, idx)
+    assert got_val.tobytes() == want[np.arange(rows.shape[0]), idx].tobytes()
+    assert np.all(np.isinf(got_val[at_pole]))
+
+
+@pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10), ("su21", 19),
+                                             ("su11", 32), ("su11", 1024)])
+@pytest.mark.parametrize("build_rows", [None, 1000])
+def test_coarse_forms_built_in_blocks_match_one_build(name, resolution, build_rows,
+                                                      su11, su21, monkeypatch):
+    # the forms from the whole (K, n, n) K0 stack at once against the
+    # engine's samples-major forms, built a block of samples at a time
+    import cyclelab.optimize as optimize
+
+    sc = {"su11": su11, "su21": su21}[name]
+    if build_rows is not None:
+        monkeypatch.setattr(optimize, "BUILD_ROWS", build_rows)
+    engine = optimize.BranchEngine(sc)
+    coeffs, num_forms, den_forms = engine.coarse(resolution)
+    geo, n = sc.geometry, sc.n
+    ks = k0_sample_matrices(sc.rf, resolution)
+    assert coeffs.shape == (ks.shape[0], len(sc.rf.k0_basis))
+    cols = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), engine.duals)
+    b = np.einsum("kca,a->kc", cols, engine.sigma)
+    weight = np.repeat([1.0, 2.0, -2.0], [n, n * (n - 1) // 2, n * (n - 1) // 2])
+    for got, q in ((num_forms, np.einsum("kca,kda->kcd", np.conj(cols), cols)),
+                   (den_forms, np.conj(b)[:, :, None] * b[:, None, :])):
+        assert got.flags.c_contiguous and got.shape == (ks.shape[0], n * n)
+        assert got.tobytes() == (optimize._gram_split(q) * weight).tobytes()
+
+
+@pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10), ("su21", 19),
+                                             ("su11", 32), ("su11", 1024)])
+def test_starts_rebuilt_from_coefficients_match_the_stack(name, resolution, su11, su21):
+    # maximize_branch and the screen rebuild sample matrices from coefficient
+    # rows: bit for bit the rows of the validated stack, whatever the subset
+    sc = {"su11": su11, "su21": su21}[name]
+    coeffs = BranchEngine(sc).coarse(resolution)[0]
+    stack = k0_sample_matrices(sc.rf, resolution)
+    idx = np.random.default_rng(resolution).integers(0, stack.shape[0], 300)
+    for part in (idx, idx[:1], np.arange(stack.shape[0])):
+        assert k0_from_coefficients(sc.rf, coeffs[part]).tobytes() == stack[part].tobytes()
 
 
 def test_screened_start_scores_in_bounded_batches(su21, monkeypatch):
     # 1e-160-scaled rows rescore every sample (SCREEN_LOG_SCALE); the
     # candidates still reach values_own in the fewest batches of at most
-    # CHUNK x K_BLOCK pairs, so no temporary holds rows x K
+    # SCORE_PAIRS pairs, so no temporary holds rows x K
     import cyclelab.optimize as optimize
 
     sc = dataclasses.replace(su21, k0_resolution=10)
     geo = sc.geometry
     engine = get_engine(sc)
-    ks, num_forms, den_forms = engine.coarse(sc.k0_resolution)
+    coarse = engine.coarse(sc.k0_resolution)
     axis = np.linspace(-0.9, 0.9, 9)
     chart = geo.chart_rows("r_md", (axis[:, None] + 1j * axis[None, :]).ravel(), sc.rf)
     paths = [geo.divergence_rows("r_md", boundary_depths(15), np.random.default_rng(s),
@@ -437,9 +522,9 @@ def test_screened_start_scores_in_bounded_batches(su21, monkeypatch):
         return values_own(self, subjects, samples)
 
     monkeypatch.setattr(optimize.BranchEngine, "values_own", counted)
-    optimize._screened_start(engine, rows, ks, num_forms, den_forms)
-    bound = optimize.CHUNK * optimize.K_BLOCK
-    total = rows.shape[0] * ks.shape[0]
+    optimize._screened_start(engine, rows, *coarse)
+    bound = optimize.SCORE_PAIRS
+    total = rows.shape[0] * coarse[0].shape[0]
     assert max(sizes) <= bound and sum(sizes) == total
     assert len(sizes) == -(-total // bound)
 
@@ -450,17 +535,17 @@ def test_psh_suite_builds_each_k0_stack_once(su11, su21, count_calls,
     from cyclelab.verify import COUNTS, run_suite
 
     monkeypatch.setattr(optimize, "_ENGINES", {})
-    calls = count_calls(optimize, "k0_sample_matrices")
+    calls = count_calls(optimize, "k0_coefficients")
     counts = dict(COUNTS["quick"], discs=4, levi_points=2)
     run_suite("psh", counts, 3, ("su11", "su21"))
-    # one default coarse stack per scenario, however many discs
+    # one default coarse grid per scenario, however many discs
     assert len(calls) == 2
     run_suite("psh", counts, 4, ("su11", "su21"))
     assert len(calls) == 2
     for sc in (su11, su21):
-        stack = optimize.get_engine(sc).coarse(sc.k0_resolution)[0]
-        with pytest.raises(ValueError):
-            stack[0, 0, 0] = 0.0
+        for part in optimize.get_engine(sc).coarse(sc.k0_resolution):
+            with pytest.raises(ValueError):
+                part[0, 0] = 0.0
     assert len(calls) == 2
 
 

@@ -8,6 +8,7 @@ from cyclelab.errors import NumericalDegeneracy
 from cyclelab.flags import orbit_is_open
 
 from conftest import group_expm
+from oracles import chart_lift, is_close
 
 
 def test_gauge_fixed_representative():
@@ -26,8 +27,8 @@ def test_gauge_rejects_zero_vector():
 def test_points_compare_by_representative():
     a = FlagPoint(np.array([1.0, 1.0j]))
     b = FlagPoint(np.array([-2.0j, 2.0]))
-    assert a.is_close(b)
-    assert not a.is_close(FlagPoint(np.array([1.0, 0.0])))
+    assert is_close(a, b)
+    assert not is_close(a, FlagPoint(np.array([1.0, 0.0])))
 
 
 def test_form_values(su11, su21):
@@ -55,7 +56,7 @@ def test_action_matches_matrix(su21):
     g = group_expm(np.einsum("d,dij->ij", coeff, su21.rf.g0_basis))
     z = FlagPoint(np.array([1.0, 0.2, 0.1j]))
     w = act(g, z)
-    assert w.is_close(FlagPoint(g.matrix @ z.homogeneous))
+    assert is_close(w, FlagPoint(g.matrix @ z.homogeneous))
 
 
 def test_open_orbit_detection(su11, su21):
@@ -73,16 +74,16 @@ def test_chart_round_trip(su21):
     c = np.array([0.05 + 0.02j, -0.01j])
     back = ch.coords(ch.point(c))
     assert np.max(np.abs(back - c)) < 1e-12
-    assert ch.point(np.zeros(2)).is_close(z)
+    assert is_close(ch.point(np.zeros(2)), z)
 
 
 def test_chart_lift_batch(su11):
     ch = chart(su11.base_point)
     cs = np.array([[0.1], [0.2j], [-0.3]])
-    lifted = ch.lift(cs)
+    lifted = chart_lift(ch, cs)
     assert lifted.shape == (3, 2)
     for row, c in zip(lifted, cs[:, 0]):
-        assert FlagPoint(row).is_close(ch.point([c]))
+        assert is_close(FlagPoint(row), ch.point([c]))
 
 
 def test_chart_coords_reject_off_chart(su11):
