@@ -18,6 +18,9 @@ from .errors import InvalidInput, NotInDomain
 from .flags import SIGN_MARGIN, FlagPoint, in_domain
 from .utils import check_finite, gauge_vector
 
+# Cycle.contains: |l . v| of a unit point v on the cycle stays below this
+CONTAINS_TOL = 1e-10
+
 
 def annihilator_basis(v):
     """Orthonormal, gauge-fixed basis of the dual vectors vanishing on v.
@@ -61,8 +64,8 @@ class Cycle:
     def dim(self):
         return self.dual.shape[0] - 2
 
-    def contains(self, z, tol=1e-10):
-        return bool(abs(self.dual @ z.homogeneous) < tol)
+    def contains(self, z):
+        return bool(abs(self.dual @ z.homogeneous) < CONTAINS_TOL)
 
 
 def cycle_from_dual(dual, sc):
@@ -132,12 +135,7 @@ class FiberParametrization:
     def __init__(self, y, sc):
         if not in_domain(y, sc):
             raise NotInDomain("mu fiber requested at a point outside D")
-        self.y = y
-        self.sc = sc
         self.basis = annihilator_basis(y.homogeneous)
-
-    def member(self, coef):
-        return cycle_from_dual(self.member_duals(coef)[0], self.sc)
 
     def member_duals(self, coefs):
         """Raw gauge-free duals for an (m, n - 1) array of coefficient rows."""
@@ -155,7 +153,3 @@ class FiberParametrization:
         half = 0.5 * np.arccos(np.clip(cos_t, -1.0, 1.0))
         phi = np.pi * (1.0 + np.sqrt(5.0)) * idx
         return np.stack([np.cos(half), np.sin(half) * np.exp(1j * phi)], axis=1)
-
-
-def mu_fiber(y, sc):
-    return FiberParametrization(y, sc)

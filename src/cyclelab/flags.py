@@ -16,9 +16,11 @@ from .utils import check_finite, gauge_vector
 
 # orbit_is_open: singular values above this count toward the orbit's rank
 ORBIT_RANK_TOL = 1e-8
-# in_domain, in_domain_rows and cycles.cycle_in_domain: the unit form
-# value must clear the boundary by more than this
+# in_domain_rows and cycles.cycle_in_domain: the unit form value must
+# clear the boundary by more than this
 SIGN_MARGIN = 1e-12
+# act: an image vector shorter than this is numerically zero
+ACTION_ZERO_TOL = 1e-14
 
 
 @dataclass(eq=False)
@@ -35,10 +37,6 @@ class FlagPoint:
         v = gauge_vector(check_finite(self.homogeneous, "flag point"))
         v.setflags(write=False)
         object.__setattr__(self, "homogeneous", v)
-
-    @property
-    def n(self):
-        return self.homogeneous.shape[0]
 
 
 @dataclass(eq=False)
@@ -78,27 +76,23 @@ class ScenarioConfig:
     def ambient_dim(self):
         return self.n - 1
 
-    def form_value(self, v):
-        v = np.asarray(v, complex)
-        return float(np.real(np.conj(v) @ self.rf.form_matrix @ v))
 
-
-def act(g, z, tol=1e-14):
+def act(g, z):
     """Canonical representative of g.z."""
     w = g.matrix @ z.homogeneous
-    if np.linalg.norm(w) < tol:
+    if np.linalg.norm(w) < ACTION_ZERO_TOL:
         raise NumericalDegeneracy("group action produced a numerically zero vector")
     return FlagPoint(w)
 
 
 def in_domain(z, sc):
-    """Membership in the open orbit D, boundary excluded by SIGN_MARGIN."""
-    val = sc.form_value(z.homogeneous)
-    return bool(sc.domain_sign * val > SIGN_MARGIN)
+    """Membership of a flag point in D: in_domain_rows on its one row."""
+    return bool(in_domain_rows(z.homogeneous, sc)[0])
 
 
 def in_domain_rows(rows, sc):
-    """in_domain for each homogeneous row of an (m, n) array, unnormalized.
+    """Membership in the open orbit D of each homogeneous row of an (m, n)
+    array, unnormalized, boundary excluded by SIGN_MARGIN.
 
     The Hermitian form of the unit-norm row decides, as for the gauge-fixed
     FlagPoint of that row: the form is invariant under the gauge phase.
@@ -159,8 +153,3 @@ class Chart:
             raise NumericalDegeneracy("point leaves the chart")
         w = v / v[self.pivot]
         return np.array([w[i] - self.base[i] for i in self.free])
-
-
-def chart(z):
-    """Deterministic affine chart centered at z."""
-    return Chart(z)

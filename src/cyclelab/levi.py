@@ -28,7 +28,7 @@ certificates takes a scenario's points GROUP at a time and runs each
 probe set of a radius attempt as one optimizer call for the open points
 of the group.  Both optimizer paths work row by row, bit for bit,
 whatever rows share a call, so a point's report does not depend on its
-group; q_pseudoconvex_certificate is the group of one.
+group, and a group of one certifies a point alone.
 """
 
 from dataclasses import dataclass, field
@@ -117,12 +117,13 @@ def levi_refinement_ratio(fn, z0, h):
     return float(np.linalg.norm(l1 - l2) / den)
 
 
-def eig_signature(lev, zero_band=ZERO_BAND):
-    """(positive, zero, negative) eigenvalue counts within a zero band of
-    a finite form, or per form of an (m, d, d) stack of finite forms."""
+def eig_signature(lev):
+    """(positive, zero, negative) eigenvalue counts, within ZERO_BAND of 0
+    counted as zero, of a finite form, or per form of an (m, d, d) stack
+    of finite forms."""
     eigs = np.linalg.eigvalsh(hermitize(lev))
-    pos = np.sum(eigs > zero_band, axis=-1)
-    neg = np.sum(eigs < -zero_band, axis=-1)
+    pos = np.sum(eigs > ZERO_BAND, axis=-1)
+    neg = np.sum(eigs < -ZERO_BAND, axis=-1)
     return pos, lev.shape[-1] - pos - neg, neg
 
 
@@ -278,12 +279,3 @@ def _certify_group(points, sc, seed):
                            shrinks=attempt, soundness_gap_min=float(sound[i])))
     return [MinorantFailure("no radius produced a verified minorant") if o is None else o
             for o in out]
-
-
-def q_pseudoconvex_certificate(y, sc, seed=42):
-    """Build and check the local minorant certificate at an interior
-    point: the batch of one of certificates, raising the point's error."""
-    rep = next(certificates([y], sc, seed))
-    if isinstance(rep, CycleLabError):
-        raise rep
-    return rep

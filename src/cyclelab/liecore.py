@@ -324,13 +324,3 @@ def k0_matrices(rf, coeffs):
     if max(res_u, res_j) > MEMBERSHIP_TOLERANCE:
         raise NumericalDegeneracy("K0 sample failed membership validation")
     return mats
-
-
-def k0_sample_matrices(rf, resolution):
-    """The validated (N, n, n) stack of the coarse K0 grid."""
-    return k0_matrices(rf, k0_coefficients(rf, resolution))
-
-
-def k0_sample(rf, resolution):
-    """The coarse K0 grid as GroupElements."""
-    return [GroupElement(m) for m in k0_sample_matrices(rf, resolution)]

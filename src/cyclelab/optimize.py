@@ -50,7 +50,7 @@ import numpy as np
 from .errors import OptimizerStall
 from .liecore import k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices
 from .schubert import make_schubert, schubert_slice
-from .sections import highest_weight_section
+from .sections import exhaustion_values, highest_weight_section
 from .utils import run_chunked
 
 # Newton ascent: iteration cap; a gain below GAIN_FLOOR * max(1, |value|)
@@ -136,19 +136,11 @@ class BranchEngine:
             [np.eye(n)[None], g, sym.reshape(-1, n, n)]))
         self._stacks = {}
 
-    def _value_from_p(self, p):
-        den = np.abs(np.einsum("...a,a->...", p, self.sigma)) ** 2
-        num = np.sum(np.abs(p) ** 2, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.log(num) - np.log(den)
-        # |sigma . p| below 1e-15 |p| is rounding: the point is at the pole
-        return np.where(den <= 1e-30 * num, np.inf, v)
-
     def values_own(self, subjects, ks):
         """branch values, subjects (m, n) each against its own ks (m, s, n, n)."""
         geo = self.sc.geometry
         moved = np.einsum("msab,mb->msa", geo.move_matrices(ks), subjects)
-        return self._value_from_p(geo.slice_vectors(moved, self.duals))
+        return exhaustion_values(self.section, geo.slice_vectors(moved, self.duals))
 
     def coarse(self, resolution):
         """(coefficients, num forms, den forms): the exponential coordinates
@@ -455,7 +447,7 @@ def aligned_domain_values(points, sc):
     if sc.cycle_dim == 0:
         return maximize_branch(points, sc)
     ks, aligned = sc.geometry.align(points)
-    return get_engine(sc)._value_from_p(aligned), ks
+    return exhaustion_values(get_engine(sc).section, aligned), ks
 
 
 def fiber_infimum(y, sc):
@@ -466,12 +458,12 @@ def fiber_infimum(y, sc):
     compass walk in the chart around the incumbent, skipping candidates
     whose cycle leaves the cycle space.
     """
-    from .cycles import cycle_from_dual, cycle_in_domain, mu_fiber
+    from .cycles import FiberParametrization, cycle_from_dual, cycle_in_domain
 
     if sc.cycle_dim == 0:
         vals, _ = maximize_branch(y.homogeneous[None, :], sc)
         return float(vals[0]), None
-    fib = mu_fiber(y, sc)
+    fib = FiberParametrization(y, sc)
 
     def rmd(coefs):
         duals = fib.member_duals(np.atleast_2d(coefs))

@@ -34,6 +34,7 @@ from .liecore import RealFormSpec, k0_matrices
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
 from .optimize import get_engine
+from .sections import exhaustion_values
 
 SCENARIO_NAMES = ("su11", "su21")
 
@@ -127,11 +128,11 @@ class PointCycles:
         point's khat.  The supremum over branches dominates any single
         branch, so it is a global minorant and needs no padding.
         """
-        engine = get_engine(sc)
+        section = get_engine(sc).section
 
         # one einsum per point, the one a point certified alone makes
         def family(xi, values=None):
-            return np.array([engine._value_from_p(np.einsum("ab,mb->ma", khat, rows))
+            return np.array([exhaustion_values(section, np.einsum("ab,mb->ma", khat, rows))
                              for khat, rows in zip(khats, chart_rows(xi))])
 
         return family, np.zeros(len(khats)), {}

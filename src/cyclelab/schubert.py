@@ -29,7 +29,11 @@ from .liecore import GroupElement, a0_matrix, n0_matrix
 from .utils import gauge_vector
 
 PATH_SAMPLES = 33
+# intersect_base_cycle: the least boundary distance of C0 cap S;
+# meets_cell_boundary: the largest |l . b| of a cycle through B_S
 BOUNDARY_TOL = 1e-8
+# SchubertDatum.on_variety: the largest |d . v| over the duals of S
+VARIETY_TOL = 1e-10
 # _meet: the largest residual |l . v| / |v| of C cap S over its duals
 INTERSECTION_TOL = 1e-10
 
@@ -50,8 +54,8 @@ class SchubertDatum:
     cell_base: FlagPoint
     boundary_point: FlagPoint
 
-    def on_variety(self, z, tol=1e-10):
-        return bool(np.all(np.abs(self.duals @ z.homogeneous) < tol))
+    def on_variety(self, z):
+        return bool(np.all(np.abs(self.duals @ z.homogeneous) < VARIETY_TOL))
 
     def boundary_distance(self, z):
         """Projective sine-distance from z to the boundary point."""
@@ -220,6 +224,6 @@ def intersect_slice(sl, c):
     return IncidenceRecord(point=p, residual=residual)
 
 
-def meets_cell_boundary(c, s, tol=BOUNDARY_TOL):
+def meets_cell_boundary(c, s):
     """Does the cycle meet B_S?  (Membership in the incidence hypersurface.)"""
-    return bool(abs(c.dual @ s.boundary_point.homogeneous) < tol)
+    return bool(abs(c.dual @ s.boundary_point.homogeneous) < BOUNDARY_TOL)

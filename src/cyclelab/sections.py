@@ -7,7 +7,6 @@ exactly on the cell boundary.  With the compactly invariant metric the
 squared norm of a dual-vector section at [v] is |sigma . v|^2 / (v* G v).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,9 @@ from .errors import (EigenvectorAmbiguity, InvalidInput, NumericalDegeneracy,
 from .utils import gauge_vector, hermitize
 
 VANISHING_TOL = 1e-10
-BOUNDARY_NORM_TOL = 1e-12
 EIGEN_RESIDUAL = 1e-9
+# exhaustion_values: |sigma . p| below 1e-15 ||p|| is rounding, the pole
+POLE_RATIO = 1e-30
 
 
 @dataclass(eq=False)
@@ -114,33 +114,27 @@ def _check_eigenvector(sec, s, w):
             raise NumericalDegeneracy("restricted section is not a B-eigenvector")
 
 
-def section_norm_sq(sec, z):
-    """Squared pointwise norm |sigma . v|^2 / (v* v) at z = [v], in the
-    compactly invariant metric."""
-    v = z.homogeneous
-    return abs(sec.value(z)) ** 2 / float(np.real(np.conj(v) @ v))
-
-
 def exhaustion_values(sec, rows):
-    """Batched -log section_norm_sq over unnormalized row vectors.
-
-    Rows where the section vanishes to working precision return +inf.
+    """r_S = log ||p||^2 - log |sigma . p|^2 at unnormalized homogeneous
+    vectors p, the rows of an (..., n) array: -log of the squared section
+    norm.  +inf where |sigma . p|^2 <= POLE_RATIO ||p||^2: there the
+    section vanishes to working precision and p is on the cell boundary.
     """
-    rows = np.atleast_2d(rows)
-    num = np.abs(rows @ sec.row) ** 2
-    den = np.sum(np.abs(rows) ** 2, axis=1)
-    with np.errstate(divide="ignore"):
-        vals = np.log(den) - np.log(num)
-    return np.where(num <= 1e-24 * den, np.inf, vals)
+    den = np.abs(np.einsum("...a,a->...", rows, sec.row)) ** 2
+    num = np.sum(np.abs(rows) ** 2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.log(num) - np.log(den)
+    return np.where(den <= POLE_RATIO * num, np.inf, v)
 
 
 def cell_exhaustion(z, s, sc, section=None):
-    """Value of the cell exhaustion at a variety point off the boundary."""
+    """Value of the cell exhaustion at a variety point off the boundary:
+    exhaustion_values at z, OnCellBoundary where that is +inf."""
     if not s.on_variety(z):
         raise InvalidInput("point does not lie on the Schubert variety")
     if section is None:
         section = highest_weight_section(s, sc, validate=False)
-    nsq = section_norm_sq(section, z)
-    if nsq <= BOUNDARY_NORM_TOL**2:
+    value = float(exhaustion_values(section, z.homogeneous))
+    if value == np.inf:
         raise OnCellBoundary("section vanishes here; the exhaustion diverges")
-    return float(-math.log(nsq))
+    return value

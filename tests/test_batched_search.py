@@ -11,7 +11,7 @@ import cyclelab.optimize as optimize
 from cyclelab import FlagPoint, divergence_path, in_domain
 from cyclelab.exhaust import boundary_depths, grid_axis
 from cyclelab.schubert import PATH_SAMPLES, make_schubert, schubert_slice
-from cyclelab.liecore import k0_exp, k0_sample_matrices
+from cyclelab.liecore import k0_coefficients, k0_exp, k0_matrices
 
 from oracles import cell_point
 
@@ -80,7 +80,7 @@ def _chart_rows(sc, spec):
 def test_newton_ascent_matches_one_halving_per_call(name, su11, su21, monkeypatch):
     sc = {"su11": su11, "su21": su21}[name]
     engine = optimize.get_engine(sc)
-    stack = k0_sample_matrices(sc.rf, sc.k0_resolution)
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
     depths = boundary_depths(15)
     assert depths[-1] == 5e-15
     rows = np.concatenate(

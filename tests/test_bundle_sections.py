@@ -5,8 +5,9 @@ import pytest
 
 from cyclelab import (FlagPoint, HermitianMetric, InvalidInput,
                       cell_exhaustion, get_scenario, gu_invariant_metric,
-                      highest_weight_section, make_schubert, section_norm_sq)
+                      highest_weight_section, make_schubert)
 from cyclelab.errors import NumericalDegeneracy, OnCellBoundary
+from cyclelab.exhaust import batch_values, evaluate_grid
 from cyclelab.sections import (SectionVector, _check_eigenvector, _restriction_frame,
                                exhaustion_values)
 
@@ -54,7 +55,8 @@ def test_disk_section_vector(su11):
     assert np.allclose(sec.row, [r, -r])
     # vanishes exactly on the cell boundary point
     assert abs(sec.value(s.boundary_point)) < 1e-12
-    assert section_norm_sq(sec, su11.base_point) == pytest.approx(0.5)
+    # squared norm 1/2 at the base point
+    assert exhaustion_values(sec, su11.base_point.homogeneous) == pytest.approx(LOG2)
 
 
 def test_ball_section_vector(su21):
@@ -100,3 +102,40 @@ def test_exhaustion_values_batch(su11):
     b = s.boundary_point.homogeneous
     assert exhaustion_values(sec, b[None, :])[0] == np.inf
 
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_cell_exhaustion_is_the_kernel_at_cell_points(name):
+    # seeded cell points conj . (c, 1, 0...) and points conj . (1, t, 0...)
+    # closing in on the boundary point conj . e_0, past the pole rule
+    sc = get_scenario(name)
+    s = make_schubert(sc)
+    sec = highest_weight_section(s, sc)
+    rng = np.random.default_rng(3)
+    coords = [(c, 1.0) for c in 2.0 * (rng.standard_normal(40)
+                                       + 1j * rng.standard_normal(40))]
+    coords += [(1.0, t) for t in 10.0 ** -np.linspace(10.0, 18.0, 33)] + [(1.0, 0.0)]
+    poles = 0
+    for a, b in coords:
+        v = np.zeros(sc.n, complex)
+        v[:2] = a, b
+        z = FlagPoint(s.borel.matrix @ v)
+        want = exhaustion_values(sec, z.homogeneous)
+        if want == np.inf:
+            poles += 1
+            with pytest.raises(OnCellBoundary):
+                cell_exhaustion(z, s, sc, section=sec)
+        else:
+            assert cell_exhaustion(z, s, sc, section=sec) == want
+    assert 0 < poles < len(coords)
+
+
+def test_ball_cell_exhaustion_far_out_in_the_chart(su21):
+    # sigma . v is exact in the r_s chart of su21: the value stays
+    # log(1 + |c|^2) up to |c| = 1e13 and more, and |c| >= 1e16 is the pole
+    rows = evaluate_grid(su21, "r_s", (-1e13, 1e13, 9), levi_mode="off")
+    c = np.array([r.re + 1j * r.im for r in rows])
+    want = np.log1p(np.abs(c) ** 2)
+    got = np.array([r.value for r in rows])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+    far = su21.geometry.chart_rows("r_s", np.array([1e16, -1e16j, 3e17]), su21.rf)
+    assert np.all(batch_values(far, su21, "r_s") == np.inf)

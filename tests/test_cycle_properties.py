@@ -65,7 +65,9 @@ def test_point_cycle_in_domain_is_point_in_domain(radius, angle):
     sc = get_scenario("su11")
     z = FlagPoint(np.array([radius * np.exp(1j * angle), 1.0]))
     # off the band where the margin test could go either way by rounding
-    assume(abs(sc.domain_sign * sc.form_value(z.homogeneous) - SIGN_MARGIN) > 1e-10)
+    v = z.homogeneous
+    form = np.real(np.conj(v) @ sc.rf.form_matrix @ v)
+    assume(abs(sc.domain_sign * form - SIGN_MARGIN) > 1e-10)
     assert cycle_in_domain(cycle_from_point(z, sc), sc) == in_domain(z, sc)
 
 

@@ -12,7 +12,7 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
                       translation_branch_pair)
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
-from cyclelab.liecore import k0_from_coefficients, k0_sample_matrices
+from cyclelab.liecore import k0_coefficients, k0_from_coefficients, k0_matrices
 from cyclelab.optimize import (ASCENT_ROWS, BranchEngine, aligned_domain_values,
                                fiber_infimum, get_engine, maximize_branch)
 from cyclelab.verify import _group_elements
@@ -321,7 +321,7 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
         seeded_subjects(sc, 300, seed=10),
         sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
     engine = optimize.get_engine(sc)
-    stack = k0_sample_matrices(sc.rf, sc.k0_resolution)
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
     coarse_max = np.max(_stack_values(engine, rows, stack), axis=1)
     vals, ks = maximize_branch(rows, sc)
     assert np.all(vals >= coarse_max)
@@ -392,7 +392,7 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     sc = dataclasses.replace({"su11": su11, "su21": su21}[name], k0_resolution=resolution)
     geo = sc.geometry
     engine = get_engine(sc)
-    ks = k0_sample_matrices(sc.rf, resolution)
+    ks = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution))
     # a symmetric grid has exact ties; at its origin every sample ties
     # (su11 only to rounding: the moved point keeps a phase)
     axis = np.linspace(-0.9, 0.9, 9)
@@ -427,7 +427,7 @@ def test_screened_start_scores_every_sample_of_a_row_at_a_pole(name, su11, su21,
     sc = {"su11": su11, "su21": su21}[name]
     geo, engine = sc.geometry, get_engine(sc)
     coarse = engine.coarse(sc.k0_resolution)
-    stack = k0_sample_matrices(sc.rf, sc.k0_resolution)
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
     ks = stack[:64]
     b = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), engine.duals) @ engine.sigma
     poles = np.zeros((ks.shape[0], sc.n), complex)
@@ -474,7 +474,7 @@ def test_coarse_forms_built_in_blocks_match_one_build(name, resolution, build_ro
     engine = optimize.BranchEngine(sc)
     coeffs, num_forms, den_forms = engine.coarse(resolution)
     geo, n = sc.geometry, sc.n
-    ks = k0_sample_matrices(sc.rf, resolution)
+    ks = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution))
     assert coeffs.shape == (ks.shape[0], len(sc.rf.k0_basis))
     cols = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), engine.duals)
     b = np.einsum("kca,a->kc", cols, engine.sigma)
@@ -492,7 +492,7 @@ def test_starts_rebuilt_from_coefficients_match_the_stack(name, resolution, su11
     # rows: bit for bit the rows of the validated stack, whatever the subset
     sc = {"su11": su11, "su21": su21}[name]
     coeffs = BranchEngine(sc).coarse(resolution)[0]
-    stack = k0_sample_matrices(sc.rf, resolution)
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution))
     idx = np.random.default_rng(resolution).integers(0, stack.shape[0], 300)
     for part in (idx, idx[:1], np.arange(stack.shape[0])):
         assert k0_from_coefficients(sc.rf, coeffs[part]).tobytes() == stack[part].tobytes()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cyclelab import FlagPoint, act, chart, in_domain
+from cyclelab import FlagPoint, act, in_domain
 from cyclelab.errors import NumericalDegeneracy
-from cyclelab.flags import orbit_is_open
+from cyclelab.flags import Chart, orbit_is_open
 
 from conftest import group_expm
 from oracles import chart_lift, is_close
@@ -29,11 +29,6 @@ def test_points_compare_by_representative():
     b = FlagPoint(np.array([-2.0j, 2.0]))
     assert is_close(a, b)
     assert not is_close(a, FlagPoint(np.array([1.0, 0.0])))
-
-
-def test_form_values(su11, su21):
-    assert su11.form_value(np.array([0.5, 1.0])) == pytest.approx(-0.75)
-    assert su21.form_value(np.array([1.0, 0.0, 0.5])) == pytest.approx(0.75)
 
 
 def test_domain_membership_disk(su11):
@@ -69,7 +64,7 @@ def test_open_orbit_detection(su11, su21):
 
 def test_chart_round_trip(su21):
     z = FlagPoint(np.array([1.0, 0.2 - 0.1j, 0.3j]))
-    ch = chart(z)
+    ch = Chart(z)
     assert ch.dim == 2
     c = np.array([0.05 + 0.02j, -0.01j])
     back = ch.coords(ch.point(c))
@@ -78,7 +73,7 @@ def test_chart_round_trip(su21):
 
 
 def test_chart_lift_batch(su11):
-    ch = chart(su11.base_point)
+    ch = Chart(su11.base_point)
     cs = np.array([[0.1], [0.2j], [-0.3]])
     lifted = chart_lift(ch, cs)
     assert lifted.shape == (3, 2)
@@ -87,6 +82,6 @@ def test_chart_lift_batch(su11):
 
 
 def test_chart_coords_reject_off_chart(su11):
-    ch = chart(su11.base_point)
+    ch = Chart(su11.base_point)
     with pytest.raises(NumericalDegeneracy):
         ch.coords(FlagPoint(np.array([1.0, 0.0])))

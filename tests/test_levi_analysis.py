@@ -5,13 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cyclelab import (FlagPoint, certificates, levi_form_fd,
-                      q_pseudoconvex_certificate, seeded_domain_points)
+from cyclelab import FlagPoint, certificates, levi_form_fd, seeded_domain_points
 from cyclelab.errors import CycleLabError, NotInDomain, OptimizerStall, StencilFailure
 from cyclelab.flags import in_domain, in_domain_rows
 from cyclelab.levi import GROUP, eig_signature, levi_refinement_ratio
 
 from oracles import fubini_study_levi
+
+
+def _single(y, sc, seed):
+    """The certificate of y alone: its report or its error."""
+    return next(certificates([y], sc, seed=seed))
 
 
 def _fs(zeta):
@@ -134,18 +138,21 @@ def test_refinement_ratio_degenerate_function():
         levi_refinement_ratio(lin, np.array([0.0 + 0.0j]), h=0.05)
 
 
-def test_eig_signature_banding():
+def test_eig_signature_banding(monkeypatch):
+    from cyclelab import levi
+
     lev = np.diag([2.0, -1.0, 1e-9])
-    assert eig_signature(lev, zero_band=1e-6) == (1, 1, 1)
-    assert eig_signature(lev, zero_band=1e-12) == (2, 0, 1)
+    assert eig_signature(lev) == (1, 1, 1)
     # a stack gives the counts of each form
-    pos, zero, neg = eig_signature(np.stack([lev, np.eye(3)]), zero_band=1e-6)
+    pos, zero, neg = eig_signature(np.stack([lev, np.eye(3)]))
     assert pos.tolist() == [1, 3] and zero.tolist() == [1, 0] and neg.tolist() == [1, 0]
+    monkeypatch.setattr(levi, "ZERO_BAND", 1e-12)
+    assert eig_signature(lev) == (2, 0, 1)
 
 
 def test_certificate_disk(su11):
     y = seeded_domain_points(su11, 3, seed=6)[2]
-    rep = q_pseudoconvex_certificate(y, su11, seed=6)
+    rep = _single(y, su11, 6)
     assert rep.q_convex_ok
     assert rep.required_pos == 1
     assert rep.n_pos == 1
@@ -159,7 +166,7 @@ def test_certificate_disk(su11):
 
 def test_certificate_ball(su21):
     y = seeded_domain_points(su21, 2, seed=15)[0]
-    rep = q_pseudoconvex_certificate(y, su21, seed=15)
+    rep = _single(y, su21, 15)
     assert rep.q_convex_ok
     assert rep.required_pos == su21.ambient_dim - su21.cycle_dim
     assert rep.n_pos >= 1
@@ -184,7 +191,7 @@ def test_certificate_aligns_each_probe_set_once(su21, count_calls):
 
     calls = count_calls(scenarios.LineCycles, "align")
     y = seeded_domain_points(su21, 2, seed=15)[0]
-    rep = q_pseudoconvex_certificate(y, su21, seed=15)
+    rep = _single(y, su21, 15)
     assert rep.notes["shrinks"] == 0
     assert len(calls) == 6
     # the record of the closed-form path
@@ -225,13 +232,6 @@ def _report_fields(rep):
         fields[f.name] = (repr(val) if f.name == "notes" or val is None
                           else np.asarray(val).tobytes())
     return fields
-
-
-def _single(y, sc, seed):
-    try:
-        return q_pseudoconvex_certificate(y, sc, seed=seed)
-    except CycleLabError as exc:
-        return exc
 
 
 # su11 at cap 0.999 and seed 6 has points that shrink (the ninth twice over)
@@ -277,16 +277,14 @@ def test_certificate_value_matches_exhaustion(su21):
     from cyclelab.exhaust import batch_values
 
     y = seeded_domain_points(su21, 1, seed=33)[0]
-    rep = q_pseudoconvex_certificate(y, su21, seed=33)
+    rep = _single(y, su21, 33)
     assert rep.value == pytest.approx(batch_values(y.homogeneous, su21, "r_d")[0],
                                       abs=1e-9)
 
 
 def test_certificate_rejects_boundary(su11, su21):
-    with pytest.raises(NotInDomain):
-        q_pseudoconvex_certificate(FlagPoint(np.array([1.0, 1.0])), su11)
-    with pytest.raises(NotInDomain):
-        q_pseudoconvex_certificate(FlagPoint(np.array([0.0, 0.0, 1.0])), su21)
+    assert isinstance(_single(FlagPoint(np.array([1.0, 1.0])), su11, 42), NotInDomain)
+    assert isinstance(_single(FlagPoint(np.array([0.0, 0.0, 1.0])), su21, 42), NotInDomain)
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])

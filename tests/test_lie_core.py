@@ -5,14 +5,20 @@ import pytest
 import scipy.linalg
 
 from cyclelab import (GroupElement, InvalidInput, cartan_involution,
-                      is_member, iwasawa_decompose, k0_sample)
+                      is_member, iwasawa_decompose)
 from cyclelab.errors import NotInRealForm
 from cyclelab.flags import act
-from cyclelab.liecore import MAX_K0_SAMPLES, a0_matrix, k0_sample_count, n0_matrix
+from cyclelab.liecore import (MAX_K0_SAMPLES, a0_matrix, k0_coefficients, k0_matrices,
+                              k0_sample_count, n0_matrix)
 from cyclelab.verify import _group_elements
 
 from conftest import group_expm
 from oracles import TANH1, distance
+
+
+def _k0_grid(rf, resolution):
+    """The validated coarse K0 grid as GroupElements."""
+    return [GroupElement(m) for m in k0_matrices(rf, k0_coefficients(rf, resolution))]
 
 
 def test_group_element_rejects_bad_determinant():
@@ -86,7 +92,7 @@ def test_cartan_involution_is_adjoint_inverse(su21):
 
 
 def test_cartan_involution_fixes_compact_factor(su21):
-    for k in k0_sample(su21.rf, 2)[:8]:
+    for k in _k0_grid(su21.rf, 2)[:8]:
         assert distance(cartan_involution(k, su21.rf), k) < 1e-12
 
 
@@ -95,7 +101,7 @@ def test_iwasawa_roundtrip(name, su11, su21):
     sc = {"su11": su11, "su21": su21}[name]
     rf = sc.rf
     rng = np.random.default_rng(11)
-    ks = k0_sample(rf, 3) + _group_elements(sc, 12, 11)
+    ks = _k0_grid(rf, 3) + _group_elements(sc, 12, 11)
     worst = 0.0
     for k in ks:
         ta = rng.uniform(-1.5, 1.5, len(rf.a_basis))
@@ -123,7 +129,7 @@ def test_iwasawa_rejects_outside_real_form(su11):
 
 
 def test_k0_sample_circle_grid(su11):
-    ks = k0_sample(su11.rf, 8)
+    ks = _k0_grid(su11.rf, 8)
     assert len(ks) == 8
     assert distance(ks[0], GroupElement(np.eye(2))) < 1e-14
     for j, k in enumerate(ks):
@@ -135,9 +141,9 @@ def test_k0_sample_circle_grid(su11):
 def test_k0_sample_product_grid(su21):
     # the 2^4 grid on [-pi, pi)^4 already contains the zero row, so no
     # identity is prepended; resolution 3 lacks it and gets one
-    ks = k0_sample(su21.rf, 2)
+    ks = _k0_grid(su21.rf, 2)
     assert len(ks) == 16
-    ks3 = k0_sample(su21.rf, 3)
+    ks3 = _k0_grid(su21.rf, 3)
     assert len(ks3) == 1 + 81
     assert distance(ks3[0], GroupElement(np.eye(3))) < 1e-14
     for k in ks[:6] + ks3[:3]:
@@ -146,7 +152,7 @@ def test_k0_sample_product_grid(su21):
 
 def test_k0_sample_grid_cap(su11, su21):
     with pytest.raises(InvalidInput):
-        k0_sample(su21.rf, 25)
+        _k0_grid(su21.rf, 25)
     # one count for every caller: resolution^dim; the circle of su11 is
     # capped too
     assert k0_sample_count(su21.rf, 19) == 19**4
@@ -157,12 +163,12 @@ def test_k0_sample_grid_cap(su11, su21):
         with pytest.raises(InvalidInput):
             k0_sample_count(rf, res)
         with pytest.raises(InvalidInput):
-            k0_sample(rf, res)
+            _k0_grid(rf, res)
 
 
 def test_k0_sample_is_seed_deterministic(su21):
     # the grid takes no seed; the seeded draw repeats for its seed only
-    a, b = k0_sample(su21.rf, 2), k0_sample(su21.rf, 2)
+    a, b = _k0_grid(su21.rf, 2), _k0_grid(su21.rf, 2)
     assert all(distance(x, y) == 0.0 for x, y in zip(a, b))
     a, b = _group_elements(su21, 4, 9), _group_elements(su21, 4, 9)
     assert all(distance(x, y) == 0.0 for x, y in zip(a, b))

@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import logm
 
 from cyclelab.exhaust import k0_log_coordinates
-from cyclelab.liecore import LOG_BRANCH_SNAP, LOG_TIE, k0_exp, k0_log, k0_sample_matrices
+from cyclelab.liecore import (LOG_BRANCH_SNAP, LOG_TIE, k0_coefficients, k0_exp, k0_log,
+                              k0_matrices)
 from cyclelab.verify import _group_elements
 
 from oracles import expm_antihermitian
@@ -22,7 +23,7 @@ def reference_log(u):
 
 def _grid_and_seeded(sc):
     """The resolution-4 K0 grid and 64 seeded K0 elements."""
-    return np.concatenate([k0_sample_matrices(sc.rf, 4),
+    return np.concatenate([k0_matrices(sc.rf, k0_coefficients(sc.rf, 4)),
                            [k.matrix for k in _group_elements(sc, 64, 5)]])
 
 
@@ -66,8 +67,8 @@ def near_scalar_k0(sc):
 def _stacks(sc):
     """The default K0 grid too (su21's holds 20 elements with a U(2) block
     -I), Haar-random and near-scalar elements."""
-    return np.concatenate([_grid_and_seeded(sc), k0_sample_matrices(sc.rf, sc.k0_resolution),
-                           haar_k0(sc, 400, 1), near_scalar_k0(sc)])
+    grid = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
+    return np.concatenate([_grid_and_seeded(sc), grid, haar_k0(sc, 400, 1), near_scalar_k0(sc)])
 
 
 def assert_log_of(x, u, rf):
