@@ -28,7 +28,6 @@ from .cycles import base_cycle
 from .errors import CycleLabError, InvalidInput
 from .exhaust import MAX_GRID_N, TARGETS, evaluate_grid, seeded_domain_points
 from .levi import certificates
-from .liecore import k0_sample_count
 from .optimize import get_engine
 from .scenarios import SCENARIO_NAMES, get_scenario
 from .verify import COUNTS, SUITE_NAMES, run_verification
@@ -203,9 +202,9 @@ def _grid_json(cfg, rows):
 
 def cmd_eval(cfg):
     sc = _scenario(cfg)
-    # refuses an oversized K0 stack for every target, before any work;
+    # refuses an oversized K0 grid for every target, before any work;
     # evaluate_grid refuses an oversized grid first thing
-    k0_sample_count(sc.rf, sc.k0_resolution)
+    get_engine(sc).sample_count(sc.k0_resolution)
     rows = evaluate_grid(sc, cfg.target, cfg.grid, levi_mode=cfg.levi)
     text = _grid_csv(rows) if cfg.format == "csv" else _grid_json(cfg, rows)
     _emit(text, cfg.out)

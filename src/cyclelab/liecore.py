@@ -24,9 +24,9 @@ IWASAWA_RESIDUAL = 1e-9
 MEMBER_TAGS = ("G0", "K0", "Gu", "A0N0")
 # K0 samples at most, counted by k0_sample_count.  The optimizer keeps a
 # coarse grid's coordinates and two real (K, n^2) screen forms, 176 B a
-# sample for su21, so 23 MB at the cap (su21 resolution 19; su11 131072).
-# Its screen keeps 8 B per row and K_BLOCK samples, 8 KB a row at the
-# cap; the rest of its temporaries do not grow with K
+# sample for su21, so 22 MB at su21 resolution 50 (su11: 131072).  Its
+# screen keeps 8 B per row and K_BLOCK samples, 8 KB a row at the cap;
+# the rest of its temporaries do not grow with K
 MAX_K0_SAMPLES = 2 ** 17
 # k0_log: an angle within LOG_BRANCH_SNAP of -pi takes +pi; angles closer
 # than LOG_TIE are tied
@@ -175,36 +175,40 @@ def iwasawa_decompose(g, rf):
     return k, a, n
 
 
-def k0_sample_count(rf, resolution):
-    """resolution^dim, the size of the coarse K0 grid (the identity,
-    prepended to a grid that misses it, is not counted); InvalidInput for
-    a resolution that is no integer >= 1, or a count past MAX_K0_SAMPLES,
+def k0_sample_count(rf, resolution, dropped):
+    """len(k0_coefficients(rf, resolution, dropped)): resolution^d over the
+    d grid axes (the K0 basis less the dropped ones), plus the identity
+    that a product grid of odd resolution lacks; InvalidInput for a
+    resolution that is no integer >= 1, or a count past MAX_K0_SAMPLES,
     before anything is built."""
     if (not isinstance(resolution, numbers.Integral) or isinstance(resolution, bool)
             or resolution < 1):
         raise InvalidInput(f"K0 sample resolution must be an integer >= 1, "
                            f"not {resolution!r}")
-    count = resolution**len(rf.k0_basis)
+    axes = len(rf.k0_basis) - len(dropped)
+    count = resolution**axes + (len(rf.k0_basis) > 1 and resolution % 2)
     if count > MAX_K0_SAMPLES:
         raise InvalidInput(f"resolution {resolution} exceeds {MAX_K0_SAMPLES} "
                            f"K0 samples of {rf.name}")
     return count
 
 
-def k0_coefficients(rf, resolution):
+def k0_coefficients(rf, resolution, dropped):
     """Exponential coordinates of the coarse K0 grid.
 
     One-dimensional K0 (a circle) gets the forced uniform grid pi*j/res.
-    Higher dimension gets the product grid on [-pi, pi)^dim and the
-    identity.  Grids are nested under doubling of the resolution, which
-    is what makes the optimizer's coarse stage monotone under refinement.
+    Higher dimension gets the product grid on [-pi, pi) along each basis
+    vector not in dropped, 0 along the dropped ones, and the identity.
+    Grids are nested under doubling of the resolution, which is what
+    makes the optimizer's coarse stage monotone under refinement.
     """
-    k0_sample_count(rf, resolution)
+    k0_sample_count(rf, resolution, dropped)
     dim = len(rf.k0_basis)
     if dim == 1:
         return (np.pi * np.arange(resolution) / resolution)[:, None]
     axis = -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    mesh = np.meshgrid(*[np.zeros(1) if d in dropped else axis for d in range(dim)],
+                       indexing="ij")
     coeffs = np.stack([m.ravel() for m in mesh], axis=1)
     if np.any(np.all(coeffs == 0.0, axis=1)):
         return coeffs

@@ -32,10 +32,12 @@ so the engine drops one basis vector per such direction.  The rest span
 a complement of them, so exp(x) k with x in their span charts K0 modulo
 those directions near k, and the ascent in that chart seeks the same
 maxima.  The steps exponentiate in closed form on K0 (liecore.k0_exp).
-The screen works on tiles of CHUNK rows, and the ascent and the polish
-run once per batch of up to ASCENT_ROWS rows, so one ascent serves a
-whole grid of that size.  Each row's search depends on that row alone:
-its operations act row by row, and none rounds by the batch's size (see
+The coarse grid spans the same step basis, so it samples K0 modulo those
+directions too (su21: resolution^3 samples, not resolution^4).  The
+screen works on tiles of CHUNK rows, and the ascent and the polish run
+once per batch of up to ASCENT_ROWS rows, so one ascent serves a whole
+grid of that size.  Each row's search depends on that row alone: its
+operations act row by row, and none rounds by the batch's size (see
 k0_exp on numpy's elision of temporaries of 256 KiB and more), so the
 same scenario config gives identical results bit for bit, whatever rows
 share a tile or a batch.
@@ -48,7 +50,8 @@ scenario geometry gives one in closed form (LineCycles.align).
 import numpy as np
 
 from .errors import OptimizerStall
-from .liecore import k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices
+from .liecore import (k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices,
+                      k0_sample_count)
 from .schubert import make_schubert, schubert_slice
 from .sections import exhaustion_values, highest_weight_section
 from .utils import run_chunked
@@ -102,10 +105,10 @@ class BranchEngine:
     also holds the base slice (through the point of C0 cap S), the
     coarse K0 stacks it has built, read-only and filled on first use, the
     step basis (the K0 basis less one vector per direction that leaves
-    every branch value unchanged, _invariant_directions) and the linear
-    maps from a moved subject to its slice vector and that vector's first
-    and second derivatives along the step basis, which give the branch
-    value's derivatives.
+    every branch value unchanged, _invariant_directions; their indices are
+    dropped) and the linear maps from a moved subject to its slice vector
+    and that vector's first and second derivatives along the step basis,
+    which give the branch value's derivatives.
     """
 
     def __init__(self, sc):
@@ -125,6 +128,7 @@ class BranchEngine:
         for j in range(len(null)):
             drop.append(int(np.argmax(np.abs(null[j]))))
             null[j + 1:] -= np.outer(null[j + 1:, drop[-1]] / null[j, drop[-1]], null[j])
+        self.dropped = tuple(drop)
         self.step_basis = np.delete(np.asarray(sc.rf.k0_basis), drop, axis=0)
         # exp(X) k moves a subject by exp(sum x_i G_i) after k, so the moved
         # subject has first derivatives G_i m and second (G_i G_j + G_j G_i) m / 2:
@@ -142,13 +146,19 @@ class BranchEngine:
         moved = np.einsum("msab,mb->msa", geo.move_matrices(ks), subjects)
         return exhaustion_values(self.section, geo.slice_vectors(moved, self.duals))
 
+    def sample_count(self, resolution):
+        """The coarse grid's sample count at resolution, before it is built;
+        InvalidInput past liecore.MAX_K0_SAMPLES."""
+        return k0_sample_count(self.sc.rf, resolution, self.dropped)
+
     def coarse(self, resolution):
         """(coefficients, num forms, den forms): the exponential coordinates
-        (K, dim K0) of the coarse K0 grid and the real C-contiguous (K, n^2)
-        coefficients of ||p||^2 and |sigma . p|^2 on the Gram features of a
-        subject (_gram_split), built once per resolution and shared
-        read-only by every caller.  The K0 matrices exist one block at a
-        time; k0_from_coefficients gives back any sample's, bit for bit.
+        (K, dim K0) of the coarse K0 grid over the step basis and the real
+        C-contiguous (K, n^2) coefficients of ||p||^2 and |sigma . p|^2 on
+        the Gram features of a subject (_gram_split), built once per
+        resolution and shared read-only by every caller.  The K0 matrices
+        exist one block at a time; k0_from_coefficients gives back any
+        sample's, bit for bit.
 
         p = A_k s is linear in the subject, so both are Hermitian forms in
         s: A_k* A_k and conj(b_k) b_k^T with b_k = A_k^T sigma.  A_k comes
@@ -156,7 +166,7 @@ class BranchEngine:
         """
         if resolution not in self._stacks:
             rf, geo, n = self.sc.rf, self.sc.geometry, self.sc.n
-            coeffs = k0_coefficients(rf, resolution)
+            coeffs = k0_coefficients(rf, resolution, self.dropped)
             t = n * (n - 1) // 2
             # s* Q s = sum_c Q_cc |s_c|^2 + 2 sum_{c<d} Re(Q_cd conj(s_c) s_d)
             weight = np.repeat([1.0, 2.0, -2.0], [n, t, t])

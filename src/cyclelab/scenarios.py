@@ -160,7 +160,8 @@ class LineCycles:
     def chart_rows(self, target, cs, rf):
         one, zero = np.ones(cs.shape[0], complex), np.zeros(cs.shape[0], complex)
         if target == "r_s":
-            return (rf.adapted_frame @ np.stack([cs, one, zero])).T
+            # einsum, not BLAS: BLAS threads only slow a 3 x 3 product
+            return np.einsum("ab,bm->ma", rf.adapted_frame, np.stack([cs, one, zero]))
         if target == "r_md":
             return np.stack([cs, zero, one], axis=1)
         return np.stack([one, zero, cs], axis=1)
@@ -379,7 +380,7 @@ def _build_su21():
         geometry=LineCycles(),
         base_cycle_dual=dual,
         # 32 coarse points per compact dimension is affordable only for a
-        # one-dimensional K0; the 4-dimensional K0 of su21 uses a 6^4 grid,
+        # one-dimensional K0; su21 uses 6^3 samples (BranchEngine.coarse),
         # refined by local ascent.
         k0_resolution=6,
     )

@@ -80,7 +80,7 @@ def _chart_rows(sc, spec):
 def test_newton_ascent_matches_one_halving_per_call(name, su11, su21, monkeypatch):
     sc = {"su11": su11, "su21": su21}[name]
     engine = optimize.get_engine(sc)
-    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution, engine.dropped))
     depths = boundary_depths(15)
     assert depths[-1] == 5e-15
     rows = np.concatenate(

@@ -15,7 +15,7 @@ import cyclelab.cli as cli
 from cyclelab import get_scenario
 from cyclelab.errors import NumericalDegeneracy
 from cyclelab.exhaust import MAX_GRID_N, GridRow, evaluate_grid, grid_axis
-from cyclelab.liecore import MAX_K0_SAMPLES, k0_sample_count
+from cyclelab.liecore import MAX_K0_SAMPLES
 from cyclelab.optimize import get_engine
 
 from oracles import LOG2
@@ -266,19 +266,22 @@ def test_usage_errors_exit_2(tmp_path):
             value = str(json.loads(valid[key]))
             assert code(command, flag, value) == 2, (command, flag)
     # requests past the documented memory bounds: a grid over MAX_GRID_N
-    # points per axis, a coarse K0 stack over MAX_K0_SAMPLES (su21
-    # resolution 20 is 160000 samples; refused for every target)
+    # points per axis, a coarse K0 grid over MAX_K0_SAMPLES (su21
+    # resolution 51 is 51^3 + 1 = 132652 samples; refused for every target)
     assert code(*grid[:-1], f"-0.9:0.9:{MAX_GRID_N + 1}") == 2
     assert code(*grid[:-1], config=f'{{"grid": "-0.9:0.9:{MAX_GRID_N + 1}"}}') == 2
     for target in ("r_s", "r_md"):
         big = ("eval", "--scenario", "su21", "--target", target, "--grid", "-0.1:0.1:2")
-        assert code(*big, "--resolution-k0", "20") == 2
-        assert code(*big, config='{"resolution_k0": 20}') == 2
+        assert code(*big, "--resolution-k0", "51") == 2
+        assert code(*big, config='{"resolution_k0": 51}') == 2
     assert code(*grid, "--resolution-k0", str(MAX_K0_SAMPLES + 1)) == 2
-    # the caps themselves are accepted
+    # the caps themselves are accepted: su21 resolution 50 is 125000 samples
+    # (r_s builds no coarse grid)
     assert grid_axis((-0.9, 0.9, MAX_GRID_N)).shape == (MAX_GRID_N,)
     su21 = get_scenario("su21")
-    assert k0_sample_count(su21.rf, 19) <= MAX_K0_SAMPLES
+    assert get_engine(su21).sample_count(50) <= MAX_K0_SAMPLES
+    assert code("eval", "--scenario", "su21", "--target", "r_s", "--grid", "-0.1:0.1:2",
+                "--resolution-k0", "50") == 0
 
 
 def test_one_process_gives_the_payloads_of_separate_processes(tmp_path):

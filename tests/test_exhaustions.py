@@ -321,10 +321,12 @@ def test_maximize_branch_never_below_the_coarse_maximum(name, su11, su21):
         seeded_subjects(sc, 300, seed=10),
         sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(11), sc.rf)])
     engine = optimize.get_engine(sc)
-    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
-    coarse_max = np.max(_stack_values(engine, rows, stack), axis=1)
     vals, ks = maximize_branch(rows, sc)
-    assert np.all(vals >= coarse_max)
+    # bounded below by the maximum over the grid on every K0 axis (dropping
+    # the invariant axis loses no basin) and over the engine's own grid
+    for dropped in {(), engine.dropped}:
+        stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution, dropped))
+        assert np.all(vals >= np.max(_stack_values(engine, rows, stack), axis=1))
     # the argmax gives back the value
     assert np.array_equal(vals, engine.values_own(rows, ks[:, None])[:, 0])
 
@@ -373,7 +375,7 @@ def test_screened_start_blocks_match_one_block(su21, resolution, monkeypatch):
     sc = su21 if resolution is None else dataclasses.replace(su21, k0_resolution=resolution)
     engine = optimize.get_engine(sc)
     coarse = engine.coarse(sc.k0_resolution)
-    assert coarse[0].shape[0] == {None: 1296, 10: 10000}[resolution]
+    assert coarse[0].shape[0] == {None: 216, 10: 1000}[resolution]
     rows = seeded_subjects(su21, 40, seed=9)
     blocked = optimize._screened_start(engine, rows, *coarse)
     monkeypatch.setattr(optimize, "K_BLOCK", coarse[0].shape[0])
@@ -392,7 +394,7 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     sc = dataclasses.replace({"su11": su11, "su21": su21}[name], k0_resolution=resolution)
     geo = sc.geometry
     engine = get_engine(sc)
-    ks = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution))
+    ks = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution, engine.dropped))
     # a symmetric grid has exact ties; at its origin every sample ties
     # (su11 only to rounding: the moved point keeps a phase)
     axis = np.linspace(-0.9, 0.9, 9)
@@ -427,7 +429,7 @@ def test_screened_start_scores_every_sample_of_a_row_at_a_pole(name, su11, su21,
     sc = {"su11": su11, "su21": su21}[name]
     geo, engine = sc.geometry, get_engine(sc)
     coarse = engine.coarse(sc.k0_resolution)
-    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution, engine.dropped))
     ks = stack[:64]
     b = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), engine.duals) @ engine.sigma
     poles = np.zeros((ks.shape[0], sc.n), complex)
@@ -461,7 +463,7 @@ def test_screened_start_scores_every_sample_of_a_row_at_a_pole(name, su11, su21,
 
 @pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10), ("su21", 19),
                                              ("su11", 32), ("su11", 1024)])
-@pytest.mark.parametrize("build_rows", [None, 1000])
+@pytest.mark.parametrize("build_rows", [None, 1000, 100])
 def test_coarse_forms_built_in_blocks_match_one_build(name, resolution, build_rows,
                                                       su11, su21, monkeypatch):
     # the forms from the whole (K, n, n) K0 stack at once against the
@@ -474,7 +476,7 @@ def test_coarse_forms_built_in_blocks_match_one_build(name, resolution, build_ro
     engine = optimize.BranchEngine(sc)
     coeffs, num_forms, den_forms = engine.coarse(resolution)
     geo, n = sc.geometry, sc.n
-    ks = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution))
+    ks = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution, engine.dropped))
     assert coeffs.shape == (ks.shape[0], len(sc.rf.k0_basis))
     cols = geo.slice_vectors(np.swapaxes(geo.move_matrices(ks), 1, 2), engine.duals)
     b = np.einsum("kca,a->kc", cols, engine.sigma)
@@ -485,14 +487,50 @@ def test_coarse_forms_built_in_blocks_match_one_build(name, resolution, build_ro
         assert got.tobytes() == (optimize._gram_split(q) * weight).tobytes()
 
 
+def _same_coset(ks, others):
+    """(len ks, len others) bool: others[j] lies in the coset exp(RY) ks[i],
+    Y = diag(-2i, i, i).  exp(sY) scales rows 1 and 2 of k by one phase,
+    and unitarity with det k = 1 fixes row 0 from them, so the cosets meet
+    where those rows, as one vector of norm sqrt(2), agree up to a phase."""
+    v, w = (x[:, 1:].reshape(x.shape[0], -1) for x in (ks, others))
+    return np.abs(v.conj() @ w.T) > 2.0 - 1e-9
+
+
+def _coset_repeats(ks, block=512):
+    """How many samples lie in the coset exp(RY) k of an earlier sample."""
+    return sum(int(np.sum(np.any(np.tril(_same_coset(ks[i:i + block], ks[:i + block]), i - 1),
+                                 axis=1)))
+               for i in range(0, ks.shape[0], block))
+
+
+@pytest.mark.parametrize("resolution", [6, 9, 10])
+def test_su21_grid_repeats_samples_only_within_one_invariant_coset(resolution, su21):
+    # every su21 branch value is constant along k -> exp(sY) k, and on the
+    # step-basis grid two samples share their values on seeded subjects
+    # exactly when they lie in one such coset.  The exponential chart still
+    # puts a few samples in one coset (kappa_2's axis at x and x + pi, and
+    # the U(2) block's sphere of radius pi); the grid over every K0 axis
+    # repeats a larger share of its samples
+    engine = get_engine(su21)
+    ks = k0_matrices(su21.rf, engine.coarse(resolution)[0])
+    assert ks.shape[0] == resolution**3 + resolution % 2
+    rows = seeded_subjects(su21, 4, seed=0)
+    vals = engine.values_own(rows, np.broadcast_to(ks, (4,) + ks.shape)).T
+    same_vals = np.max(np.abs(vals[:, None] - vals[None]), axis=2) <= 1e-9
+    assert np.array_equal(same_vals, _same_coset(ks, ks))
+    full = k0_matrices(su21.rf, k0_coefficients(su21.rf, resolution, ()))
+    assert _coset_repeats(ks) / ks.shape[0] < _coset_repeats(full) / full.shape[0]
+
+
 @pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10), ("su21", 19),
                                              ("su11", 32), ("su11", 1024)])
 def test_starts_rebuilt_from_coefficients_match_the_stack(name, resolution, su11, su21):
     # maximize_branch and the screen rebuild sample matrices from coefficient
     # rows: bit for bit the rows of the validated stack, whatever the subset
     sc = {"su11": su11, "su21": su21}[name]
-    coeffs = BranchEngine(sc).coarse(resolution)[0]
-    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution))
+    engine = BranchEngine(sc)
+    coeffs = engine.coarse(resolution)[0]
+    stack = k0_matrices(sc.rf, k0_coefficients(sc.rf, resolution, engine.dropped))
     idx = np.random.default_rng(resolution).integers(0, stack.shape[0], 300)
     for part in (idx, idx[:1], np.arange(stack.shape[0])):
         assert k0_from_coefficients(sc.rf, coeffs[part]).tobytes() == stack[part].tobytes()

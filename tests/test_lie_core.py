@@ -10,15 +10,16 @@ from cyclelab.errors import NotInRealForm
 from cyclelab.flags import act
 from cyclelab.liecore import (MAX_K0_SAMPLES, a0_matrix, k0_coefficients, k0_matrices,
                               k0_sample_count, n0_matrix)
+from cyclelab.optimize import get_engine
 from cyclelab.verify import _group_elements
 
 from conftest import group_expm
 from oracles import TANH1, distance
 
 
-def _k0_grid(rf, resolution):
+def _k0_grid(rf, resolution, dropped=()):
     """The validated coarse K0 grid as GroupElements."""
-    return [GroupElement(m) for m in k0_matrices(rf, k0_coefficients(rf, resolution))]
+    return [GroupElement(m) for m in k0_matrices(rf, k0_coefficients(rf, resolution, dropped))]
 
 
 def test_group_element_rejects_bad_determinant():
@@ -151,19 +152,37 @@ def test_k0_sample_product_grid(su21):
 
 
 def test_k0_sample_grid_cap(su11, su21):
+    dropped = get_engine(su21).dropped
     with pytest.raises(InvalidInput):
-        _k0_grid(su21.rf, 25)
-    # one count for every caller: resolution^dim; the circle of su11 is
-    # capped too
-    assert k0_sample_count(su21.rf, 19) == 19**4
-    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES) == MAX_K0_SAMPLES
+        _k0_grid(su21.rf, 60, dropped)
+    # one count for every caller: resolution^3 over su21's step basis, plus
+    # the identity; the circle of su11 is capped too
+    assert k0_sample_count(su21.rf, 19, dropped) == 19**3 + 1
+    assert k0_sample_count(su11.rf, MAX_K0_SAMPLES, ()) == MAX_K0_SAMPLES
     # past the cap, or a resolution that is no integer in range
-    for rf, res in ((su21.rf, 20), (su11.rf, MAX_K0_SAMPLES + 1),
+    for rf, res in ((su21.rf, 51), (su11.rf, MAX_K0_SAMPLES + 1),
                     (su21.rf, 0), (su21.rf, 2.5), (su21.rf, True)):
         with pytest.raises(InvalidInput):
-            k0_sample_count(rf, res)
+            k0_sample_count(rf, res, dropped if rf is su21.rf else ())
         with pytest.raises(InvalidInput):
-            _k0_grid(rf, res)
+            _k0_grid(rf, res, dropped if rf is su21.rf else ())
+
+
+def test_k0_sample_count_is_the_grid_length(su11, su21):
+    # su21's grid spans the step basis: resolution^3 samples, and the
+    # identity prepended where the product grid lacks it (odd resolutions);
+    # su11's K0 is a circle with nothing to drop: resolution samples
+    engine = get_engine(su21)
+    for res in range(1, 13):
+        assert (engine.sample_count(res) == res**3 + res % 2
+                == k0_coefficients(su21.rf, res, engine.dropped).shape[0])
+        assert get_engine(su11).sample_count(res) == res == get_engine(su11).coarse(res)[0].shape[0]
+    assert engine.coarse(6)[0].shape[0] == 216 and engine.coarse(9)[0].shape[0] == 730
+    # the CLI's cap: su21 resolution 50 is 125000 samples, 51 is 132652
+    assert engine.sample_count(50) == 125000
+    assert k0_coefficients(su21.rf, 50, engine.dropped).shape == (125000, 4)
+    with pytest.raises(InvalidInput):
+        engine.sample_count(51)
 
 
 def test_k0_sample_is_seed_deterministic(su21):

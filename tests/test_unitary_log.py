@@ -23,7 +23,7 @@ def reference_log(u):
 
 def _grid_and_seeded(sc):
     """The resolution-4 K0 grid and 64 seeded K0 elements."""
-    return np.concatenate([k0_matrices(sc.rf, k0_coefficients(sc.rf, 4)),
+    return np.concatenate([k0_matrices(sc.rf, k0_coefficients(sc.rf, 4, ())),
                            [k.matrix for k in _group_elements(sc, 64, 5)]])
 
 
@@ -65,9 +65,10 @@ def near_scalar_k0(sc):
 
 
 def _stacks(sc):
-    """The default K0 grid too (su21's holds 20 elements with a U(2) block
-    -I), Haar-random and near-scalar elements."""
-    grid = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution))
+    """The grid over the whole K0 basis at the default resolution too
+    (su21's holds 20 elements with a U(2) block -I), Haar-random and
+    near-scalar elements."""
+    grid = k0_matrices(sc.rf, k0_coefficients(sc.rf, sc.k0_resolution, ()))
     return np.concatenate([_grid_and_seeded(sc), grid, haar_k0(sc, 400, 1), near_scalar_k0(sc)])
 
 
