@@ -8,14 +8,20 @@ projective line.  A cycle is stored by its gauge-fixed unit dual l of
 length n.  Storing the dual quotients out the (parabolic) stabilizer of
 the base cycle exactly, so equality of cycles is equality of canonical
 data, and a group element g moves l to l g^-1.
+
+A cycle lies in D iff the form J = diag(+-1) is definite of the domain
+sign on ker l, where for a unit l its eigenvalues are -l J l* and the
+domain sign (cycle_in_domain_rows).  The mu fiber of y, the cycles
+through y, is spanned by the annihilator basis of y: one point cycle
+for su11, su21's pencil of lines, a P^1 that sphere_grid covers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotInDomain
-from .flags import SIGN_MARGIN, FlagPoint, in_domain
+from .errors import InvalidInput
+from .flags import SIGN_MARGIN, FlagPoint, signed_form_rows
 from .utils import check_finite, gauge_vector
 
 # Cycle.contains: |l . v| of a unit point v on the cycle stays below this
@@ -60,10 +66,6 @@ class Cycle:
         d.setflags(write=False)
         object.__setattr__(self, "dual", d)
 
-    @property
-    def dim(self):
-        return self.dual.shape[0] - 2
-
     def contains(self, z):
         return bool(abs(self.dual @ z.homogeneous) < CONTAINS_TOL)
 
@@ -105,51 +107,28 @@ def cycle_points(c, count, seed):
     return [FlagPoint(p) for p in coef @ basis]
 
 
-def restricted_form_eigenvalues(c, sc):
-    """Eigenvalues of the Hermitian form on ker l (1 x 1 for su11)."""
-    basis = annihilator_basis(c.dual)
-    f = np.conj(basis) @ sc.rf.form_matrix @ basis.T
-    return np.linalg.eigvalsh(0.5 * (f + np.conj(f.T)))
-
-
 def cycle_in_domain(c, sc):
-    """True iff the cycle lies entirely inside D.
+    """True iff the cycle lies inside D: cycle_in_domain_rows on its dual."""
+    return bool(cycle_in_domain_rows(c.dual, sc)[0])
 
-    Exact criterion: the form restricted to ker l is definite of the
-    domain sign, by more than flags.SIGN_MARGIN.
+
+def cycle_in_domain_rows(duals, sc):
+    """Cycle-space membership of the cycle of each dual row of an (m, n)
+    array, unnormalized: the form on ker l is definite of the domain sign
+    by more than flags.SIGN_MARGIN, i.e. the signed form value of the unit
+    dual is below -SIGN_MARGIN."""
+    return -signed_form_rows(duals, sc) > SIGN_MARGIN
+
+
+def sphere_grid(count):
+    """count deterministic quasi-uniform pairs (alpha, beta) covering the
+    P^1 of coefficient rows of a pencil (q = 1).
+
+    Fibonacci spiral on the sphere, mapped through the Hopf picture
+    (alpha, beta) = (cos(t/2), sin(t/2) e^{i phi}).
     """
-    eigs = restricted_form_eigenvalues(c, sc)
-    return bool(np.min(sc.domain_sign * eigs) > SIGN_MARGIN)
-
-
-class FiberParametrization:
-    """The family of cycles through a fixed domain point y.
-
-    A member is a coefficient row over the deterministic annihilator
-    basis of y, which has n - 1 rows: su11's fiber is the single cycle
-    through y (one row), su21's the pencil of lines through y, a P^1 of
-    coefficient pairs (alpha, beta).  Members are filtered by
-    cycle_in_domain at use sites.
-    """
-
-    def __init__(self, y, sc):
-        if not in_domain(y, sc):
-            raise NotInDomain("mu fiber requested at a point outside D")
-        self.basis = annihilator_basis(y.homogeneous)
-
-    def member_duals(self, coefs):
-        """Raw gauge-free duals for an (m, n - 1) array of coefficient rows."""
-        return np.atleast_2d(np.asarray(coefs, complex)) @ self.basis
-
-    def sphere_grid(self, count):
-        """Deterministic quasi-uniform pairs (alpha, beta) covering the P^1
-        of a pencil (q = 1).
-
-        Fibonacci spiral on the sphere, mapped through the Hopf picture
-        (alpha, beta) = (cos(t/2), sin(t/2) e^{i phi}).
-        """
-        idx = np.arange(count) + 0.5
-        cos_t = 1.0 - 2.0 * idx / count
-        half = 0.5 * np.arccos(np.clip(cos_t, -1.0, 1.0))
-        phi = np.pi * (1.0 + np.sqrt(5.0)) * idx
-        return np.stack([np.cos(half), np.sin(half) * np.exp(1j * phi)], axis=1)
+    idx = np.arange(count) + 0.5
+    cos_t = 1.0 - 2.0 * idx / count
+    half = 0.5 * np.arccos(np.clip(cos_t, -1.0, 1.0))
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * idx
+    return np.stack([np.cos(half), np.sin(half) * np.exp(1j * phi)], axis=1)

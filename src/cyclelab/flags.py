@@ -16,8 +16,8 @@ from .utils import check_finite, gauge_vector
 
 # orbit_is_open: singular values above this count toward the orbit's rank
 ORBIT_RANK_TOL = 1e-8
-# in_domain_rows and cycles.cycle_in_domain: the unit form value must
-# clear the boundary by more than this
+# in_domain_rows and cycles.cycle_in_domain_rows: the signed unit form
+# value must clear the boundary by more than this
 SIGN_MARGIN = 1e-12
 # act: an image vector shorter than this is numerically zero
 ACTION_ZERO_TOL = 1e-14
@@ -62,7 +62,7 @@ class ScenarioConfig:
     domain_sign: int
     geometry: object
     base_cycle_dual: np.ndarray
-    k0_resolution: int = 32
+    k0_resolution: int
 
     @property
     def n(self):
@@ -97,10 +97,15 @@ def in_domain_rows(rows, sc):
     The Hermitian form of the unit-norm row decides, as for the gauge-fixed
     FlagPoint of that row: the form is invariant under the gauge phase.
     """
+    return signed_form_rows(rows, sc) > SIGN_MARGIN
+
+
+def signed_form_rows(rows, sc):
+    """domain_sign times the form of each unit-normalized row of an (m, n)
+    array: above 0 on D, below 0 at the dual of a cycle in D."""
     rows = np.atleast_2d(np.asarray(rows, complex))
     v = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    val = np.einsum("ma,ab,mb->m", np.conj(v), sc.rf.form_matrix, v).real
-    return sc.domain_sign * val > SIGN_MARGIN
+    return sc.domain_sign * np.einsum("ma,ab,mb->m", np.conj(v), sc.rf.form_matrix, v).real
 
 
 def orbit_is_open(z, sc):

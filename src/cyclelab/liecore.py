@@ -61,17 +61,16 @@ class GroupElement:
 class RealFormSpec:
     """Data defining G0 = {g : g* J g = J} inside SL(n, C).
 
-    cartan_matrix implements the holomorphic extension of the Cartan
-    involution, theta(g) = T g T^{-1}; for the built-in forms T = J and
-    T^2 = I.  adapted_frame is the unitary change of basis in which A_0
-    is diagonal with the listed eigenvalue pattern and N_0 is unit upper
-    triangular; the algebra bases are real bases of the corresponding
-    real subalgebras in standard coordinates.
+    Both built-in forms have J = diag(+-1), so the holomorphic extension
+    of the Cartan involution is theta(g) = J g J^{-1}.  adapted_frame is
+    the unitary change of basis in which A_0 is diagonal with the listed
+    eigenvalue pattern and N_0 is unit upper triangular; the algebra
+    bases are real bases of the corresponding real subalgebras in
+    standard coordinates.
     """
 
     name: str
     form_matrix: np.ndarray
-    cartan_matrix: np.ndarray
     adapted_frame: np.ndarray
     k0_basis: np.ndarray = field(repr=False)
     a_basis: np.ndarray = field(repr=False)
@@ -89,8 +88,8 @@ class RealFormSpec:
 
 
 def cartan_involution(g, rf):
-    """theta(g) = T g T^{-1}; involutive and fixing K0 pointwise."""
-    t = rf.cartan_matrix
+    """theta(g) = J g J^{-1}; involutive and fixing K0 pointwise."""
+    t = rf.form_matrix
     return GroupElement(t @ g.matrix @ np.linalg.inv(t))
 
 

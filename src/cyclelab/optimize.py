@@ -49,7 +49,9 @@ scenario geometry gives one in closed form (LineCycles.align).
 
 import numpy as np
 
-from .errors import OptimizerStall
+from .cycles import annihilator_basis, cycle_in_domain_rows, sphere_grid
+from .errors import NotInDomain, OptimizerStall
+from .flags import in_domain
 from .liecore import (k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices,
                       k0_sample_count)
 from .schubert import make_schubert, schubert_slice
@@ -90,8 +92,11 @@ BUILD_ROWS = 4096
 # one unbounded batch raised a 401x401 su21 r_md eval's peak RSS from 285
 # to 374 MB
 ASCENT_ROWS = 4096
-# fiber_infimum: sphere-grid candidates on the pencil of cycles through y
+# fiber_infimum: sphere-grid candidates on the pencil of cycles through y,
+# the compass probes' step sizes (0.3 halved down to 1e-5), a move's least gain
 FIBER_GRID = 32
+FIBER_STEPS = np.ldexp(0.3, -np.arange(15))
+FIBER_GAIN = 1e-12
 
 
 _ENGINES = {}
@@ -461,48 +466,45 @@ def aligned_domain_values(points, sc):
 
 
 def fiber_infimum(y, sc):
-    """inf of the cycle-space exhaustion over cycles through y.
+    """(inf of r_md over the cycles through y, the infimal dual or None for
+    point cycles); NotInDomain for y outside D.
 
-    Candidate duals come from a deterministic sphere grid on the fiber
-    plus a radially constructed warm start; descent is a two-real-dim
-    compass walk in the chart around the incumbent, skipping candidates
-    whose cycle leaves the cycle space.
+    The cycles through y are c B, B the annihilator basis of y.  One
+    maximize_branch call scores the sphere grid of the pencil's P^1 of rows
+    c and the radial dual, one more the compass probes of the incumbent at
+    every step size; a probe gaining more than FIBER_GAIN moves it and the
+    probes repeat.  Members outside the cycle space score +inf.
     """
-    from .cycles import FiberParametrization, cycle_from_dual, cycle_in_domain
-
+    if not in_domain(y, sc):
+        raise NotInDomain("mu fiber requested at a point outside D")
     if sc.cycle_dim == 0:
         vals, _ = maximize_branch(y.homogeneous[None, :], sc)
         return float(vals[0]), None
-    fib = FiberParametrization(y, sc)
+    basis = annihilator_basis(y.homogeneous)
 
     def rmd(coefs):
-        duals = fib.member_duals(np.atleast_2d(coefs))
-        keep = np.array([cycle_in_domain(cycle_from_dual(d, sc), sc) for d in duals])
+        duals = coefs @ basis
+        keep = cycle_in_domain_rows(duals, sc)
         out = np.full(duals.shape[0], np.inf)
         if np.any(keep):
-            vals, _ = maximize_branch(duals[keep], sc)
-            out[keep] = vals
+            out[keep] = maximize_branch(duals[keep], sc)[0]
         return out
 
-    # warm start: the radial dual through y
-    warm = sc.geometry.radial_dual(y.homogeneous) @ np.conj(fib.basis).T
-    cands = np.vstack([fib.sphere_grid(FIBER_GRID), warm[None, :]])
+    warm = sc.geometry.radial_dual(y.homogeneous) @ np.conj(basis).T
+    cands = np.vstack([sphere_grid(FIBER_GRID), warm[None, :]])
     vals = rmd(cands)
     best = int(np.argmin(vals))
     cur, cur_v = cands[best], float(vals[best])
     if not np.isfinite(cur_v):
         raise OptimizerStall("no feasible cycle through the point was found")
-    delta = 0.3
-    while delta > 1e-5:
+    turn = np.sin(FIBER_STEPS)[:, None] * np.array([1, -1, 1j, -1j])
+    while True:
         u = cur / np.linalg.norm(cur)
         perp = np.array([-np.conj(u[1]), np.conj(u[0])])
-        moves = np.stack([np.cos(delta) * u + np.sin(delta) * ph * perp
-                          for ph in (1, -1, 1j, -1j)])
-        mv = rmd(moves)
-        j = int(np.argmin(mv))
-        if mv[j] < cur_v - 1e-12:
-            cur, cur_v = moves[j], float(mv[j])
-        else:
-            delta *= 0.5
-    dual = fib.member_duals(cur[None, :])[0]
-    return cur_v, dual
+        probes = (np.cos(FIBER_STEPS)[:, None, None] * u
+                  + turn[:, :, None] * perp).reshape(-1, 2)
+        vals = rmd(probes)
+        best = int(np.argmin(vals))
+        if not vals[best] < cur_v - FIBER_GAIN:
+            return cur_v, (cur[None, :] @ basis)[0]
+        cur, cur_v = probes[best], float(vals[best])

@@ -327,8 +327,8 @@ def _build_su11():
     s0 = np.array([[[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]], dtype=complex)
     j, p, k0, a, n0, s0, dual = _frozen(j, p, k0, a, n0, s0, [1.0, 0.0])
     rf = RealFormSpec(
-        name="su11", form_matrix=j, cartan_matrix=j,
-        adapted_frame=p, k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
+        name="su11", form_matrix=j, adapted_frame=p,
+        k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
     )
     return ScenarioConfig(
         name="su11",
@@ -369,8 +369,8 @@ def _build_su21():
     ])
     j, p, k0, a, n0, s0, dual = _frozen(j, p, k0, a, n0, s0, [0.0, 0.0, 1.0])
     rf = RealFormSpec(
-        name="su21", form_matrix=j, cartan_matrix=j,
-        adapted_frame=p, k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
+        name="su21", form_matrix=j, adapted_frame=p,
+        k0_basis=k0, a_basis=a, n0_basis=n0, s0_basis=s0,
     )
     return ScenarioConfig(
         name="su21",

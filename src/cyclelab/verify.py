@@ -50,16 +50,21 @@ class CheckResult:
     """Worst observed metric of a check against its bound.
 
     above marks a bound the metric must stay above; otherwise the metric
-    must stay below it.
+    must stay below it.  ok carries a check's other conditions.
     """
 
     name: str
-    passed: bool
     count: int
     metric: float
     bound: float
     detail: str = ""
     above: bool = False
+    ok: bool = True
+
+    @property
+    def passed(self):
+        inside = self.metric > self.bound if self.above else self.metric < self.bound
+        return bool(self.ok and inside)
 
     @property
     def headroom(self):
@@ -140,7 +145,7 @@ def check_translation_identity(counts, seed, scenarios):
             lhs, rhs = translation_branch_pair(k, c, sc)
             worst = max(worst, abs(lhs - rhs))
             total += 1
-    return CheckResult("translation_identity", worst < 1e-12, total, worst, 1e-12)
+    return CheckResult("translation_identity", total, worst, 1e-12)
 
 
 def check_compact_invariance(counts, seed, scenarios):
@@ -157,7 +162,7 @@ def check_compact_invariance(counts, seed, scenarios):
         moved_vals = batch_values(moved, sc, "r_md")
         worst = max(worst, float(np.max(np.abs(moved_vals - base_vals))))
         total += len(cycles)
-    return CheckResult("compact_invariance", worst < 1e-12, total, worst, 1e-12)
+    return CheckResult("compact_invariance", total, worst, 1e-12)
 
 
 def check_metric_invariance(counts, seed, scenarios):
@@ -181,7 +186,7 @@ def check_metric_invariance(counts, seed, scenarios):
             ngv = np.sqrt(metric.pairing(g.matrix @ v, g.matrix @ v).real)
             worst = max(worst, abs(ngv - nv))
             total += 1
-    return CheckResult("metric_invariance", worst < 3e-13, total, worst, 3e-13)
+    return CheckResult("metric_invariance", total, worst, 3e-13)
 
 
 def check_iwasawa_roundtrip(counts, seed, scenarios):
@@ -202,7 +207,7 @@ def check_iwasawa_roundtrip(counts, seed, scenarios):
                       np.max(np.abs(k2.matrix @ a2.matrix @ n2.matrix - g.matrix)))
             worst = max(worst, float(res))
             total += 1
-    return CheckResult("iwasawa_roundtrip", worst < 4e-12, total, worst, 4e-12)
+    return CheckResult("iwasawa_roundtrip", total, worst, 4e-12)
 
 
 def check_submeanvalue(counts, seed, scenarios):
@@ -215,8 +220,7 @@ def check_submeanvalue(counts, seed, scenarios):
         margin = np.asarray(means) - np.asarray(centers)
         worst = min(worst, float(np.min(margin))) if total else float(np.min(margin))
         total += counts["discs"]
-    return CheckResult("submeanvalue_rmd", worst > -1e-6, total, worst, -1e-6,
-                       above=True)
+    return CheckResult("submeanvalue_rmd", total, worst, -1e-6, above=True)
 
 
 def check_strict_psh(counts, seed, scenarios):
@@ -236,8 +240,7 @@ def check_strict_psh(counts, seed, scenarios):
             raise StencilFailure("non-finite value on the Levi stencil")
         worst = min(worst, float(np.min(np.linalg.eigvalsh(lev))))
         total += len(z0)
-    return CheckResult("strict_psh_levi", worst > 1e-6, total, worst, 1e-6,
-                       above=True)
+    return CheckResult("strict_psh_levi", total, worst, 1e-6, above=True)
 
 
 def check_fd_convergence(counts, seed, scenarios):
@@ -250,8 +253,7 @@ def check_fd_convergence(counts, seed, scenarios):
 
         ratios.append(levi_refinement_ratio(fn, z0, h=0.05))
     worst = float(min(ratios))
-    return CheckResult("fd_convergence_factor", worst >= 3.5, len(ratios),
-                       worst, 3.5, above=True)
+    return CheckResult("fd_convergence_factor", len(ratios), worst, 3.5, above=True)
 
 
 def check_closed_form(counts, seed, scenarios):
@@ -269,7 +271,7 @@ def check_closed_form(counts, seed, scenarios):
     worst = float(np.max(np.abs(vals - want)))
     spot = max(abs(vals[-2] - np.log(2.0)), abs(vals[-1] - np.log(10.0)))
     worst = max(worst, float(spot))
-    return CheckResult("closed_form_su11", worst < 5e-12, len(w), worst, 5e-12)
+    return CheckResult("closed_form_su11", len(w), worst, 5e-12)
 
 
 def check_closed_form_su21(counts, seed, scenarios):
@@ -289,7 +291,7 @@ def check_closed_form_su21(counts, seed, scenarios):
         rho_sq = ratio if target == "r_md" else 1.0 / ratio
         want = np.log((1.0 + rho_sq) / (1.0 - rho_sq))
         worst = max(worst, float(np.max(np.abs(batch_values(rows, sc, target) - want))))
-    return CheckResult("closed_form_su21", worst < 4e-12, 2 * count, worst, 4e-12)
+    return CheckResult("closed_form_su21", 2 * count, worst, 4e-12)
 
 
 def check_divergence(counts, seed, scenarios):
@@ -303,10 +305,9 @@ def check_divergence(counts, seed, scenarios):
                 floor = min(floor, float(np.max(vals)))
                 mono_ok = mono_ok and bool(np.all(np.diff(vals[-5:]) > 0))
                 total += 1
-    passed = bool(floor > 30.0 and mono_ok)
     detail = "tail monotone" if mono_ok else "tail not monotone"
-    return CheckResult("boundary_divergence", passed, total, floor, 30.0,
-                       detail=detail, above=True)
+    return CheckResult("boundary_divergence", total, floor, 30.0, detail=detail,
+                       above=True, ok=mono_ok)
 
 
 def check_degenerate_grid(counts, seed, scenarios):
@@ -322,8 +323,7 @@ def check_degenerate_grid(counts, seed, scenarios):
     rows = np.stack([w, np.ones_like(w)], axis=1)
     diff = batch_values(rows, sc, "r_d") - batch_values(rows, sc, "r_md")
     worst = float(np.max(np.abs(diff)))
-    return CheckResult("point_cycle_degeneration", worst < 4e-12, len(w),
-                       worst, 4e-12)
+    return CheckResult("point_cycle_degeneration", len(w), worst, 4e-12)
 
 
 def check_slice_intersections(counts, seed, scenarios):
@@ -338,8 +338,8 @@ def check_slice_intersections(counts, seed, scenarios):
         for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7):
             worst = max(worst, float(intersect_slice(sl, c).residual))
             total += 1
-    return CheckResult("unique_slice_intersection", bool(worst < 2e-14), total,
-                       worst, 2e-14, detail="all unique")
+    return CheckResult("unique_slice_intersection", total, worst, 2e-14,
+                       detail="all unique")
 
 
 def check_certificates(counts, seed, scenarios):
@@ -355,8 +355,8 @@ def check_certificates(counts, seed, scenarios):
                 continue
             gap_floor = min(gap_floor, rep.probe_gap_min)
             ok = ok and bool(rep.q_convex_ok and rep.touch_gap <= 1e-10)
-    return CheckResult("pseudoconvexity_certificates", bool(ok and gap_floor >= -1e-9),
-                       total, float(gap_floor), -1e-9, above=True)
+    return CheckResult("pseudoconvexity_certificates", total, float(gap_floor), -1e-9,
+                       above=True, ok=ok)
 
 
 _SUITE_CHECKS = {

@@ -43,6 +43,18 @@ def rd_ball(v):
     return np.log((1.0 + rho_sq) / (1.0 - rho_sq))
 
 
+def restricted_form_eigenvalues(duals, form):
+    """Eigenvalues of the Hermitian form on ker l = {v : l . v = 0} for
+    each dual l of (..., n) duals (1 x 1 for su11), on the orthonormal
+    basis of ker l that the SVD of l gives: the conjugated right singular
+    vectors past the first."""
+    duals = np.asarray(duals, complex)
+    _, _, vh = np.linalg.svd(duals[..., None, :])
+    basis = np.conj(vh[..., 1:, :])
+    f = np.conj(basis) @ form @ np.swapaxes(basis, -1, -2)
+    return np.linalg.eigvalsh(0.5 * (f + np.conj(np.swapaxes(f, -1, -2))))
+
+
 def fubini_study_levi(z):
     """Levi form of log(1 + ||z||^2) at z, any dimension."""
     z = np.atleast_1d(np.asarray(z, complex))

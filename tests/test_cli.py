@@ -466,8 +466,8 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
 def test_headroom_follows_the_check_direction():
     from cyclelab.verify import CheckResult
 
-    floor = CheckResult("x", True, 1, 31.7, 30.0, above=True)
+    floor = CheckResult("x", 1, 31.7, 30.0, above=True)
     assert floor.headroom == pytest.approx(100 * 1.7 / 30)
-    assert CheckResult("x", True, 1, 1e-10, 1e-9).headroom == pytest.approx(90.0)
-    failed = CheckResult("x", False, 1, -2e-6, -1e-6, above=True)
+    assert CheckResult("x", 1, 1e-10, 1e-9).headroom == pytest.approx(90.0)
+    failed = CheckResult("x", 1, -2e-6, -1e-6, above=True)
     assert failed.headroom == pytest.approx(-100.0)

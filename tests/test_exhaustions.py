@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cyclelab import (TARGETS, FlagPoint, InvalidInput, cycle_from_dual,
+from cyclelab import (TARGETS, FlagPoint, InvalidInput,
                       cycle_from_point, cycle_in_domain, divergence_path,
                       evaluate_grid, in_domain, seeded_cycles,
                       seeded_domain_points,
                       translation_branch_pair)
+from cyclelab.cycles import cycle_in_domain_rows
 from cyclelab.flags import in_domain_rows
 from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
 from cyclelab.liecore import k0_coefficients, k0_from_coefficients, k0_matrices
@@ -188,7 +189,7 @@ def _in_chart_set(sc, target, rows):
     geometry: cycles inside D for su21 duals, the whole cell for su21 r_s,
     points of D otherwise (su11 cycles are points)."""
     if sc.name == "su21" and target == "r_md":
-        return np.array([cycle_in_domain(cycle_from_dual(r, sc), sc) for r in rows])
+        return cycle_in_domain_rows(rows, sc)
     if sc.name == "su21" and target == "r_s":
         return np.ones(len(rows), bool)
     return in_domain_rows(rows, sc)
