@@ -24,13 +24,12 @@ import time
 
 import numpy as np
 
+# exhaust, levi and verify load inside the commands that run them
+from .catalog import COUNTS, MAX_GRID_N, SUITE_NAMES, TARGETS
 from .cycles import base_cycle
 from .errors import CycleLabError, InvalidInput
-from .exhaust import MAX_GRID_N, TARGETS, evaluate_grid, seeded_domain_points
-from .levi import certificates
 from .optimize import get_engine
 from .scenarios import SCENARIO_NAMES, get_scenario
-from .verify import COUNTS, SUITE_NAMES, run_verification
 
 FORMATS = ("csv", "json")
 LEVI_MODES = ("on", "off", "auto")
@@ -201,6 +200,8 @@ def _grid_json(cfg, rows):
 
 
 def cmd_eval(cfg):
+    from .exhaust import evaluate_grid
+
     sc = _scenario(cfg)
     # refuses an oversized K0 grid for every target, before any work;
     # evaluate_grid refuses an oversized grid first thing
@@ -215,6 +216,8 @@ def cmd_eval(cfg):
 
 
 def cmd_verify(cfg):
+    from .verify import run_verification
+
     t0 = time.time()
 
     def progress(suite_result):
@@ -256,6 +259,9 @@ def _certificate_record(y, rep):
 
 
 def cmd_certify(cfg):
+    from .exhaust import seeded_domain_points
+    from .levi import certificates
+
     sc = _scenario(cfg)
     points = seeded_domain_points(sc, cfg.count, seed=cfg.seed)
     lines, failures = [], 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import MAX_GRID_N, TARGETS
 from .cycles import translate_cycle
 from .errors import InvalidInput
 from .liecore import k0_log
@@ -21,13 +22,8 @@ from .optimize import aligned_domain_values, get_engine, maximize_branch
 from .schubert import intersect_slice, translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
 
-TARGETS = ("r_s", "r_md", "r_d")
 # submeanvalue_discs: equally spaced points on each disc's boundary circle
 DISC_POINTS = 16
-# grid_axis: points per axis at most.  An eval grid point takes about
-# 3 KB at peak (su21 r_md as JSON, argmax included), so 401 x 401 points
-# stay near 0.5 GB
-MAX_GRID_N = 401
 
 
 def batch_values(rows, sc, target):

@@ -427,7 +427,8 @@ def maximize_branch(subjects, sc):
     the boundary the value is sensitive to that defect.  A finite value
     is the branch value at its polished argmax, so it differs from the
     ascent's, which never falls below the coarse maximum, by the polish's
-    rounding only.
+    rounding only.  A row the scenario geometry marks exterior (an su11
+    point strictly outside D) scores +inf.
     """
     engine = get_engine(sc)
     coeffs, num_forms, den_forms = engine.coarse(sc.k0_resolution)
@@ -445,17 +446,20 @@ def maximize_branch(subjects, sc):
         return vals, ks
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
-    return run_chunked(block, subjects, ASCENT_ROWS)
+    vals, ks = run_chunked(block, subjects, ASCENT_ROWS)
+    vals[sc.geometry.exterior(subjects, sc)] = np.inf
+    return vals, ks
 
 
 def aligned_domain_values(points, sc):
     """Domain exhaustion by slice alignment, batched over points.
 
     For su11 the slice is the whole domain and the value is the plain
-    branch supremum.  For su21 the branch value is constant on the set
-    of aligning group elements, so the closed-form aligning element of
-    each point (LineCycles.align) gives the value exactly, +inf outside
-    the domain.  Returns (values, aligning group elements).
+    branch supremum, +inf outside the domain.  For su21 the branch value
+    is constant on the set of aligning group elements, so the closed-form
+    aligning element of each point (LineCycles.align) gives the value
+    exactly, +inf outside the domain.  Returns (values, aligning group
+    elements).
     """
     points = np.atleast_2d(np.asarray(points, complex))
     points = points / np.linalg.norm(points, axis=1, keepdims=True)

@@ -28,8 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .catalog import TARGETS
 from .errors import InvalidInput
-from .flags import FlagPoint, ScenarioConfig
+from .flags import FlagPoint, ScenarioConfig, signed_form_rows
 from .liecore import RealFormSpec, k0_matrices
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
@@ -66,6 +67,12 @@ class PointCycles:
         # a point moves by k and is its own slice vector
         return ks
 
+    def exterior(self, subjects, sc):
+        # points strictly outside D score +inf, not the value of their mirror
+        # image inside; the exact sign keeps the divergence paths' rows
+        # 5e-15 inside the boundary
+        return signed_form_rows(subjects, sc) < 0
+
     def slice_vectors(self, moved, duals):
         # S = P^1: no dual cuts it, the moved point is the slice vector
         return moved
@@ -76,7 +83,7 @@ class PointCycles:
     def admissible(self, target, rows):
         return np.abs(rows[:, 0]) < np.abs(rows[:, 1])
 
-    outside = dict.fromkeys(("r_s", "r_md", "r_d"), "outside the domain")
+    outside = dict.fromkeys(TARGETS, "outside the domain")
 
     def seeded_point(self, rng, cap):
         w = cap * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -149,6 +156,10 @@ class LineCycles:
         # a dual moves by conj(k) and meets the slice in its cross
         # product with the variety dual
         return np.conj(ks)
+
+    def exterior(self, subjects, sc):
+        # a dual is scored as it is, inside the cycle space or not
+        return np.zeros(subjects.shape[0], bool)
 
     def slice_vectors(self, moved, duals):
         # one dual cuts S out, a line of P^2: moved x dual, as np.cross computes it

@@ -65,8 +65,8 @@ def highest_weight_section(s, sc, validate=True):
     Computed as the common kernel of the raising operators acting on
     restricted dual vectors; a kernel of dimension other than one is an
     EigenvectorAmbiguity.  The vanishing locus and the eigenvector
-    property under sampled Borel elements are checked when validate is
-    set.
+    property under a basis of the Borel's Lie algebra are checked when
+    validate is set.
     """
     n = sc.n
     w = _restriction_frame(s, sc)
@@ -98,20 +98,19 @@ def highest_weight_section(s, sc, validate=True):
 
 
 def _check_eigenvector(sec, s, w):
+    """NumericalDegeneracy unless sigma . X . w is parallel to sigma . w for
+    X = C E_ij C^-1, i <= j: a basis of the Borel's Lie algebra, and B is
+    connected, so this is the B-eigenvector condition itself."""
     sigma_w = sec.row @ w
     sigma_w = sigma_w / np.linalg.norm(sigma_w)
     cmat = s.borel.matrix
-    cinv = np.linalg.inv(cmat)
-    n = cmat.shape[0]
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # an invertible upper triangular matrix lies in the standard Borel
-        b = cmat @ (np.eye(n) + 0.3 * np.triu(z)) @ cinv
-        tau_w = (sec.row @ np.linalg.inv(b)) @ w
-        off = tau_w - (tau_w @ np.conj(sigma_w)) * sigma_w
-        if np.linalg.norm(off) > EIGEN_RESIDUAL * max(1.0, np.linalg.norm(tau_w)):
-            raise NumericalDegeneracy("restricted section is not a B-eigenvector")
+    i, j = np.triu_indices(cmat.shape[0])
+    # sigma . C E_ij C^-1 . w = (sigma . C)_i (C^-1 w)_j
+    tau_w = (sec.row @ cmat)[i, None] * (np.linalg.inv(cmat) @ w)[j]
+    off = tau_w - (tau_w @ np.conj(sigma_w))[:, None] * sigma_w
+    scale = np.maximum(1.0, np.linalg.norm(tau_w, axis=1))
+    if np.any(np.linalg.norm(off, axis=1) > EIGEN_RESIDUAL * scale):
+        raise NumericalDegeneracy("restricted section is not a B-eigenvector")
 
 
 def exhaustion_values(sec, rows):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import COUNTS, SUITE_NAMES
 from .errors import CycleLabError, InvalidInput, StencilFailure
 from .exhaust import (batch_values, divergence_path, seeded_cycles,
                       seeded_domain_points, submeanvalue_discs,
@@ -32,17 +33,6 @@ from .scenarios import get_scenario
 from .schubert import intersect_slice
 from .sections import exhaustion_values, gu_invariant_metric
 from .cycles import translate_cycle
-
-SUITE_NAMES = ("invariance", "psh", "exhaustion", "incidence", "levi")
-
-COUNTS = {
-    "quick": {"pairs": 8, "metric_pairs": 20, "iwasawa": 20, "discs": 24,
-              "levi_points": 8, "closed_form": 20, "paths": 2,
-              "grid_n": 11, "cycles": 10, "certificates": 6},
-    "full": {"pairs": 50, "metric_pairs": 100, "iwasawa": 100, "discs": 200,
-             "levi_points": 50, "closed_form": 100, "paths": 10,
-             "grid_n": 41, "cycles": 50, "certificates": 50},
-}
 
 
 @dataclass(eq=False)

@@ -42,10 +42,12 @@ def test_eigenvector_check_rejects_a_perturbed_section(name):
     sec = highest_weight_section(s, sc)
     w = _restriction_frame(s, sc)
     _check_eigenvector(sec, s, w)
-    # the restricted row picks up a second weight: no longer a B-eigenvector
-    bent = SectionVector(row=sec.row + 1e-3 * np.conj(w[:, 0]))
-    with pytest.raises(NumericalDegeneracy):
-        _check_eigenvector(bent, s, w)
+    # the restricted row picks up a second weight: no longer a B-eigenvector,
+    # down to a weight of 1e-8 (EIGEN_RESIDUAL is 1e-9)
+    for eps in (1e-3, 1e-6, 1e-8):
+        bent = SectionVector(row=sec.row + eps * np.conj(w[:, 0]))
+        with pytest.raises(NumericalDegeneracy):
+            _check_eigenvector(bent, s, w)
 
 
 def test_disk_section_vector(su11):

@@ -347,9 +347,17 @@ def test_fresh_run_leaves_scipy_stats_unloaded(args):
     # no command loads scipy at all, scipy.stats included: the exponentials
     # and the K0 logarithm are numpy closed forms
     code = ("import sys\n"
+            "import numpy\n"
+            "numpy_loads_random = 'numpy.random' in sys.modules\n"
             "from cyclelab.cli import main\n"
             f"assert main({args!r}) == 0\n"
             "assert 'scipy' not in sys.modules\n")
+    if args[0] in ("eval", "info"):
+        # a command loads only the layers it runs, and the section check
+        # draws no random samples (numpy 1.x loads numpy.random itself)
+        code += ("assert 'cyclelab.verify' not in sys.modules\n"
+                 "assert 'cyclelab.levi' not in sys.modules\n"
+                 "assert numpy_loads_random or 'numpy.random' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
@@ -424,7 +432,7 @@ def test_runtime_failure_exits_1(monkeypatch, capsys):
     def boom(*a, **k):
         raise NumericalDegeneracy("synthetic failure")
 
-    monkeypatch.setattr(cli, "evaluate_grid", boom)
+    monkeypatch.setattr("cyclelab.exhaust.evaluate_grid", boom)
     rc = cli.main(["eval", "--scenario", "su11", "--target", "r_md",
                    "--grid", "-0.1:0.1:2"])
     assert rc == 1
@@ -439,7 +447,7 @@ def test_numeric_errors_exit_1_with_record(exc, monkeypatch, capsys):
     def boom(*a, **k):
         raise exc
 
-    monkeypatch.setattr(cli, "evaluate_grid", boom)
+    monkeypatch.setattr("cyclelab.exhaust.evaluate_grid", boom)
     rc = cli.main(["eval", "--scenario", "su11", "--target", "r_md",
                    "--grid", "-0.1:0.1:2"])
     assert rc == 1
@@ -457,7 +465,7 @@ def test_failed_verification_exits_1(monkeypatch, capsys):
         def to_json(self):
             return "{}\n"
 
-    monkeypatch.setattr(cli, "run_verification",
+    monkeypatch.setattr("cyclelab.verify.run_verification",
                         lambda **kw: FakeReport())
     rc = cli.main(["verify"])
     assert rc == 1

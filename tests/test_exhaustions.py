@@ -41,6 +41,19 @@ def test_disk_spot_values(su11):
     assert vals[1] == pytest.approx(LOG10, abs=1e-9)
 
 
+@pytest.mark.parametrize("target", ["r_md", "r_d"])
+def test_disk_values_outside_the_domain_are_infinite(su11, target):
+    # maximize_branch (r_md) and aligned_domain_values (r_d): a point outside
+    # D scores +inf, not the value of its mirror image inside ([2 : 1] mirrors
+    # [1/2 : 1]); a row 5e-15 inside keeps its finite value
+    outside = np.array([[2.0, 1.0], [1 + 1e-7, 1.0]])
+    assert np.all(batch_values(outside, su11, target) == np.inf)
+    inside = np.array([[0.5, 1.0], [1 - 5e-15, 1.0]])
+    vals = batch_values(inside, su11, target)
+    assert np.all(np.isfinite(vals))
+    assert vals[0] == pytest.approx(float(rmd_disk(0.5)), abs=1e-9)
+
+
 def test_ball_cycle_space_closed_form(su21):
     rng = np.random.default_rng(2)
     beta = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
