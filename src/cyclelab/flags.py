@@ -49,9 +49,10 @@ class ScenarioConfig:
     code that treats q = 0 apart reads cycle_dim.  base_cycle_dual is
     the dual vector of the base cycle.  geometry (scenarios.PointCycles or
     LineCycles) makes every choice that differs between point and line
-    cycles: subject rows, the branch kernel, grid charts and their
-    admissible sets, seeded samples, discs, divergence paths, the cell
-    chart and the certificate's chart and minorant family.
+    cycles: subject rows and their sign (subject_sign, rows outside their
+    domain score +inf), the branch kernel, domain_values, grid charts and
+    their admissible sets, seeded samples, discs, divergence paths, the
+    cell chart and the certificate's chart and minorant family.
     k0_resolution fixes the coarse K0 grid that seeds the branch
     supremum (optimize.maximize_branch).
     """

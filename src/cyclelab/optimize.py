@@ -51,7 +51,7 @@ import numpy as np
 
 from .cycles import annihilator_basis, cycle_in_domain_rows, sphere_grid
 from .errors import NotInDomain, OptimizerStall
-from .flags import in_domain
+from .flags import in_domain, signed_form_rows
 from .liecore import (k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices,
                       k0_sample_count)
 from .schubert import make_schubert, schubert_slice
@@ -427,8 +427,10 @@ def maximize_branch(subjects, sc):
     the boundary the value is sensitive to that defect.  A finite value
     is the branch value at its polished argmax, so it differs from the
     ascent's, which never falls below the coarse maximum, by the polish's
-    rounding only.  A row the scenario geometry marks exterior (an su11
-    point strictly outside D) scores +inf.
+    rounding only.  A row strictly outside its domain (an su11 point
+    outside D, an su21 dual outside the cycle space) scores +inf by the
+    exact sign of its form (the geometry's subject_sign), so rows 5e-15
+    inside the boundary keep their values.
     """
     engine = get_engine(sc)
     coeffs, num_forms, den_forms = engine.coarse(sc.k0_resolution)
@@ -447,26 +449,19 @@ def maximize_branch(subjects, sc):
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))
     vals, ks = run_chunked(block, subjects, ASCENT_ROWS)
-    vals[sc.geometry.exterior(subjects, sc)] = np.inf
+    vals[sc.geometry.subject_sign * signed_form_rows(subjects, sc) < 0] = np.inf
     return vals, ks
 
 
 def aligned_domain_values(points, sc):
-    """Domain exhaustion by slice alignment, batched over points.
-
-    For su11 the slice is the whole domain and the value is the plain
-    branch supremum, +inf outside the domain.  For su21 the branch value
-    is constant on the set of aligning group elements, so the closed-form
-    aligning element of each point (LineCycles.align) gives the value
-    exactly, +inf outside the domain.  Returns (values, aligning group
-    elements).
+    """Domain exhaustion by slice alignment, batched over points, +inf
+    outside the domain: the scenario geometry's domain_values of the unit
+    rows (the plain branch supremum for su11, whose slice is the whole
+    domain; the closed-form aligning element for su21, LineCycles.align).
+    Returns (values, aligning group elements).
     """
     points = np.atleast_2d(np.asarray(points, complex))
-    points = points / np.linalg.norm(points, axis=1, keepdims=True)
-    if sc.cycle_dim == 0:
-        return maximize_branch(points, sc)
-    ks, aligned = sc.geometry.align(points)
-    return exhaustion_values(get_engine(sc).section, aligned), ks
+    return sc.geometry.domain_values(points / np.linalg.norm(points, axis=1, keepdims=True), sc)
 
 
 def fiber_infimum(y, sc):

@@ -13,10 +13,10 @@ of Flag Domains (2006).  Each scenario carries one geometry object
 two cases make differently in the evaluation layers: the subject row of
 a cycle (the kernel point of l, or l itself), the branch kernel (which
 also gives the incidence points C cap S), the grid charts, the seeded
-samplers and discs, the divergence paths, the cell chart of the Levi
-check and the chart and minorant family of the pseudoconvexity
-certificate.  A new scenario is registered here with a geometry of its
-own.
+samplers and discs, the divergence paths, the domain values, the sign
+of the subjects outside their domain, the cell chart of the Levi check
+and the chart and minorant family of the pseudoconvexity certificate.
+A new scenario is registered here with a geometry of its own.
 
 The adapted frames diagonalize the split torus generator: its null
 eigenvectors stay fixed and the +/-1 eigenvectors v+ and v- become the
@@ -30,11 +30,11 @@ import numpy as np
 
 from .catalog import TARGETS
 from .errors import InvalidInput
-from .flags import FlagPoint, ScenarioConfig, signed_form_rows
+from .flags import FlagPoint, ScenarioConfig
 from .liecore import RealFormSpec, k0_matrices
 # after .flags on purpose: importing .cycles first slowed start-up by 50 ms
 from .cycles import annihilator_basis, cycle_from_dual, cycle_from_point
-from .optimize import get_engine
+from . import optimize
 from .sections import exhaustion_values
 
 SCENARIO_NAMES = ("su11", "su21")
@@ -67,11 +67,14 @@ class PointCycles:
         # a point moves by k and is its own slice vector
         return ks
 
-    def exterior(self, subjects, sc):
-        # points strictly outside D score +inf, not the value of their mirror
-        # image inside; the exact sign keeps the divergence paths' rows
-        # 5e-15 inside the boundary
-        return signed_form_rows(subjects, sc) < 0
+    # a subject is a point: signed_form_rows is above 0 on D
+    subject_sign = 1
+
+    def domain_values(self, points, sc):
+        # the slice is the whole domain, so nothing is aligned: the plain
+        # branch supremum, looked up at call time so that a wrapper of
+        # optimize.maximize_branch sees the call
+        return optimize.maximize_branch(points, sc)
 
     def slice_vectors(self, moved, duals):
         # S = P^1: no dual cuts it, the moved point is the slice vector
@@ -135,7 +138,7 @@ class PointCycles:
         point's khat.  The supremum over branches dominates any single
         branch, so it is a global minorant and needs no padding.
         """
-        section = get_engine(sc).section
+        section = optimize.get_engine(sc).section
 
         # one einsum per point, the one a point certified alone makes
         def family(xi, values=None):
@@ -157,9 +160,15 @@ class LineCycles:
         # product with the variety dual
         return np.conj(ks)
 
-    def exterior(self, subjects, sc):
-        # a dual is scored as it is, inside the cycle space or not
-        return np.zeros(subjects.shape[0], bool)
+    # a subject is a dual: signed_form_rows is below 0 at the dual of a
+    # cycle in D
+    subject_sign = -1
+
+    def domain_values(self, points, sc):
+        # the branch value is constant on the set of aligning elements, so
+        # the closed-form one (align) gives it exactly, +inf outside D
+        ks, aligned = self.align(points)
+        return exhaustion_values(optimize.get_engine(sc).section, aligned), ks
 
     def slice_vectors(self, moved, duals):
         # one dual cuts S out, a line of P^2: moved x dual, as np.cross computes it

@@ -8,11 +8,14 @@ for both scenarios, boundary divergence, the point-cycle degeneration),
 incidence (unique slice intersections), and levi (pseudoconvexity
 certificates).
 
-Every check consumes only (counts, seed, scenario names) and reports a
-worst observed metric against its bound, so the report payload is a
-pure function of those inputs; rendering is canonical JSON with sorted
-keys.  Wall-clock timing is console output in the CLI and never enters
-the payload.
+Each check is a measurement of one scenario, measure(sc, counts, seed),
+that returns that scenario's case metrics.  _check makes it a check of
+(counts, seed, scenario names): it measures each scenario of the run
+that the check declares (only=, the closed forms and the point-cycle
+degeneration name theirs), counts the cases of all of them and reports
+the worst against the bound.  The payload is thus a pure function of
+those inputs; rendering is canonical JSON with sorted keys.  Wall-clock
+timing is console output in the CLI and never enters the payload.
 """
 
 import json
@@ -124,133 +127,135 @@ def _group_elements(sc, count, seed):
     return [GroupElement(m) for m in k0_matrices(sc.rf, coeffs)]
 
 
-def check_translation_identity(counts, seed, scenarios):
+def _result(name, cases, bound, above=False, ok=True, detail=""):
+    """CheckResult of the case metrics: their count and their worst, the
+    least for a bound the metric must stay above, the largest otherwise."""
+    cases = np.asarray(cases, float)
+    worst = np.min(cases) if above else np.max(cases)
+    return CheckResult(name, cases.size, float(worst), bound, detail=detail,
+                       above=above, ok=ok)
+
+
+def _check(name, bound, above=False, only=None, detail=""):
+    """Decorator: the check (counts, seed, scenarios) of a measurement
+    measure(sc, counts, seed) that returns one scenario's case metrics, or
+    (case metrics, ok) where the check has other conditions.  The check
+    measures each scenario of the run that only names (all when only is
+    None; no result when none is) and reports all their cases together
+    (_result).  detail is a string, or a dict from ok to one.
+    """
+    def wrap(measure):
+        def check(counts, seed, scenarios):
+            runs = [measure(get_scenario(nm), counts, seed)
+                    for nm in scenarios if only is None or nm in only]
+            if not runs:
+                return None
+            runs = [run if isinstance(run, tuple) else (run, True) for run in runs]
+            ok = all(fine for _, fine in runs)
+            return _result(name, np.concatenate([c for c, _ in runs]), bound,
+                           above, ok, detail if isinstance(detail, str) else detail[ok])
+
+        check.__name__, check.__doc__ = measure.__name__, measure.__doc__
+        return check
+
+    return wrap
+
+
+@_check("translation_identity", 1e-12)
+def check_translation_identity(sc, counts, seed):
     """Both evaluation orders of the slice translation rule agree."""
-    worst, total = 0.0, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        cycles = seeded_cycles(sc, counts["pairs"], seed=seed)
-        ks = _group_elements(sc, counts["pairs"], seed + 1)
-        for k, c in zip(ks, cycles):
-            lhs, rhs = translation_branch_pair(k, c, sc)
-            worst = max(worst, abs(lhs - rhs))
-            total += 1
-    return CheckResult("translation_identity", total, worst, 1e-12)
+    cycles = seeded_cycles(sc, counts["pairs"], seed=seed)
+    ks = _group_elements(sc, counts["pairs"], seed + 1)
+    return [abs(lhs - rhs) for lhs, rhs in
+            (translation_branch_pair(k, c, sc) for k, c in zip(ks, cycles))]
 
 
-def check_compact_invariance(counts, seed, scenarios):
+@_check("compact_invariance", 1e-12)
+def check_compact_invariance(sc, counts, seed):
     """The cycle-space exhaustion is unchanged by compact translations."""
-    worst, total = 0.0, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        cycles = seeded_cycles(sc, counts["pairs"], seed=seed + 2)
-        ks = _group_elements(sc, counts["pairs"], seed + 3)
-        rows = np.stack([sc.geometry.subject_row(c) for c in cycles])
-        moved = np.stack([sc.geometry.subject_row(translate_cycle(k, c, sc))
-                          for k, c in zip(ks, cycles)])
-        base_vals = batch_values(rows, sc, "r_md")
-        moved_vals = batch_values(moved, sc, "r_md")
-        worst = max(worst, float(np.max(np.abs(moved_vals - base_vals))))
-        total += len(cycles)
-    return CheckResult("compact_invariance", total, worst, 1e-12)
+    cycles = seeded_cycles(sc, counts["pairs"], seed=seed + 2)
+    ks = _group_elements(sc, counts["pairs"], seed + 3)
+    rows = np.stack([sc.geometry.subject_row(c) for c in cycles])
+    moved = np.stack([sc.geometry.subject_row(translate_cycle(k, c, sc))
+                      for k, c in zip(ks, cycles)])
+    return np.abs(batch_values(moved, sc, "r_md") - batch_values(rows, sc, "r_md"))
 
 
-def check_metric_invariance(counts, seed, scenarios):
+@_check("metric_invariance", 3e-13)
+def check_metric_invariance(sc, counts, seed):
     """The hermitian metric is invariant under the compact form."""
-    worst, total = 0.0, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        metric = gu_invariant_metric(sc)
-        rng = np.random.default_rng((seed, 11))
-        for _ in range(counts["metric_pairs"]):
-            # Haar unitary: Q of a complex Gaussian with R's diagonal made
-            # positive (Mezzadri, Notices AMS 54, 2007), then det 1
-            z = rng.standard_normal((sc.n, sc.n)) + 1j * rng.standard_normal((sc.n, sc.n))
-            q, r = np.linalg.qr(z)
-            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            g = GroupElement(q / np.linalg.det(q) ** (1.0 / sc.n))
-            if not is_member(g, sc.rf, "Gu"):
-                raise CycleLabError("seeded compact element failed membership")
-            v = rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
-            nv = np.sqrt(metric.pairing(v, v).real)
-            ngv = np.sqrt(metric.pairing(g.matrix @ v, g.matrix @ v).real)
-            worst = max(worst, abs(ngv - nv))
-            total += 1
-    return CheckResult("metric_invariance", total, worst, 3e-13)
+    metric = gu_invariant_metric(sc)
+    rng = np.random.default_rng((seed, 11))
+    errs = []
+    for _ in range(counts["metric_pairs"]):
+        # Haar unitary: Q of a complex Gaussian with R's diagonal made
+        # positive (Mezzadri, Notices AMS 54, 2007), then det 1
+        z = rng.standard_normal((sc.n, sc.n)) + 1j * rng.standard_normal((sc.n, sc.n))
+        q, r = np.linalg.qr(z)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        g = GroupElement(q / np.linalg.det(q) ** (1.0 / sc.n))
+        if not is_member(g, sc.rf, "Gu"):
+            raise CycleLabError("seeded compact element failed membership")
+        v = rng.standard_normal(sc.n) + 1j * rng.standard_normal(sc.n)
+        nv = np.sqrt(metric.pairing(v, v).real)
+        ngv = np.sqrt(metric.pairing(g.matrix @ v, g.matrix @ v).real)
+        errs.append(abs(ngv - nv))
+    return errs
 
 
-def check_iwasawa_roundtrip(counts, seed, scenarios):
+@_check("iwasawa_roundtrip", 4e-12)
+def check_iwasawa_roundtrip(sc, counts, seed):
     """Products k a n decompose back into the same factors."""
-    worst, total = 0.0, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        rf = sc.rf
-        rng = np.random.default_rng((seed, 13))
-        for k in _group_elements(sc, counts["iwasawa"], seed + 5):
-            a = a0_matrix(rf, rng.uniform(-1.5, 1.5, len(rf.a_basis)))
-            n = n0_matrix(rf, rng.uniform(-1.5, 1.5, len(rf.n0_basis)))
-            g = GroupElement(k.matrix @ a @ n)
-            k2, a2, n2 = iwasawa_decompose(g, rf)
-            res = max(np.max(np.abs(k2.matrix - k.matrix)),
-                      np.max(np.abs(a2.matrix - a)),
-                      np.max(np.abs(n2.matrix - n)),
-                      np.max(np.abs(k2.matrix @ a2.matrix @ n2.matrix - g.matrix)))
-            worst = max(worst, float(res))
-            total += 1
-    return CheckResult("iwasawa_roundtrip", total, worst, 4e-12)
+    rf = sc.rf
+    rng = np.random.default_rng((seed, 13))
+    errs = []
+    for k in _group_elements(sc, counts["iwasawa"], seed + 5):
+        a = a0_matrix(rf, rng.uniform(-1.5, 1.5, len(rf.a_basis)))
+        n = n0_matrix(rf, rng.uniform(-1.5, 1.5, len(rf.n0_basis)))
+        g = GroupElement(k.matrix @ a @ n)
+        k2, a2, n2 = iwasawa_decompose(g, rf)
+        errs.append(max(np.max(np.abs(d)) for d in (
+            k2.matrix - k.matrix, a2.matrix - a, n2.matrix - n,
+            k2.matrix @ a2.matrix @ n2.matrix - g.matrix)))
+    return errs
 
 
-def check_submeanvalue(counts, seed, scenarios):
+@_check("submeanvalue_rmd", -1e-6, above=True)
+def check_submeanvalue(sc, counts, seed):
     """Circle means dominate center values on seeded holomorphic discs."""
-    worst, total = 0.0, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        centers, means = submeanvalue_discs(sc, "r_md", counts["discs"],
-                                            seed=seed)
-        margin = np.asarray(means) - np.asarray(centers)
-        worst = min(worst, float(np.min(margin))) if total else float(np.min(margin))
-        total += counts["discs"]
-    return CheckResult("submeanvalue_rmd", total, worst, -1e-6, above=True)
+    centers, means = submeanvalue_discs(sc, "r_md", counts["discs"], seed=seed)
+    return np.asarray(means) - np.asarray(centers)
 
 
-def check_strict_psh(counts, seed, scenarios):
+@_check("strict_psh_levi", 1e-6, above=True)
+def check_strict_psh(sc, counts, seed):
     """The cell exhaustion's Levi form is strictly positive on the cell."""
-    worst, total = np.inf, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        geo, section = sc.geometry, get_engine(sc).section
+    geo, section = sc.geometry, get_engine(sc).section
 
-        def fn(zeta):
-            return exhaustion_values(section, geo.cell_rows(np.atleast_2d(zeta)))
+    def fn(zeta):
+        return exhaustion_values(section, geo.cell_rows(np.atleast_2d(zeta)))
 
-        rng = np.random.default_rng((seed, 17))
-        z0 = np.array(geo.cell_chart_points(rng, counts["levi_points"]))
-        lev = levi_form_fd(fn, z0)
-        if np.isnan(lev).any():
-            raise StencilFailure("non-finite value on the Levi stencil")
-        worst = min(worst, float(np.min(np.linalg.eigvalsh(lev))))
-        total += len(z0)
-    return CheckResult("strict_psh_levi", total, worst, 1e-6, above=True)
+    rng = np.random.default_rng((seed, 17))
+    lev = levi_form_fd(fn, np.array(geo.cell_chart_points(rng, counts["levi_points"])))
+    if np.isnan(lev).any():
+        raise StencilFailure("non-finite value on the Levi stencil")
+    return np.min(np.linalg.eigvalsh(lev), axis=1)
 
 
 def check_fd_convergence(counts, seed, scenarios):
-    """Stencil differences contract at second order on the test function."""
-    ratios = []
-    for dim, z0 in ((1, np.array([0.3 + 0.1j])),
-                    (2, np.array([0.3 + 0.1j, -0.2 + 0.4j]))):
-        def fn(zeta):
-            return np.log1p(np.sum(np.abs(np.atleast_2d(zeta)) ** 2, axis=1))
+    """Stencil differences contract at second order on the test function,
+    whatever the scenarios."""
+    def fn(zeta):
+        return np.log1p(np.sum(np.abs(np.atleast_2d(zeta)) ** 2, axis=1))
 
-        ratios.append(levi_refinement_ratio(fn, z0, h=0.05))
-    worst = float(min(ratios))
-    return CheckResult("fd_convergence_factor", len(ratios), worst, 3.5, above=True)
+    ratios = [levi_refinement_ratio(fn, z0, h=0.05)
+              for z0 in (np.array([0.3 + 0.1j]), np.array([0.3 + 0.1j, -0.2 + 0.4j]))]
+    return _result("fd_convergence_factor", ratios, 3.5, above=True)
 
 
-def check_closed_form(counts, seed, scenarios):
+@_check("closed_form_su11", 5e-12, only=("su11",))
+def check_closed_form(sc, counts, seed):
     """The minimax optimizer reproduces the disk scenario's closed form."""
-    if "su11" not in scenarios:
-        return None
-    sc = get_scenario("su11")
     rng = np.random.default_rng((seed, 19))
     w = 0.99 * np.sqrt(rng.uniform(size=counts["closed_form"]))
     w = w * np.exp(2j * np.pi * rng.uniform(size=counts["closed_form"]))
@@ -258,95 +263,74 @@ def check_closed_form(counts, seed, scenarios):
     rows = np.stack([w, np.ones_like(w)], axis=1)
     vals = batch_values(rows, sc, "r_md")
     want = -2.0 * np.log(1.0 - np.abs(w)) + np.log1p(np.abs(w) ** 2) + np.log(2.0)
-    worst = float(np.max(np.abs(vals - want)))
-    spot = max(abs(vals[-2] - np.log(2.0)), abs(vals[-1] - np.log(10.0)))
-    worst = max(worst, float(spot))
-    return CheckResult("closed_form_su11", len(w), worst, 5e-12)
+    errs = np.abs(vals - want)
+    # and the spot values log 2 at w = 0 and log 10 at w = 0.5
+    errs[-2] = max(errs[-2], abs(vals[-2] - np.log(2.0)))
+    errs[-1] = max(errs[-1], abs(vals[-1] - np.log(10.0)))
+    return errs
 
 
-def check_closed_form_su21(counts, seed, scenarios):
+@_check("closed_form_su21", 4e-12, only=("su21",))
+def check_closed_form_su21(sc, counts, seed):
     """The ball scenario's cycle-space and domain exhaustions match their
     closed form log((1 + rho^2) / (1 - rho^2)), where rho^2 is
     (|d1|^2 + |d2|^2) / |d3|^2 for the dual d of a line and its inverse
     for a point."""
-    if "su21" not in scenarios:
-        return None
-    sc = get_scenario("su21")
-    count, worst = counts["closed_form"], 0.0
+    count = counts["closed_form"]
     duals = np.stack([c.dual for c in seeded_cycles(sc, count, seed, cap=0.99)])
     points = np.stack([y.homogeneous
                        for y in seeded_domain_points(sc, count, seed, cap=0.99)])
+    errs = []
     for target, rows in (("r_md", duals), ("r_d", points)):
         ratio = np.sum(np.abs(rows[:, :2]) ** 2, axis=1) / np.abs(rows[:, 2]) ** 2
         rho_sq = ratio if target == "r_md" else 1.0 / ratio
         want = np.log((1.0 + rho_sq) / (1.0 - rho_sq))
-        worst = max(worst, float(np.max(np.abs(batch_values(rows, sc, target) - want))))
-    return CheckResult("closed_form_su21", 2 * count, worst, 4e-12)
+        errs.append(np.abs(batch_values(rows, sc, target) - want))
+    return np.concatenate(errs)
 
 
-def check_divergence(counts, seed, scenarios):
+@_check("boundary_divergence", 30.0, above=True,
+        detail={True: "tail monotone", False: "tail not monotone"})
+def check_divergence(sc, counts, seed):
     """Exhaustions blow up monotonically along boundary-approaching paths."""
-    floor, total, mono_ok = np.inf, 0, True
-    for name in scenarios:
-        sc = get_scenario(name)
-        for target in ("r_md", "r_d"):
-            _, paths = divergence_path(sc, target, range(counts["paths"]), seed=seed)
-            for vals in paths:
-                floor = min(floor, float(np.max(vals)))
-                mono_ok = mono_ok and bool(np.all(np.diff(vals[-5:]) > 0))
-                total += 1
-    detail = "tail monotone" if mono_ok else "tail not monotone"
-    return CheckResult("boundary_divergence", total, floor, 30.0, detail=detail,
-                       above=True, ok=mono_ok)
+    paths = np.concatenate([divergence_path(sc, target, range(counts["paths"]), seed=seed)[1]
+                            for target in ("r_md", "r_d")])
+    return np.max(paths, axis=1), bool(np.all(np.diff(paths[:, -5:], axis=1) > 0))
 
 
-def check_degenerate_grid(counts, seed, scenarios):
+@_check("point_cycle_degeneration", 4e-12, only=("su11",))
+def check_degenerate_grid(sc, counts, seed):
     """With point cycles the domain and cycle-space exhaustions coincide."""
-    if "su11" not in scenarios:
-        return None
-    sc = get_scenario("su11")
-    n = counts["grid_n"]
-    axis = np.linspace(-0.9, 0.9, n)
+    axis = np.linspace(-0.9, 0.9, counts["grid_n"])
     re, im = np.meshgrid(axis, axis, indexing="ij")
     w = (re + 1j * im).ravel()
     w = w[np.abs(w) <= 0.99]
     rows = np.stack([w, np.ones_like(w)], axis=1)
-    diff = batch_values(rows, sc, "r_d") - batch_values(rows, sc, "r_md")
-    worst = float(np.max(np.abs(diff)))
-    return CheckResult("point_cycle_degeneration", len(w), worst, 4e-12)
+    return np.abs(batch_values(rows, sc, "r_d") - batch_values(rows, sc, "r_md"))
 
 
-def check_slice_intersections(counts, seed, scenarios):
+@_check("unique_slice_intersection", 2e-14, detail="all unique")
+def check_slice_intersections(sc, counts, seed):
     """Every cycle meets the slice in one point: the common kernel of its
     dual and the duals of S, on the slice component, solving both within
     the residual bound (intersect_slice raises on a kernel of more than
     a point)."""
-    worst, total = 0.0, 0
-    for name in scenarios:
-        sc = get_scenario(name)
-        sl = get_engine(sc).slice
-        for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7):
-            worst = max(worst, float(intersect_slice(sl, c).residual))
-            total += 1
-    return CheckResult("unique_slice_intersection", total, worst, 2e-14,
-                       detail="all unique")
+    sl = get_engine(sc).slice
+    return [intersect_slice(sl, c).residual
+            for c in seeded_cycles(sc, counts["cycles"], seed=seed + 7)]
 
 
-def check_certificates(counts, seed, scenarios):
+@_check("pseudoconvexity_certificates", -1e-9, above=True)
+def check_certificates(sc, counts, seed):
     """Interior points admit verified q-pseudoconvexity certificates."""
-    gap_floor, total, ok = np.inf, 0, True
-    for name in scenarios:
-        sc = get_scenario(name)
-        points = seeded_domain_points(sc, counts["certificates"], seed=seed)
-        for rep in certificates(points, sc, seed=seed):
-            total += 1
-            if isinstance(rep, CycleLabError):
-                ok = False
-                continue
-            gap_floor = min(gap_floor, rep.probe_gap_min)
-            ok = ok and bool(rep.q_convex_ok and rep.touch_gap <= 1e-10)
-    return CheckResult("pseudoconvexity_certificates", total, float(gap_floor), -1e-9,
-                       above=True, ok=ok)
+    gaps, ok = [], True
+    for rep in certificates(seeded_domain_points(sc, counts["certificates"], seed=seed),
+                            sc, seed=seed):
+        # a point that raised is a case that fails the check and has no gap
+        raised = isinstance(rep, CycleLabError)
+        gaps.append(np.inf if raised else rep.probe_gap_min)
+        ok = ok and not raised and bool(rep.q_convex_ok and rep.touch_gap <= 1e-10)
+    return gaps, ok
 
 
 _SUITE_CHECKS = {

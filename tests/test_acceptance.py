@@ -128,7 +128,8 @@ def test_criterion_13_to_16_boundary_sweep(name, target):
     bound = 10.0
     sc = get_scenario(name)
     rng = np.random.default_rng((SEED, 43))
-    depths = 10.0 ** -np.arange(1, 10)
+    # depths past 1e-9 draw after the earlier ones from the same stream
+    depths = 10.0 ** -np.arange(1, 14)
     worst = 0.0
     for depth in depths:
         rows, want = _boundary_rows(name, target, depth, rng, 8)

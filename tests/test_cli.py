@@ -13,6 +13,7 @@ import pytest
 import cyclelab
 import cyclelab.cli as cli
 from cyclelab import get_scenario
+from cyclelab.catalog import SUITE_NAMES
 from cyclelab.errors import NumericalDegeneracy
 from cyclelab.exhaust import MAX_GRID_N, GridRow, evaluate_grid, grid_axis
 from cyclelab.liecore import MAX_K0_SAMPLES
@@ -479,3 +480,30 @@ def test_headroom_follows_the_check_direction():
     assert CheckResult("x", 1, 1e-10, 1e-9).headroom == pytest.approx(90.0)
     failed = CheckResult("x", 1, -2e-6, -1e-6, above=True)
     assert failed.headroom == pytest.approx(-100.0)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_checks_aggregate_their_scenarios_one_way(suite):
+    # a run of both scenarios counts the cases of both single-scenario
+    # runs and reports the worse of their metrics; a check bound to one
+    # scenario appears only when that scenario runs, and the scenario-free
+    # stencil check appears in every run with the same result
+    from cyclelab.verify import run_verification
+
+    runs = {names: {c.name: c for c in run_verification(
+                suite, "quick", 1, names).suites[0].checks}
+            for names in (("su11", "su21"), ("su11",), ("su21",))}
+    both, only11, only21 = runs.values()
+    own = {"closed_form_su11": "su11", "point_cycle_degeneration": "su11",
+           "closed_form_su21": "su21"}
+    for single, name in ((only11, "su11"), (only21, "su21")):
+        assert set(single) == {c for c in both if own.get(c, name) == name}
+    for name, res in both.items():
+        parts = [r[name] for r in (only11, only21) if name in r]
+        if name == "fd_convergence_factor":
+            assert all(p.payload() == res.payload() for p in parts) and len(parts) == 2
+            continue
+        assert res.count == sum(p.count for p in parts), name
+        worst = min if res.above else max
+        assert res.metric == worst(p.metric for p in parts), name
+        assert res.ok == all(p.ok for p in parts), name

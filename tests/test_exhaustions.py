@@ -54,6 +54,19 @@ def test_disk_values_outside_the_domain_are_infinite(su11, target):
     assert vals[0] == pytest.approx(float(rmd_disk(0.5)), abs=1e-9)
 
 
+def test_ball_cycle_space_values_outside_are_infinite(su21):
+    # maximize_branch on duals: a dual outside the cycle space scores +inf by
+    # the exact sign of its form, however near the boundary, while duals
+    # 5e-15 and 1e-9 inside keep finite values
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    for radius in (1 + 1e-12, 1 + 1e-7, 1.01, 2.0, 1 - 5e-15, 1 - 1e-9):
+        duals = np.concatenate([radius * h, np.ones((200, 1))], axis=1)
+        vals = batch_values(duals, su21, "r_md")
+        assert np.all(vals == np.inf if radius > 1 else np.isfinite(vals)), radius
+
+
 def test_ball_cycle_space_closed_form(su21):
     rng = np.random.default_rng(2)
     beta = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
