@@ -11,6 +11,7 @@ deterministic and exactly reproducible.
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,8 @@ MAX_K0_SAMPLES = 2 ** 17
 # than LOG_TIE are tied
 LOG_BRANCH_SNAP = 1e-14
 LOG_TIE = 1e-12
+# k0_exp: stands in for y = 0 in sin(y) / y, as in np.sinc, so that sinc 0 = 1
+EPS = np.finfo(float).eps
 
 
 @dataclass(eq=False)
@@ -80,6 +83,12 @@ class RealFormSpec:
     @property
     def n(self):
         return self.form_matrix.shape[0]
+
+    @cached_property
+    def blocks(self):
+        """Indices of J's +1 and -1 eigenspaces, K0's diagonal blocks."""
+        sign = np.diagonal(self.form_matrix).real
+        return np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
 
     @property
     def g0_basis(self):
@@ -218,35 +227,37 @@ def k0_exp(rf, x):
     """exp of an (m, n, n) stack of k0 elements, in closed form per row.
 
     K0 = S(U(p) x U(q)) is block diagonal along the +1 and -1 eigenspaces
-    of the diagonal form J, and here p, q <= 2.  A 1x1 block i theta
-    exponentiates to e^{i theta}.  A 2x2 block is i tau I + Y0 with Y0
-    traceless anti-Hermitian, so Y0^2 = -r^2 I and its exponential is
-    e^{i tau} (cos r I + sinc r Y0), divided by sqrt(cos^2 r + sinc^2 r r^2)
-    so that the rounding of r does not leave the unitary group.  Every
-    operation is elementwise, and none is left to numpy's elision of
-    temporaries, so a row's result does not depend on the rows that share
-    its stack.
+    of the diagonal form J (rf.blocks), and here p, q <= 2.  A 1x1 block
+    i theta exponentiates to e^{i theta}.  A 2x2 block is i tau I + Y0
+    with Y0 traceless anti-Hermitian, so Y0^2 = -r^2 I and its exponential
+    is e^{i tau} (cos r I + sinc r Y0), divided by sqrt(cos^2 r + sinc^2 r
+    r^2) so that the rounding of r does not leave the unitary group.
+    sinc r is sin(y) / y at y = pi (r / pi), the arithmetic of
+    np.sinc(r / pi), and 1 at y = 0.  Every operation is elementwise, and
+    none is left to numpy's elision of temporaries, so a row's result does
+    not depend on the rows that share its stack.
     """
     out = np.zeros(x.shape, complex)
-    sign = np.diagonal(rf.form_matrix).real
-    for block in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)):
+    for block in rf.blocks:
         if block.size == 1:
             i = block[0]
             out[:, i, i] = np.exp(1j * x[:, i, i].imag)
             continue
         i, j = block
-        tau = 0.5 * (x[:, i, i].imag + x[:, j, j].imag)
-        h, b = 0.5 * (x[:, i, i].imag - x[:, j, j].imag), x[:, i, j]
+        xii, xjj = x[:, i, i].imag, x[:, j, j].imag
+        tau, h, b = 0.5 * (xii + xjj), 0.5 * (xii - xjj), x[:, i, j]
         r = np.hypot(h, np.abs(b))
-        cos, sinc = np.cos(r), np.sinc(r / np.pi)
+        y = np.pi * (r / np.pi)
+        y = np.where(y, y, EPS)
+        cos, sinc = np.cos(r), np.sin(y) / y
         scale = np.exp(1j * tau) / np.sqrt(cos ** 2 + (sinc * r) ** 2)
         # named, so that numpy cannot elide them into scale * (...): from
         # 256 KiB on it would compute (...) * scale in place, and with fused
         # multiply-adds the complex product rounds differently that way round
-        up, down = cos + 1j * sinc * h, cos - 1j * sinc * h
+        turn = 1j * sinc * h
+        up, down, edge = cos + turn, cos - turn, scale * sinc
         out[:, i, i], out[:, j, j] = scale * up, scale * down
-        out[:, i, j] = scale * sinc * b
-        out[:, j, i] = scale * sinc * x[:, j, i]
+        out[:, i, j], out[:, j, i] = edge * b, edge * x[:, j, i]
     return out
 
 
@@ -293,8 +304,7 @@ def k0_log(rf, ks):
     blocks logs to +i pi on the first, -i pi on the last).  Elementwise,
     so a row's log does not depend on the rows that share its stack.
     """
-    sign = np.diagonal(rf.form_matrix).real
-    blocks = [np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)]
+    blocks = rf.blocks
     parts = [_block_log(ks, block) for block in blocks]
     # the block traces are i theta and 2 i tau
     t = np.rint(sum(p[0] * b.size for p, b in zip(parts, blocks)) / (2 * np.pi))
@@ -314,8 +324,12 @@ def k0_log(rf, ks):
 
 def k0_from_coefficients(rf, coeffs):
     """(N, n, n) stack exp(sum_d coeffs[:, d] kappa_d) over the K0 basis
-    (k0_exp), row by row: any subset of the rows gives the same bits."""
-    return k0_exp(rf, np.einsum("cd,dij->cij", coeffs, rf.k0_basis))
+    (k0_exp), row by row: any subset of the rows gives the same bits.  The
+    sum is two real einsums, on the basis' real and imaginary parts."""
+    x = np.empty((coeffs.shape[0], rf.n, rf.n), complex)
+    np.einsum("cd,dij->cij", coeffs, rf.k0_basis.real, out=x.real)
+    np.einsum("cd,dij->cij", coeffs, rf.k0_basis.imag, out=x.imag)
+    return k0_exp(rf, x)
 
 
 def k0_matrices(rf, coeffs):

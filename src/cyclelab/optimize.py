@@ -11,41 +11,35 @@ vectors for su21).  Moving the subject by k and evaluating the base
 machinery gives the same supremum as moving the Schubert machinery by
 k^{-1}, since the compact group is a group.
 
-The supremum is a coarse search over a K0 grid followed by a monotone
-Newton ascent from the best sample.  The coarse search screens
-before it scores: p = A_k s is linear in the subject s, so ||p||^2 and
-|sigma . p|^2 are Hermitian forms in s, and on the n^2 real features of
-s (|s_c|^2 and conj(s_c) s_d for c < d) the pair of every sample is two
-real matrix products against samples-major forms cached with the grid's
-exponential coordinates.  Each row's screened maximum per block of
-samples picks the blocks to screen again, and only their samples within
-a rounding window of the row's best are scored exactly, by values_own at
-matrices rebuilt from the coordinates; the start is the exact argmax bit
-for bit.  p is also linear in the moved subject, so its derivatives
-in left exponential coordinates on K0 are closed form, and so are the
-gradient and Hessian of the branch value (Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, ch. 6-7).  The ascent
-runs in reduced coordinates: every branch value is constant along
+The supremum is a coarse search over a K0 grid, screened before it is
+scored (_screened_start: the start is the exact argmax bit for bit),
+followed by a monotone Newton ascent from the best sample.  p is linear
+in the moved subject, so its derivatives in left exponential
+coordinates on K0 are closed form, and so are the gradient and Hessian
+of the branch value (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008, ch. 6-7).  The ascent runs in
+reduced coordinates: every branch value is constant along
 k -> exp(s Y) k for some directions Y of k0 (su21 has one,
 diag(-2i, i, i); there the gradient and the curvature along Y vanish),
 so the engine drops one basis vector per such direction.  The rest span
 a complement of them, so exp(x) k with x in their span charts K0 modulo
 those directions near k, and the ascent in that chart seeks the same
-maxima.  The steps exponentiate in closed form on K0 (liecore.k0_exp).
-The coarse grid spans the same step basis, so it samples K0 modulo those
-directions too (su21: resolution^3 samples, not resolution^4).  The
-screen works on tiles of CHUNK rows, and the ascent and the polish run
-once per batch of up to ASCENT_ROWS rows, so one ascent serves a whole
-grid of that size.  Each row's search depends on that row alone: its
-operations act row by row, and none rounds by the batch's size (see
-k0_exp on numpy's elision of temporaries of 256 KiB and more), so the
-same scenario config gives identical results bit for bit, whatever rows
-share a tile or a batch.
+maxima.  The coarse grid spans the same step basis, so it samples K0
+modulo those directions too (su21: resolution^3 samples, not
+resolution^4).  The screen works on tiles of CHUNK rows, and the ascent
+and the polish run once per batch of up to ASCENT_ROWS rows, so one
+ascent serves a whole grid of that size.  Each row's search depends on
+that row alone: its operations act row by row, and none rounds by the
+batch's size (see k0_exp on numpy's elision of temporaries of 256 KiB
+and more), so the same scenario config gives identical results bit for
+bit, whatever rows share a tile or a batch.
 
 The domain exhaustion needs no search: where cycles are lines it is the
 branch value at any element aligning the point with the slice, and the
 scenario geometry gives one in closed form (LineCycles.align).
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +65,10 @@ RESOLVED_STEP = 4 * np.finfo(float).eps
 CURVATURE_FLOOR = 1e-13
 MAX_STEP = 1.0
 POOR_MODEL = 0.03
+# the least divisor of a Newton step; the row before a halving round's first
+# candidate
+TINY = np.finfo(float).tiny
+NO_ROW = np.array([-1])
 # coarse screen: K_BLOCK K0 samples at a time, keeping each row's maximum
 # per block, so its products stay K_BLOCK x CHUNK whatever the resolution;
 # values_own scores SCORE_PAIRS (row, sample) pairs at most per call.  It
@@ -146,9 +144,10 @@ class BranchEngine:
         self._stacks = {}
 
     def values_own(self, subjects, ks):
-        """branch values, subjects (m, n) each against its own ks (m, s, n, n)."""
+        """branch values, subjects (m, n) each against its own ks: (m, n, n)
+        gives (m,), (m, s, n, n) gives (m, s)."""
         geo = self.sc.geometry
-        moved = np.einsum("msab,mb->msa", geo.move_matrices(ks), subjects)
+        moved = np.einsum("m...ab,mb->m...a", geo.move_matrices(ks), subjects)
         return exhaustion_values(self.section, geo.slice_vectors(moved, self.duals))
 
     def sample_count(self, resolution):
@@ -192,20 +191,23 @@ class BranchEngine:
 
     def derivatives(self, moved):
         """Gradient (m, d) and Hessian (m, d, d) of the branch value in left
-        exponential coordinates of the step basis, at moved subjects (m, n)."""
+        exponential coordinates of the step basis, at moved subjects (m, n):
+        ps stacks p and its derivatives p_k, one einsum gives every
+        <p, p_k> and one every sigma . p_k."""
         d = len(self.step_basis)
         ps = np.einsum("kab,mb->mka", self.slice_maps, moved)
-        p, p1, p2 = ps[:, 0], ps[:, 1:d + 1], ps[:, d + 1:].reshape(-1, d, d, ps.shape[-1])
+        p1 = ps[:, 1:d + 1]
+        inner = np.einsum("ma,mka->mk", np.conj(ps[:, 0]), ps)
+        sig = np.einsum("mka,a->mk", ps, self.sigma)
         # log ||p||^2
-        cp = np.conj(p)
-        num = np.einsum("ma,ma->m", cp, p).real[:, None]
-        n1 = 2.0 * np.einsum("ma,mia->mi", cp, p1).real / num
+        num = inner[:, :1].real
+        n1 = 2.0 * inner[:, 1:d + 1].real / num
         n2 = 2.0 * (np.einsum("mia,mja->mij", np.conj(p1), p1)
-                    + np.einsum("ma,mija->mij", cp, p2)).real / num[:, :, None]
+                    + inner[:, d + 1:].reshape(-1, d, d)).real / num[:, :, None]
         # log |sigma . p|^2
-        s = np.einsum("ma,a->m", p, self.sigma)[:, None]
-        r1 = np.einsum("mia,a->mi", p1, self.sigma) / s
-        r2 = np.einsum("mija,a->mij", p2, self.sigma) / s[:, :, None]
+        s = sig[:, :1]
+        r1 = sig[:, 1:d + 1] / s
+        r2 = sig[:, d + 1:].reshape(-1, d, d) / s[:, :, None]
         grad = n1 - 2.0 * r1.real
         hess = (n2 - n1[:, :, None] * n1[:, None, :]
                 - 2.0 * (r2 - r1[:, :, None] * r1[:, None, :]).real)
@@ -245,11 +247,17 @@ def get_engine(sc):
     return _ENGINES[sc.name]
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(n):
+    """np.triu_indices(n, 1), built once per n."""
+    return np.triu_indices(n, 1)
+
+
 def _gram_split(q):
     """Real parts (..., n^2) of (..., n, n) complex matrices: the diagonal,
     then the real and imaginary parts of the strict upper triangle.  Of
     the Gram matrices conj(s_c) s_d they are the screen's features."""
-    iu = np.triu_indices(q.shape[-1], 1)
+    iu = _upper_triangle(q.shape[-1])
     upper = q[..., iu[0], iu[1]]
     return np.concatenate([np.diagonal(q, axis1=-2, axis2=-1).real,
                            upper.real, upper.imag], axis=-1)
@@ -281,8 +289,8 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
     for j, b in enumerate(blocks):
         num = np.matmul(num_forms[b], feats.T, out=buf[0, :b.stop - b.start])
         den = np.matmul(den_forms[b], feats.T, out=buf[1, :b.stop - b.start])
-        nu, positive = np.minimum(nu, np.min(num, axis=0)), np.min(den, axis=0) > 0
-        tops[j] = np.where(positive, np.max(np.divide(num, den, out=num), axis=0), np.inf)
+        nu, positive = np.minimum(nu, num.min(axis=0)), den.min(axis=0) > 0
+        tops[j] = np.where(positive, np.divide(num, den, out=num).max(axis=0), np.inf)
     r_max = np.max(tops, axis=0)
     # The window.  On a unit row the moved subjects and sigma have norm 1
     # (unitary moves; a cross product with a unit dual), so num and den
@@ -298,23 +306,23 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
     w = SCREEN_SLACK * (np.maximum(r_max, 1.0) / np.maximum(nu, 0.0) + scale)
     keep_all = ~((w < 0.5) & (scale < SCREEN_LOG_SCALE))
     floor = np.where(keep_all, -np.inf, r_max * (1.0 - w))
-    best, value = np.zeros(m, int), np.full(m, -np.inf)
+    best, value, every = np.zeros(m, int), np.full(m, -np.inf), np.arange(m)
 
     def score(rows, samples):
         # np.argmax's rule, the first maximum with NaN on top; winners so far first
         ks = k0_from_coefficients(engine.sc.rf, coeffs[samples])
-        v = np.append(value, engine.values_own(subjects[rows], ks[:, None])[:, 0])
-        rows, samples = np.append(np.arange(m), rows), np.append(best, samples)
+        v = np.concatenate((value, engine.values_own(subjects[rows], ks[:, None])[:, 0]))
+        rows, samples = np.concatenate((every, rows)), np.concatenate((best, samples))
         order = np.lexsort((samples, -v, ~np.isnan(v), rows))
-        first = order[np.searchsorted(rows[order], np.arange(m))]
+        first = order[np.searchsorted(rows[order], every)]
         best[:], value[:] = samples[first], v[first]
 
     size, rows, samples = SCORE_PAIRS, np.empty(0, int), np.empty(0, int)
-    for j in np.flatnonzero(np.any(tops >= floor, axis=1)):
-        hit, b = np.flatnonzero(tops[j] >= floor), blocks[j]
+    for j in np.flatnonzero((tops >= floor).any(axis=1)):
+        hit, b = (tops[j] >= floor).nonzero()[0], blocks[j]
         num, den = num_forms[b] @ feats[hit].T, den_forms[b] @ feats[hit].T
         r, c = np.nonzero(((num / den >= floor[hit]) | ~(den > 0)).T)
-        rows, samples = np.append(rows, hit[r]), np.append(samples, b.start + c)
+        rows, samples = np.concatenate((rows, hit[r])), np.concatenate((samples, b.start + c))
         while rows.size >= size:
             score(rows[:size], samples[:size])
             rows, samples = rows[size:], samples[size:]
@@ -323,6 +331,7 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
     return best, value
 
 
+@np.errstate(all="ignore")
 def _newton_ascent(engine, subjects, ks, vals):
     """Monotone saddle-free Newton ascent on K0 from ks, per subject row.
 
@@ -344,9 +353,11 @@ def _newton_ascent(engine, subjects, ks, vals):
     the curvature is large and a smaller gain is rounding noise in k.
     Halvings are tried 1, 2, 4, ... per call, so J halvings take
     O(log J) calls, and each row ends where a one-per-call search ends,
-    bit for bit.  A row stops once the model's gain, or the gain a step
-    achieved, is below that floor, or once its curvature is not finite
-    (at the pole sigma . p = 0).
+    bit for bit.  A call's candidates are flat arrays, one entry per
+    (row, t) with the rows in order, and each row takes its first
+    candidate whose value does not fall.  A row stops once the model's
+    gain, or the gain a step achieved, is below that floor, or once its
+    curvature is not finite (at the pole sigma . p = 0).
 
     A step that achieves less than POOR_MODEL of the model's gain marks
     the model poor, and then its curvature is not trusted: the row stops
@@ -356,31 +367,33 @@ def _newton_ascent(engine, subjects, ks, vals):
     su21 rows whose slice vector p shrinks toward 0 meet such models
     and would otherwise stop far below their maximum.
     """
-    geo = engine.sc.geometry
+    rf, basis, move = engine.sc.rf, engine.step_basis, engine.sc.geometry.move_matrices
     ks, vals = ks.copy(), vals.copy()
     live = np.flatnonzero(np.isfinite(vals))
     poor = np.zeros(vals.shape, bool)
     for _ in range(NEWTON_ITERS):
         if live.size == 0:
             return vals, ks
-        moved = np.einsum("mab,mb->ma", geo.move_matrices(ks[live]), subjects[live])
-        with np.errstate(all="ignore"):
-            grad, hess = engine.derivatives(moved)
-            curv = hess - grad[:, :, None] * grad[:, None, :]
-        fine = np.all(np.isfinite(curv), axis=(1, 2))
-        live, grad, curv = live[fine], grad[fine], curv[fine]
+        k, subj = ks[live], subjects[live]
+        grad, hess = engine.derivatives(np.einsum("mab,mb->ma", move(k), subj))
+        curv = hess - grad[:, :, None] * grad[:, None, :]
+        fine = np.isfinite(curv).all(axis=(1, 2))
+        if not fine.all():
+            live, k, subj, grad, curv = live[fine], k[fine], subj[fine], grad[fine], curv[fine]
+        v = vals[live]
         lam, vec = np.linalg.eigh(curv)
-        top = np.max(np.abs(lam), axis=1)
-        curvature = np.where(poor[live][:, None], -lam, np.abs(lam))
+        size = np.abs(lam)
+        top = size.max(axis=1)
+        curvature = np.where(poor[live, None], -lam, size)
         scale = np.maximum(curvature, CURVATURE_FLOOR * top[:, None])
-        coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, np.finfo(float).tiny)
+        coef = np.einsum("mij,mi->mj", vec, grad) / np.maximum(scale, TINY)
         step = np.einsum("mij,mj->mi", vec, coef)
         length = np.sqrt(np.einsum("mi,mi->m", step, step))
         step *= (MAX_STEP / np.maximum(length, MAX_STEP))[:, None]
         # model gain t g.x + t^2 x.B.x / 2 of the step t x
         slope = np.einsum("mi,mi->m", grad, step)
         bend = 0.5 * np.einsum("mi,mij,mj->m", step, curv, step)
-        rounding = GAIN_FLOOR * np.maximum(1.0, np.abs(vals[live]))
+        rounding = GAIN_FLOOR * np.maximum(1.0, np.abs(v))
         floor = np.maximum(rounding, RESOLVED_STEP ** 2 * top)
         todo = np.arange(live.size)
         going = np.zeros(live.size, bool)
@@ -391,24 +404,28 @@ def _newton_ascent(engine, subjects, ks, vals):
             t = np.ldexp(1.0, -np.arange(first, first + width))
             gain = t * slope[todo, None] + t ** 2 * bend[todo, None]
             alive = np.logical_and.accumulate(gain > floor[todo, None], axis=1)
-            at, j = np.nonzero(alive)
+            at, j = alive.nonzero()
             if at.size == 0:
                 break
-            rows = live[todo[at]]
-            trial = np.einsum("mab,mbc->mac", k0_exp(engine.sc.rf, np.einsum(
-                "m,mi,iab->mab", t[j], step[todo[at]], engine.step_basis)), ks[rows])
-            tv = engine.values_own(subjects[rows], trial[:, None])[:, 0]
+            # the candidates, flat: row todo[at] at t[j], rows in order
+            cand = todo[at]
+            trial = np.einsum("mab,mbc->mac", k0_exp(rf, np.einsum(
+                "m,mi,iab->mab", t[j], step[cand], basis)), k[cand])
+            tv = engine.values_own(subj[cand], trial)
             # each row takes its first candidate whose value does not fall
-            up = np.zeros(alive.shape, bool)
-            up[at, j] = tv >= vals[rows]
-            hit = np.any(up, axis=1)
-            pick = np.searchsorted(at, np.flatnonzero(hit)) + np.argmax(up[hit], axis=1)
-            win = todo[hit]
-            gained = tv[pick] - vals[live[win]]
-            poor[live[win]] = gained < POOR_MODEL * gain[alive][pick]
-            going[win] = gained > np.where(poor[live[win]], rounding[win], floor[win])
-            ks[live[win]], vals[live[win]] = trial[pick], tv[pick]
-            todo = todo[~hit & alive[:, -1]]
+            ok = (tv >= v[cand]).nonzero()[0]
+            row = at[ok]
+            pick = ok[row != np.concatenate((NO_ROW, row[:-1]))]
+            win = cand[pick]
+            won, rows = tv[pick], live[win]
+            gained = won - v[win]
+            poor[rows] = weak = gained < POOR_MODEL * gain[alive][pick]
+            going[win] = gained > np.where(weak, rounding[win], floor[win])
+            ks[rows], vals[rows] = trial[pick], won
+            # rows with no such candidate go on if all their t were tried
+            more = alive[:, -1]
+            more[row] = False
+            todo = todo[more]
             first, width = first + width, 2 * width
         live = live[going]
     if live.size:
@@ -444,7 +461,7 @@ def maximize_branch(subjects, sc):
         fin = np.isfinite(vals)
         k = ks[fin]
         k = 0.5 * k @ (3.0 * np.eye(k.shape[-1]) - np.conj(np.swapaxes(k, 1, 2)) @ k)
-        ks[fin], vals[fin] = k, engine.values_own(rows[fin], k[:, None])[:, 0]
+        ks[fin], vals[fin] = k, engine.values_own(rows[fin], k)
         return vals, ks
 
     subjects = np.atleast_2d(np.asarray(subjects, complex))

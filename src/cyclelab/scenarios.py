@@ -38,6 +38,8 @@ from . import optimize
 from .sections import exhaustion_values
 
 SCENARIO_NAMES = ("su11", "su21")
+# LineCycles.slice_vectors: the indices i + 1 and i + 2 mod 3
+NEXT, AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _frozen(*arrays):
@@ -171,11 +173,9 @@ class LineCycles:
         return exhaustion_values(optimize.get_engine(sc).section, aligned), ks
 
     def slice_vectors(self, moved, duals):
-        # one dual cuts S out, a line of P^2: moved x dual, as np.cross computes it
-        m0, m1, m2 = moved[..., 0], moved[..., 1], moved[..., 2]
-        d0, d1, d2 = duals[0]
-        return np.stack([m1 * d2 - m2 * d1, m2 * d0 - m0 * d2, m0 * d1 - m1 * d0],
-                        axis=-1)
+        # one dual cuts S out, a line of P^2: moved x dual, as np.cross
+        # computes it, (m x d)_i = m_{i+1} d_{i+2} - m_{i+2} d_{i+1}
+        return moved[..., NEXT] * duals[0, AFTER] - moved[..., AFTER] * duals[0, NEXT]
 
     def chart_rows(self, target, cs, rf):
         one, zero = np.ones(cs.shape[0], complex), np.zeros(cs.shape[0], complex)

@@ -120,7 +120,7 @@ def exhaustion_values(sec, rows):
     section vanishes to working precision and p is on the cell boundary.
     """
     den = np.abs(np.einsum("...a,a->...", rows, sec.row)) ** 2
-    num = np.sum(np.abs(rows) ** 2, axis=-1)
+    num = (np.abs(rows) ** 2).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.log(num) - np.log(den)
     return np.where(den <= POLE_RATIO * num, np.inf, v)

@@ -43,7 +43,9 @@ def hermitize(m):
 
 
 def run_chunked(fn, rows, chunk=CHUNK):
-    """Apply fn to blocks of chunk rows and concatenate the results.
+    """Apply fn to blocks of chunk rows and concatenate the results; rows
+    that fit in one block go to fn as they are, and fn's result is
+    returned as it is.
 
     The fixed block size bounds each block's temporaries; fn may return
     an array or a tuple of arrays.  For results independent of the
@@ -54,6 +56,8 @@ def run_chunked(fn, rows, chunk=CHUNK):
     rows = np.asarray(rows)
     if rows.shape[0] == 0:
         raise InvalidInput("run_chunked needs at least one row")
+    if rows.shape[0] <= chunk:
+        return fn(rows)
     results = [fn(rows[i:i + chunk]) for i in range(0, rows.shape[0], chunk)]
     if isinstance(results[0], tuple):
         return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))

@@ -1,10 +1,13 @@
-"""Independent closed-form oracles, frozen spot values, and the
-comparisons and maps that only tests need.
+"""Independent closed-form oracles, frozen spot values, frozen kernels,
+and the comparisons and maps that only tests need.
 
 The oracles are derived by hand from the defining formulas (Mobius
 geometry of the disk, the dual-ball radius for lines, the fiber radius
 for points) and kept free of package code, so tests compare two
-independent paths.
+independent paths.  The frozen kernels are the plain forms of the
+optimizer's K0 exponential, its coefficient sum and the branch value's
+derivatives, one einsum per term and np.sinc: the package's lean
+kernels must equal them bit for bit.
 """
 
 import numpy as np
@@ -98,3 +101,52 @@ def cell_point(sl, c):
     v = np.zeros(sl.sc.n, complex)
     v[:2] = c, 1.0
     return FlagPoint(sl.parent.borel.matrix @ v)
+
+
+def k0_exp_plain(form_matrix, x):
+    """liecore.k0_exp written plainly: blocks found per call, np.sinc."""
+    out = np.zeros(x.shape, complex)
+    sign = np.diagonal(form_matrix).real
+    for block in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)):
+        if block.size == 1:
+            i = block[0]
+            out[:, i, i] = np.exp(1j * x[:, i, i].imag)
+            continue
+        i, j = block
+        tau = 0.5 * (x[:, i, i].imag + x[:, j, j].imag)
+        h, b = 0.5 * (x[:, i, i].imag - x[:, j, j].imag), x[:, i, j]
+        r = np.hypot(h, np.abs(b))
+        cos, sinc = np.cos(r), np.sinc(r / np.pi)
+        scale = np.exp(1j * tau) / np.sqrt(cos ** 2 + (sinc * r) ** 2)
+        up, down = cos + 1j * sinc * h, cos - 1j * sinc * h
+        out[:, i, i], out[:, j, j] = scale * up, scale * down
+        out[:, i, j] = scale * sinc * b
+        out[:, j, i] = scale * sinc * x[:, j, i]
+    return out
+
+
+def k0_from_coefficients_plain(form_matrix, k0_basis, coeffs):
+    """liecore.k0_from_coefficients written plainly: one real-by-complex
+    einsum over the K0 basis, then k0_exp_plain."""
+    return k0_exp_plain(form_matrix, np.einsum("cd,dij->cij", coeffs, k0_basis))
+
+
+def branch_derivatives_plain(slice_maps, sigma, d, moved):
+    """BranchEngine.derivatives written plainly, one einsum per term:
+    gradient and Hessian of log ||p||^2 - log |sigma . p|^2 from the maps
+    (1 + d + d^2, n, n) of a moved subject to p and its d first and d^2
+    second derivatives."""
+    ps = np.einsum("kab,mb->mka", slice_maps, moved)
+    p, p1, p2 = ps[:, 0], ps[:, 1:d + 1], ps[:, d + 1:].reshape(-1, d, d, ps.shape[-1])
+    cp = np.conj(p)
+    num = np.einsum("ma,ma->m", cp, p).real[:, None]
+    n1 = 2.0 * np.einsum("ma,mia->mi", cp, p1).real / num
+    n2 = 2.0 * (np.einsum("mia,mja->mij", np.conj(p1), p1)
+                + np.einsum("ma,mija->mij", cp, p2)).real / num[:, :, None]
+    s = np.einsum("ma,a->m", p, sigma)[:, None]
+    r1 = np.einsum("mia,a->mi", p1, sigma) / s
+    r2 = np.einsum("mija,a->mij", p2, sigma) / s[:, :, None]
+    grad = n1 - 2.0 * r1.real
+    hess = (n2 - n1[:, :, None] * n1[:, None, :]
+            - 2.0 * (r2 - r1[:, :, None] * r1[:, None, :]).real)
+    return grad, hess

@@ -1,16 +1,18 @@
 """The Newton step kernel on K0: the closed-form exponential, the reduced
 step basis, the branch value's derivatives and the iteration count on
-deep boundary paths."""
+deep boundary paths; the lean kernels against their plain forms, bit for
+bit."""
 
 import numpy as np
 import pytest
 
 import cyclelab.optimize as optimize
-from cyclelab.exhaust import divergence_path
-from cyclelab.liecore import k0_exp, k0_matrices
+from cyclelab.exhaust import boundary_depths, divergence_path
+from cyclelab.liecore import k0_coefficients, k0_exp, k0_from_coefficients, k0_matrices
 
 from conftest import seeded_subjects
-from oracles import expm_antihermitian
+from oracles import (branch_derivatives_plain, expm_antihermitian, k0_exp_plain,
+                     k0_from_coefficients_plain)
 
 EPS = np.finfo(float).eps
 SU21_INVARIANT = np.diag([-2j, 1j, 1j])
@@ -161,3 +163,91 @@ def test_deep_su21_boundary_paths_climb_past_the_verify_floor(su21, seed, monkey
     assert len(steps) <= 60
     assert np.all(np.diff(paths[:, -5:], axis=1) > 0)
     assert np.min(paths[:, -1]) > 30.0
+
+
+def _same_derivatives(engine, moved):
+    with np.errstate(all="ignore"):
+        got = engine.derivatives(moved)
+        want = branch_derivatives_plain(engine.slice_maps, engine.sigma,
+                                        len(engine.step_basis), moved)
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+@pytest.mark.parametrize("rows", [1, 8, 461])
+def test_lean_kernels_equal_their_plain_forms_on_seeded_batches(name, rows, su11, su21):
+    # k0_exp (block indices cached on the real form, np.sinc inlined),
+    # k0_from_coefficients (two real einsums) and derivatives (two einsums
+    # over p and its derivatives) against one einsum per term and np.sinc
+    sc = {"su11": su11, "su21": su21}[name]
+    engine = optimize.get_engine(sc)
+    rng = np.random.default_rng(70 + rows)
+    coeffs = rng.uniform(-np.pi, np.pi, (rows, len(sc.rf.k0_basis)))
+    coeffs[::3] *= rng.choice([0.0, 1e-17, 1e-8], (len(coeffs[::3]), 1))
+    got = k0_from_coefficients(sc.rf, coeffs)
+    plain = k0_from_coefficients_plain(sc.rf.form_matrix, sc.rf.k0_basis, coeffs)
+    assert got.tobytes() == plain.tobytes()
+    x = _k0_elements(sc, rng, rows)
+    assert k0_exp(sc.rf, x).tobytes() == k0_exp_plain(sc.rf.form_matrix, x).tobytes()
+    moved = np.einsum("mab,mb->ma", sc.geometry.move_matrices(got),
+                      seeded_subjects(sc, rows, seed=rows))
+    assert _same_derivatives(engine, moved)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_lean_kernels_equal_their_plain_forms_on_deep_rows(name, su11, su21, monkeypatch):
+    # every derivatives and k0_exp call of the searches on boundary paths
+    # to depth 5e-15, where the su21 slice vector nears 0, against the
+    # plain forms at the same arguments
+    sc = {"su11": su11, "su21": su21}[name]
+    engine = optimize.get_engine(sc)
+    depths = boundary_depths(15)
+    assert depths[-1] == 5e-15
+    rows = np.concatenate([sc.geometry.divergence_rows("r_md", depths,
+                                                       np.random.default_rng(s), sc.rf)
+                           for s in range(8)])
+    moved, xs = [], []
+    derivatives = optimize.BranchEngine.derivatives
+
+    def recorded_derivatives(self, m):
+        moved.append(m.copy())
+        return derivatives(self, m)
+
+    def recorded_exp(rf, x):
+        xs.append(x.copy())
+        return k0_exp(rf, x)
+
+    monkeypatch.setattr(optimize.BranchEngine, "derivatives", recorded_derivatives)
+    monkeypatch.setattr(optimize, "k0_exp", recorded_exp)
+    optimize.maximize_branch(rows, sc)
+    monkeypatch.undo()
+    assert len(moved) >= 3 and len(xs) >= len(moved) - 1
+    assert all(_same_derivatives(engine, m) for m in moved)
+    assert all(k0_exp(sc.rf, x).tobytes() == k0_exp_plain(sc.rf.form_matrix, x).tobytes()
+               for x in xs)
+
+
+@pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10), ("su21", 19),
+                                             ("su11", 1024)])
+def test_k0_from_coefficients_equals_its_plain_form_on_coarse_grids(name, resolution,
+                                                                    su11, su21):
+    # the basis entries are 0 and +-1, so the two real einsums round as
+    # the real-by-complex one does
+    sc = {"su11": su11, "su21": su21}[name]
+    coeffs = k0_coefficients(sc.rf, resolution, optimize.get_engine(sc).dropped)
+    got = k0_from_coefficients(sc.rf, coeffs)
+    plain = k0_from_coefficients_plain(sc.rf.form_matrix, sc.rf.k0_basis, coeffs)
+    assert got.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_values_own_on_one_matrix_per_row_equals_one_sample_per_row(name, su11, su21):
+    sc = {"su11": su11, "su21": su21}[name]
+    engine = optimize.get_engine(sc)
+    rng = np.random.default_rng(71)
+    ks = k0_matrices(sc.rf, rng.uniform(-np.pi, np.pi, (461, len(sc.rf.k0_basis))))
+    subjects = seeded_subjects(sc, 461, seed=72)
+    got = engine.values_own(subjects, ks)
+    assert got.shape == (461,)
+    assert got.tobytes() == engine.values_own(subjects, ks[:, None])[:, 0].tobytes()
+
