@@ -3,8 +3,9 @@
 batch_values evaluates a target over chart rows: the cell exhaustion
 (r_s), the supremum over the compact group of the branch value (r_md,
 optimize.maximize_branch) and the domain exhaustion by slice alignment
-(r_d, optimize.aligned_domain_values).  Grids, boundary paths and
-sub-mean-value discs are evaluated through it.
+(r_d, optimize.aligned_domain_values).  Grids and boundary paths are
+evaluated through it; seeded_path_rows and seeded_disc_rows build the
+rows of boundary paths and sub-mean-value discs.
 
 Everything here is seeded and deterministic: the same inputs, scenario
 config and seed give byte-identical values.
@@ -22,7 +23,7 @@ from .optimize import aligned_domain_values, get_engine, maximize_branch
 from .schubert import intersect_slice, translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
 
-# submeanvalue_discs: equally spaced points on each disc's boundary circle
+# seeded_disc_rows: equally spaced points on each disc's boundary circle
 DISC_POINTS = 16
 
 
@@ -69,40 +70,39 @@ def boundary_depths(samples=15, decade=1.0):
     return 0.5 * 10.0 ** (-decade * np.arange(samples, dtype=float))
 
 
-def divergence_path(sc, target, indices, seed=42):
-    """Values of a target exhaustion along seeded paths to the boundary.
-
-    Path i draws from default_rng((seed, i, 17)), and all paths are
-    evaluated in one batch; a path's values do not depend on the others.
-    Returns (depths, values (len(indices), samples)); evaluation skips
-    domain enforcement since the late samples sit below the sign margin
-    on purpose.
-    """
+def seeded_path_rows(sc, target, indices, seed=42):
+    """(depths, rows) of seeded paths to the boundary, path by path; path
+    i draws from default_rng((seed, i, 17)).  The late rows sit below the
+    sign margin on purpose, so they are evaluated without domain
+    enforcement."""
     # the r_s section ratio underflows once the approach distance nears the
     # inverse of its dynamic range; r_md and r_d resolve to machine
     # precision (their optimizers polish to the rounding floor)
     d = boundary_depths(decade=0.5 if target == "r_s" else 1.0)
     rows = [sc.geometry.divergence_rows(target, d, np.random.default_rng((seed, i, 17)),
                                         sc.rf) for i in indices]
-    return d, batch_values(np.concatenate(rows), sc, target).reshape(len(rows), d.size)
+    return d, np.concatenate(rows)
 
 
-def submeanvalue_discs(sc, target, count, seed=42):
-    """Center values and circle means over seeded holomorphic discs.
+def divergence_path(sc, target, indices, seed=42):
+    """(depths, values (paths, samples)) of a target along seeded_path_rows,
+    all paths in one batch; a path's values do not depend on the others."""
+    d, rows = seeded_path_rows(sc, target, indices, seed)
+    return d, batch_values(rows, sc, target).reshape(-1, d.size)
+
+
+def seeded_disc_rows(sc, target, count, seed=42):
+    """Rows of count seeded holomorphic discs, 1 + DISC_POINTS per disc,
+    center first, then equally spaced points of its boundary circle.
 
     Discs are affine in the natural bounded chart of the target's home
     space (the disk for su11, the dual ball for su21 cycles, the domain
     chart for su21 points), with radii keeping them strictly inside.
-    All discs are drawn first and evaluated in one batch of
-    count x (1 + DISC_POINTS) rows, center first in each disc.
-    Returns (center_values, circle_means).
     """
     rng = np.random.default_rng((seed, 23))
     phases = np.exp(2j * np.pi * np.arange(DISC_POINTS) / DISC_POINTS)
-    discs = [sc.geometry.disc_rows(target, rng, phases) for _ in range(count)]
-    vals = batch_values(np.concatenate(discs), sc, target)
-    vals = vals.reshape(count, 1 + DISC_POINTS)
-    return vals[:, 0], np.array([float(np.mean(v[1:])) for v in vals])
+    return np.concatenate([sc.geometry.disc_rows(target, rng, phases)
+                           for _ in range(count)])
 
 
 def seeded_domain_points(sc, count, seed=42, cap=0.9):

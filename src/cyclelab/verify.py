@@ -9,24 +9,30 @@ incidence (unique slice intersections), and levi (pseudoconvexity
 certificates).
 
 Each check is a measurement of one scenario, measure(sc, counts, seed),
-that returns that scenario's case metrics.  _check makes it a check of
-(counts, seed, scenario names): it measures each scenario of the run
-that the check declares (only=, the closed forms and the point-cycle
-degeneration name theirs), counts the cases of all of them and reports
-the worst against the bound.  The payload is thus a pure function of
-those inputs; rendering is canonical JSON with sorted keys.  Wall-clock
-timing is console output in the CLI and never enters the payload.
+that gives that scenario's case metrics; one that evaluates r_md or r_d
+yields its rows as (target, rows) requests instead of calling the
+optimizer (_measure).  _check makes it a check of (counts, seed,
+scenario names): it measures each scenario of the run that the check
+declares (only=, the closed forms and the point-cycle degeneration name
+theirs), counts the cases of all of them and reports the worst against
+the bound.  run_suite measures a suite's checks on a scenario together,
+one batch_values call per target.  The optimizers give each row the
+same bits whatever rows share its call, so the payload is a pure
+function of those inputs; rendering is canonical JSON with sorted keys.
+Wall-clock timing is console output in the CLI and never enters the
+payload.
 """
 
 import json
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 import numpy as np
 
 from .catalog import COUNTS, SUITE_NAMES
 from .errors import CycleLabError, InvalidInput, StencilFailure
-from .exhaust import (batch_values, divergence_path, seeded_cycles,
-                      seeded_domain_points, submeanvalue_discs,
+from .exhaust import (batch_values, seeded_cycles, seeded_disc_rows,
+                      seeded_domain_points, seeded_path_rows,
                       translation_branch_pair)
 from .levi import certificates, levi_form_fd, levi_refinement_ratio
 from .liecore import (GroupElement, a0_matrix, is_member, iwasawa_decompose,
@@ -138,16 +144,17 @@ def _result(name, cases, bound, above=False, ok=True, detail=""):
 
 def _check(name, bound, above=False, only=None, detail=""):
     """Decorator: the check (counts, seed, scenarios) of a measurement
-    measure(sc, counts, seed) that returns one scenario's case metrics, or
-    (case metrics, ok) where the check has other conditions.  The check
+    measure(sc, counts, seed) that gives one scenario's case metrics, or
+    (case metrics, ok) where the check has other conditions; it returns
+    them, or yields its optimizer rows first (_measure).  The check
     measures each scenario of the run that only names (all when only is
     None; no result when none is) and reports all their cases together
-    (_result).  detail is a string, or a dict from ok to one.
+    (_result).  detail is a string, or a dict from ok to one.  The
+    measure, only and report attributes let run_suite measure the checks
+    of a suite together (_run_checks).
     """
     def wrap(measure):
-        def check(counts, seed, scenarios):
-            runs = [measure(get_scenario(nm), counts, seed)
-                    for nm in scenarios if only is None or nm in only]
+        def report(runs):
             if not runs:
                 return None
             runs = [run if isinstance(run, tuple) else (run, True) for run in runs]
@@ -155,10 +162,51 @@ def _check(name, bound, above=False, only=None, detail=""):
             return _result(name, np.concatenate([c for c, _ in runs]), bound,
                            above, ok, detail if isinstance(detail, str) else detail[ok])
 
+        def check(counts, seed, scenarios):
+            return _run_checks((check,), counts, seed, scenarios)[0]
+
         check.__name__, check.__doc__ = measure.__name__, measure.__doc__
+        check.measure, check.only, check.report = measure, only, report
         return check
 
     return wrap
+
+
+def _measure(measures, sc, counts, seed):
+    """Case metrics of measurements of one scenario, in order.
+
+    A generator measurement yields one list of (target, rows) requests
+    and is sent their values in request order.  All requests are served
+    together, one batch_values call per target over the concatenated rows.
+    """
+    out = [measure(sc, counts, seed) for measure in measures]
+    runs = {i: run for i, run in enumerate(out) if isinstance(run, GeneratorType)}
+    asks = {i: [(t, np.atleast_2d(np.asarray(rows, complex))) for t, rows in next(run)]
+            for i, run in runs.items()}
+    parts = {}
+    for target in dict.fromkeys(t for reqs in asks.values() for t, _ in reqs):
+        rows = [r for reqs in asks.values() for t, r in reqs if t == target]
+        vals = batch_values(np.concatenate(rows), sc, target)
+        parts[target] = iter(np.split(vals, np.cumsum([len(r) for r in rows])[:-1]))
+    for i, run in runs.items():
+        try:
+            run.send([next(parts[t]) for t, _ in asks[i]])
+        except StopIteration as stop:
+            out[i] = stop.value
+    return out
+
+
+def _run_checks(checks, counts, seed, scenarios):
+    """Results of _check checks, in order: each scenario of the run
+    measures all the checks declared for it together (_measure)."""
+    runs = [[] for _ in checks]
+    for nm in scenarios:
+        mine = [i for i, c in enumerate(checks) if c.only is None or nm in c.only]
+        metrics = _measure([checks[i].measure for i in mine], get_scenario(nm),
+                           counts, seed)
+        for i, run in zip(mine, metrics):
+            runs[i].append(run)
+    return [c.report(run) for c, run in zip(checks, runs)]
 
 
 @_check("translation_identity", 1e-12)
@@ -178,7 +226,8 @@ def check_compact_invariance(sc, counts, seed):
     rows = np.stack([sc.geometry.subject_row(c) for c in cycles])
     moved = np.stack([sc.geometry.subject_row(translate_cycle(k, c, sc))
                       for k, c in zip(ks, cycles)])
-    return np.abs(batch_values(moved, sc, "r_md") - batch_values(rows, sc, "r_md"))
+    moved_values, values = yield [("r_md", moved), ("r_md", rows)]
+    return np.abs(moved_values - values)
 
 
 @_check("metric_invariance", 3e-13)
@@ -223,8 +272,10 @@ def check_iwasawa_roundtrip(sc, counts, seed):
 @_check("submeanvalue_rmd", -1e-6, above=True)
 def check_submeanvalue(sc, counts, seed):
     """Circle means dominate center values on seeded holomorphic discs."""
-    centers, means = submeanvalue_discs(sc, "r_md", counts["discs"], seed=seed)
-    return np.asarray(means) - np.asarray(centers)
+    (values,) = yield [("r_md", seeded_disc_rows(sc, "r_md", counts["discs"], seed=seed))]
+    # center first in each disc, then its circle
+    values = values.reshape(counts["discs"], -1)
+    return np.array([float(np.mean(v[1:])) for v in values]) - values[:, 0]
 
 
 @_check("strict_psh_levi", 1e-6, above=True)
@@ -261,7 +312,7 @@ def check_closed_form(sc, counts, seed):
     w = w * np.exp(2j * np.pi * rng.uniform(size=counts["closed_form"]))
     w = np.concatenate([w, [0.0, 0.5]])
     rows = np.stack([w, np.ones_like(w)], axis=1)
-    vals = batch_values(rows, sc, "r_md")
+    (vals,) = yield [("r_md", rows)]
     want = -2.0 * np.log(1.0 - np.abs(w)) + np.log1p(np.abs(w) ** 2) + np.log(2.0)
     errs = np.abs(vals - want)
     # and the spot values log 2 at w = 0 and log 10 at w = 0.5
@@ -280,12 +331,13 @@ def check_closed_form_su21(sc, counts, seed):
     duals = np.stack([c.dual for c in seeded_cycles(sc, count, seed, cap=0.99)])
     points = np.stack([y.homogeneous
                        for y in seeded_domain_points(sc, count, seed, cap=0.99)])
+    asks = [("r_md", duals), ("r_d", points)]
     errs = []
-    for target, rows in (("r_md", duals), ("r_d", points)):
+    for (target, rows), vals in zip(asks, (yield asks)):
         ratio = np.sum(np.abs(rows[:, :2]) ** 2, axis=1) / np.abs(rows[:, 2]) ** 2
         rho_sq = ratio if target == "r_md" else 1.0 / ratio
         want = np.log((1.0 + rho_sq) / (1.0 - rho_sq))
-        errs.append(np.abs(batch_values(rows, sc, target) - want))
+        errs.append(np.abs(vals - want))
     return np.concatenate(errs)
 
 
@@ -293,8 +345,10 @@ def check_closed_form_su21(sc, counts, seed):
         detail={True: "tail monotone", False: "tail not monotone"})
 def check_divergence(sc, counts, seed):
     """Exhaustions blow up monotonically along boundary-approaching paths."""
-    paths = np.concatenate([divergence_path(sc, target, range(counts["paths"]), seed=seed)[1]
-                            for target in ("r_md", "r_d")])
+    depths, md_rows = seeded_path_rows(sc, "r_md", range(counts["paths"]), seed=seed)
+    _, d_rows = seeded_path_rows(sc, "r_d", range(counts["paths"]), seed=seed)
+    paths = np.concatenate((yield [("r_md", md_rows), ("r_d", d_rows)]))
+    paths = paths.reshape(-1, depths.size)
     return np.max(paths, axis=1), bool(np.all(np.diff(paths[:, -5:], axis=1) > 0))
 
 
@@ -306,7 +360,8 @@ def check_degenerate_grid(sc, counts, seed):
     w = (re + 1j * im).ravel()
     w = w[np.abs(w) <= 0.99]
     rows = np.stack([w, np.ones_like(w)], axis=1)
-    return np.abs(batch_values(rows, sc, "r_d") - batch_values(rows, sc, "r_md"))
+    domain_values, cycle_values = yield [("r_d", rows), ("r_md", rows)]
+    return np.abs(domain_values - cycle_values)
 
 
 @_check("unique_slice_intersection", 2e-14, detail="all unique")
@@ -347,12 +402,12 @@ _SUITE_CHECKS = {
 def run_suite(name, counts, seed, scenarios):
     if name not in _SUITE_CHECKS:
         raise InvalidInput(f"unknown suite {name!r}")
-    checks = []
-    for fn in _SUITE_CHECKS[name]:
-        res = fn(counts, seed, scenarios)
-        if res is not None:
-            checks.append(res)
-    return SuiteResult(name=name, checks=checks)
+    fns = _SUITE_CHECKS[name]
+    measured = [fn for fn in fns if hasattr(fn, "measure")]
+    results = dict(zip(measured, _run_checks(measured, counts, seed, scenarios)))
+    checks = [results[fn] if fn in results else fn(counts, seed, scenarios)
+              for fn in fns]
+    return SuiteResult(name=name, checks=[c for c in checks if c is not None])
 
 
 def run_verification(suite="all", counts="quick", seed=42, scenarios=None,

@@ -1,5 +1,5 @@
 """Independent closed-form oracles, frozen spot values, frozen kernels,
-and the comparisons and maps that only tests need.
+and the comparisons, maps and samplers that only tests need.
 
 The oracles are derived by hand from the defining formulas (Mobius
 geometry of the disk, the dual-ball radius for lines, the fiber radius
@@ -12,7 +12,7 @@ kernels must equal them bit for bit.
 
 import numpy as np
 
-from cyclelab import FlagPoint
+from cyclelab import FlagPoint, exhaust
 
 LOG2 = 0.6931471805599453
 LOG10 = 2.302585092994046
@@ -101,6 +101,14 @@ def cell_point(sl, c):
     v = np.zeros(sl.sc.n, complex)
     v[:2] = c, 1.0
     return FlagPoint(sl.parent.borel.matrix @ v)
+
+
+def submeanvalue_discs(sc, target, count, seed=42):
+    """Center values and circle means over count seeded discs
+    (exhaust.seeded_disc_rows), evaluated in one exhaust.batch_values call."""
+    rows = exhaust.seeded_disc_rows(sc, target, count, seed)
+    vals = exhaust.batch_values(rows, sc, target).reshape(count, -1)
+    return vals[:, 0], np.array([float(np.mean(v[1:])) for v in vals])
 
 
 def k0_exp_plain(form_matrix, x):

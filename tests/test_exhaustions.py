@@ -12,7 +12,7 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput,
                       translation_branch_pair)
 from cyclelab.cycles import cycle_in_domain_rows
 from cyclelab.flags import in_domain_rows
-from cyclelab.exhaust import batch_values, boundary_depths, submeanvalue_discs
+from cyclelab.exhaust import batch_values, boundary_depths
 from cyclelab.liecore import k0_coefficients, k0_from_coefficients, k0_matrices
 from cyclelab.optimize import (ASCENT_ROWS, BranchEngine, aligned_domain_values,
                                fiber_infimum, get_engine, maximize_branch)
@@ -20,7 +20,7 @@ from cyclelab.verify import _group_elements
 
 from conftest import seeded_subjects
 from oracles import (LOG2, LOG10, expm_antihermitian, is_close, rd_ball, rmd_disk,
-                     rmd_dual_ball)
+                     rmd_dual_ball, submeanvalue_discs)
 
 
 def test_disk_cycle_space_closed_form(su11):
@@ -335,6 +335,23 @@ def test_maximize_branch_batch_equals_disc_sized_calls(name, su11, su21):
     parts = [maximize_branch(rows[i:i + 256], sc) for i in range(0, len(rows), 256)]
     assert vals.tobytes() == np.concatenate([v for v, _ in parts]).tobytes()
     assert ks.tobytes() == np.concatenate([k for _, k in parts]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["su11", "su21"])
+def test_aligned_domain_values_batch_equals_part_calls(name, su11, su21):
+    # a verify suite evaluates the r_d rows of all its checks in one call;
+    # that is only sound if a point's value and argmax do not depend on
+    # the points that share its call, deep boundary rows included
+    sc = {"su11": su11, "su21": su21}[name]
+    points = np.stack([y.homogeneous for y in seeded_domain_points(sc, 115, seed=12)])
+    depths = boundary_depths(15, decade=1.0)
+    parts = [points[:1], points[1:18], points[18:]] + [
+        sc.geometry.divergence_rows("r_d", depths, np.random.default_rng(s), sc.rf)
+        for s in range(3)]
+    vals, ks = aligned_domain_values(np.concatenate(parts), sc)
+    alone = [aligned_domain_values(part, sc) for part in parts]
+    assert vals.tobytes() == np.concatenate([v for v, _ in alone]).tobytes()
+    assert ks.tobytes() == np.concatenate([k for _, k in alone]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])
