@@ -6,9 +6,8 @@ modules, so a command loads only the layers it runs.
 """
 
 TARGETS = ("r_s", "r_md", "r_d")
-# grid_axis: points per axis at most.  An eval grid point takes about
-# 3 KB at peak (su21 r_md as JSON, argmax included), so 401 x 401 points
-# stay near 0.5 GB
+# grid_axis: points per axis at most.  An eval grid keeps about 150 bytes
+# of columns per point, so a fresh 401 x 401 eval peaks near 70 MB
 MAX_GRID_N = 401
 
 SUITE_NAMES = ("invariance", "psh", "exhaustion", "incidence", "levi")

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import sys
 import time
@@ -28,7 +29,7 @@ import numpy as np
 from .catalog import COUNTS, MAX_GRID_N, SUITE_NAMES, TARGETS
 from .cycles import base_cycle
 from .errors import CycleLabError, InvalidInput
-from .optimize import get_engine
+from .optimize import ASCENT_ROWS, get_engine
 from .scenarios import SCENARIO_NAMES, get_scenario
 
 FORMATS = ("csv", "json")
@@ -160,43 +161,49 @@ def _scenario(cfg):
     return sc
 
 
-def _emit(text, out):
+def _emit(chunks, out):
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_value(v):
-    return None if v is None else float(v) if np.isfinite(v) else repr(float(v))
+    return None if v is None else float(v) if math.isfinite(v) else repr(float(v))
 
 
-def _grid_csv(rows):
-    # every field is a float or int repr, or ';'-joined float reprs: none
-    # holds a comma, a quote or a newline, so csv.writer would quote nothing
-    return "".join(["re,im,value,argmax_slice,n_pos\n"] + [
-        f"{r.re!r},{r.im!r},{'' if r.value is None else repr(r.value)},"
-        f"{'' if r.argmax is None else ';'.join(map(repr, r.argmax))},{r.n_pos}\n"
-        for r in rows])
-
-
-def _grid_json(cfg, rows):
-    payload = {
-        "format": "cyclelab-grid-1",
-        "scenario": cfg.scenario,
-        "target": cfg.target,
-        "grid": list(cfg.grid),
-        "seed": cfg.seed,
-        "rows": [{
-            "re": r.re, "im": r.im,
-            "value": _json_value(r.value),
-            "argmax_slice": r.argmax,
-            "n_pos": r.n_pos,
-            "error": r.error,
-        } for r in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _grid_chunks(cfg, grid):
+    """evaluate_grid's columns as CSV or JSON text, ASCENT_ROWS rows at a
+    time: the bytes of csv.writer or of one json.dumps(payload, indent=2,
+    sort_keys=True), without holding them all."""
+    cs, values, ok, argmax, npos, errors = grid
+    payload = {"format": "cyclelab-grid-1", "scenario": cfg.scenario, "target": cfg.target,
+               "grid": list(cfg.grid), "seed": cfg.seed, "rows": ["<rows>"]}
+    head, tail = (("re,im,value,argmax_slice,n_pos\n", "") if cfg.format == "csv" else
+                  (json.dumps(payload, indent=2, sort_keys=True) + "\n").split('    "<rows>"'))
+    yield head
+    for start in range(0, cs.size, ASCENT_ROWS):
+        part = slice(start, start + ASCENT_ROWS)
+        # Python floats and ints: numpy 2 reprs a scalar as np.float64(...)
+        inside = ok[part].tolist()
+        coords = [None] * len(inside) if argmax is None else argmax[part].tolist()
+        rows = [(x, y, v if i else None, a if i else None, n, e) for x, y, v, a, n, e, i in zip(
+            cs.real[part].tolist(), cs.imag[part].tolist(), values[part].tolist(), coords,
+            npos[part].tolist(), errors[part].tolist(), inside)]
+        if cfg.format == "csv":
+            # every field is a float or int repr, or ';'-joined float reprs: none
+            # holds a comma, a quote or a newline, so csv.writer would quote nothing
+            yield "".join([f"{x!r},{y!r},{'' if v is None else repr(v)},"
+                           f"{'' if a is None else ';'.join(map(repr, a))},{n}\n"
+                           for x, y, v, a, n, _ in rows])
+        else:
+            # the rows between the wrapper's '{\n  "rows": [\n' and '\n  ]\n}'
+            yield ("" if start == 0 else ",\n") + json.dumps({"rows": [
+                {"re": x, "im": y, "value": _json_value(v), "argmax_slice": a,
+                 "n_pos": n, "error": e} for x, y, v, a, n, e in rows]},
+                indent=2, sort_keys=True)[14:-6]
+    yield tail
 
 
 def cmd_eval(cfg):
@@ -206,12 +213,11 @@ def cmd_eval(cfg):
     # refuses an oversized K0 grid for every target, before any work;
     # evaluate_grid refuses an oversized grid first thing
     get_engine(sc).sample_count(sc.k0_resolution)
-    rows = evaluate_grid(sc, cfg.target, cfg.grid, levi_mode=cfg.levi)
-    text = _grid_csv(rows) if cfg.format == "csv" else _grid_json(cfg, rows)
-    _emit(text, cfg.out)
-    bad = sum(1 for r in rows if r.value is None)
-    print(f"evaluated {len(rows)} grid points "
-          f"({bad} outside the chart's admissible set)", file=sys.stderr)
+    # the whole grid before the first byte: a failed eval leaves no file
+    grid = evaluate_grid(sc, cfg.target, cfg.grid, levi_mode=cfg.levi)
+    _emit(_grid_chunks(cfg, grid), cfg.out)
+    print(f"evaluated {grid[0].size} grid points "
+          f"({np.count_nonzero(~grid[2])} outside the chart's admissible set)", file=sys.stderr)
     return 0
 
 
@@ -231,7 +237,7 @@ def cmd_verify(cfg):
                               progress=progress)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
-    _emit(report.to_json(), cfg.out)
+    _emit([report.to_json()], cfg.out)
     return 0 if report.passed else 1
 
 
@@ -274,7 +280,7 @@ def cmd_certify(cfg):
         if not record["q_convex_ok"]:
             failures += 1
         lines.append(json.dumps(record, sort_keys=True))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit(["\n".join(lines) + "\n"], cfg.out)
     print(f"certified {len(points) - failures}/{len(points)} points",
           file=sys.stderr)
     return 0 if failures == 0 else 1

@@ -11,7 +11,7 @@ Everything here is seeded and deterministic: the same inputs, scenario
 config and seed give byte-identical values.
 """
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .catalog import MAX_GRID_N, TARGETS
 from .cycles import translate_cycle
 from .errors import InvalidInput
 from .liecore import k0_log
-from .optimize import aligned_domain_values, get_engine, maximize_branch
+from .optimize import ASCENT_ROWS, aligned_domain_values, get_engine, maximize_branch
 from .schubert import intersect_slice, translate_schubert, translate_slice
 from .sections import cell_exhaustion, exhaustion_values, highest_weight_section
 
@@ -130,74 +130,65 @@ def k0_log_coordinates(ks, rf):
 
 def grid_axis(spec):
     lo, hi, n = spec
-    if n < 1 or not np.isfinite([lo, hi]).all() or hi < lo:
-        raise InvalidInput("grid spec must be min:max:n with n >= 1 and max >= min")
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
+            or not np.isfinite([lo, hi]).all() or hi < lo):
+        raise InvalidInput(f"grid spec must be min:max:n with an integer n >= 1 "
+                           f"and max >= min, not {spec!r}")
     if n > MAX_GRID_N:
         raise InvalidInput(f"grid n must be at most {MAX_GRID_N}, not {n}")
-    return np.linspace(lo, hi, int(n))
-
-
-@dataclass(eq=False)
-class GridRow:
-    """One grid point, in Python types: value is None outside the admissible
-    set, argmax a list of floats (r_md, r_d only), n_pos -1 without Levi."""
-    re: float
-    im: float
-    value: float = None
-    argmax: list = None
-    n_pos: int = -1
-    error: str = ""
+    return np.linspace(lo, hi, n)
 
 
 def evaluate_grid(sc, target, grid_spec, levi_mode="auto"):
-    """Evaluate a target over a square grid in its natural chart.
+    """Evaluate a target over a square grid in its natural chart, as the
+    columns (cs, values, admissible mask, argmax coordinates or None for
+    r_s, n_pos, error strings) of its points in row-major (re, im) order.
 
     The grid coordinate is the disk chart w for su11; for su21 it is the
     cell coordinate (r_s), the first dual-ball coordinate (r_md), or the
     fiber coordinate of [1 : 0 : c] (r_d).  Points outside the chart's
-    admissible set get an error string instead of a value.  levi_mode
-    "on" attaches the count of positive Levi eigenvalues at each point;
-    "auto" does so only for r_s, where the computation is closed form
-    cheap; "off" leaves the sentinel -1.  One batched stencil gives the
-    Levi forms of all admissible points.  A point whose stencil leaves
-    the domain keeps its value, with n_pos -1 and the failure in its
-    error; the rest of the grid stands.  An optimizer stall on a stencil
+    admissible set keep NaN values and argmaxes and get an error string.
+    levi_mode "on" attaches the count of positive Levi eigenvalues at
+    each point; "auto" does so only for r_s, where it is closed form
+    cheap; "off" leaves the sentinel -1.  The admissible points go
+    ASCENT_ROWS at a time through one value pass and one Levi stencil.
+    A point whose stencil leaves the domain keeps its value, with n_pos
+    -1 and the failure in its error.  An optimizer stall on a stencil
     row fails the whole grid, as one in the value pass does.
     """
     if target not in TARGETS:
         raise InvalidInput(f"unknown target {target!r}")
     axis = grid_axis(grid_spec)
-    re, im = np.meshgrid(axis, axis, indexing="ij")
-    cs = (re + 1j * im).ravel()
+    cs = np.add.outer(axis, 1j * axis).ravel()
     geo = sc.geometry
     rows = geo.chart_rows(target, cs, sc.rf)
     ok = geo.admissible(target, rows)
-    values = np.full(cs.shape[0], np.nan)
-    argmaxes = [None] * cs.shape[0]
-    if target == "r_s" and np.any(ok):
-        values[ok] = batch_values(rows[ok], sc, target)
-    elif np.any(ok):
-        # one optimizer pass gives both the values and the argmaxes
-        solve = maximize_branch if target == "r_md" else aligned_domain_values
-        values[ok], ks = solve(rows[ok], sc)
-        for slot, coords in zip(np.flatnonzero(ok), k0_log_coordinates(ks, sc.rf).tolist()):
-            argmaxes[slot] = coords
+    values = np.full(cs.size, np.nan)
+    argmax = None if target == "r_s" else np.full((cs.size, len(sc.rf.k0_basis)), np.nan)
+    npos = np.full(cs.size, -1)
+    errors = np.full(cs.size, "", dtype=object)
+    if not ok.all():
+        errors[~ok] = geo.outside[target]
     do_levi = levi_mode == "on" or (levi_mode == "auto" and target == "r_s")
-    npos = np.full(cs.shape[0], -1, dtype=int)
-    errors = ["" if inside else geo.outside[target] for inside in ok]
-    if do_levi and np.any(ok):
+    if do_levi:
         from .levi import eig_signature, levi_form_fd
 
         def fn(zs):
             return batch_values(geo.chart_rows(target, zs[:, 0], sc.rf), sc, target)
 
-        slots = np.flatnonzero(ok)
-        lev = levi_form_fd(fn, cs[ok, None])
-        bad = np.isnan(lev).any(axis=(1, 2))
-        npos[slots[~bad]] = eig_signature(lev[~bad])[0]
-        for i in slots[bad]:
-            errors[i] = "Levi stencil: non-finite value on the Levi stencil"
-    return [GridRow(x, y, v if inside else None, a, n, e)
-            for x, y, v, inside, a, n, e in zip(
-                cs.real.tolist(), cs.imag.tolist(), values.tolist(), ok.tolist(),
-                argmaxes, npos.tolist(), errors)]
+    slots = np.flatnonzero(ok)
+    for start in range(0, slots.size, ASCENT_ROWS):
+        block = slots[start:start + ASCENT_ROWS]
+        if argmax is None:
+            values[block] = batch_values(rows[block], sc, target)
+        else:
+            # one optimizer pass gives both the values and the argmaxes
+            solve = maximize_branch if target == "r_md" else aligned_domain_values
+            values[block], ks = solve(rows[block], sc)
+            argmax[block] = k0_log_coordinates(ks, sc.rf)
+        if do_levi:
+            lev = levi_form_fd(fn, cs[block, None])
+            bad = np.isnan(lev).any(axis=(1, 2))
+            npos[block[~bad]] = eig_signature(lev[~bad])[0]
+            errors[block[bad]] = "Levi stencil: non-finite value on the Levi stencil"
+    return cs, values, ok, argmax, npos, errors

@@ -15,7 +15,7 @@ import cyclelab.cli as cli
 from cyclelab import get_scenario
 from cyclelab.catalog import SUITE_NAMES
 from cyclelab.errors import NumericalDegeneracy
-from cyclelab.exhaust import MAX_GRID_N, GridRow, evaluate_grid, grid_axis
+from cyclelab.exhaust import MAX_GRID_N, evaluate_grid, grid_axis
 from cyclelab.liecore import MAX_K0_SAMPLES
 from cyclelab.optimize import get_engine
 
@@ -72,41 +72,123 @@ def test_eval_json_payload():
     assert all(isinstance(r["value"], float) for r in good)
 
 
-def test_grid_csv_matches_csv_writer(su11, su21):
-    # the writer joins reprs without csv.writer; on rows that hold every
-    # kind of field it must give csv.writer's bytes
-    def reference(rows):
+def _edge_grid():
+    """Columns as evaluate_grid returns them, holding every kind of field:
+    -0.0, +-inf, nan and 5e-324 values and argmaxes, a point outside the
+    admissible set (value and argmax None in the payload) and a Levi
+    failure."""
+    inf, nan, tiny = float("inf"), float("nan"), 5e-324
+    cs = np.array([0.5, -0.0, 1e-300, -0.9, 0.1, 0.3], complex)
+    cs.imag = [-0.25, -0.0, -0.9, 0.9, 0.2, 0.7]
+    values = np.array([nan, 0.0, inf, -inf, nan, tiny])
+    ok = np.array([False, True, True, True, True, True])
+    argmax = np.array([[nan] * 4, [-0.0, 0.0, -0.0, 0.0], [inf, -inf, nan, tiny],
+                       [0.1, -0.1, 0.0, 2.5], [tiny] * 4, [-tiny, 1.0, -2.5e-17, 3.0]])
+    npos = np.array([-1, 0, 2, 2, -1, 0])
+    errors = np.array(["outside the domain", "", "", "Levi stencil: x", "", ""], object)
+    return cs, values, ok, argmax, npos, errors
+
+
+def _reference_rows(grid):
+    """(re, im, value, argmax, n_pos, error) per point, in Python types."""
+    cs, values, ok, argmax, npos, errors = grid
+    return [(float(c.real), float(c.imag), float(values[i]) if ok[i] else None,
+             [float(x) for x in argmax[i]] if ok[i] and argmax is not None else None,
+             int(npos[i]), str(errors[i])) for i, c in enumerate(cs)]
+
+
+def _eval_cfg(fmt, scenario="su11", target="r_md"):
+    return cli.RunConfig(command="eval", scenario=scenario, target=target,
+                         grid=(-1.2, 1.2, 5), seed=3, format=fmt)
+
+
+def _grids(fmt, su11, su21):
+    """The edge grid, then real ones: the writer must print the reprs of
+    Python floats, where numpy 2 would print np.float64(0.5)."""
+    yield _eval_cfg(fmt), _edge_grid()
+    for sc, target, window in ((su11, "r_md", (-1.2, 1.2, 5)),
+                               (su21, "r_d", (-0.9, 0.9, 3)),
+                               (su21, "r_s", (-0.9, 0.9, 3))):
+        grid = evaluate_grid(sc, target, window, levi_mode="on")
+        # the window leaves every admissible set but su21's cell
+        assert grid[2].any() and grid[2].all() == (target == "r_s")
+        yield _eval_cfg(fmt, sc.name, target), grid
+
+
+def test_grid_csv_matches_csv_writer(su11, su21, monkeypatch):
+    # the writer joins reprs without csv.writer, a slice of rows at a
+    # time; on rows that hold every kind of field it must give
+    # csv.writer's bytes
+    def reference(grid):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
-        for r in rows:
+        for re, im, value, argmax, n_pos, _ in _reference_rows(grid):
             writer.writerow([
-                repr(r.re), repr(r.im), "" if r.value is None else repr(r.value),
-                "" if r.argmax is None else ";".join(repr(x) for x in r.argmax),
-                str(r.n_pos)])
+                repr(re), repr(im), "" if value is None else repr(value),
+                "" if argmax is None else ";".join(repr(x) for x in argmax),
+                str(n_pos)])
         return buf.getvalue()
 
-    inf, nan, tiny = float("inf"), float("nan"), 5e-324
-    rows = [GridRow(0.5, -0.25, None, None, -1, "outside the domain"),
-            GridRow(-0.0, -0.0, 0.0, [-0.0], 0),
-            GridRow(1e-300, -0.9, inf, [inf, -inf, nan, tiny], 2),
-            GridRow(-0.9, 0.9, -inf, [0.1], 2, "Levi stencil: x"),
-            GridRow(0.1, 0.2, nan, [tiny], -1),
-            GridRow(0.3, 0.7, tiny, [-tiny, 1.0, -2.5e-17, 3.0], 0)]
-    assert cli._grid_csv(rows) == reference(rows)
-    assert cli._grid_csv([]) == CSV_HEADER + "\n"
-    # the writer prints reprs: numpy 2 would print np.float64(0.5)
-    for sc, target, window in ((su11, "r_md", (-1.2, 1.2, 5)),
-                               (su21, "r_d", (-0.9, 0.9, 3))):
-        grid = evaluate_grid(sc, target, window, levi_mode="on")
-        assert {r.value is None for r in grid} == {True, False}
-        for r in grid:
-            assert type(r.re) is float and type(r.im) is float
-            assert type(r.n_pos) is int and type(r.error) is str
-            if r.value is not None:
-                assert type(r.value) is float and type(r.argmax) is list
-                assert all(type(x) is float for x in r.argmax)
-        assert cli._grid_csv(grid) == reference(grid)
+    grids = list(_grids("csv", su11, su21))
+    for slice_rows in (cli.ASCENT_ROWS, 2):
+        monkeypatch.setattr(cli, "ASCENT_ROWS", slice_rows)
+        for cfg, grid in grids:
+            assert "".join(cli._grid_chunks(cfg, grid)) == reference(grid)
+
+
+def test_grid_json_matches_one_dump(su11, su21, monkeypatch):
+    # the JSON writer dumps a slice of rows at a time into the header and
+    # trailer of the whole payload; it must give one json.dumps's bytes
+    def reference(cfg, grid):
+        payload = {
+            "format": "cyclelab-grid-1", "scenario": cfg.scenario,
+            "target": cfg.target, "grid": list(cfg.grid), "seed": cfg.seed,
+            "rows": [{"re": re, "im": im,
+                      "value": None if value is None else
+                      value if np.isfinite(value) else repr(value),
+                      "argmax_slice": argmax, "n_pos": n_pos, "error": error}
+                     for re, im, value, argmax, n_pos, error in _reference_rows(grid)]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    grids = list(_grids("json", su11, su21))
+    for slice_rows in (cli.ASCENT_ROWS, 2):
+        monkeypatch.setattr(cli, "ASCENT_ROWS", slice_rows)
+        for cfg, grid in grids:
+            assert "".join(cli._grid_chunks(cfg, grid)) == reference(cfg, grid)
+    text = "".join(cli._grid_chunks(*grids[0]))
+    assert [r["value"] for r in json.loads(text)["rows"]] == [
+        None, 0.0, "inf", "-inf", "nan", 5e-324]
+
+
+def test_eval_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, count_calls):
+    # evaluate_grid runs its admissible points ASCENT_ROWS at a time and
+    # the writer writes that many rows at a time; a row's bytes depend on
+    # that row alone, so 7-row blocks give the bytes of one block.  The
+    # window straddles the boundary of every admissible set but su21's
+    # cell, so blocks skip the points outside
+    from cyclelab import exhaust, levi
+
+    def payloads(tag):
+        out = {}
+        for scenario in ("su11", "su21"):
+            for target in cyclelab.TARGETS:
+                for fmt in ("csv", "json"):
+                    path = tmp_path / f"{tag}-{scenario}-{target}.{fmt}"
+                    assert cli.main(["eval", "--scenario", scenario, "--target", target,
+                                     "--grid=-1.1:1.1:6", "--levi", "on",
+                                     "--format", fmt, "--out", str(path)]) == 0
+                    out[path.name[len(tag):]] = path.read_bytes()
+        return out
+
+    whole = payloads("whole")
+    stencils = count_calls(levi, "levi_form_fd")
+    monkeypatch.setattr(exhaust, "ASCENT_ROWS", 7)
+    monkeypatch.setattr(cli, "ASCENT_ROWS", 7)
+    assert payloads("blocks") == whole
+    # one stencil per block: 16 admissible points make three blocks, su21's
+    # 36 cell points six
+    assert len(stencils) == 2 * (5 * 3 + 6)
 
 
 def test_verify_repeatable_and_scenario_scoped(tmp_path):

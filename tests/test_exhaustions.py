@@ -150,38 +150,46 @@ def test_batch_values_rejects_unknown_target(su11):
 
 
 def test_grid_rows_and_error_strings(su11):
-    rows = evaluate_grid(su11, "r_md", (-1.2, 1.2, 5), levi_mode="off")
-    assert len(rows) == 25
-    bad = [r for r in rows if r.error]
-    good = [r for r in rows if not r.error]
-    assert bad and good
-    assert {r.error for r in bad} == {"outside the domain"}
-    for r in bad:
-        assert r.value is None and r.argmax is None and r.n_pos == -1
-    for r in good:
-        assert np.isfinite(r.value)
-        assert r.argmax is not None
-        assert abs(r.value - float(rmd_disk(r.re + 1j * r.im))) < 1e-9
+    cs, values, ok, argmax, npos, errors = evaluate_grid(
+        su11, "r_md", (-1.2, 1.2, 5), levi_mode="off")
+    assert cs.shape == values.shape == ok.shape == npos.shape == errors.shape == (25,)
+    assert argmax.shape == (25, 1)
+    assert ok.any() and not ok.all()
+    assert set(errors[~ok]) == {"outside the domain"}
+    assert set(errors[ok]) == {""}
+    assert np.isnan(values[~ok]).all() and np.isnan(argmax[~ok]).all()
+    assert np.all(npos == -1)
+    assert np.isfinite(values[ok]).all() and np.isfinite(argmax[ok]).all()
+    assert np.max(np.abs(values[ok] - rmd_disk(cs[ok]))) < 1e-9
 
 
 def test_grid_error_strings_ball(su21):
-    rows = evaluate_grid(su21, "r_d", (-1.5, 1.5, 3), levi_mode="off")
-    assert {r.error for r in rows if r.error} == {"outside the domain"}
-    rows_md = evaluate_grid(su21, "r_md", (-1.5, 1.5, 3), levi_mode="off")
-    assert {r.error for r in rows_md if r.error} == {"outside the cycle space"}
+    for target, outside in (("r_d", "outside the domain"),
+                            ("r_md", "outside the cycle space")):
+        _, _, ok, _, _, errors = evaluate_grid(su21, target, (-1.5, 1.5, 3), levi_mode="off")
+        assert set(errors[~ok]) == {outside}
 
 
 def test_grid_center_value(su11):
-    rows = evaluate_grid(su11, "r_md", (-0.9, 0.9, 3), levi_mode="off")
-    center = min(rows, key=lambda r: abs(r.re) + abs(r.im))
-    assert center.value == pytest.approx(LOG2, abs=1e-9)
+    cs, values, *_ = evaluate_grid(su11, "r_md", (-0.9, 0.9, 3), levi_mode="off")
+    assert cs[4] == 0
+    assert values[4] == pytest.approx(LOG2, abs=1e-9)
+
+
+def test_grid_count_must_be_an_integer(su21):
+    # a library caller's grid spec meets the CLI's rule: 2.5 points per
+    # axis is no 2 x 2 grid, and True no 1 x 1 grid
+    for n in (2.5, True, 3.0):
+        with pytest.raises(InvalidInput):
+            evaluate_grid(su21, "r_md", (-0.9, 0.9, n))
+    assert evaluate_grid(su21, "r_s", (-0.9, 0.9, np.int64(2)))[0].shape == (4,)
 
 
 def test_grid_levi_column(su11):
-    rows = evaluate_grid(su11, "r_s", (-0.4, 0.4, 3), levi_mode="auto")
-    assert all(r.n_pos == 1 for r in rows)
-    rows_off = evaluate_grid(su11, "r_s", (-0.4, 0.4, 3), levi_mode="off")
-    assert all(r.n_pos == -1 for r in rows_off)
+    npos = evaluate_grid(su11, "r_s", (-0.4, 0.4, 3), levi_mode="auto")[4]
+    assert np.all(npos == 1)
+    npos_off = evaluate_grid(su11, "r_s", (-0.4, 0.4, 3), levi_mode="off")[4]
+    assert np.all(npos_off == -1)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -193,10 +201,10 @@ def test_grid_levi_is_one_batched_stencil(su11, target, count_calls):
 
     stencils = count_calls(levi, "levi_form_fd")
     values = count_calls(exhaust, "batch_values")
-    rows = evaluate_grid(su11, target, (-0.9, 0.9, 5), levi_mode="on")
+    _, _, ok, _, npos, _ = evaluate_grid(su11, target, (-0.9, 0.9, 5), levi_mode="on")
     assert len(stencils) == 1
     assert len(values) == 2 + (target == "r_s")
-    assert all(r.n_pos == 1 for r in rows if r.value is not None)
+    assert np.all(npos[ok] == 1)
 
 
 def test_seeded_samplers_are_deterministic(su21):
@@ -247,8 +255,9 @@ def test_geometry_contract(name, su11, su21, monkeypatch):
         rows = geo.chart_rows(target, cs, sc.rf)
         inside = _in_chart_set(sc, target, rows)
         assert np.array_equal(geo.admissible(target, rows), inside)
-        grid = evaluate_grid(sc, target, window, levi_mode="off")
-        assert np.array_equal([r.error == "" for r in grid], inside)
+        _, _, ok, _, _, errors = evaluate_grid(sc, target, window, levi_mode="off")
+        assert np.array_equal(ok, inside)
+        assert np.array_equal(errors == "", inside)
         # the window straddles the boundary of every set but the su21 cell
         assert inside.any()
         assert inside.all() == (name == "su21" and target == "r_s")
@@ -282,17 +291,14 @@ def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
     import scipy.linalg
 
     sc = {"su11": su11, "su21": su21}[name]
-    rows = [r for r in evaluate_grid(sc, target, (-0.9, 0.9, 9), levi_mode="off")
-            if not r.error]
-    cs = np.array([r.re + 1j * r.im for r in rows])
-    subjects = sc.geometry.chart_rows(target, cs, sc.rf)
-    assert np.array_equal([r.value for r in rows],
-                          batch_values(subjects, sc, target))
+    cs, values, ok, argmax, _, _ = evaluate_grid(sc, target, (-0.9, 0.9, 9), levi_mode="off")
+    subjects = sc.geometry.chart_rows(target, cs[ok], sc.rf)
+    assert np.array_equal(values[ok], batch_values(subjects, sc, target))
     solve = maximize_branch if target == "r_md" else aligned_domain_values
     _, ks = solve(subjects, sc)
     basis = np.asarray(sc.rf.k0_basis)
     gram = np.einsum("aij,bij->ab", np.conj(basis), basis).real
-    coords = np.array([r.argmax for r in rows])
+    coords = argmax[ok]
     # every row's coordinates exponentiate back to its argmax
     back = expm_antihermitian(np.einsum("ma,aij->mij", coords, basis))
     assert np.max(np.abs(back - ks)) < 1e-12
@@ -311,7 +317,7 @@ def test_grid_values_and_argmaxes_match_per_point(name, target, su11, su21):
         if np.max(np.abs(expm_antihermitian(np.einsum("a,aij->ij", ref, basis)) - k)) < 1e-12:
             assert np.max(np.abs(c - ref)) < 1e-12
             checked += 1
-    assert checked > len(rows) // 2
+    assert checked > len(coords) // 2
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])
