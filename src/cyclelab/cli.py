@@ -173,36 +173,66 @@ def _json_value(v):
     return None if v is None else float(v) if math.isfinite(v) else repr(float(v))
 
 
+# json.dumps prints a non-finite float as a bare token, and _json_value
+# turns a non-finite value into its repr, a string
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_VALUES = {t: f'"{t}"' for t in _JSON_FLOATS}
+
+
+def _texts(column, nonfinite):
+    """The repr of each float of a column, renamed by nonfinite: one repr of a
+    Python float (numpy 2 reprs a scalar as np.float64(...)) per distinct
+    bit pattern, so 0.0 and -0.0 stay apart, indexed back to the rows."""
+    bits, back = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
+    texts = [nonfinite.get(t, t) for t in map(repr, bits.view(float).tolist())]
+    # numpy 2.0.0 returns the inverse in the input's shape
+    return [texts[i] for i in back.ravel().tolist()]
+
+
 def _grid_chunks(cfg, grid):
     """evaluate_grid's columns as CSV or JSON text, ASCENT_ROWS rows at a
     time: the bytes of csv.writer or of one json.dumps(payload, indent=2,
-    sort_keys=True), without holding them all."""
+    sort_keys=True), without holding them all.  Each float column of a
+    block is formatted by _texts, one repr per distinct bit pattern; a CSV
+    line joins the texts, a JSON row fills json.dumps's layout of a row
+    with them."""
     cs, values, ok, argmax, npos, errors = grid
     payload = {"format": "cyclelab-grid-1", "scenario": cfg.scenario, "target": cfg.target,
                "grid": list(cfg.grid), "seed": cfg.seed, "rows": ["<rows>"]}
-    head, tail = (("re,im,value,argmax_slice,n_pos\n", "") if cfg.format == "csv" else
+    as_csv = cfg.format == "csv"
+    head, tail = (("re,im,value,argmax_slice,n_pos\n", "") if as_csv else
                   (json.dumps(payload, indent=2, sort_keys=True) + "\n").split('    "<rows>"'))
+    # non-finite floats and values, an absent field, a list's opening,
+    # separator and closing
+    floats, vals, absent, (opening, sep, closing) = (
+        ({}, {}, "", ("", ";", "")) if as_csv else
+        (_JSON_FLOATS, _JSON_VALUES, "null", ("[\n        ", ",\n        ", "\n      ]")))
     yield head
     for start in range(0, cs.size, ASCENT_ROWS):
         part = slice(start, start + ASCENT_ROWS)
-        # Python floats and ints: numpy 2 reprs a scalar as np.float64(...)
         inside = ok[part].tolist()
-        coords = [None] * len(inside) if argmax is None else argmax[part].tolist()
-        rows = [(x, y, v if i else None, a if i else None, n, e) for x, y, v, a, n, e, i in zip(
-            cs.real[part].tolist(), cs.imag[part].tolist(), values[part].tolist(), coords,
-            npos[part].tolist(), errors[part].tolist(), inside)]
-        if cfg.format == "csv":
+        xs, ys = _texts(cs.real[part], floats), _texts(cs.imag[part], floats)
+        vs = [v if i else absent for v, i in zip(_texts(values[part], vals), inside)]
+        if argmax is None:
+            coords = [absent] * len(inside)
+        else:
+            d, flat = argmax.shape[1], _texts(argmax[part], floats)
+            coords = [opening + sep.join(flat[j:j + d]) + closing if i else absent
+                      for i, j in zip(inside, range(0, len(flat), d))]
+        ns = npos[part].tolist()
+        if as_csv:
             # every field is a float or int repr, or ';'-joined float reprs: none
             # holds a comma, a quote or a newline, so csv.writer would quote nothing
-            yield "".join([f"{x!r},{y!r},{'' if v is None else repr(v)},"
-                           f"{'' if a is None else ';'.join(map(repr, a))},{n}\n"
-                           for x, y, v, a, n, _ in rows])
+            yield "".join([f"{x},{y},{v},{a},{n}\n"
+                           for x, y, v, a, n in zip(xs, ys, vs, coords, ns)])
         else:
-            # the rows between the wrapper's '{\n  "rows": [\n' and '\n  ]\n}'
-            yield ("" if start == 0 else ",\n") + json.dumps({"rows": [
-                {"re": x, "im": y, "value": _json_value(v), "argmax_slice": a,
-                 "n_pos": n, "error": e} for x, y, v, a, n, e in rows]},
-                indent=2, sort_keys=True)[14:-6]
+            errs = errors[part].tolist()
+            quoted = {e: json.dumps(e) for e in set(errs)}
+            yield ("" if start == 0 else ",\n") + ",\n".join([
+                f'    {{\n      "argmax_slice": {a},\n      "error": {quoted[e]},\n'
+                f'      "im": {y},\n      "n_pos": {n},\n      "re": {x},\n'
+                f'      "value": {v}\n    }}'
+                for x, y, v, a, n, e in zip(xs, ys, vs, coords, ns, errs)])
     yield tail
 
 

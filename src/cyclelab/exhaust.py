@@ -11,6 +11,7 @@ Everything here is seeded and deterministic: the same inputs, scenario
 config and seed give byte-identical values.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -136,6 +137,10 @@ def grid_axis(spec):
                            f"and max >= min, not {spec!r}")
     if n > MAX_GRID_N:
         raise InvalidInput(f"grid n must be at most {MAX_GRID_N}, not {n}")
+    # past the float range, hi - lo is inf and linspace's coordinates NaN
+    # or inf; within it they are finite, and the writer relies on that
+    if not math.isfinite(float(hi) - float(lo)):
+        raise InvalidInput(f"grid window {lo!r}:{hi!r} spans more than the float range")
     return np.linspace(lo, hi, n)
 
 

@@ -265,9 +265,10 @@ def _gram_split(q):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
-    """(index, value) of the best coarse sample per subject row, the first
-    of equal ones: np.argmax over the grid of the branch values that
-    values_own gives, bit for bit.
+    """(index, value, group matrix) of the best coarse sample per subject
+    row, the first of equal ones: np.argmax over the grid of the branch
+    values that values_own gives, bit for bit.  A row that gets no
+    candidate keeps sample 0, at value -inf.
 
     Pass 1 screens each block of K_BLOCK samples by the ratio r = ||p||^2 /
     |sigma . p|^2 of two real (samples, rows) products on the unit rows'
@@ -276,7 +277,8 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
     maxima of r and smallest numerator nu.  Pass 2 re-screens the rows of
     each block whose maximum reaches the window below the row's largest
     ratio r_max, and values_own scores the candidates, the (row, sample)
-    pairs within the window, at matrices rebuilt from their coefficients.
+    pairs within the window, at matrices rebuilt from their coefficients;
+    the winners' matrices are kept, so the ascent starts from them.
     """
     m, k = subjects.shape[0], num_forms.shape[0]
     sq = np.einsum("ma,ma->m", np.conj(subjects), subjects).real
@@ -307,6 +309,7 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
     keep_all = ~((w < 0.5) & (scale < SCREEN_LOG_SCALE))
     floor = np.where(keep_all, -np.inf, r_max * (1.0 - w))
     best, value, every = np.zeros(m, int), np.full(m, -np.inf), np.arange(m)
+    won, got = np.empty((m, engine.sc.n, engine.sc.n), complex), np.zeros(m, bool)
 
     def score(rows, samples):
         # np.argmax's rule, the first maximum with NaN on top; winners so far first
@@ -316,6 +319,8 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
         order = np.lexsort((samples, -v, ~np.isnan(v), rows))
         first = order[np.searchsorted(rows[order], every)]
         best[:], value[:] = samples[first], v[first]
+        new = first >= m
+        won[new], got[new] = ks[first[new] - m], True
 
     size, rows, samples = SCORE_PAIRS, np.empty(0, int), np.empty(0, int)
     for j in np.flatnonzero((tops >= floor).any(axis=1)):
@@ -328,7 +333,10 @@ def _screened_start(engine, subjects, coeffs, num_forms, den_forms):
             rows, samples = rows[size:], samples[size:]
     if rows.size:
         score(rows, samples)
-    return best, value
+    if not got.all():
+        # k0_from_coefficients acts row by row: the same bits as sample 0 in a stack
+        won[~got] = k0_from_coefficients(engine.sc.rf, coeffs[:1])
+    return best, value, won
 
 
 @np.errstate(all="ignore")
@@ -456,8 +464,8 @@ def maximize_branch(subjects, sc):
         return _screened_start(engine, tile, coeffs, num_forms, den_forms)
 
     def block(rows):
-        best, value = run_chunked(screen, rows)
-        vals, ks = _newton_ascent(engine, rows, k0_from_coefficients(sc.rf, coeffs[best]), value)
+        _, value, ks = run_chunked(screen, rows)
+        vals, ks = _newton_ascent(engine, rows, ks, value)
         fin = np.isfinite(vals)
         k = ks[fin]
         k = 0.5 * k @ (3.0 * np.eye(k.shape[-1]) - np.conj(np.swapaxes(k, 1, 2)) @ k)

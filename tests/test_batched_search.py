@@ -87,7 +87,9 @@ def test_newton_ascent_matches_one_halving_per_call(name, su11, su21, monkeypatc
         [_chart_rows(sc, (-0.9, 0.9, 23)), _chart_rows(sc, (-0.999999, 0.999999, 21))]
         + [sc.geometry.divergence_rows("r_md", depths, np.random.default_rng(s), sc.rf)
            for s in range(4)])
-    best, value = optimize._screened_start(engine, rows, *engine.coarse(sc.k0_resolution))
+    best, value, start = optimize._screened_start(engine, rows,
+                                                  *engine.coarse(sc.k0_resolution))
+    assert start.tobytes() == stack[best].tobytes()
     want_calls = []
     want = _newton_reference(engine, rows, stack[best], value, want_calls)
     # one "step" mark per Newton step (one derivatives call each), then

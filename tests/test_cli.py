@@ -74,18 +74,22 @@ def test_eval_json_payload():
 
 def _edge_grid():
     """Columns as evaluate_grid returns them, holding every kind of field:
-    -0.0, +-inf, nan and 5e-324 values and argmaxes, a point outside the
-    admissible set (value and argmax None in the payload) and a Levi
-    failure."""
+    -0.0, +-inf, nan and 5e-324 values and argmaxes, 0.0 beside -0.0 and
+    repeated values in every float column, a point outside the admissible
+    set (value and argmax None in the payload), a Levi failure and error
+    strings that JSON escapes."""
     inf, nan, tiny = float("inf"), float("nan"), 5e-324
-    cs = np.array([0.5, -0.0, 1e-300, -0.9, 0.1, 0.3], complex)
-    cs.imag = [-0.25, -0.0, -0.9, 0.9, 0.2, 0.7]
-    values = np.array([nan, 0.0, inf, -inf, nan, tiny])
-    ok = np.array([False, True, True, True, True, True])
+    cs = np.array([0.5, -0.0, 1e-300, -0.9, 0.1, 0.3, 0.0, 0.5, -0.0, 0.0], complex)
+    cs.imag = [-0.25, -0.0, -0.9, 0.9, 0.2, 0.7, 0.0, -0.25, 0.0, -0.25]
+    values = np.array([nan, 0.0, inf, -inf, nan, tiny, -0.0, 0.0, -0.0, nan])
+    ok = np.array([False, True, True, True, True, True, True, True, True, False])
     argmax = np.array([[nan] * 4, [-0.0, 0.0, -0.0, 0.0], [inf, -inf, nan, tiny],
-                       [0.1, -0.1, 0.0, 2.5], [tiny] * 4, [-tiny, 1.0, -2.5e-17, 3.0]])
-    npos = np.array([-1, 0, 2, 2, -1, 0])
-    errors = np.array(["outside the domain", "", "", "Levi stencil: x", "", ""], object)
+                       [0.1, -0.1, 0.0, 2.5], [tiny] * 4, [-tiny, 1.0, -2.5e-17, 3.0],
+                       [0.0, -0.0, nan, -inf], [0.1, 0.1, -0.1, 2.5], [-0.0] * 4, [nan] * 4])
+    npos = np.array([-1, 0, 2, 2, -1, 0, 1, -1, 0, -1])
+    errors = np.array(["outside the domain", "", "", "Levi stencil: x", "", "",
+                       'a "quoted" \\ backslash', "non-ASCII \u00e9 \u221e\n", "",
+                       "outside the domain"], object)
     return cs, values, ok, argmax, npos, errors
 
 
@@ -131,7 +135,7 @@ def test_grid_csv_matches_csv_writer(su11, su21, monkeypatch):
         return buf.getvalue()
 
     grids = list(_grids("csv", su11, su21))
-    for slice_rows in (cli.ASCENT_ROWS, 2):
+    for slice_rows in (cli.ASCENT_ROWS, 2, 7):
         monkeypatch.setattr(cli, "ASCENT_ROWS", slice_rows)
         for cfg, grid in grids:
             assert "".join(cli._grid_chunks(cfg, grid)) == reference(grid)
@@ -152,13 +156,13 @@ def test_grid_json_matches_one_dump(su11, su21, monkeypatch):
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     grids = list(_grids("json", su11, su21))
-    for slice_rows in (cli.ASCENT_ROWS, 2):
+    for slice_rows in (cli.ASCENT_ROWS, 2, 7):
         monkeypatch.setattr(cli, "ASCENT_ROWS", slice_rows)
         for cfg, grid in grids:
             assert "".join(cli._grid_chunks(cfg, grid)) == reference(cfg, grid)
     text = "".join(cli._grid_chunks(*grids[0]))
     assert [r["value"] for r in json.loads(text)["rows"]] == [
-        None, 0.0, "inf", "-inf", "nan", 5e-324]
+        None, 0.0, "inf", "-inf", "nan", 5e-324, -0.0, 0.0, -0.0, None]
 
 
 def test_eval_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, count_calls):
@@ -365,6 +369,17 @@ def test_usage_errors_exit_2(tmp_path):
     assert get_engine(su21).sample_count(50) <= MAX_K0_SAMPLES
     assert code("eval", "--scenario", "su21", "--target", "r_s", "--grid", "-0.1:0.1:2",
                 "--resolution-k0", "50") == 0
+
+
+def test_eval_refuses_a_window_past_the_float_range(tmp_path, capsys):
+    # hi - lo overflows: the grid would hold NaN and inf coordinates, which
+    # no JSON parser reads; the window is a usage error and no file is written
+    for fmt in cli.FORMATS:
+        out = tmp_path / f"overflow.{fmt}"
+        assert cli.main(["eval", "--scenario", "su21", "--target", "r_s",
+                         "--grid=-1.7e308:1.7e308:3", "--format", fmt, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "float range" in capsys.readouterr().err
 
 
 def test_one_process_gives_the_payloads_of_separate_processes(tmp_path):

@@ -12,7 +12,7 @@ from cyclelab import (TARGETS, FlagPoint, InvalidInput,
                       translation_branch_pair)
 from cyclelab.cycles import cycle_in_domain_rows
 from cyclelab.flags import in_domain_rows
-from cyclelab.exhaust import batch_values, boundary_depths
+from cyclelab.exhaust import batch_values, boundary_depths, grid_axis
 from cyclelab.liecore import k0_coefficients, k0_from_coefficients, k0_matrices
 from cyclelab.optimize import (ASCENT_ROWS, BranchEngine, aligned_domain_values,
                                fiber_infimum, get_engine, maximize_branch)
@@ -183,6 +183,17 @@ def test_grid_count_must_be_an_integer(su21):
         with pytest.raises(InvalidInput):
             evaluate_grid(su21, "r_md", (-0.9, 0.9, n))
     assert evaluate_grid(su21, "r_s", (-0.9, 0.9, np.int64(2)))[0].shape == (4,)
+
+
+def test_grid_window_must_span_finite_floats(su21):
+    # -1.7e308:1.7e308 spans past the float range: linspace would give NaN
+    # and inf coordinates; a window just inside it gives finite ones
+    for spec in ((-1.7e308, 1.7e308, 3), (-1e308, 1e308, 1), (-1e308, np.float64(1e308), 2)):
+        with pytest.raises(InvalidInput, match="float range"):
+            grid_axis(spec)
+    assert np.isfinite(grid_axis((-8.9e307, 8.9e307, 401))).all()
+    with pytest.raises(InvalidInput):
+        evaluate_grid(su21, "r_s", (-1.7e308, 1.7e308, 3))
 
 
 def test_grid_levi_column(su11):
@@ -430,15 +441,31 @@ def test_screened_start_blocks_match_one_block(su21, resolution, monkeypatch):
     blocked = optimize._screened_start(engine, rows, *coarse)
     monkeypatch.setattr(optimize, "K_BLOCK", coarse[0].shape[0])
     whole = optimize._screened_start(engine, rows, *coarse)
-    assert blocked[0].tobytes() == whole[0].tobytes()
-    assert blocked[1].tobytes() == whole[1].tobytes()
+    for got, want in zip(blocked, whole):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_screened_start_row_without_candidates_keeps_sample_0(su21):
+    # NaN screen ratios put no sample in any row's window: every row keeps
+    # sample 0 at -inf, and the matrix of sample 0 as its start
+    import cyclelab.optimize as optimize
+
+    engine = optimize.get_engine(su21)
+    coeffs, num_forms, den_forms = engine.coarse(su21.k0_resolution)
+    rows = seeded_subjects(su21, 5, seed=9)
+    best, value, start = optimize._screened_start(engine, rows, coeffs,
+                                                  np.full_like(num_forms, np.nan), den_forms)
+    assert np.all(best == 0) and np.all(value == -np.inf)
+    want = k0_from_coefficients(su21.rf, coeffs[:1])
+    assert all(k.tobytes() == want[0].tobytes() for k in start)
 
 
 @pytest.mark.parametrize("name,resolution", [("su21", 6), ("su21", 10),
                                              ("su11", 32), ("su11", 1024)])
 def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     # the Gram-form screen only picks which samples values_own scores: the
-    # start index and value are np.argmax over the whole stack, bit for bit
+    # start index and value are np.argmax over the whole stack, and the
+    # start matrix that sample's, bit for bit
     import cyclelab.optimize as optimize
 
     sc = dataclasses.replace({"su11": su11, "su21": su21}[name], k0_resolution=resolution)
@@ -462,9 +489,11 @@ def test_screened_start_is_the_coarse_argmax(name, resolution, su11, su21):
     idx = np.argmax(want, axis=1)
     spread = np.ptp(want[origin], axis=1)
     assert origin.size == 1 and np.all(spread <= (0.0 if name == "su21" else 1e-15))
-    got_idx, got_val = optimize._screened_start(engine, rows, *engine.coarse(resolution))
+    got_idx, got_val, got_k = optimize._screened_start(engine, rows,
+                                                       *engine.coarse(resolution))
     assert np.array_equal(got_idx, idx)
     assert got_val.tobytes() == want[np.arange(rows.shape[0]), idx].tobytes()
+    assert got_k.tobytes() == ks[idx].tobytes()
 
 
 @pytest.mark.parametrize("name", ["su11", "su21"])
@@ -501,13 +530,14 @@ def test_screened_start_scores_every_sample_of_a_row_at_a_pole(name, su11, su21,
         return values_own(self, subjects, samples)
 
     monkeypatch.setattr(optimize.BranchEngine, "values_own", counted)
-    got_idx, got_val = optimize._screened_start(engine, rows, *coarse)
+    got_idx, got_val, got_k = optimize._screened_start(engine, rows, *coarse)
     assert all(scored.count(key) == k for key in keys)
     monkeypatch.undo()
     want = _stack_values(engine, rows, stack)
     idx = np.argmax(want, axis=1)
     assert np.array_equal(got_idx, idx)
     assert got_val.tobytes() == want[np.arange(rows.shape[0]), idx].tobytes()
+    assert got_k.tobytes() == stack[idx].tobytes()
     assert np.all(np.isinf(got_val[at_pole]))
 
 
